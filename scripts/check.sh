@@ -107,3 +107,13 @@ echo "smoke: wlan_analyze --selftest (pcap merge + streaming-vs-batch diff)"
 test -s build/smoke_analyze/figs/fig05_seconds.csv
 test -s build/smoke_analyze/figs/fig06.csv
 echo "smoke: OK (build/smoke_analyze/figs)"
+
+# The repository benchmark (perfbench/, built into .bench_build/): every
+# workload once at tiny sizes, each unit checked against the committed work
+# counters and output digests in perfbench/expected.json; then the plenary
+# and churn sessions at 1 and 3 shards, which must agree on every counter
+# but the two queue high-water gauges.
+echo "smoke: perfbench --smoke and --check-shards"
+python3 perfbench/run_bench.py --smoke > /dev/null
+python3 perfbench/run_bench.py --check-shards
+echo "smoke: OK (perfbench)"

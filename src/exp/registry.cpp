@@ -44,6 +44,7 @@ RunOutput run_hidden_terminal_scenario(const RunSpec& run) {
 RunOutput run_session_scenario(const RunSpec& run, workload::SessionKind kind,
                                bool churn = false) {
   workload::ScenarioConfig cfg;
+  static_cast<sim::EngineOptions&>(cfg) = run.cell;
   cfg.seed = run.seed;
   cfg.duration_s = run.cell.duration_s;
   cfg.scale = run.load.users / 100.0;
@@ -52,9 +53,6 @@ RunOutput run_session_scenario(const RunSpec& run, workload::SessionKind kind,
   cfg.rtscts_fraction = run.rtscts_fraction;
   cfg.rate = run.cell.rate;
   cfg.timing = run.cell.timing;
-  cfg.scalar_reception = run.cell.scalar_reception;
-  cfg.shards = run.cell.shards;
-  cfg.single_queue = run.cell.single_queue;
   if (churn) {
     cfg.churn_turnover_per_min = run.churn_rate > 0.0 ? run.churn_rate : 1.0;
   }

@@ -45,7 +45,7 @@ struct ExperimentSpec {
   int seeds_per_point = 1;
   double duration_s = 18.0;
   /// Worker threads for each run's per-channel shard phases (see
-  /// sim::NetworkConfig::shards).  Like RunnerOptions::threads — and
+  /// sim::EngineOptions::shards).  Like RunnerOptions::threads — and
   /// composing with it — this is an execution knob, not a treatment: output
   /// is byte-identical for any value, and it stays out of the manifest.
   int shards = 1;

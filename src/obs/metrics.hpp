@@ -7,7 +7,7 @@
 // many events dispatched, how many delivery RNG draws, how many full
 // frame-success evaluations survived the caches.  Every counter here is a
 // pure function of (seed, config) — byte-identical across `--threads N`,
-// replay, and host machines — which is what lets perf_guard.py compare them
+// replay, and host machines — which is what lets perfbench/ compare them
 // with `==` instead of a noise threshold.
 //
 // Contract (the property that makes this layer safe to leave on):
@@ -56,7 +56,7 @@ namespace wlan::obs {
 /// The counter catalog.  X(enum_name, "dotted.name", kind) — kind decides
 /// how per-run values combine into a sweep aggregate: kSum accumulates,
 /// kMax keeps the high-water mark.  Names are stable public API (they
-/// appear in metrics CSV/JSON files, BENCH_e2e.json and perf_guard.py);
+/// appear in metrics CSV/JSON files and perfbench/expected.json);
 /// add new counters at the end of their section, never rename casually.
 #define WLAN_OBS_COUNTERS(X)                                                \
   /* --- sim: event kernel -------------------------------------------- */ \

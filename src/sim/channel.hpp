@@ -41,8 +41,8 @@
 //    pass over the link cache's contiguous rx-power rows
 //    (evaluate_receptions_batched).  The scalar per-receiver path is
 //    retained verbatim (evaluate_receptions_scalar) behind a runtime
-//    switch — compile with -DWLAN_SCALAR_RECEPTION to default to it — and
-//    the differential oracle suite pins that both produce byte-identical
+//    switch (EngineOptions::Reference::kScalarReception), and the
+//    differential oracle suite pins that both produce byte-identical
 //    traces, ground truth and figures.
 #pragma once
 
@@ -109,7 +109,6 @@ class Channel {
   /// retained scalar reference path.  Both are pinned byte-identical by the
   /// differential oracle suite; the scalar path exists to *be* that oracle.
   void set_scalar_reception(bool scalar) { scalar_reception_ = scalar; }
-  [[nodiscard]] bool scalar_reception() const { return scalar_reception_; }
 
   /// Enters the node into contention with `slots` of backoff to burn.
   /// The node must not already be contending.
@@ -415,11 +414,7 @@ class Channel {
   /// Delivered-MSDU delay components (always on; see record_data_delay).
   util::LogHistogram queue_delay_us_;
   util::LogHistogram service_delay_us_;
-#ifdef WLAN_SCALAR_RECEPTION
-  bool scalar_reception_ = true;
-#else
   bool scalar_reception_ = false;
-#endif
 };
 
 }  // namespace wlan::sim

@@ -11,7 +11,8 @@ Network::Network(const NetworkConfig& config)
       timing_(mac::timing_for(config.timing_profile)), rng_(config.seed),
       channel_numbers_(config.channels),
       ap_power_offset_db_(config.ap_power_offset_db),
-      single_queue_(config.single_queue),
+      single_queue_(config.reference ==
+                    EngineOptions::Reference::kSingleQueue),
       shards_(config.shards < 1 ? 1 : config.shards) {
   const std::size_t n = channel_numbers_.size();
   channels_.reserve(n);
@@ -35,7 +36,8 @@ Network::Network(const NetworkConfig& config)
     channels_.back()->set_ground_truth(&shard_ground_truth_[i]);
     channels_.back()->set_ground_truth_end_times(&shard_ground_truth_end_[i]);
     channels_.back()->set_frame_counter(&frame_counters_[i]);
-    channels_.back()->set_scalar_reception(config.scalar_reception);
+    channels_.back()->set_scalar_reception(
+        config.reference == EngineOptions::Reference::kScalarReception);
   }
   if (!single_queue_) {
     sim_.queue().set_schedule_observer(&Network::observe_control_schedule,

@@ -30,6 +30,7 @@ void harvest_scenario_metrics(Scenario& s) {
 sim::NetworkConfig network_config(const ScenarioConfig& cfg,
                                   SessionKind kind) {
   sim::NetworkConfig net;
+  static_cast<sim::EngineOptions&>(net) = cfg;
   net.seed = cfg.seed;
   net.timing_profile = cfg.timing;
   net.channels = {1, 6, 11};
@@ -41,10 +42,70 @@ sim::NetworkConfig network_config(const ScenarioConfig& cfg,
       kind == SessionKind::kPlenary ? 3.8 : 3.0;
   net.propagation.shadowing_sigma_db =
       kind == SessionKind::kPlenary ? 6.0 : 4.0;
-  net.scalar_reception = cfg.scalar_reception;
-  net.shards = cfg.shards;
-  net.single_queue = cfg.single_queue;
   return net;
+}
+
+/// The cell fixtures' network: the one cell channel and its propagation.
+sim::NetworkConfig cell_network_config(const CellConfig& config) {
+  sim::NetworkConfig net;
+  static_cast<sim::EngineOptions&>(net) = config;
+  net.seed = config.seed;
+  net.timing_profile = config.timing;
+  net.channels = {config.channel};
+  net.propagation.path_loss_exponent = config.path_loss_exponent;
+  net.propagation.shadowing_sigma_db = config.shadowing_sigma_db;
+  return net;
+}
+
+/// Runs a built cell fixture for the configured duration and reduces it to
+/// a CellResult, warmup removed.  One sniffer's capture is filtered and then
+/// time-sorted once (stable, so identical to sort-then-filter without the
+/// intermediate full-trace copy).  Several go through the paper's pipeline:
+/// beacon-anchored clock correction and a deduplicated k-way merge, whose
+/// timeline is in sniffer 0's clock — zero offset here, so the warmup trim
+/// stays exact.
+CellResult run_and_harvest_cell(sim::Network& net,
+                                const std::vector<sim::Sniffer*>& sniffers,
+                                const CellConfig& config,
+                                const char* span_name) {
+  const auto end_us = static_cast<std::int64_t>(config.duration_s * 1e6);
+  {
+    obs::Span span(span_name);
+    net.run_for(Microseconds{end_us});
+  }
+  if (obs::Metrics* m = obs::current()) net.harvest_metrics(*m);
+
+  CellResult result;
+  const auto warmup_us = static_cast<std::int64_t>(config.warmup_s * 1e6);
+  const auto keep_after_warmup = [warmup_us](const auto& from, auto& to) {
+    to.reserve(from.size());
+    for (const auto& r : from) {
+      if (r.time_us >= warmup_us) to.push_back(r);
+    }
+  };
+  if (sniffers.size() == 1) {
+    keep_after_warmup(sniffers[0]->records(), result.trace.records);
+    trace::sort_by_time(result.trace.records);
+  } else {
+    std::vector<trace::Trace> raw;
+    raw.reserve(sniffers.size());
+    for (const sim::Sniffer* s : sniffers) raw.push_back(s->trace());
+    trace::MergeResult merged = trace::merge_sniffer_traces(raw);
+    result.sniffer_traces = std::move(raw);
+    result.clock_offsets = std::move(merged.offsets);
+    result.merge_stats = merged.stats;
+    keep_after_warmup(merged.trace.records, result.trace.records);
+  }
+  result.trace.start_us = warmup_us;
+  result.trace.end_us = end_us;
+  keep_after_warmup(net.ground_truth(), result.ground_truth);
+  result.medium_transmissions = net.channel(config.channel).transmissions();
+  result.medium_collisions = net.channel(config.channel).collisions();
+  result.sniffer = sniffers[0]->stats();
+  result.duration_s = config.duration_s - config.warmup_s;
+  net.harvest_delays(result.queue_delay, result.service_delay);
+  obs::count(obs::Id::kTraceRecords, result.trace.records.size());
+  return result;
 }
 
 }  // namespace
@@ -189,17 +250,7 @@ SessionResult run_session(const ScenarioConfig& config, SessionKind kind) {
 }
 
 CellResult run_cell(const CellConfig& config) {
-  sim::NetworkConfig net_cfg;
-  net_cfg.seed = config.seed;
-  net_cfg.timing_profile = config.timing;
-  net_cfg.channels = {config.channel};
-  net_cfg.propagation.path_loss_exponent = config.path_loss_exponent;
-  net_cfg.propagation.shadowing_sigma_db = config.shadowing_sigma_db;
-  net_cfg.scalar_reception = config.scalar_reception;
-  net_cfg.shards = config.shards;
-  net_cfg.single_queue = config.single_queue;
-
-  sim::Network net(net_cfg);
+  sim::Network net(cell_network_config(config));
   util::Rng rng(config.seed ^ 0xCE11ULL);
 
   // APs along the cell diagonal, all VAPs on the one channel.
@@ -268,70 +319,11 @@ CellResult run_cell(const CellConfig& config) {
     sessions.push_back(std::make_unique<UserSession>(net, spec, rng.next()));
   }
 
-  {
-    obs::Span span("cell: run");
-    net.run_for(
-        Microseconds{static_cast<std::int64_t>(config.duration_s * 1e6)});
-  }
-  if (obs::Metrics* m = obs::current()) net.harvest_metrics(*m);
-
-  CellResult result;
-  const auto warmup_us = static_cast<std::int64_t>(config.warmup_s * 1e6);
-  if (num_sniffers == 1) {
-    // Single-sniffer fast path: filter the warmup out of the raw capture,
-    // then time-sort once (stable, so identical to sort-then-filter without
-    // the intermediate full-trace copy).
-    const auto& recs = sniffers[0]->records();
-    result.trace.records.reserve(recs.size());
-    for (const auto& r : recs) {
-      if (r.time_us >= warmup_us) result.trace.records.push_back(r);
-    }
-    trace::sort_by_time(result.trace.records);
-  } else {
-    // The paper's pipeline: per-sniffer captures -> beacon-anchored clock
-    // correction -> deduplicated k-way merge.  The merged timeline is in
-    // sniffer 0's clock, which has zero offset here, so the warmup trim
-    // below stays exact.
-    std::vector<trace::Trace> raw;
-    raw.reserve(sniffers.size());
-    for (const sim::Sniffer* s : sniffers) raw.push_back(s->trace());
-    trace::MergeResult merged = trace::merge_sniffer_traces(raw);
-    result.sniffer_traces = std::move(raw);
-    result.clock_offsets = std::move(merged.offsets);
-    result.merge_stats = merged.stats;
-    result.trace.records.reserve(merged.trace.records.size());
-    for (const auto& r : merged.trace.records) {
-      if (r.time_us >= warmup_us) result.trace.records.push_back(r);
-    }
-  }
-  result.trace.start_us = warmup_us;
-  result.trace.end_us =
-      static_cast<std::int64_t>(config.duration_s * 1e6);
-  result.ground_truth.reserve(net.ground_truth().size());
-  for (const auto& r : net.ground_truth()) {
-    if (r.time_us >= warmup_us) result.ground_truth.push_back(r);
-  }
-  result.medium_transmissions = net.channel(config.channel).transmissions();
-  result.medium_collisions = net.channel(config.channel).collisions();
-  result.sniffer = sniffers[0]->stats();
-  result.duration_s = config.duration_s - config.warmup_s;
-  net.harvest_delays(result.queue_delay, result.service_delay);
-  obs::count(obs::Id::kTraceRecords, result.trace.records.size());
-  return result;
+  return run_and_harvest_cell(net, sniffers, config, "cell: run");
 }
 
 CellResult run_hidden_terminal(const CellConfig& config) {
-  sim::NetworkConfig net_cfg;
-  net_cfg.seed = config.seed;
-  net_cfg.timing_profile = config.timing;
-  net_cfg.channels = {config.channel};
-  net_cfg.propagation.path_loss_exponent = config.path_loss_exponent;
-  net_cfg.propagation.shadowing_sigma_db = config.shadowing_sigma_db;
-  net_cfg.scalar_reception = config.scalar_reception;
-  net_cfg.shards = config.shards;
-  net_cfg.single_queue = config.single_queue;
-
-  sim::Network net(net_cfg);
+  sim::Network net(cell_network_config(config));
   util::Rng rng(config.seed ^ 0x41DDE4ULL);
 
   // One AP in the middle; its carrier sense spans both wings.
@@ -369,34 +361,7 @@ CellResult run_hidden_terminal(const CellConfig& config) {
     sessions.push_back(std::make_unique<UserSession>(net, spec, rng.next()));
   }
 
-  {
-    obs::Span span("hidden-terminal: run");
-    net.run_for(
-        Microseconds{static_cast<std::int64_t>(config.duration_s * 1e6)});
-  }
-  if (obs::Metrics* m = obs::current()) net.harvest_metrics(*m);
-
-  CellResult result;
-  const auto warmup_us = static_cast<std::int64_t>(config.warmup_s * 1e6);
-  const auto& recs = sniffer.records();
-  result.trace.records.reserve(recs.size());
-  for (const auto& r : recs) {
-    if (r.time_us >= warmup_us) result.trace.records.push_back(r);
-  }
-  trace::sort_by_time(result.trace.records);
-  result.trace.start_us = warmup_us;
-  result.trace.end_us = static_cast<std::int64_t>(config.duration_s * 1e6);
-  result.ground_truth.reserve(net.ground_truth().size());
-  for (const auto& r : net.ground_truth()) {
-    if (r.time_us >= warmup_us) result.ground_truth.push_back(r);
-  }
-  result.medium_transmissions = net.channel(config.channel).transmissions();
-  result.medium_collisions = net.channel(config.channel).collisions();
-  result.sniffer = sniffer.stats();
-  result.duration_s = config.duration_s - config.warmup_s;
-  net.harvest_delays(result.queue_delay, result.service_delay);
-  obs::count(obs::Id::kTraceRecords, result.trace.records.size());
-  return result;
+  return run_and_harvest_cell(net, {&sniffer}, config, "hidden-terminal: run");
 }
 
 }  // namespace wlan::workload

@@ -30,7 +30,9 @@ struct DataSetInfo {
   std::string time_range;
 };
 
-struct ScenarioConfig {
+/// Inherits the engine settings (shards, reference engine) that pass
+/// straight through to sim::NetworkConfig.
+struct ScenarioConfig : sim::EngineOptions {
   std::uint64_t seed = 1;
   double duration_s = 180.0;
   /// Scales AP count and peak population relative to IETF62 (1.0 = 38
@@ -41,15 +43,6 @@ struct ScenarioConfig {
   double rtscts_fraction = 0.03;
   rate::ControllerConfig rate;
   mac::TimingProfile timing = mac::TimingProfile::kPaper;
-  /// Use the channels' scalar reference reception path instead of the
-  /// batched engine (byte-identical output; see sim::NetworkConfig).
-  bool scalar_reception = false;
-  /// Worker threads for the per-channel shard phases (byte-identical output
-  /// for any value; see sim::NetworkConfig::shards).
-  int shards = 1;
-  /// Run every channel on the one control queue — the pre-sharding engine,
-  /// kept as the sharding oracle's reference (see sim::NetworkConfig).
-  bool single_queue = false;
 
   // --- population dynamics -------------------------------------------------
   /// > 0 switches the session from the classic fixed-curve UserManager to
@@ -121,8 +114,8 @@ SessionResult run_session(const ScenarioConfig& config, SessionKind kind);
 /// Single-collision-domain fixture for utilization sweeps (Figures 6-15):
 /// one channel, a couple of APs, `num_users` always-on users.  Sweeping
 /// `num_users` (or per_user_pps) moves the cell across the whole 30-99%
-/// utilization range.
-struct CellConfig {
+/// utilization range.  Inherits the engine settings like ScenarioConfig.
+struct CellConfig : sim::EngineOptions {
   std::uint64_t seed = 1;
   std::uint8_t channel = 6;
   int num_aps = 2;
@@ -132,15 +125,6 @@ struct CellConfig {
   double rtscts_fraction = 0.05;
   rate::ControllerConfig rate;
   mac::TimingProfile timing = mac::TimingProfile::kPaper;
-  /// Use the channels' scalar reference reception path instead of the
-  /// batched engine (byte-identical output; see sim::NetworkConfig).
-  bool scalar_reception = false;
-  /// Worker threads for the per-channel shard phases (byte-identical output
-  /// for any value; see sim::NetworkConfig::shards).
-  int shards = 1;
-  /// Run every channel on the one control queue — the pre-sharding engine,
-  /// kept as the sharding oracle's reference (see sim::NetworkConfig).
-  bool single_queue = false;
   double duration_s = 25.0;
   double warmup_s = 3.0;  ///< stripped from the returned trace
   /// Square cell side.  Large enough that edge users have marginal SNR and

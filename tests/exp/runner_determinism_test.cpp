@@ -219,74 +219,123 @@ TEST(RunnerDeterminismTest, ChurnOnlyReplayReproducesTheFullGridRun) {
             manifest_row(full.runs[5], false));
 }
 
-// The spec's reception-path switch must be figure-invisible: the batched SoA
-// engine (the default — every test above runs it) and the scalar reference
-// path must produce byte-identical manifests and figures across the whole
-// grid.  This is the runner-level complement of the channel-level oracle in
-// tests/sim/batched_reception_oracle_test.cpp: it proves the switch reaches
-// every scenario through the registry and that no aggregation step amplifies
-// a latent difference.
-TEST(RunnerDeterminismTest, ScalarAndBatchedReceptionAreByteIdentical) {
+// The spec's reference-engine switch must be figure-invisible: the
+// production engine (the default — every test above runs it) and each
+// reference engine the oracle suites keep — scalar reception and the single
+// event queue — must produce byte-identical manifests and figures across
+// the whole grid, for the cell and hidden-terminal fixtures alike.  This is
+// the runner-level complement of the simulator-level oracles in
+// tests/sim/batched_reception_oracle_test.cpp and sharding_oracle_test.cpp:
+// it proves the switch reaches every scenario through the registry and that
+// no aggregation step amplifies a latent difference.
+using Reference = sim::EngineOptions::Reference;
+
+constexpr Reference kReferences[] = {Reference::kScalarReception,
+                                     Reference::kSingleQueue};
+
+std::string reference_name(Reference reference) {
+  return reference == Reference::kScalarReception ? "scalar-reception"
+                                                  : "single-queue";
+}
+
+TEST(RunnerDeterminismTest, ReferenceEnginesAreByteIdentical) {
   RunnerOptions opt;
   opt.threads = 2;
   opt.timing_in_manifest = false;
 
-  auto batched = tiny_sweep();
-  auto scalar = tiny_sweep();
-  scalar.base.scalar_reception = true;
-  const auto rb = run_experiment(batched, opt);
-  const auto rs = run_experiment(scalar, opt);
+  for (const char* scenario : {"cell", "hidden-terminal"}) {
+    auto production = tiny_sweep();
+    production.scenario = scenario;
+    const auto rp = run_experiment(production, opt);
+    for (const Reference reference : kReferences) {
+      SCOPED_TRACE(std::string(scenario) + " vs " + reference_name(reference));
+      auto spec = production;
+      spec.base.reference = reference;
+      const auto rr = run_experiment(spec, opt);
 
-  ASSERT_EQ(rb.runs.size(), rs.runs.size());
-  for (std::size_t i = 0; i < rb.runs.size(); ++i) {
-    EXPECT_EQ(manifest_row(rb.runs[i], false), manifest_row(rs.runs[i], false));
-  }
-  EXPECT_EQ(core::render_figure(rb.figures.fig06_throughput_goodput(1)),
-            core::render_figure(rs.figures.fig06_throughput_goodput(1)));
-  EXPECT_EQ(core::render_figure(rb.figures.fig08_busytime_share(1)),
-            core::render_figure(rs.figures.fig08_busytime_share(1)));
+      ASSERT_EQ(rp.runs.size(), rr.runs.size());
+      for (std::size_t i = 0; i < rp.runs.size(); ++i) {
+        EXPECT_EQ(manifest_row(rp.runs[i], false),
+                  manifest_row(rr.runs[i], false));
+      }
+      EXPECT_EQ(core::render_figure(rp.figures.fig06_throughput_goodput(1)),
+                core::render_figure(rr.figures.fig06_throughput_goodput(1)));
+      EXPECT_EQ(core::render_figure(rp.figures.fig08_busytime_share(1)),
+                core::render_figure(rr.figures.fig08_busytime_share(1)));
 
 #if WLAN_OBS_ENABLED
-  // The counters tell the same story from the work side.  The RNG contract
-  // (one chance() per receivable candidate, in node order) makes the
-  // delivery draw count engine-invariant; the reception totals land in
-  // the per-engine counter of whichever path ran; and the batched engine's
-  // broadcast-plan reuse means it can only *save* full frame-success
-  // evaluations, never add any.
-  const obs::Metrics& mb = rb.metrics;
-  const obs::Metrics& ms = rs.metrics;
-  EXPECT_EQ(mb.value(obs::Id::kDeliveryChanceDraws),
-            ms.value(obs::Id::kDeliveryChanceDraws));
-  EXPECT_EQ(mb.value(obs::Id::kEventsExecuted),
-            ms.value(obs::Id::kEventsExecuted));
-  EXPECT_EQ(mb.value(obs::Id::kTransmissions),
-            ms.value(obs::Id::kTransmissions));
-  EXPECT_EQ(ms.value(obs::Id::kReceptionsBatched), 0u);
-  EXPECT_EQ(mb.value(obs::Id::kReceptionsScalar), 0u);
-  EXPECT_EQ(mb.value(obs::Id::kReceptionsBatched),
-            ms.value(obs::Id::kReceptionsScalar));
-  EXPECT_GT(mb.value(obs::Id::kReceptionsBatched), 0u);
-  EXPECT_LE(mb.value(obs::Id::kFrameSuccessEvals),
-            ms.value(obs::Id::kFrameSuccessEvals));
+      // The counters tell the same story from the work side.  The RNG
+      // contract (one chance() per receivable candidate, in node order)
+      // makes the delivery draw count engine-invariant, and neither
+      // reference changes which events run.
+      const obs::Metrics& mp = rp.metrics;
+      const obs::Metrics& mr = rr.metrics;
+      EXPECT_GT(mp.value(obs::Id::kReceptionsBatched), 0u);
+      EXPECT_EQ(mp.value(obs::Id::kDeliveryChanceDraws),
+                mr.value(obs::Id::kDeliveryChanceDraws));
+      EXPECT_EQ(mp.value(obs::Id::kEventsExecuted),
+                mr.value(obs::Id::kEventsExecuted));
+      EXPECT_EQ(mp.value(obs::Id::kTransmissions),
+                mr.value(obs::Id::kTransmissions));
+      if (reference == Reference::kScalarReception) {
+        // The reception totals land in the per-engine counter of whichever
+        // path ran, and the batched engine's broadcast-plan reuse means it
+        // can only *save* full frame-success evaluations, never add any.
+        EXPECT_EQ(mr.value(obs::Id::kReceptionsBatched), 0u);
+        EXPECT_EQ(mp.value(obs::Id::kReceptionsScalar), 0u);
+        EXPECT_EQ(mp.value(obs::Id::kReceptionsBatched),
+                  mr.value(obs::Id::kReceptionsScalar));
+        EXPECT_LE(mp.value(obs::Id::kFrameSuccessEvals),
+                  mr.value(obs::Id::kFrameSuccessEvals));
+      } else {
+        // One queue instead of shard queues is a dispatch change only:
+        // every counter agrees except the two per-queue high-water gauges.
+        for (std::size_t c = 0; c < obs::kNumCounters; ++c) {
+          const auto id = static_cast<obs::Id>(c);
+          if (id == obs::Id::kEventQueueDepthHw ||
+              id == obs::Id::kEventQueueSlotPoolHw) {
+            continue;
+          }
+          EXPECT_EQ(mp.value(id), mr.value(id)) << obs::name(id);
+        }
+      }
 #endif
+    }
+  }
 }
 
-TEST(RunnerDeterminismTest, ScalarAndBatchedAgreeOnAChurnGridPoint) {
-  // Churn tears stations down mid-flight (deferred link-id recycling), the
-  // trickiest lifetime case for the batched engine's snapshots.  One replayed
+TEST(RunnerDeterminismTest, ReferenceEnginesAgreeOnAChurnGridPoint) {
+  // Churn tears stations down mid-flight (deferred link-id recycling) and
+  // roams them across channel shards: the trickiest lifetime case for the
+  // batched engine's snapshots and for the watermark protocol.  One replayed
   // grid point keeps this cheap; the full-grid equivalence is covered above.
   RunnerOptions opt;
   opt.only_run = 3;
   opt.timing_in_manifest = false;
 
-  auto batched = churn_sweep();
-  auto scalar = churn_sweep();
-  scalar.base.scalar_reception = true;
-  const auto rb = run_experiment(batched, opt);
-  const auto rs = run_experiment(scalar, opt);
-  ASSERT_EQ(rb.runs.size(), 1u);
-  ASSERT_EQ(rs.runs.size(), 1u);
-  EXPECT_EQ(manifest_row(rb.runs[0], false), manifest_row(rs.runs[0], false));
+  const auto rp = run_experiment(churn_sweep(), opt);
+  ASSERT_EQ(rp.runs.size(), 1u);
+  for (const Reference reference : kReferences) {
+    SCOPED_TRACE(reference_name(reference));
+    auto spec = churn_sweep();
+    spec.base.reference = reference;
+    const auto rr = run_experiment(spec, opt);
+    ASSERT_EQ(rr.runs.size(), 1u);
+    EXPECT_EQ(manifest_row(rp.runs[0], false), manifest_row(rr.runs[0], false));
+#if WLAN_OBS_ENABLED
+    // Vacuous-pass guards: the switch must reach the session through the
+    // registry.  The scalar path books its receptions separately, and one
+    // queue holding all three channels' events peaks deeper than any shard.
+    const obs::Metrics& mp = rp.metrics;
+    const obs::Metrics& mr = rr.metrics;
+    if (reference == Reference::kScalarReception) {
+      EXPECT_GT(mr.value(obs::Id::kReceptionsScalar), 0u);
+    } else {
+      EXPECT_GT(mr.value(obs::Id::kEventQueueDepthHw),
+                mp.value(obs::Id::kEventQueueDepthHw));
+    }
+#endif
+  }
 }
 
 // The observability invariant from the other side: turning span tracing ON

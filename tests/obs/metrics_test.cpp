@@ -26,8 +26,8 @@ TEST(ObsCatalogTest, NamesAreDottedUniqueAndStable) {
     EXPECT_NE(n.find('.'), std::string::npos) << n;
     EXPECT_TRUE(seen.insert(n).second) << "duplicate counter name " << n;
   }
-  // Spot-check a few names other layers hard-code (BENCH_e2e.json,
-  // perf_guard.py, docs/OBSERVABILITY.md): renaming these is an API break.
+  // Spot-check a few names other layers hard-code (perfbench/
+  // expected.json, docs/OBSERVABILITY.md): renaming these is an API break.
   EXPECT_STREQ(name(Id::kEventsExecuted), "sim.events_executed");
   EXPECT_STREQ(name(Id::kDeliveryChanceDraws), "sim.delivery_chance_draws");
   EXPECT_STREQ(name(Id::kFrameSuccessEvals), "phy.frame_success_evals");

@@ -99,9 +99,9 @@ TEST(BatchedReceptionOracle, RandomizedCellsMatchScalarPath) {
                  std::to_string(cfg.seed) + " users " +
                  std::to_string(cfg.num_users));
 
-    cfg.scalar_reception = true;
+    cfg.reference = sim::EngineOptions::Reference::kScalarReception;
     const workload::CellResult ref = workload::run_cell(cfg);
-    cfg.scalar_reception = false;
+    cfg.reference = sim::EngineOptions::Reference::kNone;
     const workload::CellResult engine = workload::run_cell(cfg);
 
     // Guard against a vacuous pass: a fixture that produced no traffic would
@@ -138,9 +138,9 @@ TEST(BatchedReceptionOracle, ChurningSessionsMatchScalarPath) {
     SCOPED_TRACE("round " + std::to_string(round) + " seed " +
                  std::to_string(cfg.seed));
 
-    cfg.scalar_reception = true;
+    cfg.reference = sim::EngineOptions::Reference::kScalarReception;
     const workload::SessionResult ref = workload::run_session(cfg, kind);
-    cfg.scalar_reception = false;
+    cfg.reference = sim::EngineOptions::Reference::kNone;
     const workload::SessionResult engine = workload::run_session(cfg, kind);
 
     ASSERT_EQ(ref.name, engine.name);

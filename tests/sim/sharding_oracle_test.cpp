@@ -121,14 +121,14 @@ TEST(ShardingOracle, RandomizedCellsMatchSingleQueue) {
                  std::to_string(cfg.seed) + " users " +
                  std::to_string(cfg.num_users));
 
-    cfg.single_queue = true;
+    cfg.reference = sim::EngineOptions::Reference::kSingleQueue;
     obs::Metrics m_ref;
     workload::CellResult ref;
     {
       obs::MetricsScope scope(m_ref);
       ref = workload::run_cell(cfg);
     }
-    cfg.single_queue = false;
+    cfg.reference = sim::EngineOptions::Reference::kNone;
     cfg.shards = round % 2 == 0 ? 1 : 2;
     obs::Metrics m_sharded;
     workload::CellResult sharded;
@@ -175,7 +175,7 @@ TEST(ShardingOracle, RoamingSessionsMatchSingleQueueForAnyWorkerCount) {
     SCOPED_TRACE("round " + std::to_string(round) + " seed " +
                  std::to_string(cfg.seed));
 
-    cfg.single_queue = true;
+    cfg.reference = sim::EngineOptions::Reference::kSingleQueue;
     obs::Metrics m_ref;
     workload::SessionResult ref;
     {
@@ -183,7 +183,7 @@ TEST(ShardingOracle, RoamingSessionsMatchSingleQueueForAnyWorkerCount) {
       ref = workload::run_session(cfg, kind);
     }
 
-    cfg.single_queue = false;
+    cfg.reference = sim::EngineOptions::Reference::kNone;
     for (const int shards : {1, 3}) {
       cfg.shards = shards;
       obs::Metrics m_sharded;

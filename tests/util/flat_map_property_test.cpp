@@ -61,7 +61,9 @@ TEST(FlatMapPropertyTest, RandomizedOpsMatchUnorderedMapOracle) {
         const std::uint64_t* found = map.find(key);
         const auto it = oracle.find(key);
         ASSERT_EQ(found != nullptr, it != oracle.end());
-        if (found != nullptr) EXPECT_EQ(*found, it->second);
+        if (found != nullptr) {
+          EXPECT_EQ(*found, it->second);
+        }
       }
     }
     expect_equivalent(map, oracle);
