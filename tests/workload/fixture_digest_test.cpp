@@ -1,13 +1,17 @@
 // Byte-level pins for the cell fixtures the figure sweeps and the
-// hidden-terminal study run on.
+// hidden-terminal study run on, and for the IETF session captures.
 //
-// Each case runs one fixture at a fixed seed and folds everything it hands
-// back into a 64-bit FNV-1a digest: the trace::write_csv bytes of the
+// Each cell case runs one fixture at a fixed seed and folds everything it
+// hands back into a 64-bit FNV-1a digest: the trace::write_csv bytes of the
 // returned capture (what the figure pipeline reads), every ground-truth
 // TxRecord field, the medium and sniffer tallies, the delay histograms and,
 // for the multi-sniffer cell, each raw per-sniffer capture plus the clock
 // offsets and merge statistics the merge recovered.  Any change to setup,
 // the engine, or the warmup trim / sort / merge harvest moves a digest.
+//
+// Each session case (day, plenary, churning day) runs a small scenario and
+// digests every per-sniffer capture the network hands out, the merged
+// capture the analysis reads, the ground truth and the delay histograms.
 //
 // A digest that moves on purpose is refreshed in its own commit, with the
 // reason in the message; the failure output prints the new value.
@@ -18,6 +22,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "trace/trace_io.hpp"
 #include "workload/scenario.hpp"
@@ -76,11 +81,9 @@ void add_histogram(Fnv1a& fnv, const util::LogHistogram& h) {
   for (const double q : {0.5, 0.9, 0.99}) fnv.u64(h.percentile(q));
 }
 
-std::string digest(const CellResult& r) {
-  Fnv1a fnv;
-  add_trace(fnv, r.trace);
-  fnv.u64(r.ground_truth.size());
-  for (const trace::TxRecord& t : r.ground_truth) {
+void add_ground_truth(Fnv1a& fnv, const std::vector<trace::TxRecord>& truth) {
+  fnv.u64(truth.size());
+  for (const trace::TxRecord& t : truth) {
     fnv.u64(static_cast<std::uint64_t>(t.time_us));
     fnv.u64(t.frame_id);
     fnv.u64(static_cast<std::uint64_t>(t.type));
@@ -93,6 +96,12 @@ std::string digest(const CellResult& r) {
     fnv.u64(t.seq);
     fnv.u64(static_cast<std::uint64_t>(t.outcome));
   }
+}
+
+std::string digest(const CellResult& r) {
+  Fnv1a fnv;
+  add_trace(fnv, r.trace);
+  add_ground_truth(fnv, r.ground_truth);
   fnv.u64(r.medium_transmissions);
   fnv.u64(r.medium_collisions);
   fnv.u64(r.sniffer.offered);
@@ -153,6 +162,61 @@ TEST(FixtureDigestTest, HiddenTerminal) {
   ASSERT_FALSE(r.trace.records.empty());
   EXPECT_GT(r.medium_collisions, 0u);
   EXPECT_EQ(digest(r), "30b244b3bde075a2");
+}
+
+/// Runs a session scenario to its end and digests what the network hands
+/// out: each sniffer's capture, the merged capture, the ground truth and
+/// the delay histograms.
+std::string session_digest(const ScenarioConfig& cfg, SessionKind kind) {
+  Scenario scenario = kind == SessionKind::kDay ? Scenario::day(cfg)
+                                                : Scenario::plenary(cfg);
+  scenario.run();
+  sim::Network& net = scenario.network();
+  const std::vector<trace::Trace> traces = net.sniffer_traces();
+  const trace::Trace merged = net.merged_trace();
+  EXPECT_EQ(traces.size(), 3u);
+  EXPECT_FALSE(merged.records.empty());
+  EXPECT_FALSE(net.ground_truth().empty());
+  if (scenario.has_churn()) {
+    // Some attendees have left, so station teardown is pinned too.
+    EXPECT_LT(scenario.churn().live(), scenario.churn().arrivals());
+  }
+
+  Fnv1a fnv;
+  fnv.u64(traces.size());
+  for (const trace::Trace& t : traces) add_trace(fnv, t);
+  add_trace(fnv, merged);
+  add_ground_truth(fnv, net.ground_truth());
+  util::LogHistogram queue_delay;
+  util::LogHistogram service_delay;
+  net.harvest_delays(queue_delay, service_delay);
+  add_histogram(fnv, queue_delay);
+  add_histogram(fnv, service_delay);
+  return fnv.hex();
+}
+
+ScenarioConfig small_session(std::uint64_t seed) {
+  ScenarioConfig cfg;
+  cfg.seed = seed;
+  cfg.duration_s = 15.0;
+  cfg.scale = 0.1;
+  return cfg;
+}
+
+TEST(FixtureDigestTest, DaySession) {
+  EXPECT_EQ(session_digest(small_session(404), SessionKind::kDay),
+            "5309d13a4acbc8c9");
+}
+
+TEST(FixtureDigestTest, PlenarySession) {
+  EXPECT_EQ(session_digest(small_session(505), SessionKind::kPlenary),
+            "6086435e2d25aaf4");
+}
+
+TEST(FixtureDigestTest, DayChurnSession) {
+  ScenarioConfig cfg = small_session(606);
+  cfg.churn_turnover_per_min = 2.0;
+  EXPECT_EQ(session_digest(cfg, SessionKind::kDay), "937e7ea2f4ae8752");
 }
 
 }  // namespace
