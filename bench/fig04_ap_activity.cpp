@@ -6,6 +6,7 @@
 #include "common.hpp"
 #include "core/per_ap.hpp"
 #include "core/unrecorded.hpp"
+#include "trace/merge.hpp"
 #include "util/ascii_chart.hpp"
 #include "util/csv.hpp"
 
@@ -24,7 +25,8 @@ int main() {
     std::printf("=== %s session (scale %.2f, %.0f s) ===\n",
                 scenario.name().c_str(), cfg.scale, cfg.duration_s);
     scenario.run();
-    const auto merged = scenario.network().merged_trace();
+    const auto merged =
+        trace::merge_sniffer_traces(scenario.network().sniffer_traces()).trace;
 
     // (a) per-AP activity ranking.
     const auto aps = core::ap_activity(merged);

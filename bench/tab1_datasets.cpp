@@ -5,6 +5,7 @@
 
 #include "common.hpp"
 #include "core/analyzer.hpp"
+#include "trace/merge.hpp"
 #include "util/ascii_chart.hpp"
 
 int main() {
@@ -37,7 +38,8 @@ int main() {
     auto scenario = plenary ? workload::Scenario::plenary(cfg)
                             : workload::Scenario::day(cfg);
     scenario.run();
-    const auto analysis = analyzer.analyze(scenario.network().merged_trace());
+    const auto analysis = analyzer.analyze(
+        trace::merge_sniffer_traces(scenario.network().sniffer_traces()).trace);
     counts.push_back({scenario.name(), std::to_string(analysis.total_frames),
                       std::to_string(analysis.total_data),
                       std::to_string(analysis.total_acks),

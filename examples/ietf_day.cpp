@@ -16,6 +16,7 @@
 #include "core/per_ap.hpp"
 #include "core/unrecorded.hpp"
 #include "core/utilization.hpp"
+#include "trace/merge.hpp"
 #include "trace/trace_io.hpp"
 #include "util/ascii_chart.hpp"
 #include "workload/scenario.hpp"
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
 
   // Venue-wide statistics use the merged capture (AP ranking, user counts,
   // unrecorded estimation are cross-channel quantities).
-  const trace::Trace merged = scenario.network().merged_trace();
+  const trace::Trace merged = trace::merge_sniffer_traces(traces).trace;
 
   const auto aps = core::ap_activity(merged);
   std::printf("\nTop APs by frames (Fig 4a):\n");

@@ -310,10 +310,6 @@ std::vector<trace::Trace> Network::sniffer_traces() const {
   return traces;
 }
 
-trace::Trace Network::merged_trace() const {
-  return trace::merge_traces(sniffer_traces());
-}
-
 void Network::harvest_metrics(obs::Metrics& m) const {
   using obs::Id;
   m.add(Id::kEventsExecuted, sim_.events_executed());

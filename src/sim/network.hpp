@@ -131,8 +131,9 @@ class Network {
 
   void run_for(Microseconds duration);
 
+  /// A copy of every sniffer's capture, in sniffer order; merge them with
+  /// trace::merge_sniffer_traces.
   [[nodiscard]] std::vector<trace::Trace> sniffer_traces() const;
-  [[nodiscard]] trace::Trace merged_trace() const;
   [[nodiscard]] const std::vector<trace::TxRecord>& ground_truth() const {
     return ground_truth_;
   }

@@ -1,6 +1,8 @@
 #include "sim/sniffer.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <vector>
 
 #include "phy/error_model.hpp"
 
@@ -48,23 +50,21 @@ void Sniffer::observe(const mac::Frame& frame, Microseconds start,
       sinr_db + (config_.snr_jitter_db > 0
                      ? rng_.normal(0.0, config_.snr_jitter_db)
                      : 0.0);
-  records_.push_back(trace::record_from_frame(
+  const trace::CaptureRecord r = trace::record_from_frame(
       frame, start + Microseconds{config_.clock_offset_us},
-      static_cast<float>(measured_snr), id_));
+      static_cast<float>(measured_snr), id_);
+  // Frames are observed at frame end but stamped with their start, so a
+  // frame overlapping a longer one (capture effect, collisions) can start
+  // before records already kept.  Insert it after every record that does
+  // not start later: the capture stays stably sorted, usually at the cost
+  // of one comparison.
+  std::vector<trace::CaptureRecord>& records = capture_.records;
+  auto pos = records.end();
+  while (pos != records.begin() && std::prev(pos)->time_us > r.time_us) --pos;
+  records.insert(pos, r);
+  capture_.start_us = records.front().time_us;
+  capture_.end_us = records.back().time_us;
   ++stats_.captured;
-}
-
-trace::Trace Sniffer::trace() const {
-  trace::Trace t;
-  t.records = records_;
-  // Records are appended at frame-end events; overlapping frames (capture
-  // effect, collisions) can therefore surface with starts out of order.
-  trace::sort_by_time(t.records);
-  if (!t.records.empty()) {
-    t.start_us = t.records.front().time_us;
-    t.end_us = t.records.back().time_us;
-  }
-  return t;
 }
 
 }  // namespace wlan::sim

@@ -6,10 +6,13 @@
 //   (2) hardware overload — capture probability degrades once the incoming
 //       frame rate exceeds the card's capacity (Yeo et al. effect),
 //   (3) hidden terminals / range — senders below receive sensitivity.
+//
+// The capture is kept sorted by start time as it is recorded, which is the
+// form trace::merge_sniffer_traces and the core analyzers read from real
+// sniffers too.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "mac/frame.hpp"
 #include "phy/error_model.hpp"
@@ -56,12 +59,10 @@ class Sniffer {
   [[nodiscard]] std::uint8_t id() const { return id_; }
   [[nodiscard]] const SnifferStats& stats() const { return stats_; }
 
-  /// The capture as a trace (records are already time-sorted).
-  [[nodiscard]] trace::Trace trace() const;
-
-  [[nodiscard]] const std::vector<trace::CaptureRecord>& records() const {
-    return records_;
-  }
+  /// The capture so far: records sorted by start time (stable, so frames
+  /// that start together keep their end-of-air order), bounds set to the
+  /// first and last record.
+  [[nodiscard]] const trace::Trace& trace() const { return capture_; }
 
   /// The sniffer's own frame-success memo, for cache-telemetry harvest.
   [[nodiscard]] const phy::FrameSuccessCache& frame_success_cache() const {
@@ -76,7 +77,7 @@ class Sniffer {
   /// sniffer in a conference-scale session sees the channel's entire
   /// (size, SINR) working set, which thrashes a fixed 4096-entry table.
   phy::FrameSuccessCache frame_success_{12, 14};
-  std::vector<trace::CaptureRecord> records_;
+  trace::Trace capture_;
   SnifferStats stats_;
   std::int64_t current_second_ = -1;
   std::uint64_t frames_this_second_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
 
 namespace wlan::trace {
 
@@ -11,37 +10,6 @@ void sort_by_time(std::vector<CaptureRecord>& records) {
                    [](const CaptureRecord& a, const CaptureRecord& b) {
                      return a.time_us < b.time_us;
                    });
-}
-
-Trace merge_traces(const std::vector<Trace>& traces) {
-  Trace merged;
-  std::size_t total = 0;
-  for (const auto& t : traces) total += t.records.size();
-  merged.records.reserve(total);
-
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(total);
-  for (const auto& t : traces) {
-    for (const auto& r : t.records) {
-      // frame_id == 0 means "unknown" (real capture); keep all of those.
-      if (r.frame_id != 0 && !seen.insert(r.frame_id).second) continue;
-      merged.records.push_back(r);
-    }
-  }
-  sort_by_time(merged.records);
-
-  bool first = true;
-  for (const auto& t : traces) {
-    if (first) {
-      merged.start_us = t.start_us;
-      merged.end_us = t.end_us;
-      first = false;
-    } else {
-      merged.start_us = std::min(merged.start_us, t.start_us);
-      merged.end_us = std::max(merged.end_us, t.end_us);
-    }
-  }
-  return merged;
 }
 
 std::vector<std::pair<std::uint8_t, Trace>> split_by_channel(const Trace& t) {

@@ -10,8 +10,11 @@
 //
 // Layer contract (trace): this layer is the boundary between producers
 // (sim sniffers, pcap/CSV readers) and consumers (core analyzers).  Both
-// sides speak time-sorted std::vector<CaptureRecord>; neither may depend on
-// the other, which is what lets the core analyzers run on real captures.
+// sides speak time-sorted captures — simulated sniffers sort as they
+// record, and several captures become one only through merge.hpp's
+// clock-corrected, deduplicated merge, exactly as real captures do.
+// Neither side may depend on the other, which is what lets the core
+// analyzers run on real captures.
 #pragma once
 
 #include <cstdint>
@@ -73,13 +76,9 @@ struct Trace {
   }
 };
 
-/// Stable sort by timestamp (sniffer merge produces near-sorted input).
+/// Stable sort by timestamp, for real captures logged out of order (the
+/// merge and the analyzers require time-sorted input).
 void sort_by_time(std::vector<CaptureRecord>& records);
-
-/// Merges multiple sniffer captures into one time-sorted trace, dropping
-/// duplicate observations of the same frame (paper: three sniffers, one per
-/// channel — when channels overlap, the same frame may be heard twice).
-Trace merge_traces(const std::vector<Trace>& traces);
 
 /// Builds a CaptureRecord from a frame as heard by a sniffer.
 CaptureRecord record_from_frame(const mac::Frame& frame, Microseconds at,

@@ -58,12 +58,10 @@ sim::NetworkConfig cell_network_config(const CellConfig& config) {
 }
 
 /// Runs a built cell fixture for the configured duration and reduces it to
-/// a CellResult, warmup removed.  One sniffer's capture is filtered and then
-/// time-sorted once (stable, so identical to sort-then-filter without the
-/// intermediate full-trace copy).  Several go through the paper's pipeline:
-/// beacon-anchored clock correction and a deduplicated k-way merge, whose
-/// timeline is in sniffer 0's clock — zero offset here, so the warmup trim
-/// stays exact.
+/// a CellResult, warmup removed.  One sniffer's capture is used as recorded.
+/// Several go through the paper's pipeline: beacon-anchored clock
+/// correction and a deduplicated k-way merge, whose timeline is in sniffer
+/// 0's clock — zero offset here, so the warmup trim stays exact.
 CellResult run_and_harvest_cell(sim::Network& net,
                                 const std::vector<sim::Sniffer*>& sniffers,
                                 const CellConfig& config,
@@ -84,8 +82,7 @@ CellResult run_and_harvest_cell(sim::Network& net,
     }
   };
   if (sniffers.size() == 1) {
-    keep_after_warmup(sniffers[0]->records(), result.trace.records);
-    trace::sort_by_time(result.trace.records);
+    keep_after_warmup(sniffers[0]->trace().records, result.trace.records);
   } else {
     std::vector<trace::Trace> raw;
     raw.reserve(sniffers.size());
@@ -235,11 +232,7 @@ SessionResult run_session(const ScenarioConfig& config, SessionKind kind) {
     scenario.run();
   }
   harvest_scenario_metrics(scenario);
-  // Merge the way the paper did — clock alignment + windowed dedup on the
-  // capture alone — rather than via simulator frame ids no real sniffer
-  // has.  With one sniffer per channel (the IETF deployment) the two
-  // merges agree record-for-record; this path stays honest if a floor plan
-  // ever doubles up sniffers on a channel.
+  // The paper's merge: clock alignment + windowed dedup on the captures.
   obs::Span merge_span("session: merge " + scenario.name(), "merge");
   trace::MergeResult merged =
       trace::merge_sniffer_traces(scenario.network().sniffer_traces());

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "trace/merge.hpp"
+
 namespace wlan::sim {
 namespace {
 
@@ -93,8 +95,8 @@ TEST(NetworkTest, SniffersOnlyHearTheirChannel) {
   sta6.enqueue(p6);
   net.run_for(msec(100));
 
-  ASSERT_GT(sniffer.records().size(), 0u);
-  for (const auto& r : sniffer.records()) EXPECT_EQ(r.channel, 1);
+  ASSERT_GT(sniffer.trace().records.size(), 0u);
+  for (const auto& r : sniffer.trace().records) EXPECT_EQ(r.channel, 1);
 }
 
 TEST(NetworkTest, MergedTraceDedupsAcrossSniffers) {
@@ -121,7 +123,7 @@ TEST(NetworkTest, MergedTraceDedupsAcrossSniffers) {
 
   const auto traces = net.sniffer_traces();
   ASSERT_EQ(traces.size(), 2u);
-  const auto merged = net.merged_trace();
+  const auto merged = trace::merge_sniffer_traces(traces).trace;
   // Merged keeps each frame once: strictly fewer records than the sum.
   EXPECT_LT(merged.records.size(),
             traces[0].records.size() + traces[1].records.size());
@@ -168,7 +170,7 @@ TEST(NetworkTest, DeterministicAcrossRuns) {
     }
     net.run_for(sec(1));
     std::vector<std::int64_t> times;
-    for (const auto& r : sniffer.records()) times.push_back(r.time_us);
+    for (const auto& r : sniffer.trace().records) times.push_back(r.time_us);
     return times;
   };
   EXPECT_EQ(run_once(), run_once());

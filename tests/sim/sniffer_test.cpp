@@ -20,7 +20,7 @@ TEST(SnifferTest, CapturesStrongInRangeFrames) {
                     Microseconds{i * 1000}, 40.0, true);
   }
   EXPECT_EQ(sniffer.stats().captured, 100u);
-  EXPECT_EQ(sniffer.records().size(), 100u);
+  EXPECT_EQ(sniffer.trace().records.size(), 100u);
   EXPECT_EQ(sniffer.stats().missed_error, 0u);
 }
 
@@ -83,8 +83,8 @@ TEST(SnifferTest, RecordsCarryRfmonMetadata) {
   f.channel = 11;
   f.retry = true;
   sniffer.observe(f, Microseconds{12345}, 27.5, true);
-  ASSERT_EQ(sniffer.records().size(), 1u);
-  const auto& r = sniffer.records()[0];
+  ASSERT_EQ(sniffer.trace().records.size(), 1u);
+  const auto& r = sniffer.trace().records[0];
   EXPECT_EQ(r.time_us, 12345);
   EXPECT_EQ(r.channel, 11);
   EXPECT_EQ(r.rate, phy::Rate::kR11);
@@ -103,20 +103,28 @@ TEST(SnifferTest, SnrJitterPerturbsMeasurement) {
                     Microseconds{i * 1000}, 30.0, true);
   }
   bool any_off = false;
-  for (const auto& r : sniffer.records()) {
+  for (const auto& r : sniffer.trace().records) {
     if (std::abs(r.snr_db - 30.0f) > 0.01f) any_off = true;
   }
   EXPECT_TRUE(any_off);
 }
 
-TEST(SnifferTest, TraceIsTimeSorted) {
+TEST(SnifferTest, TraceIsStablySortedAsRecorded) {
   Sniffer sniffer(SnifferConfig{}, 0);
-  // Deliberately observe out of order (overlapping frames end out of order).
+  // Deliberately observe out of order (overlapping frames end out of order);
+  // frames that start together keep the order they were observed in.
   sniffer.observe(small_data(1), Microseconds{5000}, 40.0, true);
   sniffer.observe(small_data(2), Microseconds{1000}, 40.0, true);
-  const auto trace = sniffer.trace();
-  ASSERT_EQ(trace.records.size(), 2u);
-  EXPECT_LE(trace.records[0].time_us, trace.records[1].time_us);
+  sniffer.observe(small_data(3), Microseconds{5000}, 40.0, true);
+  sniffer.observe(small_data(4), Microseconds{3000}, 40.0, true);
+  const trace::Trace& trace = sniffer.trace();
+  ASSERT_EQ(trace.records.size(), 4u);
+  const std::uint16_t want_seq[] = {2, 4, 1, 3};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(trace.records[i].seq, want_seq[i]) << "record " << i;
+  }
+  EXPECT_EQ(trace.start_us, 1000);
+  EXPECT_EQ(trace.end_us, 5000);
 }
 
 }  // namespace

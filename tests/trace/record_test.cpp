@@ -23,47 +23,6 @@ TEST(SortByTimeTest, SortsAndIsStable) {
   EXPECT_EQ(v[3].frame_id, 1u);
 }
 
-TEST(MergeTracesTest, DedupsByFrameId) {
-  Trace a, b;
-  a.records = {rec(10, 100, 0), rec(20, 101, 0)};
-  b.records = {rec(11, 100, 1), rec(30, 102, 1)};  // 100 heard twice
-  const Trace merged = merge_traces({a, b});
-  EXPECT_EQ(merged.records.size(), 3u);
-}
-
-TEST(MergeTracesTest, KeepsAllUnknownFrameIds) {
-  // frame_id == 0 marks real captures with no ground-truth link: never dedup.
-  Trace a, b;
-  a.records = {rec(10, 0, 0)};
-  b.records = {rec(10, 0, 1)};
-  EXPECT_EQ(merge_traces({a, b}).records.size(), 2u);
-}
-
-TEST(MergeTracesTest, ResultTimeSorted) {
-  Trace a, b;
-  a.records = {rec(50, 1, 0), rec(70, 2, 0)};
-  b.records = {rec(10, 3, 1), rec(60, 4, 1)};
-  const Trace merged = merge_traces({a, b});
-  for (std::size_t i = 1; i < merged.records.size(); ++i) {
-    EXPECT_LE(merged.records[i - 1].time_us, merged.records[i].time_us);
-  }
-}
-
-TEST(MergeTracesTest, SpansUnionOfTimeRanges) {
-  Trace a, b;
-  a.start_us = 100;
-  a.end_us = 500;
-  b.start_us = 50;
-  b.end_us = 400;
-  const Trace merged = merge_traces({a, b});
-  EXPECT_EQ(merged.start_us, 50);
-  EXPECT_EQ(merged.end_us, 500);
-}
-
-TEST(MergeTracesTest, EmptyInput) {
-  EXPECT_TRUE(merge_traces({}).records.empty());
-}
-
 TEST(TraceTest, DurationSeconds) {
   Trace t;
   t.start_us = 1'000'000;

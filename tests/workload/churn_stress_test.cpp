@@ -90,7 +90,7 @@ TEST(ChurnStressTest, LinkCacheBoundedByConcurrentPopulationUnderLongChurn) {
   // And the medium kept working throughout (departed senders' frames all
   // completed; the sniffer saw a busy channel, not a wedged one).
   EXPECT_GT(ch.transmissions(), 10'000u);
-  EXPECT_FALSE(net.sniffers()[0]->records().empty());
+  EXPECT_FALSE(net.sniffers()[0]->trace().records.empty());
 }
 
 }  // namespace

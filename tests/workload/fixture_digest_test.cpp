@@ -173,7 +173,7 @@ std::string session_digest(const ScenarioConfig& cfg, SessionKind kind) {
   scenario.run();
   sim::Network& net = scenario.network();
   const std::vector<trace::Trace> traces = net.sniffer_traces();
-  const trace::Trace merged = net.merged_trace();
+  const trace::Trace merged = trace::merge_sniffer_traces(traces).trace;
   EXPECT_EQ(traces.size(), 3u);
   EXPECT_FALSE(merged.records.empty());
   EXPECT_FALSE(net.ground_truth().empty());

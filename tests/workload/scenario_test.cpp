@@ -47,7 +47,8 @@ TEST(ScenarioTest, RunProducesTraffic) {
   auto scenario = Scenario::day(cfg);
   scenario.run();
   EXPECT_GT(scenario.users().spawned(), 0u);
-  const auto merged = scenario.network().merged_trace();
+  const auto merged =
+      trace::merge_sniffer_traces(scenario.network().sniffer_traces()).trace;
   EXPECT_GT(merged.records.size(), 100u);
 }
 
