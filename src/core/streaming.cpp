@@ -96,7 +96,7 @@ void StreamingAnalyzer::push(const trace::CaptureRecord& r) {
     start_us_ = have_bounds_ && bound_start_us_ <= r.time_us ? bound_start_us_
                                                              : r.time_us;
     result_.start_us = start_us_;
-    prev_time_ = start_us_;
+    latest_time_ = start_us_;
   }
   if (held_) {
     const trace::CaptureRecord prev = *held_;
@@ -149,11 +149,11 @@ AnalysisResult StreamingAnalyzer::finish() {
 
 void StreamingAnalyzer::process(const trace::CaptureRecord& r,
                                 const trace::CaptureRecord* next) {
-  if (r.time_us + 10 < prev_time_) {
+  if (r.time_us + 10 < latest_time_) {
     throw std::invalid_argument(
         "TraceAnalyzer: records not time-sorted; merge traces first");
   }
-  prev_time_ = r.time_us;
+  latest_time_ = std::max(latest_time_, r.time_us);
   last_record_us_ = r.time_us;
 
   // Sweep expired pending-ACK entries (~once per capture second).  This is

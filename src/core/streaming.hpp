@@ -55,8 +55,9 @@ class StreamingAnalyzer {
   void set_bounds(std::int64_t start_us, std::int64_t end_us);
 
   /// Feeds one record.  Records must be time-sorted within the capture
-  /// tolerance (±10 us); worse disorder throws std::invalid_argument, the
-  /// same contract as TraceAnalyzer::analyze.
+  /// tolerance: a record may start up to 10 us before the latest one pushed,
+  /// and worse disorder throws std::invalid_argument, the same contract as
+  /// TraceAnalyzer::analyze.
   void push(const trace::CaptureRecord& r);
 
   /// Flushes held state and returns the result.  The analyzer is spent;
@@ -85,7 +86,7 @@ class StreamingAnalyzer {
 
   bool started_ = false;
   std::int64_t start_us_ = 0;
-  std::int64_t prev_time_ = 0;
+  std::int64_t latest_time_ = 0;
   std::int64_t last_record_us_ = 0;
   std::int64_t last_prune_us_ = 0;
   std::optional<trace::CaptureRecord> held_;

@@ -9,8 +9,9 @@ namespace wlan::trace {
 
 namespace {
 
-/// Within-capture sortedness tolerance, matching the analyzer's: sniffers
-/// log overlapping frames at frame-end, so starts can invert by a few us.
+/// Within-capture sortedness tolerance, matching the analyzer's: a record
+/// may start this much before the latest one of its input (sniffers log
+/// overlapping frames at frame end, so starts can invert by a few us).
 constexpr std::int64_t kSortSlackUs = 10;
 
 /// Beacon anchor identity: (bssid, 12-bit seq).
@@ -87,7 +88,7 @@ MergingReader::MergingReader(std::vector<TraceReader*> inputs,
                              const MergeOptions& options)
     : inputs_(std::move(inputs)), offsets_us_(std::move(offsets_us)),
       options_(options), head_(inputs_.size()),
-      prev_time_(inputs_.size(), std::numeric_limits<std::int64_t>::min()) {
+      latest_time_(inputs_.size(), std::numeric_limits<std::int64_t>::min()) {
   if (offsets_us_.size() != inputs_.size()) {
     throw std::invalid_argument(
         "MergingReader: one clock offset per input required");
@@ -98,15 +99,15 @@ void MergingReader::advance(std::size_t input) {
   CaptureRecord r;
   if (!inputs_[input]->next(r)) return;
   r.time_us -= offsets_us_[input];
-  if (r.time_us + kSortSlackUs < prev_time_[input]) {
+  if (r.time_us + kSortSlackUs < latest_time_[input]) {
     // A regression beyond capture jitter means the input is not the
     // time-sorted stream the k-way merge requires.
     throw std::runtime_error(
         "MergingReader: input " + std::to_string(input) +
         " is not time-sorted (" + std::to_string(r.time_us) + " after " +
-        std::to_string(prev_time_[input]) + "); sort the capture first");
+        std::to_string(latest_time_[input]) + "); sort the capture first");
   }
-  prev_time_[input] = r.time_us;
+  latest_time_[input] = std::max(latest_time_[input], r.time_us);
   head_[input] = r;
   heap_.push({r.time_us, input});
   ++stats_.records_in;
@@ -159,7 +160,7 @@ bool MergingReader::next(CaptureRecord& out) {
 void MergingReader::reset() {
   for (TraceReader* in : inputs_) in->reset();
   head_.assign(inputs_.size(), CaptureRecord{});
-  prev_time_.assign(inputs_.size(), std::numeric_limits<std::int64_t>::min());
+  latest_time_.assign(inputs_.size(), std::numeric_limits<std::int64_t>::min());
   heap_ = {};
   primed_ = false;
   stats_ = {};

@@ -72,9 +72,10 @@ struct MergeStats {
     const std::vector<TraceReader*>& inputs, std::size_t max_anchors = 8192);
 
 /// Streaming k-way merge with duplicate suppression.  Inputs must each be
-/// time-sorted (the analyzer's ±10 us capture tolerance does not extend to
-/// merge inputs) and outlive the reader; offsets come from
-/// estimate_clock_offsets (or all-zero to merge raw clocks).
+/// time-sorted and outlive the reader; as in the analyzer, a record may
+/// start up to 10 us before the latest one of its input, and worse disorder
+/// throws std::runtime_error.  Offsets come from estimate_clock_offsets (or
+/// all-zero to merge raw clocks).
 class MergingReader final : public TraceReader {
  public:
   MergingReader(std::vector<TraceReader*> inputs,
@@ -102,7 +103,7 @@ class MergingReader final : public TraceReader {
   std::vector<std::int64_t> offsets_us_;
   MergeOptions options_;
   std::vector<CaptureRecord> head_;      ///< current record per input
-  std::vector<std::int64_t> prev_time_;  ///< per-input sortedness guard
+  std::vector<std::int64_t> latest_time_;  ///< per-input sortedness guard
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
   bool primed_ = false;
   MergeStats stats_;

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "core/report.hpp"
 #include "workload/scenario.hpp"
@@ -162,6 +163,31 @@ TEST(StreamingAnalyzerTest, UnsortedPushThrows) {
   streaming.push(a);
   streaming.push(b);  // b is only held; a has no successor issue yet
   EXPECT_THROW(streaming.push(c), std::invalid_argument);
+}
+
+/// A capture drifting backwards a few microseconds per record keeps every
+/// record within 10 us of its predecessor, but not of the latest record
+/// seen.  The guard measures from the latest one, so the drift throws in
+/// both modes; in sink mode it would otherwise land in a second that was
+/// already emitted.
+TEST(StreamingAnalyzerTest, DriftingCaptureThrows) {
+  std::vector<trace::CaptureRecord> drift(6);
+  drift[1].time_us = 1'000'020;  // finalizes second 0 in sink mode
+  for (std::size_t i = 2; i < drift.size(); ++i) {
+    drift[i].time_us = drift[i - 1].time_us - 6;
+  }
+  const auto stream = [&](AnalysisSink* sink) {
+    StreamingAnalyzer streaming({}, sink);
+    for (const auto& r : drift) streaming.push(r);
+    (void)streaming.finish();
+  };
+  EXPECT_THROW(stream(nullptr), std::invalid_argument);
+
+  struct Discard final : AnalysisSink {
+    void on_second(const SecondStats&) override {}
+    void on_acceptance(const AcceptanceSample&, double) override {}
+  } discard;
+  EXPECT_THROW(stream(&discard), std::invalid_argument);
 }
 
 TEST(StreamingAnalyzerTest, BoundsPadEmptyTrailingSeconds) {

@@ -210,6 +210,21 @@ TEST(MergeTest, ThrowsOnUnsortedInput) {
   EXPECT_THROW({ while (merger.next(r)) {} }, std::runtime_error);
 }
 
+/// Each record of a drifting input starts 6 us before its predecessor:
+/// within the 10 us capture tolerance step by step, far outside it in sum.
+/// The guard measures from the latest record seen, so the drift throws.
+TEST(MergeTest, ThrowsOnDriftingInput) {
+  std::vector<CaptureRecord> drift;
+  for (std::uint16_t i = 0; i < 6; ++i) {
+    drift.push_back(data(5, i, 10'000 - 6 * i));
+  }
+  const Trace bad = as_trace(drift);
+  VectorReader ra(bad);
+  MergingReader merger({&ra}, {0});
+  CaptureRecord r;
+  EXPECT_THROW({ while (merger.next(r)) {} }, std::runtime_error);
+}
+
 TEST(MergeTest, EmptyInputs) {
   EXPECT_TRUE(merge_sniffer_traces({}).trace.records.empty());
   EXPECT_TRUE(merge_sniffer_traces({Trace{}, Trace{}}).trace.records.empty());
