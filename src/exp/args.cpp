@@ -1,8 +1,10 @@
 #include "exp/args.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "obs/trace_span.hpp"
@@ -67,29 +69,32 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
       }
       return argv[++i];
     };
+    // Numeric values must be the whole token: "2x" is a typo, not 2.
+    auto positive_int = [&]() {
+      const char* v = value();
+      char* end = nullptr;
+      const long long parsed = std::strtoll(v, &end, 10);
+      if (end == v || *end != '\0' || parsed < 1 ||
+          parsed > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "%s wants a positive integer\n", flag.c_str());
+        usage(what, 2);
+      }
+      return static_cast<int>(parsed);
+    };
     if (flag == "--help" || flag == "-h") {
       usage(what, 0);
     } else if (flag == "--threads") {
-      args.threads = std::atoi(value());
-      if (args.threads < 1) {
-        std::fprintf(stderr, "--threads wants a positive integer\n");
-        usage(what, 2);
-      }
+      args.threads = positive_int();
     } else if (flag == "--shards") {
-      args.shards = std::atoi(value());
-      if (args.shards < 1) {
-        std::fprintf(stderr, "--shards wants a positive integer\n");
-        usage(what, 2);
-      }
+      args.shards = positive_int();
     } else if (flag == "--seeds") {
-      args.seeds = std::atoi(value());
-      if (args.seeds < 1) {
-        std::fprintf(stderr, "--seeds wants a positive integer\n");
-        usage(what, 2);
-      }
+      args.seeds = positive_int();
     } else if (flag == "--duration") {
-      args.duration_s = std::atof(value());
-      if (args.duration_s <= 0.0) {
+      const char* v = value();
+      char* end = nullptr;
+      args.duration_s = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(args.duration_s) ||
+          args.duration_s <= 0.0) {
         std::fprintf(stderr, "--duration wants positive seconds\n");
         usage(what, 2);
       }
