@@ -102,7 +102,7 @@ class MergingReader final : public TraceReader {
   std::vector<TraceReader*> inputs_;
   std::vector<std::int64_t> offsets_us_;
   MergeOptions options_;
-  std::vector<CaptureRecord> head_;      ///< current record per input
+  std::vector<CaptureRecord> head_;        ///< current record per input
   std::vector<std::int64_t> latest_time_;  ///< per-input sortedness guard
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
   bool primed_ = false;

@@ -10,11 +10,10 @@
 //
 // Layer contract (trace): this layer is the boundary between producers
 // (sim sniffers, pcap/CSV readers) and consumers (core analyzers).  Both
-// sides speak time-sorted captures — simulated sniffers sort as they
-// record, and several captures become one only through merge.hpp's
-// clock-corrected, deduplicated merge, exactly as real captures do.
-// Neither side may depend on the other, which is what lets the core
-// analyzers run on real captures.
+// sides speak time-sorted captures, and several captures become one only
+// through merge.hpp, for simulated and real sniffers alike.  Neither side
+// may depend on the other, which is what lets the core analyzers run on
+// real captures.
 #pragma once
 
 #include <cstdint>

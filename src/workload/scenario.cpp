@@ -62,9 +62,7 @@ sim::NetworkConfig cell_network_config(const CellConfig& config) {
 /// Several go through the paper's pipeline: beacon-anchored clock
 /// correction and a deduplicated k-way merge, whose timeline is in sniffer
 /// 0's clock — zero offset here, so the warmup trim stays exact.
-CellResult run_and_harvest_cell(sim::Network& net,
-                                const std::vector<sim::Sniffer*>& sniffers,
-                                const CellConfig& config,
+CellResult run_and_harvest_cell(sim::Network& net, const CellConfig& config,
                                 const char* span_name) {
   const auto end_us = static_cast<std::int64_t>(config.duration_s * 1e6);
   {
@@ -81,14 +79,13 @@ CellResult run_and_harvest_cell(sim::Network& net,
       if (r.time_us >= warmup_us) to.push_back(r);
     }
   };
-  if (sniffers.size() == 1) {
-    keep_after_warmup(sniffers[0]->trace().records, result.trace.records);
+  const sim::Sniffer& sniffer0 = *net.sniffers().front();
+  if (net.sniffers().size() == 1) {
+    keep_after_warmup(sniffer0.trace().records, result.trace.records);
   } else {
-    std::vector<trace::Trace> raw;
-    raw.reserve(sniffers.size());
-    for (const sim::Sniffer* s : sniffers) raw.push_back(s->trace());
-    trace::MergeResult merged = trace::merge_sniffer_traces(raw);
-    result.sniffer_traces = std::move(raw);
+    result.sniffer_traces = net.sniffer_traces();
+    trace::MergeResult merged =
+        trace::merge_sniffer_traces(result.sniffer_traces);
     result.clock_offsets = std::move(merged.offsets);
     result.merge_stats = merged.stats;
     keep_after_warmup(merged.trace.records, result.trace.records);
@@ -98,7 +95,7 @@ CellResult run_and_harvest_cell(sim::Network& net,
   keep_after_warmup(net.ground_truth(), result.ground_truth);
   result.medium_transmissions = net.channel(config.channel).transmissions();
   result.medium_collisions = net.channel(config.channel).collisions();
-  result.sniffer = sniffers[0]->stats();
+  result.sniffer = sniffer0.stats();
   result.duration_s = config.duration_s - config.warmup_s;
   net.harvest_delays(result.queue_delay, result.service_delay);
   obs::count(obs::Id::kTraceRecords, result.trace.records.size());
@@ -261,7 +258,6 @@ CellResult run_cell(const CellConfig& config) {
   // byte-for-byte).  Extras fan out along the AP diagonal with skewed
   // clocks, which the merge must recover from beacon anchors.
   const int num_sniffers = std::max(1, config.num_sniffers);
-  std::vector<sim::Sniffer*> sniffers;
   for (int j = 0; j < num_sniffers; ++j) {
     sim::SnifferConfig sniff;
     const double mid = config.room_m / 2;
@@ -275,7 +271,7 @@ CellResult run_cell(const CellConfig& config) {
                                   static_cast<std::uint64_t>(j));
       sniff.clock_offset_us = j * config.sniffer_clock_skew_us;
     }
-    sniffers.push_back(&net.add_sniffer(sniff));
+    net.add_sniffer(sniff);
   }
 
   TrafficProfile profile = config.profile;
@@ -312,7 +308,7 @@ CellResult run_cell(const CellConfig& config) {
     sessions.push_back(std::make_unique<UserSession>(net, spec, rng.next()));
   }
 
-  return run_and_harvest_cell(net, sniffers, config, "cell: run");
+  return run_and_harvest_cell(net, config, "cell: run");
 }
 
 CellResult run_hidden_terminal(const CellConfig& config) {
@@ -328,7 +324,7 @@ CellResult run_hidden_terminal(const CellConfig& config) {
   sniff.position = {mid, mid, 0};
   sniff.channel = config.channel;
   sniff.capacity_fps = config.sniffer_capacity_fps;
-  sim::Sniffer& sniffer = net.add_sniffer(sniff);
+  net.add_sniffer(sniff);
 
   TrafficProfile profile = config.profile;
   profile.mean_pps = config.per_user_pps;
@@ -354,7 +350,7 @@ CellResult run_hidden_terminal(const CellConfig& config) {
     sessions.push_back(std::make_unique<UserSession>(net, spec, rng.next()));
   }
 
-  return run_and_harvest_cell(net, {&sniffer}, config, "hidden-terminal: run");
+  return run_and_harvest_cell(net, config, "hidden-terminal: run");
 }
 
 }  // namespace wlan::workload
