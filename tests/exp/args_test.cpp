@@ -28,14 +28,6 @@ TEST(BenchArgsTest, ParsesNumericFlags) {
   EXPECT_DOUBLE_EQ(args.duration_s, 2.5);
 }
 
-TEST(BenchArgsTest, DefaultsKeepTheSpec) {
-  const BenchArgs args = parse({});
-  EXPECT_EQ(args.threads, 0);
-  EXPECT_EQ(args.shards, 0);
-  EXPECT_EQ(args.seeds, 0);
-  EXPECT_EQ(args.duration_s, 0.0);
-}
-
 using BenchArgsDeathTest = ::testing::Test;
 
 TEST_F(BenchArgsDeathTest, RejectsTrailingCharacters) {

@@ -7,7 +7,7 @@
 // TxRecord field, the medium and sniffer tallies, the delay histograms and,
 // for the multi-sniffer cell, each raw per-sniffer capture plus the clock
 // offsets and merge statistics the merge recovered.  Any change to setup,
-// the engine, or the warmup trim / sort / merge harvest moves a digest.
+// the engine, or the warmup trim / merge harvest moves a digest.
 //
 // Each session case (day, plenary, churning day) runs a small scenario and
 // digests every per-sniffer capture the network hands out, the merged
@@ -171,7 +171,7 @@ std::string session_digest(const ScenarioConfig& cfg, SessionKind kind) {
   Scenario scenario = kind == SessionKind::kDay ? Scenario::day(cfg)
                                                 : Scenario::plenary(cfg);
   scenario.run();
-  sim::Network& net = scenario.network();
+  const sim::Network& net = scenario.network();
   const std::vector<trace::Trace> traces = net.sniffer_traces();
   const trace::Trace merged = trace::merge_sniffer_traces(traces).trace;
   EXPECT_EQ(traces.size(), 3u);
