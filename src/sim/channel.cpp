@@ -12,7 +12,7 @@ namespace wlan::sim {
 
 Channel::Channel(Simulator& sim, const phy::Propagation& prop,
                  const mac::Timing& timing, std::uint8_t number,
-                 std::uint64_t seed)
+                 std::uint64_t seed, std::uint64_t frame_id_base)
     : sim_(sim), prop_(prop), timing_(timing), number_(number),
       rng_(seed ^ (0xC0FFEEULL + number)), links_(prop),
       // Start the success memo small (a unit-test cell touches a few hundred
@@ -20,7 +20,8 @@ Channel::Channel(Simulator& sim, const phy::Propagation& prop,
       // returned values (see FrameSuccessCache).
       frame_success_(12, 14),
       noise_mw_(phy::dbm_to_mw(prop.config().noise_floor_dbm)),
-      noise_db_roundtrip_(phy::mw_to_dbm(noise_mw_)) {
+      noise_db_roundtrip_(phy::mw_to_dbm(noise_mw_)),
+      last_frame_id_(frame_id_base) {
   // The default mask-1 domain exists from t=0 with the historic zero idle
   // anchor, so homogeneous runs never take the mid-run creation path.
   domains_.push_back(ContentionDomain{});
@@ -205,8 +206,7 @@ void Channel::transmit(MacEntity* from, const mac::Frame& frame,
     free_frames_.pop_back();
   }
   flight_.frame[slot] = frame;
-  // Deterministic per-run frame ids when the network shares a counter.
-  if (frame_counter_) flight_.frame[slot].id = ++*frame_counter_;
+  flight_.frame[slot].id = ++last_frame_id_;
   const LinkId own_link = from->link_id_;
   const double own_offset = from->tx_power_offset_db();
   flight_.from[slot] = from;
@@ -730,7 +730,6 @@ void Channel::record_ground_truth(const Completed& done,
                                   trace::TxOutcome outcome) {
   // Single construction point for both broadcast and unicast records, so the
   // ground truth's field mapping cannot drift between the two paths.
-  if (!ground_truth_) return;
   const mac::Frame& f = *done.frame;
   trace::TxRecord rec;
   rec.time_us = done.start.count();
@@ -744,11 +743,7 @@ void Channel::record_ground_truth(const Completed& done,
   rec.retry = f.retry;
   rec.seq = f.seq;
   rec.outcome = outcome;
-  ground_truth_->push_back(rec);
-  // Records are appended at end of air, so sim_.now() here is the sort key
-  // the sharded Network's cross-channel merge needs (see
-  // set_ground_truth_end_times).
-  if (ground_truth_end_) ground_truth_end_->push_back(sim_.now().count());
+  ground_truth_.push_back(rec);
 }
 
 void Channel::schedule_access_timer(std::size_t di) {

@@ -69,8 +69,12 @@ class Sniffer;
 
 class Channel {
  public:
+  /// Frames put on the air are numbered frame_id_base + 1, + 2, ...: a
+  /// per-channel id space keeps ids deterministic per run (the factories'
+  /// fallback counter is process-wide and would leak ordering between runs).
   Channel(Simulator& sim, const phy::Propagation& prop, const mac::Timing& timing,
-          std::uint8_t number, std::uint64_t seed);
+          std::uint8_t number, std::uint64_t seed,
+          std::uint64_t frame_id_base = 0);
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -88,22 +92,11 @@ class Channel {
   void remove_node(MacEntity* node);
   void add_sniffer(Sniffer* sniffer);
 
-  /// Ground-truth log (optional); one TxRecord per transmission.
-  void set_ground_truth(std::vector<trace::TxRecord>* log) { ground_truth_ = log; }
-
-  /// Parallel end-of-air timestamps for the ground-truth log (optional):
-  /// one entry per TxRecord, the sim time at which the record was appended.
-  /// The sharded Network merges per-channel logs on (end time, channel
-  /// order) — the record's own time_us is the start of air, which is not
-  /// the order records are produced in.
-  void set_ground_truth_end_times(std::vector<std::int64_t>* log) {
-    ground_truth_end_ = log;
+  /// Ground-truth log: one TxRecord per transmission, appended at end of
+  /// air, so it is in end-of-air order (time_us is the start of air).
+  [[nodiscard]] const std::vector<trace::TxRecord>& ground_truth() const {
+    return ground_truth_;
   }
-
-  /// Shares a frame-id counter across the network's channels so ids are
-  /// deterministic per run (the factories' fallback counter is process-wide
-  /// and would leak ordering between runs).
-  void set_frame_counter(std::uint64_t* counter) { frame_counter_ = counter; }
 
   /// Selects the reception engine: the batched SoA pass (default) or the
   /// retained scalar reference path.  Both are pinned byte-identical by the
@@ -389,9 +382,8 @@ class Channel {
   /// domain, created in the constructor with the historic t=0 idle anchor.
   std::vector<ContentionDomain> domains_;
 
-  std::vector<trace::TxRecord>* ground_truth_ = nullptr;
-  std::vector<std::int64_t>* ground_truth_end_ = nullptr;
-  std::uint64_t* frame_counter_ = nullptr;
+  std::vector<trace::TxRecord> ground_truth_;
+  std::uint64_t last_frame_id_ = 0;
   std::uint64_t tx_count_ = 0;
   std::uint64_t collision_count_ = 0;
   // Work counters (see harvest_metrics; all stay zero in a -DWLAN_OBS=OFF

@@ -4,7 +4,21 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "phy/airtime.hpp"
+
 namespace wlan::sim {
+
+namespace {
+
+/// Threads that run the shard phases: min(shards, channels), at least 1;
+/// the single-queue engine has no shard phases.
+std::size_t phase_participants(const NetworkConfig& config) {
+  if (config.reference == EngineOptions::Reference::kSingleQueue) return 1;
+  const auto shards = static_cast<std::size_t>(std::max(config.shards, 1));
+  return std::clamp<std::size_t>(config.channels.size(), 1, shards);
+}
+
+}  // namespace
 
 Network::Network(const NetworkConfig& config)
     : prop_(config.propagation, config.seed),
@@ -13,13 +27,11 @@ Network::Network(const NetworkConfig& config)
       ap_power_offset_db_(config.ap_power_offset_db),
       single_queue_(config.reference ==
                     EngineOptions::Reference::kSingleQueue),
-      shards_(config.shards < 1 ? 1 : config.shards) {
+      participants_(phase_participants(config)),
+      phase_barrier_(static_cast<std::ptrdiff_t>(participants_)),
+      phase_errors_(participants_) {
   const std::size_t n = channel_numbers_.size();
   channels_.reserve(n);
-  // Sized up front: Channels keep raw pointers into these.
-  frame_counters_.resize(n);
-  shard_ground_truth_.resize(n);
-  shard_ground_truth_end_.resize(n);
   if (!single_queue_) {
     shard_sims_.reserve(n);
     shard_metrics_.resize(n);
@@ -30,12 +42,11 @@ Network::Network(const NetworkConfig& config)
       shard_sims_.push_back(std::make_unique<Simulator>());
       sim = shard_sims_.back().get();
     }
-    frame_counters_[i] = static_cast<std::uint64_t>(i) << 48;
+    // Disjoint frame-id spaces: channel i numbers its frames from i << 48,
+    // so ids are lane-local and channel 0 keeps the sequence 1, 2, 3, ...
     channels_.push_back(std::make_unique<Channel>(
-        *sim, prop_, timing_, channel_numbers_[i], config.seed));
-    channels_.back()->set_ground_truth(&shard_ground_truth_[i]);
-    channels_.back()->set_ground_truth_end_times(&shard_ground_truth_end_[i]);
-    channels_.back()->set_frame_counter(&frame_counters_[i]);
+        *sim, prop_, timing_, channel_numbers_[i], config.seed,
+        static_cast<std::uint64_t>(i) << 48));
     channels_.back()->set_scalar_reception(
         config.reference == EngineOptions::Reference::kScalarReception);
   }
@@ -43,9 +54,18 @@ Network::Network(const NetworkConfig& config)
     sim_.queue().set_schedule_observer(&Network::observe_control_schedule,
                                        this);
   }
+  workers_.reserve(participants_ - 1);
+  for (std::size_t p = 1; p < participants_; ++p) {
+    workers_.emplace_back([this, p] { worker_loop(p); });
+  }
 }
 
-Network::~Network() { stop_workers(); }
+Network::~Network() {
+  if (workers_.empty()) return;
+  stop_ = true;
+  phase_barrier_.arrive_and_wait();
+  for (std::thread& t : workers_) t.join();
+}
 
 void Network::observe_control_schedule(void* ctx, Microseconds /*at*/,
                                        std::uint64_t seq) {
@@ -53,7 +73,7 @@ void Network::observe_control_schedule(void* ctx, Microseconds /*at*/,
   // Control-lane closure: coupling events may only be scheduled from setup
   // or from other control events.  A shard event scheduling one would be a
   // cross-thread mutation of the control queue (TSan catches the release
-  // build; this catches Debug with shards=1 too).
+  // build; this catches Debug at any shard count, shards=1 included).
   assert(!net->in_parallel_phase_ &&
          "control-lane event scheduled from a shard event");
   std::vector<std::uint64_t> marks;
@@ -194,113 +214,89 @@ void Network::run_for(Microseconds duration) {
     run_shard_phase(until, nullptr);
     sim_.run_until(until);
   }
-  merge_ground_truth();
-}
-
-void Network::run_one_shard(std::size_t i, Microseconds until,
-                            const std::vector<std::uint64_t>* marks) {
-  obs::MetricsScope scope(shard_metrics_[i]);
-  if (marks != nullptr) {
-    shard_sims_[i]->run_until_key(until, (*marks)[i]);
-  } else {
-    shard_sims_[i]->run_until(until);
-  }
 }
 
 void Network::run_shard_phase(Microseconds until,
                               const std::vector<std::uint64_t>* marks) {
-  const std::size_t n = shard_sims_.size();
-  const auto want = static_cast<std::size_t>(shards_);
-  const std::size_t w = want < n ? want : n;
-  if (w <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_one_shard(i, until, marks);
-    return;
-  }
-  ensure_workers(w);
-  std::unique_lock<std::mutex> lock(pool_mu_);
   phase_until_ = until;
   phase_marks_ = marks;
-  phase_remaining_ = workers_.size();
-  ++phase_id_;
   in_parallel_phase_ = true;
-  pool_start_.notify_all();
-  pool_done_.wait(lock, [this] { return phase_remaining_ == 0; });
+  phase_barrier_.arrive_and_wait();  // start
+  run_shards(0);
+  phase_barrier_.arrive_and_wait();  // done
   in_parallel_phase_ = false;
+  // The lowest participant's throw wins; every slot is cleared for the next
+  // phase.
+  std::exception_ptr error;
+  for (std::exception_ptr& e : phase_errors_) {
+    if (!error) error = e;
+    e = nullptr;
+  }
+  if (error) std::rethrow_exception(error);
 }
 
-void Network::ensure_workers(std::size_t count) {
-  if (workers_.size() == count) return;
-  stop_workers();
-  workers_.reserve(count);
-  for (std::size_t t = 0; t < count; ++t) {
-    workers_.emplace_back([this, t, count] { worker_loop(t, count); });
+void Network::run_shards(std::size_t participant) {
+  try {
+    for (std::size_t i = participant; i < shard_sims_.size();
+         i += participants_) {
+      obs::MetricsScope scope(shard_metrics_[i]);
+      if (phase_marks_ != nullptr) {
+        shard_sims_[i]->run_until_key(phase_until_, (*phase_marks_)[i]);
+      } else {
+        shard_sims_[i]->run_until(phase_until_);
+      }
+    }
+  } catch (...) {
+    // Held for the done crossing: a participant that threw past it would
+    // leave the others parked there, and the destructor's join would hang.
+    phase_errors_[participant] = std::current_exception();
   }
 }
 
-void Network::worker_loop(std::size_t worker, std::size_t stride) {
-  std::uint64_t seen = 0;
+void Network::worker_loop(std::size_t participant) {
   for (;;) {
-    Microseconds until{0};
-    const std::vector<std::uint64_t>* marks = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(pool_mu_);
-      pool_start_.wait(lock,
-                       [&] { return pool_stop_ || phase_id_ != seen; });
-      if (pool_stop_) return;
-      seen = phase_id_;
-      until = phase_until_;
-      marks = phase_marks_;
-    }
-    for (std::size_t i = worker; i < shard_sims_.size(); i += stride) {
-      run_one_shard(i, until, marks);
-    }
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      if (--phase_remaining_ == 0) pool_done_.notify_one();
-    }
+    phase_barrier_.arrive_and_wait();  // start
+    if (stop_) return;
+    run_shards(participant);
+    phase_barrier_.arrive_and_wait();  // done
   }
 }
 
-void Network::stop_workers() {
-  if (workers_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    pool_stop_ = true;
-  }
-  pool_start_.notify_all();
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
-  pool_stop_ = false;
-}
-
-void Network::merge_ground_truth() {
-  // K-way merge on (end-of-air time, channel order, per-channel position).
-  // Each staging buffer is already sorted by end time (append order), so a
-  // linear scan for the minimum head suffices (K = 1..3 channels).  With
-  // one channel this is a plain append — byte-for-byte the pre-sharding
-  // log — and the order is a pure function of per-lane content, identical
-  // across shard counts and between sharded and single_queue modes.
+std::vector<trace::TxRecord> Network::ground_truth() const {
+  // K-way merge on (end of air, channel index, position in the channel's
+  // log).  Each log is in end-of-air order already (records are appended
+  // at end of air), so a linear scan for the minimum head suffices (K is
+  // 1..3).  A record's end of air is its start plus the airtime the channel
+  // scheduled its end-of-air event with (Frame::airtime()).  The order is a
+  // pure function of per-lane content, so it is the same for any shard
+  // count and both engines; and a record logged by a later run_for call
+  // ends strictly after every earlier call's horizon, so merging once here
+  // gives the order merging at the end of every call would.
+  const auto end_of_air = [](const trace::TxRecord& r) {
+    return r.time_us + phy::raw_airtime(r.size_bytes, r.rate).count();
+  };
   const std::size_t n = channels_.size();
+  std::size_t total = 0;
+  for (const auto& ch : channels_) total += ch->ground_truth().size();
+  std::vector<trace::TxRecord> merged;
+  merged.reserve(total);
   std::vector<std::size_t> cursor(n, 0);
   for (;;) {
     std::size_t best = n;
     std::int64_t best_end = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (cursor[i] >= shard_ground_truth_[i].size()) continue;
-      const std::int64_t end = shard_ground_truth_end_[i][cursor[i]];
+      const auto& log = channels_[i]->ground_truth();
+      if (cursor[i] == log.size()) continue;
+      const std::int64_t end = end_of_air(log[cursor[i]]);
       if (best == n || end < best_end) {
         best = i;
         best_end = end;
       }
     }
     if (best == n) break;
-    ground_truth_.push_back(shard_ground_truth_[best][cursor[best]]);
-    ++cursor[best];
+    merged.push_back(channels_[best]->ground_truth()[cursor[best]++]);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    shard_ground_truth_[i].clear();
-    shard_ground_truth_end_[i].clear();
-  }
+  return merged;
 }
 
 std::vector<trace::Trace> Network::sniffer_traces() const {

@@ -11,11 +11,11 @@
 // worker-thread count and never changes any output byte.
 #pragma once
 
-#include <condition_variable>
+#include <barrier>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -45,9 +45,9 @@ struct EngineOptions {
   ///    instead of owning a shard queue: the pre-sharding engine, one
   ///    totally-ordered queue.
   enum class Reference : std::uint8_t { kNone, kScalarReception, kSingleQueue };
-  /// Worker threads for the parallel shard phases: purely a thread count,
-  /// clamped to [1, channels.size()] (1 runs the phases inline on the
-  /// caller's thread with no thread machinery at all).
+  /// Threads for the parallel shard phases, the caller's own included:
+  /// purely a thread count, clamped to [1, channels.size()] (1 runs the
+  /// phases on the caller's thread and starts no worker).
   int shards = 1;
   Reference reference = Reference::kNone;
 };
@@ -134,9 +134,11 @@ class Network {
   /// A copy of every sniffer's capture, in sniffer order; merge them with
   /// trace::merge_sniffer_traces.
   [[nodiscard]] std::vector<trace::Trace> sniffer_traces() const;
-  [[nodiscard]] const std::vector<trace::TxRecord>& ground_truth() const {
-    return ground_truth_;
-  }
+  /// Every channel's ground-truth log merged into one new vector, ordered
+  /// by (end of air, channel index, position in the channel's log): the
+  /// same order for any shard count, either reference engine, and any way
+  /// of splitting the run into run_for calls.
+  [[nodiscard]] std::vector<trace::TxRecord> ground_truth() const;
 
   [[nodiscard]] const std::vector<std::unique_ptr<AccessPoint>>& aps() const {
     return aps_;
@@ -178,14 +180,9 @@ class Network {
   /// `marks` is set; inclusive of everything at `until` when null).
   void run_shard_phase(Microseconds until,
                        const std::vector<std::uint64_t>* marks);
-  void run_one_shard(std::size_t i, Microseconds until,
-                     const std::vector<std::uint64_t>* marks);
-  void ensure_workers(std::size_t count);
-  void stop_workers();
-  void worker_loop(std::size_t worker, std::size_t stride);
-  /// Drains the per-channel ground-truth buffers into ground_truth_ in
-  /// (end-of-air time, channel order, per-channel position) order.
-  void merge_ground_truth();
+  /// Participant p's share of the current phase: shards p, p + W, p + 2W...
+  void run_shards(std::size_t participant);
+  void worker_loop(std::size_t participant);
 
   Simulator sim_;  ///< control lane (and the only queue in single_queue mode)
   phy::Propagation prop_;
@@ -200,18 +197,9 @@ class Network {
   /// worker thread ran them, and harvest_metrics merges them in channel
   /// order — so the merged counters are independent of the thread count.
   std::vector<obs::Metrics> shard_metrics_;
-  /// Per-channel frame-id counters with disjoint id spaces (channel i's ids
-  /// start at i << 48): deterministic per lane, no cross-shard contention,
-  /// and channel 0 keeps the historical 1,2,3,... sequence.
-  std::vector<std::uint64_t> frame_counters_;
   std::vector<std::unique_ptr<AccessPoint>> aps_;
   std::vector<std::unique_ptr<Station>> stations_;
   std::vector<std::unique_ptr<Sniffer>> sniffers_;
-  std::vector<trace::TxRecord> ground_truth_;
-  /// Per-channel ground-truth staging (records + end-of-air sort keys),
-  /// drained by merge_ground_truth at the end of every run_for.
-  std::vector<std::vector<trace::TxRecord>> shard_ground_truth_;
-  std::vector<std::vector<std::int64_t>> shard_ground_truth_end_;
   /// Watermarks: control-event local sequence -> each shard queue's
   /// next_seq() sampled when that event was scheduled.  The vector answers
   /// "which shard events precede this control event in the single-queue
@@ -221,21 +209,24 @@ class Network {
   mac::Addr next_addr_ = 1;
   std::deque<mac::Addr> free_addrs_;  ///< released by remove_station
   bool single_queue_ = false;
-  int shards_ = 1;
   bool in_parallel_phase_ = false;
 
-  // Worker pool (created lazily; only when min(shards, channels) > 1).
-  // Channel -> worker assignment is static round-robin, so shard i's events
-  // always run under shard_metrics_[i] regardless of timing.
-  std::vector<std::thread> workers_;
-  std::mutex pool_mu_;
-  std::condition_variable pool_start_;
-  std::condition_variable pool_done_;
-  std::uint64_t phase_id_ = 0;
-  std::size_t phase_remaining_ = 0;
+  // Phase barrier.  W = min(shards, channels) participants: the thread in
+  // run_for is participant 0 and W - 1 workers are the rest.  A phase is
+  // two crossings, start and done; they also publish the phase bound, the
+  // watermarks, the stop flag and each participant's error, which only
+  // change between phases.  Shard -> participant assignment is static
+  // round-robin, so shard i's events always run under shard_metrics_[i]
+  // whichever thread runs them.
+  std::size_t participants_ = 1;
+  std::barrier<> phase_barrier_;
   Microseconds phase_until_{0};
   const std::vector<std::uint64_t>* phase_marks_ = nullptr;
-  bool pool_stop_ = false;
+  bool stop_ = false;
+  /// A shard event's throw, per participant, rethrown by run_shard_phase
+  /// after the done crossing so no participant is left parked at it.
+  std::vector<std::exception_ptr> phase_errors_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace wlan::sim

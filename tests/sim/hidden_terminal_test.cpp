@@ -56,8 +56,9 @@ RunStats run_with_masks(std::uint32_t east_mask, std::uint32_t west_mask,
   RunStats stats;
   stats.transmissions = net.channel(6).transmissions();
   stats.collisions = net.channel(6).collisions();
+  const std::vector<trace::TxRecord> gt = net.ground_truth();
   stats.acks = static_cast<std::uint64_t>(std::count_if(
-      net.ground_truth().begin(), net.ground_truth().end(),
+      gt.begin(), gt.end(),
       [](const trace::TxRecord& r) { return r.type == mac::FrameType::kAck; }));
   return stats;
 }

@@ -176,5 +176,44 @@ TEST(NetworkTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// A shard event's throw reaches run_for's caller whichever thread ran it,
+// and leaves no worker parked: the destructor still joins them.
+TEST(NetworkTest, ShardEventThrowReachesTheCaller) {
+  for (const int shards : {1, 3}) {
+    NetworkConfig cfg = tri_channel();
+    cfg.shards = shards;
+    Network net(cfg);
+    net.channel(11).simulator().in(
+        msec(1), [] { throw std::runtime_error("shard event"); });
+    EXPECT_THROW(net.run_for(msec(5)), std::runtime_error)
+        << "shards " << shards;
+  }
+}
+
+// Shard events must never schedule onto the control lane (see
+// Network::simulator()).  The check is a Debug assert, and it holds at any
+// shard count: one shard runs the phases on the caller's thread, where the
+// violation would otherwise pass silently.
+TEST(NetworkDeathTest, ShardEventSchedulingAControlEventAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the control-lane check is a Debug-build assert";
+#else
+  for (const int shards : {1, 3}) {
+    EXPECT_DEATH(
+        {
+          NetworkConfig cfg = tri_channel();
+          cfg.shards = shards;
+          Network net(cfg);
+          net.channel(6).simulator().in(msec(1), [&net] {
+            net.simulator().in(msec(1), [] {});
+          });
+          net.run_for(msec(5));
+        },
+        "control-lane event scheduled from a shard event")
+        << "shards " << shards;
+  }
+#endif
+}
+
 }  // namespace
 }  // namespace wlan::sim

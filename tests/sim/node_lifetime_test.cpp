@@ -48,9 +48,7 @@ class NodeLifetime : public ::testing::Test {
   NodeLifetime()
       : prop_(deterministic_config(), 42),
         timing_(mac::timing_for(mac::TimingProfile::kPaper)),
-        channel_(sim_, prop_, timing_, 6, 1) {
-    channel_.set_ground_truth(&ground_truth_);
-  }
+        channel_(sim_, prop_, timing_, 6, 1) {}
 
   static phy::PropagationConfig deterministic_config() {
     phy::PropagationConfig cfg;
@@ -62,7 +60,6 @@ class NodeLifetime : public ::testing::Test {
   phy::Propagation prop_;
   mac::Timing timing_;
   Channel channel_;
-  std::vector<trace::TxRecord> ground_truth_;
 };
 
 TEST_F(NodeLifetime, SenderRemovedAndFreedMidAirStillDelivers) {
@@ -84,9 +81,9 @@ TEST_F(NodeLifetime, SenderRemovedAndFreedMidAirStillDelivers) {
   sim_.run_until(Microseconds{100'000});
 
   EXPECT_EQ(receiver.received_, 1);
-  ASSERT_EQ(ground_truth_.size(), 1u);
-  EXPECT_EQ(ground_truth_[0].outcome, trace::TxOutcome::kDelivered);
-  EXPECT_EQ(ground_truth_[0].src, mac::Addr{1});
+  ASSERT_EQ(channel_.ground_truth().size(), 1u);
+  EXPECT_EQ(channel_.ground_truth()[0].outcome, trace::TxOutcome::kDelivered);
+  EXPECT_EQ(channel_.ground_truth()[0].src, mac::Addr{1});
 }
 
 TEST_F(NodeLifetime, OverlappingTransmitterRemovedAndFreedMidAir) {
@@ -114,7 +111,7 @@ TEST_F(NodeLifetime, OverlappingTransmitterRemovedAndFreedMidAir) {
 
   // Both frames finished and were logged; the overlap made them collide or
   // (capture effect) still decode — either way, nothing dangled.
-  ASSERT_EQ(ground_truth_.size(), 2u);
+  ASSERT_EQ(channel_.ground_truth().size(), 2u);
   EXPECT_EQ(channel_.transmissions(), 2u);
 }
 
@@ -136,8 +133,8 @@ TEST_F(NodeLifetime, ReceiverRemovedAndFreedMidAirIsNotDelivered) {
 
   // The destination no longer exists: the frame completes as a channel
   // error, not a delivery into freed memory.
-  ASSERT_EQ(ground_truth_.size(), 1u);
-  EXPECT_EQ(ground_truth_[0].outcome, trace::TxOutcome::kChannelError);
+  ASSERT_EQ(channel_.ground_truth().size(), 1u);
+  EXPECT_EQ(channel_.ground_truth()[0].outcome, trace::TxOutcome::kChannelError);
 }
 
 TEST_F(NodeLifetime, QuietRemovalRecyclesLinkIdImmediately) {

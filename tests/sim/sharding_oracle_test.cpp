@@ -21,6 +21,7 @@
 // reproducible; any failure names the seed that produced it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -206,6 +207,50 @@ TEST(ShardingOracle, RoamingSessionsMatchSingleQueueForAnyWorkerCount) {
           << "figure-facing CSV bytes diverged";
     }
   }
+}
+
+// Network::ground_truth() merges the channels' logs when asked, so its
+// order must not depend on the engine, the shard count, or how the run is
+// split into run_for calls.  A churning day puts traffic on all three
+// channels; the uneven pieces put run_for horizons mid-exchange.
+TEST(ShardingOracle, MultiChannelGroundTruthMatchesAcrossEnginesAndRunSplits) {
+  workload::ScenarioConfig cfg;
+  cfg.seed = 0x6D7u;
+  cfg.duration_s = 8.0;
+  cfg.scale = 0.1;
+  cfg.churn_turnover_per_min = 4.0;
+  cfg.churn_roam_mean_s = 3.0;
+  const auto ground_truth = [&cfg](sim::EngineOptions::Reference reference,
+                                   int shards,
+                                   const std::vector<std::int64_t>& pieces_us) {
+    workload::ScenarioConfig c = cfg;
+    c.reference = reference;
+    c.shards = shards;
+    workload::Scenario day = workload::Scenario::day(c);
+    for (const std::int64_t us : pieces_us) {
+      day.network().run_for(Microseconds{us});
+    }
+    return day.network().ground_truth();
+  };
+  using Reference = sim::EngineOptions::Reference;
+  const std::vector<std::int64_t> whole{8'000'000};
+
+  const std::vector<trace::TxRecord> ref =
+      ground_truth(Reference::kSingleQueue, 1, whole);
+  // Guard against a vacuous pass: every channel must carry records.
+  for (const std::uint8_t ch : {1, 6, 11}) {
+    ASSERT_TRUE(std::any_of(ref.begin(), ref.end(), [ch](const auto& r) {
+      return r.channel == ch;
+    })) << "no ground truth on channel " << int{ch};
+  }
+  expect_same_ground_truth(ref, ground_truth(Reference::kNone, 1, whole),
+                           "1 shard");
+  expect_same_ground_truth(ref, ground_truth(Reference::kNone, 3, whole),
+                           "3 shards");
+  expect_same_ground_truth(
+      ref,
+      ground_truth(Reference::kNone, 3, {700'000, 2'900'001, 13, 4'399'986}),
+      "3 shards, split run");
 }
 
 }  // namespace
