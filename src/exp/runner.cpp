@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <filesystem>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -83,42 +80,17 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
                                         : static_cast<std::size_t>(hw);
   threads = std::min(threads, n);
 
-  // Work-stealing deques: runs are dealt round-robin; everyone consumes
-  // lowest-index-first (own queue and steals alike) so completions track
-  // the merger's strictly ascending drain order — per-run results are
-  // merged and freed almost as soon as they land instead of piling up.
-  std::vector<std::deque<std::size_t>> queues(threads);
-  std::vector<std::mutex> queue_mu(threads);
-  for (std::size_t i = 0; i < n; ++i) queues[i % threads].push_back(i);
-
+  // One shared cursor hands runs out lowest-index-first, so completions
+  // track the merger's strictly ascending drain order — per-run results
+  // are merged and freed almost as soon as they land instead of piling up.
+  std::atomic<std::size_t> next_run{0};
   std::vector<Slot> slots(n);
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::mutex progress_mu;
   std::atomic<std::size_t> completed{0};
 
-  auto worker = [&](std::size_t me) {
+  auto worker = [&] {
     for (;;) {
-      std::size_t idx = 0;
-      bool got = false;
-      {
-        std::lock_guard lock(queue_mu[me]);
-        if (!queues[me].empty()) {
-          idx = queues[me].front();
-          queues[me].pop_front();
-          got = true;
-        }
-      }
-      for (std::size_t k = 1; !got && k < threads; ++k) {
-        const std::size_t victim = (me + k) % threads;
-        std::lock_guard lock(queue_mu[victim]);
-        if (!queues[victim].empty()) {
-          idx = queues[victim].front();
-          queues[victim].pop_front();
-          got = true;
-        }
-      }
-      if (!got) return;
+      const std::size_t idx = next_run++;
+      if (idx >= n) return;
 
       const RunSpec& run = runs[idx];
       Slot& slot = slots[idx];
@@ -141,15 +113,9 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
         // it in the slot for the merging thread to rethrow.
         slot.error = std::current_exception();
       }
-      {
-        std::lock_guard lock(done_mu);
-        slot.done.store(true, std::memory_order_release);
-      }
-      done_cv.notify_one();
-
+      // Progress first: once published, the slot belongs to the merger.
       if (opt.progress && !slot.error) {
         const std::size_t c = completed.fetch_add(1) + 1;
-        std::lock_guard lock(progress_mu);
         std::fprintf(stderr,
                      "  [%zu/%zu] %s users=%-3d pps=%-4.0f far=%.2f "
                      "%s/%s seed=%llu -> util %.1f%%, %llu frames (%.0f ms)\n",
@@ -161,24 +127,21 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
                      static_cast<unsigned long long>(slot.record.frames),
                      wall_ms);
       }
+      slot.done.store(true, std::memory_order_release);
+      slot.done.notify_one();
     }
   };
 
   std::vector<std::thread> pool;
   pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker, t);
+  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
 
   // Streaming reduction on the calling thread: strictly ascending run index
   // keeps the merge order — and with it every accumulated double — fixed.
   std::exception_ptr first_error;
   for (std::size_t i = 0; i < n; ++i) {
     Slot& slot = slots[i];
-    {
-      std::unique_lock lock(done_mu);
-      done_cv.wait(lock, [&] {
-        return slot.done.load(std::memory_order_acquire);
-      });
-    }
+    slot.done.wait(false, std::memory_order_acquire);
     if (slot.error) {
       if (!first_error) first_error = slot.error;
       continue;

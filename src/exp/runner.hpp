@@ -1,13 +1,14 @@
 // Parallel experiment runner.
 //
 // Shards the independent runs of an expanded ExperimentSpec across a
-// work-stealing thread pool and streams the results into figure
-// accumulators *in grid order*: each worker analyzes its run into a private
-// per-run FigureAccumulator, and the calling thread merges completed runs
-// strictly by run index as they become available.  Because every run's seed
-// is a pure function of its grid index and the merge order is fixed, the
-// aggregated figures, manifest rows and per-point accumulators are
-// bit-identical for any thread count and any schedule.
+// thread pool that takes runs lowest-index-first from one shared cursor,
+// and streams the results into figure accumulators *in grid order*: each
+// worker analyzes its run into a private per-run FigureAccumulator, and the
+// calling thread merges completed runs strictly by run index as they become
+// available.  Because every run's seed is a pure function of its grid index
+// and the merge order is fixed, the aggregated figures, manifest rows and
+// per-point accumulators are bit-identical for any thread count and any
+// schedule.
 #pragma once
 
 #include <cstddef>

@@ -18,7 +18,7 @@
 //  * Per-run ownership.  A Metrics object belongs to one run; the exp
 //    runner installs it on the worker thread via MetricsScope before the
 //    run and harvests it after.  The thread-local current() pointer is the
-//    only global state, so concurrent runs on the work-stealing pool never
+//    only global state, so concurrent runs on the runner's pool never
 //    share a register.
 //  * Cheap increments.  Hot structures (FrameSuccessCache, ExactUnaryMemo,
 //    EventQueue, Channel) keep plain member counters — one untaken-branch-
