@@ -109,10 +109,10 @@ bool UserSession::relocate(const phy::Position& pos, double hysteresis_db) {
   // AP — on a same-AP move that would wipe the imminent re-association.
   ++session_epoch_;
   ++packet_epoch_;
-  // Epoch bumps make stale chain closures no-ops, but under sharding the
-  // old channel's queue must not even *hold* closures that read this
-  // session's epochs while the new channel's events write them — cancel
-  // them here, on the control lane, before any parallel phase resumes.
+  // Under sharding the old channel's queue must not even *hold* chain
+  // closures that touch this session while the new channel's events do —
+  // cancel them here, on the control lane, before any parallel phase
+  // resumes.
   cancel_chain_timers();
   const mac::Addr keep_addr = station_->addr();
   retire_station(roamed ? ap_ : nullptr);
@@ -211,9 +211,7 @@ void UserSession::launch_flow(bool uplink) {
   if (share <= 0.0) return;
   const double think_s = rng_.exponential(1.0 / (spec_.profile.mean_pps * share));
   arm_chain_timer(Microseconds{static_cast<std::int64_t>(think_s * 1e6)},
-                  [this, uplink, epoch = session_epoch_] {
-                    if (epoch == session_epoch_) send_closed_loop(uplink);
-                  });
+                  [this, uplink] { send_closed_loop(uplink); });
 }
 
 void UserSession::send_closed_loop(bool uplink) {
@@ -243,9 +241,7 @@ void UserSession::toggle_onoff(bool now_on) {
   const double mean_off = mean_on * (1.0 - f) / f;
   const double hold_s = rng_.exponential(now_on ? mean_on : mean_off);
   arm_chain_timer(Microseconds{static_cast<std::int64_t>(hold_s * 1e6)},
-                  [this, now_on, epoch = session_epoch_] {
-                    if (epoch == session_epoch_) toggle_onoff(!now_on);
-                  });
+                  [this, now_on] { toggle_onoff(!now_on); });
   if (on_) schedule_next_packet();
 }
 
@@ -334,7 +330,6 @@ void UserManager::tick() {
       spec.profile = config_.profile;
       spec.use_rtscts = rng_.chance(config_.rtscts_fraction);
       spec.rate = config_.rate;
-      spec.remove_on_depart = config_.remove_on_depart;
       sessions_.push_back(
           std::make_unique<UserSession>(net_, spec, rng_.next()));
     }

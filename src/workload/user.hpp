@@ -95,8 +95,9 @@ class UserSession {
   void arm_chain_timer(Microseconds delay, sim::EventQueue::Callback fn);
   /// Cancels every armed chain timer of the current station generation.
   /// Required for sharding, not just hygiene: a stale closure left on the
-  /// old channel's queue after a roam would read this session's epochs
-  /// while the new channel's events write them — a cross-shard race.
+  /// old channel's queue after a roam would touch this session while the
+  /// new channel's events do — a cross-shard race.  It also makes the
+  /// think and hold timers' session-epoch checks unnecessary.
   void cancel_chain_timers();
 
   sim::Network& net_;
@@ -111,10 +112,10 @@ class UserSession {
   int assoc_attempts_ = 0;
   /// Guards against duplicate packet chains across ON/OFF toggles.
   std::uint64_t packet_epoch_ = 0;
-  /// Bumped on relocation/departure; pending traffic-chain callbacks
-  /// (ON/OFF toggles, closed-loop completions) from the previous station
-  /// generation check it and die off, so each re-association restarts
-  /// exactly one set of chains.
+  /// Bumped on relocation/departure; the callbacks that are not cancelled
+  /// with the chain timers (association retries, closed-loop completions)
+  /// check it and die off, so each re-association restarts exactly one set
+  /// of chains.
   std::uint64_t session_epoch_ = 0;
   /// Chain timers armed on chain_sim_ (the current station's channel
   /// simulator); pruned of fired ids as it grows, fully cancelled on
@@ -135,11 +136,6 @@ struct UserManagerConfig {
   Microseconds tick{1'000'000};
   /// Position generator for new arrivals.
   std::function<phy::Position(util::Rng&)> placement;
-  /// Propagated to every spawned session's UserSpec::remove_on_depart:
-  /// departures tear the station down for real (link id recycled, memory
-  /// freed) instead of parking the powered-off radio forever.  Off by
-  /// default — the frozen fixed-curve goldens depend on parked radios.
-  bool remove_on_depart = false;
 };
 
 class UserManager {
