@@ -212,7 +212,7 @@ TEST(ShardingOracle, RoamingSessionsMatchSingleQueueForAnyWorkerCount) {
 // Network::ground_truth() merges the channels' logs when asked, so its
 // order must not depend on the engine, the shard count, or how the run is
 // split into run_for calls.  A churning day puts traffic on all three
-// channels; the uneven pieces put run_for horizons mid-exchange.
+// channels; the uneven pieces end run_for calls at arbitrary microseconds.
 TEST(ShardingOracle, MultiChannelGroundTruthMatchesAcrossEnginesAndRunSplits) {
   workload::ScenarioConfig cfg;
   cfg.seed = 0x6D7u;
