@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Golden output digests for the bench and example drivers.
+
+Runs a fixed set of commands in a fresh temporary directory, hashes each
+artifact (a command's stdout or a file it writes) with SHA-256, and compares
+the first 16 hex digits against tests/golden/digests.txt.  Any byte that
+moves in a pinned artifact fails the test, naming that artifact.
+
+    golden_digests.py --bin-dir BUILD_DIR            # check
+    golden_digests.py --bin-dir BUILD_DIR --update   # rewrite digests.txt
+
+Refresh digests.txt only in a commit of its own whose message says why the
+outputs moved.  Metrics files are not pinned: a -DWLAN_OBS=OFF build writes
+them as zeros.  Python stdlib only.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "digests.txt")
+
+# (artifact, argv): argv[0] names a binary in the build directory, and the
+# command's stdout is the artifact.  Commands run in order in one directory;
+# example_trace_tool reads the capture example_ietf_day writes.
+COMMANDS = [
+    ("bench_fig04_ap_activity.stdout", ["bench_fig04_ap_activity"]),
+    ("bench_tab1_datasets.stdout", ["bench_tab1_datasets"]),
+    ("bench_ablation_estimator.stdout",
+     ["bench_ablation_estimator", "--threads", "2", "--seeds", "1",
+      "--duration", "4", "--quiet", "--out-dir", "."]),
+    ("example_ietf_day.stdout", ["example_ietf_day"]),
+    ("example_trace_tool.stdout", ["example_trace_tool", "ietf_day.trace"]),
+]
+
+
+def drop_last_column(data: bytes) -> bytes:
+    """Cuts each CSV line's trailing field (the manifest's wall_ms)."""
+    return b"".join(line.rsplit(b",", 1)[0] + b"\n"
+                    for line in data.splitlines())
+
+
+# (artifact, file written by COMMANDS, transform before hashing)
+FILES = [
+    ("ietf_day.trace", "ietf_day.trace", lambda b: b),
+    ("ablation_estimator_manifest.csv", "ablation_estimator_manifest.csv",
+     drop_last_column),
+]
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def produce(bin_dir: str) -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="golden_") as work:
+        for artifact, argv in COMMANDS:
+            exe = os.path.join(bin_dir, argv[0])
+            proc = subprocess.run([exe] + argv[1:], cwd=work,
+                                  stdout=subprocess.PIPE, check=False)
+            if proc.returncode != 0:
+                sys.exit(f"golden.digests: {' '.join(argv)} exited "
+                         f"{proc.returncode}")
+            out[artifact] = digest(proc.stdout)
+        for artifact, name, transform in FILES:
+            with open(os.path.join(work, name), "rb") as f:
+                out[artifact] = digest(transform(f.read()))
+    return out
+
+
+def load() -> dict:
+    pinned = {}
+    with open(DIGESTS, encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                artifact, value = line.split()
+                pinned[artifact] = value
+    return pinned
+
+
+def save(actual: dict) -> None:
+    with open(DIGESTS, "w", encoding="utf-8") as f:
+        f.write("# Golden output digests: artifact, first 16 hex digits of its\n"
+                "# SHA-256.  Written by tests/golden/golden_digests.py --update;\n"
+                "# refresh only in a commit of its own that says why.\n")
+        for artifact, value in actual.items():
+            f.write(f"{artifact} {value}\n")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--bin-dir", required=True,
+                    help="build directory holding the bench_* and example_* "
+                         "binaries")
+    ap.add_argument("--update", action="store_true",
+                    help="rewrite digests.txt from this build's outputs")
+    args = ap.parse_args()
+
+    actual = produce(os.path.abspath(args.bin_dir))
+    if args.update:
+        save(actual)
+        print(f"golden.digests: wrote {len(actual)} digests to {DIGESTS}")
+        return 0
+
+    pinned = load()
+    failed = False
+    for artifact, value in actual.items():
+        if artifact not in pinned:
+            print(f"golden.digests: {artifact} is not pinned in {DIGESTS}")
+            failed = True
+        elif pinned[artifact] != value:
+            print(f"golden.digests: {artifact} differs "
+                  f"(pinned {pinned[artifact]}, got {value})")
+            failed = True
+    for artifact in pinned.keys() - actual.keys():
+        print(f"golden.digests: pinned artifact {artifact} was not produced")
+        failed = True
+    if failed:
+        return 1
+    print(f"golden.digests: {len(actual)} artifacts match")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
