@@ -25,9 +25,13 @@ bool parse_packet(const char* pkt, std::uint32_t incl, std::uint32_t orig,
   if (rt_len < 8 || rt_len > incl) return false;
 
   double signal = 0.0, noise = pcapfmt::kNoiseFloorDbm;
-  // Walk the radiotap fields we understand (fixed order by bit number).
+  // Walk the radiotap fields we understand (fixed order by bit number).  A
+  // field the present word claims but rt_len cannot hold would be read from
+  // the MAC header or past the packet: skip such a packet instead.
   std::size_t f = 8;
+  const auto fits = [&](std::size_t bytes) { return f + bytes <= rt_len; };
   if (present & pcapfmt::kPresentRate) {
+    if (!fits(1)) return false;
     const auto units = static_cast<std::uint8_t>(pkt[f]);
     f += 1;
     switch (units) {
@@ -40,14 +44,17 @@ bool parse_packet(const char* pkt, std::uint32_t incl, std::uint32_t orig,
   }
   if (present & pcapfmt::kPresentChannel) {
     f = (f + 1) & ~std::size_t{1};  // align 2
+    if (!fits(4)) return false;
     r.channel = pcapfmt::freq_channel(get<std::uint16_t>(pkt + f));
     f += 4;
   }
   if (present & pcapfmt::kPresentAntSignal) {
+    if (!fits(1)) return false;
     signal = static_cast<std::int8_t>(pkt[f]);
     f += 1;
   }
   if (present & pcapfmt::kPresentAntNoise) {
+    if (!fits(1)) return false;
     noise = static_cast<std::int8_t>(pkt[f]);
     f += 1;
   }

@@ -80,7 +80,8 @@ class OwningReader final : public TraceReader {
 /// truncated global or per-packet headers, packet lengths beyond
 /// kMaxPacketBytes, or a body shorter than its header claims.  Frames whose
 /// *content* is outside the radiotap/802.11 subset we model are skipped, as
-/// real captures legitimately contain them.
+/// real captures legitimately contain them; so are packets whose radiotap
+/// header is too short for the fields its present word claims.
 class PcapReader final : public TraceReader {
  public:
   /// Largest per-packet capture length accepted (far above any 802.11 frame

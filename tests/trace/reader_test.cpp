@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include "trace/pcap.hpp"
+#include "trace/pcap_format.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
 
@@ -168,6 +169,77 @@ TEST_F(ReaderTest, RandomByteCorruptionNeverCrashes) {
       EXPECT_LT(n, 10'000u);
     } catch (const std::runtime_error&) {
       // A clear rejection is an acceptable outcome for corrupt input.
+    }
+  }
+}
+
+/// One pcap packet: the 16-byte record header, then `body`, captured whole.
+std::string pcap_packet(std::uint32_t ts_usec, const std::string& body) {
+  std::string p;
+  pcapfmt::put<std::uint32_t>(p, 0);
+  pcapfmt::put<std::uint32_t>(p, ts_usec);
+  pcapfmt::put<std::uint32_t>(p, static_cast<std::uint32_t>(body.size()));
+  pcapfmt::put<std::uint32_t>(p, static_cast<std::uint32_t>(body.size()));
+  return p + body;
+}
+
+/// An 8-byte radiotap header: room for no field, whatever `present` claims.
+std::string bare_radiotap(std::uint32_t present) {
+  std::string h(2, '\0');  // version, pad
+  pcapfmt::put<std::uint16_t>(h, 8);
+  pcapfmt::put<std::uint32_t>(h, present);
+  return h;
+}
+
+/// A radiotap header whose present word claims rate, channel, signal and
+/// noise but whose length holds none of them.  The packet is skipped, not
+/// read past.  Short: the claimed fields lie beyond the packet, and at chunk
+/// 64 the packet ends exactly at the read buffer's end.  Long: they would
+/// be the MAC header's bytes, read as rate, channel and SNR.
+TEST_F(ReaderTest, RadiotapFieldsPastItsLengthSkipThePacket) {
+  write_pcap(Trace{}, path_);
+  const std::string file_header = file_bytes();
+  ASSERT_EQ(file_header.size(), 24u);
+
+  std::string rts = bare_radiotap(0);
+  pcapfmt::put<std::uint16_t>(rts,
+                              pcapfmt::frame_control(mac::FrameType::kRts, false));
+  pcapfmt::put<std::uint16_t>(rts, 0);  // duration
+  pcapfmt::put_mac_addr(rts, 1);
+  pcapfmt::put_mac_addr(rts, 2);
+  ASSERT_EQ(rts.size(), 24u);
+
+  const std::uint32_t claims =
+      pcapfmt::kPresentRate | pcapfmt::kPresentChannel |
+      pcapfmt::kPresentAntSignal | pcapfmt::kPresentAntNoise;
+  const std::string short_packet = bare_radiotap(claims);
+  std::string long_packet = bare_radiotap(claims);
+  pcapfmt::put<std::uint16_t>(
+      long_packet, pcapfmt::frame_control(mac::FrameType::kData, false));
+  pcapfmt::put<std::uint16_t>(long_packet, 0);  // duration
+  pcapfmt::put_mac_addr(long_packet, 1);
+  pcapfmt::put_mac_addr(long_packet, 3);
+  pcapfmt::put_mac_addr(long_packet, 1);
+  pcapfmt::put<std::uint16_t>(long_packet, 7 << 4);  // seq
+
+  const std::pair<const char*, std::string> cases[] = {
+      {"short", short_packet}, {"long", long_packet}};
+  for (const auto& [name, second] : cases) {
+    const std::string body = pcap_packet(0, rts) + pcap_packet(10, second);
+    if (second == short_packet) {
+      ASSERT_EQ(body.size(), 64u);
+    }
+    write_bytes(file_header + body);
+    for (const std::size_t chunk : {std::size_t{64},
+                                    PcapReader::kDefaultChunkBytes}) {
+      SCOPED_TRACE(std::string(name) + " packet, chunk " +
+                   std::to_string(chunk));
+      PcapReader reader(path_, chunk);
+      const Trace got = read_all(reader);
+      ASSERT_EQ(got.records.size(), 1u);
+      EXPECT_EQ(got.records[0].type, mac::FrameType::kRts);
+      EXPECT_EQ(got.records[0].dst, 1);
+      EXPECT_EQ(got.records[0].src, 2);
     }
   }
 }
