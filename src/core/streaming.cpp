@@ -67,7 +67,7 @@ void StreamingAnalyzer::emit_final_seconds(std::int64_t now_us) {
   while (!open_seconds_.empty() &&
          start_us_ +
                  static_cast<std::int64_t>(base_second_ + 1) * 1'000'000 <=
-             now_us - 10) {
+             now_us - trace::kSortSlackUs) {
     emit_second(open_seconds_.front());
     open_seconds_.pop_front();
     ++base_second_;
@@ -149,7 +149,7 @@ AnalysisResult StreamingAnalyzer::finish() {
 
 void StreamingAnalyzer::process(const trace::CaptureRecord& r,
                                 const trace::CaptureRecord* next) {
-  if (r.time_us + 10 < latest_time_) {
+  if (r.time_us + trace::kSortSlackUs < latest_time_) {
     throw std::invalid_argument(
         "TraceAnalyzer: records not time-sorted; merge traces first");
   }

@@ -9,11 +9,6 @@ namespace wlan::trace {
 
 namespace {
 
-/// Within-capture sortedness tolerance, matching the analyzer's: a record
-/// may start this much before the latest one of its input (sniffers log
-/// overlapping frames at frame end, so starts can invert by a few us).
-constexpr std::int64_t kSortSlackUs = 10;
-
 /// Beacon anchor identity: (bssid, 12-bit seq).
 constexpr std::uint32_t anchor_key(const CaptureRecord& r) {
   return (static_cast<std::uint32_t>(r.bssid) << 12) | (r.seq & 0xfffu);

@@ -73,9 +73,9 @@ struct MergeStats {
 
 /// Streaming k-way merge with duplicate suppression.  Inputs must each be
 /// time-sorted and outlive the reader; as in the analyzer, a record may
-/// start up to 10 us before the latest one of its input, and worse disorder
-/// throws std::runtime_error.  Offsets come from estimate_clock_offsets (or
-/// all-zero to merge raw clocks).
+/// start up to kSortSlackUs (10 us) before the latest one of its input, and
+/// worse disorder throws std::runtime_error.  Offsets come from
+/// estimate_clock_offsets (or all-zero to merge raw clocks).
 class MergingReader final : public TraceReader {
  public:
   MergingReader(std::vector<TraceReader*> inputs,

@@ -64,6 +64,12 @@ struct TxRecord {
   TxOutcome outcome = TxOutcome::kDelivered;
 };
 
+/// Within-capture sortedness tolerance, shared by the merge and the
+/// analyzer: a record may start this much before the latest one of its
+/// capture (sniffers log overlapping frames at frame end, so starts can
+/// invert by a few us).
+inline constexpr std::int64_t kSortSlackUs = 10;
+
 /// A full capture: records sorted by time plus capture metadata.
 struct Trace {
   std::vector<CaptureRecord> records;
