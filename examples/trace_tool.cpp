@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
 
   const core::TraceAnalyzer analyzer;
   const auto analysis = analyzer.analyze(capture);
-  std::fputs(core::render_summary(core::summarize(analysis, capture)).c_str(),
+  std::fputs(core::render_summary(core::summarize(analysis)).c_str(),
              stdout);
 
   const auto aps = core::ap_activity(capture);

@@ -9,7 +9,8 @@
 //   * per-rate busy-time share and byte volume (Figs. 8-9),
 //   * first-attempt acknowledgment counts per rate (Fig. 14),
 //   * acceptance-delay samples per category (Fig. 15),
-//   * RTS/CTS counts (Fig. 7) and per-sender fairness inputs (§6.1).
+//   * RTS/CTS counts (Fig. 7) and per-sender fairness inputs (§6.1),
+//   * the §4.4 unrecorded-frame estimate (Eq. 1, core/unrecorded.hpp).
 //
 // Layer contract (core): analyzers consume a trace::Trace and nothing else.
 // The analyzer never reads simulator ground truth; everything is inferred
@@ -26,6 +27,7 @@
 
 #include "core/delay_components.hpp"
 #include "core/frame_classes.hpp"
+#include "core/unrecorded.hpp"
 #include "trace/record.hpp"
 
 namespace wlan::core {
@@ -102,6 +104,8 @@ struct AnalysisResult {
   std::uint64_t total_acks = 0;
   std::uint64_t total_rts = 0;
   std::uint64_t total_cts = 0;
+  /// §4.4 atomicity-rule estimate over every analyzed record.
+  UnrecordedTotals unrecorded;
 
   [[nodiscard]] double duration_seconds() const {
     return static_cast<double>(seconds.size());

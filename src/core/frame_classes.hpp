@@ -6,9 +6,18 @@
 #include <cstdint>
 #include <string>
 
+#include "mac/frame.hpp"
 #include "phy/rate.hpp"
 
 namespace wlan::core {
+
+/// Data frames and the association handshake: the frames the analyzers
+/// treat as the DATA of an atomic exchange, and whose BSSID ties a client
+/// to its AP.
+[[nodiscard]] constexpr bool is_data_like(mac::FrameType t) {
+  return t == mac::FrameType::kData || t == mac::FrameType::kAssocReq ||
+         t == mac::FrameType::kAssocResp || t == mac::FrameType::kDisassoc;
+}
 
 enum class SizeClass : std::uint8_t { kS = 0, kM = 1, kL = 2, kXL = 3 };
 inline constexpr std::size_t kNumSizeClasses = 4;

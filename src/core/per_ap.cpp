@@ -4,16 +4,10 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/frame_classes.hpp"
+#include "core/unrecorded.hpp"
+
 namespace wlan::core {
-
-namespace {
-
-bool is_data_like(mac::FrameType t) {
-  return t == mac::FrameType::kData || t == mac::FrameType::kAssocReq ||
-         t == mac::FrameType::kAssocResp || t == mac::FrameType::kDisassoc;
-}
-
-}  // namespace
 
 std::vector<ApActivity> ap_activity(const trace::Trace& trace) {
   std::unordered_map<mac::Addr, ApActivity> acc;
@@ -35,39 +29,50 @@ std::vector<ApActivity> ap_activity(const trace::Trace& trace) {
     }
   }
 
+  const auto ap_at = [&acc](mac::Addr bssid) -> ApActivity& {
+    ApActivity& ap = acc[bssid];
+    ap.bssid = bssid;
+    return ap;
+  };
+  // The AP a station talks through: itself if it is one, else the BSSID its
+  // latest data-like frame carried (kNoAddr if none yet).
+  const auto ap_of = [&](mac::Addr station) {
+    return is_bssid[station] ? station : client_bssid[station];
+  };
+
+  UnrecordedCounter unrecorded;
   for (const auto& r : trace.records) {
     if (is_data_like(r.type) || r.type == mac::FrameType::kBeacon) {
-      if (r.bssid == mac::kNoAddr) continue;
-      ApActivity& ap = acc[r.bssid];
-      ap.bssid = r.bssid;
-      ++ap.frames;
-      if (r.type == mac::FrameType::kBeacon) {
-        ++ap.beacons;
-      } else {
-        ++ap.data_frames;
+      if (r.bssid != mac::kNoAddr) {
+        ApActivity& ap = ap_at(r.bssid);
+        ++ap.frames;
+        if (r.type == mac::FrameType::kBeacon) {
+          ++ap.beacons;
+        } else {
+          ++ap.data_frames;
+        }
+        if (!is_bssid[r.src]) {
+          if (client_bssid[r.src] == mac::kNoAddr) clients.push_back(r.src);
+          client_bssid[r.src] = r.bssid;
+        }
+        if (r.dst != mac::kBroadcast && !is_bssid[r.dst]) {
+          if (client_bssid[r.dst] == mac::kNoAddr) clients.push_back(r.dst);
+          client_bssid[r.dst] = r.bssid;
+        }
       }
-      if (!is_bssid[r.src]) {
-        if (client_bssid[r.src] == mac::kNoAddr) clients.push_back(r.src);
-        client_bssid[r.src] = r.bssid;
-      }
-      if (r.dst != mac::kBroadcast && !is_bssid[r.dst]) {
-        if (client_bssid[r.dst] == mac::kNoAddr) clients.push_back(r.dst);
-        client_bssid[r.dst] = r.bssid;
-      }
-    } else {
+    } else if (const mac::Addr bssid = ap_of(r.dst); bssid != mac::kNoAddr) {
       // Control frames carry no BSSID: attribute through the addressed
       // station's known AP.
-      mac::Addr bssid = mac::kNoAddr;
-      if (is_bssid[r.dst]) {
-        bssid = r.dst;
-      } else {
-        bssid = client_bssid[r.dst];
-      }
-      if (bssid == mac::kNoAddr) continue;
-      ApActivity& ap = acc[bssid];
-      ap.bssid = bssid;
+      ApActivity& ap = ap_at(bssid);
       ++ap.frames;
       ++ap.control_frames;
+    }
+    // Fig. 4c: charge a frame this record proves unrecorded to the AP its
+    // transmitter talks through as of this record.
+    if (const mac::Addr sender = unrecorded.push(r); sender != mac::kNoAddr) {
+      if (const mac::Addr bssid = ap_of(sender); bssid != mac::kNoAddr) {
+        ++ap_at(bssid).missed;
+      }
     }
   }
 

@@ -1,5 +1,6 @@
-// Per-AP activity ranking (Fig. 4a) and the associated-user time series
-// (Fig. 4b), computed from a capture alone.
+// Per-AP activity ranking (Fig. 4a), per-AP unrecorded frames (Fig. 4c)
+// and the associated-user time series (Fig. 4b), computed from a capture
+// alone.
 //
 // Association is inferred the way the paper infers it (§5): a client is
 // counted toward the AP whose BSSID its data frames carry, with beacons
@@ -26,10 +27,20 @@ struct ApActivity {
   /// APs; last-association-wins keeps each client counted exactly once,
   /// at the AP it ended up on.
   std::uint64_t clients = 0;
+  /// Frames the §4.4 rules infer went unrecorded, charged to the AP their
+  /// transmitter talked through when the miss was inferred.
+  std::uint64_t missed = 0;
+
+  /// Equation 1 for this AP (Fig. 4c).
+  [[nodiscard]] double unrecorded_pct() const {
+    const double total = static_cast<double>(missed + frames);
+    return total == 0 ? 0.0 : 100.0 * static_cast<double>(missed) / total;
+  }
 };
 
-/// Frames sent/received per virtual AP, sorted descending by total —
-/// take the first 15 for the paper's "15 most active APs".
+/// Frames sent/received and inferred missed per virtual AP, sorted
+/// descending by frames — take the first 15 for the paper's "15 most active
+/// APs".
 [[nodiscard]] std::vector<ApActivity> ap_activity(const trace::Trace& trace);
 
 struct UserCountConfig {

@@ -59,7 +59,7 @@ class FigureAccumulator {
   void add_senders(const std::unordered_map<mac::Addr, SenderStats>& senders);
 
   /// Folds one run's per-frame delay components (simulator ground truth,
-  /// microseconds; see workload::SessionResult).  Integer histograms, so
+  /// microseconds; see workload::CellResult).  Integer histograms, so
   /// percentile readouts stay deterministic across merges in grid order.
   void add_delays(const util::LogHistogram& queue,
                   const util::LogHistogram& service) {

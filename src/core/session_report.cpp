@@ -9,8 +9,7 @@
 
 namespace wlan::core {
 
-SessionSummary summarize(const AnalysisResult& analysis,
-                         const trace::Trace& trace) {
+SessionSummary summarize(const AnalysisResult& analysis) {
   SessionSummary s;
   s.duration_s = analysis.duration_seconds();
   s.frames = analysis.total_frames;
@@ -56,7 +55,7 @@ SessionSummary summarize(const AnalysisResult& analysis,
     s.dominant_level = CongestionLevel::kModerate;
   }
 
-  s.unrecorded_pct = estimate_unrecorded(trace).totals.unrecorded_pct();
+  s.unrecorded_pct = analysis.unrecorded.unrecorded_pct();
   return s;
 }
 

@@ -1,9 +1,9 @@
 // One-call session report: everything the paper's §5-§6 reports about a
 // capture, as a structured summary plus a human-readable rendering.
 //
-// This is the top of the core layer — it runs TraceAnalyzer, the
-// congestion classifier, and the unrecorded-frame estimator over one
-// capture and folds the results into a single struct, which is what
+// This is the top of the core layer — it folds one capture's
+// AnalysisResult (which carries the unrecorded-frame estimate) and the
+// congestion classifier's verdict into a single struct, which is what
 // example_trace_tool and the table benches print.
 #pragma once
 
@@ -11,7 +11,6 @@
 
 #include "core/analyzer.hpp"
 #include "core/congestion.hpp"
-#include "core/unrecorded.hpp"
 
 namespace wlan::core {
 
@@ -44,11 +43,8 @@ struct SessionSummary {
   double retry_fraction = 0.0;  ///< retransmitted / all data frames
 };
 
-/// Computes the summary from an analyzed capture.  `unrecorded` comes from
-/// a separate pass because it needs the raw trace (pass the same trace the
-/// analysis came from).
-[[nodiscard]] SessionSummary summarize(const AnalysisResult& analysis,
-                                       const trace::Trace& trace);
+/// Computes the summary from an analyzed capture.
+[[nodiscard]] SessionSummary summarize(const AnalysisResult& analysis);
 
 /// Multi-line human-readable rendering (used by trace_tool and examples).
 [[nodiscard]] std::string render_summary(const SessionSummary& summary);

@@ -18,11 +18,6 @@ constexpr std::uint32_t pending_key(mac::Addr src, std::uint16_t seq) {
   return (static_cast<std::uint32_t>(src) << 16) | seq;
 }
 
-bool is_data_like(mac::FrameType t) {
-  return t == mac::FrameType::kData || t == mac::FrameType::kAssocReq ||
-         t == mac::FrameType::kAssocResp || t == mac::FrameType::kDisassoc;
-}
-
 }  // namespace
 
 StreamingAnalyzer::StreamingAnalyzer(AnalyzerConfig config, AnalysisSink* sink)
@@ -113,6 +108,7 @@ AnalysisResult StreamingAnalyzer::finish() {
     held_.reset();
     process(last, nullptr);
   }
+  result_.unrecorded = unrecorded_.totals();
   if (!started_) return std::move(result_);
 
   const std::int64_t target_end =
@@ -155,6 +151,7 @@ void StreamingAnalyzer::process(const trace::CaptureRecord& r,
   }
   latest_time_ = std::max(latest_time_, r.time_us);
   last_record_us_ = r.time_us;
+  unrecorded_.push(r);
 
   // Sweep expired pending-ACK entries (~once per capture second).  This is
   // behavior-neutral: an expired entry's next touch resets it regardless of

@@ -8,9 +8,10 @@
 // luck.
 //
 // Memory: O(1) in capture length when a sink drains completed seconds
-// (plus the same bounded pending-ACK state the batch analyzer keeps); the
-// only O(capture) growth is in collecting mode, where finish() returns the
-// classic AnalysisResult with every second and acceptance sample retained.
+// (plus bounded per-station state: pending ACKs and the §4.4 rules'
+// pending RTSs); the only O(capture) growth is in collecting mode, where
+// finish() returns the classic AnalysisResult with every second and
+// acceptance sample retained.
 //
 // Lookahead: the batch analyzer matches a DATA frame against the next
 // record in the capture.  Streaming reproduces that with a one-record hold:
@@ -24,6 +25,7 @@
 #include <unordered_map>
 
 #include "core/analyzer.hpp"
+#include "core/unrecorded.hpp"
 
 namespace wlan::core {
 
@@ -43,8 +45,8 @@ class StreamingAnalyzer {
  public:
   /// With a sink, completed seconds and acceptance samples are emitted and
   /// dropped (constant memory); finish() then returns an AnalysisResult
-  /// whose seconds/acceptance vectors are empty but whose totals and
-  /// per-sender tallies are complete.  Without a sink, finish() returns the
+  /// whose seconds/acceptance vectors are empty but whose totals, per-sender
+  /// tallies and unrecorded-frame estimate are complete.  Without a sink, finish() returns the
   /// full AnalysisResult, bit-identical to TraceAnalyzer::analyze.
   explicit StreamingAnalyzer(AnalyzerConfig config = {},
                              AnalysisSink* sink = nullptr);
@@ -104,6 +106,7 @@ class StreamingAnalyzer {
   std::deque<std::pair<std::int64_t, double>> final_utilization_;
 
   std::unordered_map<std::uint32_t, Pending> pending_;
+  UnrecordedCounter unrecorded_;
 };
 
 }  // namespace wlan::core

@@ -7,25 +7,20 @@
 //   RTS->CTS->DATA   : an RTS followed by its DATA without a CTS in between
 //                      implies a missed CTS
 // and reports Equation 1, unrecorded / (unrecorded + captured).
+//
+// The rules run in one pass with the rest of the analysis:
+// StreamingAnalyzer feeds every record to an UnrecordedCounter and returns
+// the totals in AnalysisResult::unrecorded, and ap_activity (per_ap.hpp)
+// runs one to charge each inferred miss to an AP.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "mac/frame.hpp"
 #include "trace/record.hpp"
-#include "util/time.hpp"
+#include "util/flat_map.hpp"
 
 namespace wlan::core {
-
-struct UnrecordedConfig {
-  /// Max DATA-end -> ACK gap for the pair to count as atomic.
-  Microseconds ack_gap{400};
-  /// Max RTS-end -> CTS gap.
-  Microseconds cts_gap{400};
-  /// Max RTS -> DATA window for the missed-CTS rule.
-  Microseconds rts_data_window{3000};
-};
 
 struct UnrecordedTotals {
   std::uint64_t captured = 0;          ///< frames in the trace
@@ -43,26 +38,45 @@ struct UnrecordedTotals {
   }
 };
 
-/// Per-AP (per-BSSID) attribution of captures and inferred misses.
-struct ApUnrecorded {
-  mac::Addr bssid = mac::kNoAddr;
-  std::uint64_t captured = 0;
-  std::uint64_t missed = 0;
+/// The three atomicity rules, one record at a time.  Push a capture's
+/// records in time order: each record is judged against the one before it,
+/// and a DATA against its sender's pending RTS.
+class UnrecordedCounter {
+ public:
+  /// Counts `r` and applies the rules to it.  Returns the transmitter of
+  /// the frame `r` proves went unrecorded, or mac::kNoAddr if none.
+  mac::Addr push(const trace::CaptureRecord& r);
 
-  [[nodiscard]] double unrecorded_pct() const {
-    const double total = static_cast<double>(missed + captured);
-    return total == 0 ? 0.0 : 100.0 * static_cast<double>(missed) / total;
-  }
+  [[nodiscard]] const UnrecordedTotals& totals() const { return totals_; }
+
+ private:
+  /// The previous record's fields that the rules read.  Before the first
+  /// record it reads as a beacon, which completes no exchange.
+  struct Previous {
+    mac::FrameType type = mac::FrameType::kBeacon;
+    mac::Addr src = mac::kNoAddr;
+    std::int64_t time_us = 0;
+    std::uint32_t size_bytes = 0;
+  };
+  /// A recorded RTS awaiting its DATA (the missed-CTS rule).
+  struct PendingRts {
+    std::int64_t time_us;
+    mac::Addr dst;
+    bool cts_seen;
+  };
+
+  UnrecordedTotals totals_;
+  Previous prev_;
+  /// By RTS sender.  Broadcast is the table's reserved key, so an RTS
+  /// claiming to come from it is not tracked.
+  util::FlatMap<mac::Addr, PendingRts, mac::kBroadcast> pending_rts_;
 };
 
 struct UnrecordedReport {
   UnrecordedTotals totals;
-  /// Sorted by captured frames, descending (the Fig. 4 AP ranking).
-  std::vector<ApUnrecorded> per_ap;
 };
 
-/// Runs the estimators over a time-sorted trace.
-[[nodiscard]] UnrecordedReport estimate_unrecorded(const trace::Trace& trace,
-                                                   const UnrecordedConfig& cfg = {});
+/// Runs the estimator over a time-sorted trace.
+[[nodiscard]] UnrecordedReport estimate_unrecorded(const trace::Trace& trace);
 
 }  // namespace wlan::core

@@ -3,6 +3,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/streaming.hpp"
+#include "obs/trace_span.hpp"
+#include "trace/merge.hpp"
 #include "workload/floorplan.hpp"
 
 namespace wlan::exp {
@@ -13,7 +16,7 @@ namespace {
 RunOutput reduce_cell_result(const workload::CellResult& result) {
   RunOutput out;
   out.analysis = core::TraceAnalyzer{}.analyze(result.trace);
-  out.unrecorded = core::estimate_unrecorded(result.trace).totals;
+  out.unrecorded = out.analysis.unrecorded;
   out.medium_transmissions = result.medium_transmissions;
   out.medium_collisions = result.medium_collisions;
   out.sniffer_offered = result.sniffer.offered;
@@ -41,6 +44,10 @@ RunOutput run_hidden_terminal_scenario(const RunSpec& run) {
 /// dwell, AP roaming, stations torn down on departure): the spec's
 /// churn-rate axis sets the population turnover per minute, and a
 /// non-positive axis value falls back to one full turnover per minute.
+///
+/// The sniffers' own captures stream through the paper's merge (clock
+/// alignment, windowed dedup) straight into the analyzer: no capture is
+/// copied and no merged capture is built.
 RunOutput run_session_scenario(const RunSpec& run, workload::SessionKind kind,
                                bool churn = false) {
   workload::ScenarioConfig cfg;
@@ -57,12 +64,35 @@ RunOutput run_session_scenario(const RunSpec& run, workload::SessionKind kind,
     cfg.churn_turnover_per_min = run.churn_rate > 0.0 ? run.churn_rate : 1.0;
   }
 
-  const workload::SessionResult result = workload::run_session(cfg, kind);
+  workload::Scenario scenario = kind == workload::SessionKind::kDay
+                                    ? workload::Scenario::day(cfg)
+                                    : workload::Scenario::plenary(cfg);
+  {
+    obs::Span span("session: run " + scenario.name());
+    scenario.run();
+  }
   RunOutput out;
-  out.analysis = core::TraceAnalyzer{}.analyze(result.trace);
-  out.unrecorded = core::estimate_unrecorded(result.trace).totals;
-  out.queue_delay = result.queue_delay;
-  out.service_delay = result.service_delay;
+  if (obs::Metrics* m = obs::current()) scenario.harvest_metrics(*m);
+  const sim::Network& net = scenario.network();
+  net.harvest_delays(out.queue_delay, out.service_delay);
+
+  obs::Span merge_span("session: merge " + scenario.name(), "merge");
+  std::vector<trace::VectorReader> readers;
+  readers.reserve(net.sniffers().size());
+  for (const auto& sniffer : net.sniffers()) {
+    readers.emplace_back(sniffer->trace());
+  }
+  std::vector<trace::TraceReader*> inputs;
+  for (trace::VectorReader& reader : readers) inputs.push_back(&reader);
+  const trace::ClockOffsets offsets = trace::estimate_clock_offsets(inputs);
+  for (trace::TraceReader* input : inputs) input->reset();
+  trace::MergingReader merger(std::move(inputs), offsets.offset_us);
+  core::StreamingAnalyzer analyzer;
+  trace::CaptureRecord r;
+  while (merger.next(r)) analyzer.push(r);
+  out.analysis = analyzer.finish();
+  out.unrecorded = out.analysis.unrecorded;
+  obs::count(obs::Id::kTraceRecords, merger.stats().emitted);
   return out;
 }
 

@@ -11,22 +11,6 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-/// Deposits a finished scenario's counters into the run's current metrics
-/// register (no-op outside a MetricsScope).  Called exactly once per run —
-/// the network's counters are cumulative.
-void harvest_scenario_metrics(Scenario& s) {
-  obs::Metrics* m = obs::current();
-  if (m == nullptr) return;
-  s.network().harvest_metrics(*m);
-  if (s.has_churn()) {
-    const ChurnProcess& c = s.churn();
-    m->add(obs::Id::kChurnArrivals, c.arrivals());
-    m->add(obs::Id::kChurnRoams, c.roams());
-    m->add(obs::Id::kChurnMoves, c.moves());
-    m->note_max(obs::Id::kChurnPeakLive, c.peak_live());
-  }
-}
-
 sim::NetworkConfig network_config(const ScenarioConfig& cfg,
                                   SessionKind kind) {
   sim::NetworkConfig net;
@@ -215,29 +199,21 @@ Scenario Scenario::plenary(const ScenarioConfig& config) {
 
 void Scenario::run() { net_->run_for(duration_); }
 
+void Scenario::harvest_metrics(obs::Metrics& m) const {
+  net_->harvest_metrics(m);
+  if (churn_) {
+    m.add(obs::Id::kChurnArrivals, churn_->arrivals());
+    m.add(obs::Id::kChurnRoams, churn_->roams());
+    m.add(obs::Id::kChurnMoves, churn_->moves());
+    m.note_max(obs::Id::kChurnPeakLive, churn_->peak_live());
+  }
+}
+
 std::vector<DataSetInfo> Scenario::table1() {
   return {
       {"Day", "March 9 2005", {1, 6, 11}, "11:53-17:30 hrs"},
       {"Plenary", "March 10 2005", {1, 6, 11}, "19:30-22:30 hrs"},
   };
-}
-
-SessionResult run_session(const ScenarioConfig& config, SessionKind kind) {
-  auto scenario = kind == SessionKind::kDay ? Scenario::day(config)
-                                            : Scenario::plenary(config);
-  {
-    obs::Span span("session: run " + scenario.name());
-    scenario.run();
-  }
-  harvest_scenario_metrics(scenario);
-  // The paper's merge: clock alignment + windowed dedup on the captures.
-  obs::Span merge_span("session: merge " + scenario.name(), "merge");
-  trace::MergeResult merged =
-      trace::merge_sniffer_traces(scenario.network().sniffer_traces());
-  obs::count(obs::Id::kTraceRecords, merged.trace.records.size());
-  SessionResult result{scenario.name(), std::move(merged.trace), {}, {}};
-  scenario.network().harvest_delays(result.queue_delay, result.service_delay);
-  return result;
 }
 
 CellResult run_cell(const CellConfig& config) {

@@ -3,9 +3,9 @@
 //
 // Layer contract (workload): a scenario composes a floorplan, a user
 // population with traffic models, and a sim::NetworkConfig, runs the
-// simulation, and returns the *sniffer capture* (plus ground truth for
+// simulation, and hands out the *sniffer captures* (plus ground truth for
 // tests).  This is the only layer that drives sim; everything downstream
-// consumes the returned trace.  New scenarios plug in here — see
+// consumes the captures.  New scenarios plug in here — see
 // docs/ARCHITECTURE.md ("Extension points").
 #pragma once
 
@@ -69,6 +69,11 @@ class Scenario {
   /// Runs the full configured duration.
   void run();
 
+  /// Deposits the finished run's counters into `m`: the network's and,
+  /// with churn, the population process's.  Call once, after run() — the
+  /// counters are cumulative.
+  void harvest_metrics(obs::Metrics& m) const;
+
   [[nodiscard]] sim::Network& network() { return *net_; }
   [[nodiscard]] const FloorPlan& floorplan() const { return plan_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -94,22 +99,6 @@ class Scenario {
   std::unique_ptr<ChurnProcess> churn_;
   Microseconds duration_{0};
 };
-
-/// A completed session run, reduced to what the analysis layer consumes.
-struct SessionResult {
-  std::string name;
-  trace::Trace trace;  ///< all sniffer captures, merged and time-sorted
-  /// Per-frame delay components (paper §6): time spent queued behind other
-  /// frames and head-of-line service time (first contention to final ACK /
-  /// drop), microseconds, over every delivered unicast data frame.
-  util::LogHistogram queue_delay;
-  util::LogHistogram service_delay;
-};
-
-/// Builds a day/plenary scenario, runs the full duration, and hands back
-/// the merged capture — the one-call path registries and tools use when
-/// they don't need to poke at the live network.
-SessionResult run_session(const ScenarioConfig& config, SessionKind kind);
 
 /// Single-collision-domain fixture for utilization sweeps (Figures 6-15):
 /// one channel, a couple of APs, `num_users` always-on users.  Sweeping
@@ -166,8 +155,9 @@ struct CellResult {
   std::vector<trace::Trace> sniffer_traces;
   trace::ClockOffsets clock_offsets;
   trace::MergeStats merge_stats;
-  /// Per-frame delay components (paper §6): queueing wait and head-of-line
-  /// service time in microseconds (see SessionResult).
+  /// Per-frame delay components (paper §6): time spent queued behind other
+  /// frames and head-of-line service time (first contention to final ACK /
+  /// drop), microseconds, over every delivered unicast data frame.
   util::LogHistogram queue_delay;
   util::LogHistogram service_delay;
 };

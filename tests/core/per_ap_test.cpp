@@ -92,6 +92,45 @@ TEST(ApActivityTest, RoamingClientCountsOnceAtItsLatestAp) {
   EXPECT_EQ(ap200.clients, 1u);  // client 1 ended here
 }
 
+TEST(ApActivityTest, MissAttributedToApOfSender) {
+  // The orphan ACK is addressed to client 7, whose BSSID is learned from
+  // the initial data frame; the miss lands on AP 100's tally.
+  const auto aps = ap_activity(as_trace({
+      rec(0, mac::FrameType::kData, 7, 100, 100),
+      rec(600, mac::FrameType::kAck, 100, 7),
+      rec(100'000, mac::FrameType::kAck, 100, 7),
+  }));
+  ASSERT_EQ(aps.size(), 1u);
+  EXPECT_EQ(aps[0].bssid, 100);
+  EXPECT_EQ(aps[0].missed, 1u);
+  EXPECT_EQ(aps[0].frames, 3u);
+  EXPECT_DOUBLE_EQ(aps[0].unrecorded_pct(), 25.0);  // Eq. 1: 1 / (1 + 3)
+}
+
+TEST(ApActivityTest, MissLandsOnTheApTheSenderWasOnThen) {
+  // Client 1's DATA goes unrecorded (an ACK to it with no DATA before it)
+  // while it is on AP 100, and again after it roams to AP 200.  Each miss
+  // is charged when it is inferred, so each stays with the AP of its time,
+  // unlike the client count, where the latest association wins.
+  const auto aps = ap_activity(as_trace({
+      rec(0, mac::FrameType::kBeacon, 100, mac::kBroadcast, 100),
+      rec(5, mac::FrameType::kBeacon, 200, mac::kBroadcast, 200),
+      rec(10, mac::FrameType::kData, 1, 100, 100),
+      rec(40'000, mac::FrameType::kBeacon, 100, mac::kBroadcast, 100),
+      rec(50'000, mac::FrameType::kAck, 100, 1),  // orphan, on AP 100
+      rec(100'000, mac::FrameType::kData, 1, 200, 200),  // roams to 200
+      rec(140'000, mac::FrameType::kBeacon, 200, mac::kBroadcast, 200),
+      rec(150'000, mac::FrameType::kAck, 200, 1),  // orphan, on AP 200
+  }));
+  ASSERT_EQ(aps.size(), 2u);
+  const auto& ap100 = aps[0].bssid == 100 ? aps[0] : aps[1];
+  const auto& ap200 = aps[0].bssid == 200 ? aps[0] : aps[1];
+  EXPECT_EQ(ap100.missed, 1u);
+  EXPECT_EQ(ap200.missed, 1u);
+  EXPECT_EQ(ap100.clients, 0u);
+  EXPECT_EQ(ap200.clients, 1u);
+}
+
 TEST(UserCountTest, CountsActiveClients) {
   // Two clients active in the first window, one in the second.
   UserCountConfig cfg;

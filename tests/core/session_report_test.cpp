@@ -18,7 +18,7 @@ class SessionReportTest : public ::testing::Test {
     cell.profile.closed_loop = true;
     result_ = new workload::CellResult(workload::run_cell(cell));
     analysis_ = new AnalysisResult(TraceAnalyzer{}.analyze(result_->trace));
-    summary_ = new SessionSummary(summarize(*analysis_, result_->trace));
+    summary_ = new SessionSummary(summarize(*analysis_));
   }
   static void TearDownTestSuite() {
     delete summary_;
@@ -39,6 +39,8 @@ TEST_F(SessionReportTest, CountsMatchAnalysis) {
   EXPECT_EQ(summary_->data, analysis_->total_data);
   EXPECT_EQ(summary_->acks, analysis_->total_acks);
   EXPECT_DOUBLE_EQ(summary_->duration_s, analysis_->duration_seconds());
+  EXPECT_DOUBLE_EQ(summary_->unrecorded_pct,
+                   estimate_unrecorded(result_->trace).totals.unrecorded_pct());
 }
 
 TEST_F(SessionReportTest, UtilizationStatisticsConsistent) {
@@ -83,7 +85,7 @@ TEST_F(SessionReportTest, RenderingContainsHeadlines) {
 }
 
 TEST(SessionReportEmpty, EmptyAnalysisSafe) {
-  const auto summary = summarize(AnalysisResult{}, trace::Trace{});
+  const auto summary = summarize(AnalysisResult{});
   EXPECT_EQ(summary.frames, 0u);
   EXPECT_DOUBLE_EQ(summary.mean_utilization_pct, 0.0);
   const std::string text = render_summary(summary);

@@ -15,9 +15,11 @@
 namespace wlan::core {
 namespace {
 
-workload::CellResult congested_cell(std::uint64_t seed = 62) {
+workload::CellResult congested_cell(std::uint64_t seed = 62,
+                                    int num_sniffers = 1) {
   workload::CellConfig cell;
   cell.seed = seed;
+  cell.num_sniffers = num_sniffers;
   cell.num_users = 12;
   cell.per_user_pps = 40.0;
   cell.duration_s = 8.0;
@@ -152,6 +154,74 @@ TEST(StreamingAnalyzerTest, DrainModeFiguresAreByteIdentical) {
   EXPECT_EQ(bytes_of(ps), bytes_of(pm));
   std::remove(ps.c_str());
   std::remove(pm.c_str());
+}
+
+void expect_totals_equal(const UnrecordedTotals& a, const UnrecordedTotals& b,
+                         const char* what) {
+  EXPECT_EQ(a.captured, b.captured) << what;
+  EXPECT_EQ(a.missed_data, b.missed_data) << what;
+  EXPECT_EQ(a.missed_rts, b.missed_rts) << what;
+  EXPECT_EQ(a.missed_cts, b.missed_cts) << what;
+}
+
+/// The §4.4 rules run inside the analyzer: the collecting and the sink mode
+/// both carry exactly the standalone estimator's totals.
+TEST(StreamingAnalyzerTest, UnrecordedTotalsMatchTheStandaloneEstimator) {
+  // One exchange of each kind the rules judge, then one frame per rule
+  // whose partner went unrecorded.
+  const auto rec = [](std::int64_t t, mac::FrameType type, mac::Addr src,
+                      mac::Addr dst) {
+    trace::CaptureRecord r;
+    r.time_us = t;
+    r.type = type;
+    r.src = src;
+    r.dst = dst;
+    r.bssid = type == mac::FrameType::kData ? 1 : mac::kNoAddr;
+    r.size_bytes = type == mac::FrameType::kData ? 500 : 14;
+    r.rate = phy::Rate::kR11;
+    return r;
+  };
+  using mac::FrameType;
+  trace::Trace rules;
+  rules.records = {
+      rec(0, FrameType::kData, 2, 1),        rec(600, FrameType::kAck, 1, 2),
+      rec(10'000, FrameType::kRts, 3, 1),    rec(10'362, FrameType::kCts, 1, 3),
+      rec(10'700, FrameType::kData, 3, 1),   rec(11'300, FrameType::kAck, 1, 3),
+      rec(100'000, FrameType::kAck, 1, 2),   // missed DATA
+      rec(200'000, FrameType::kCts, 1, 4),   // missed RTS
+      rec(300'000, FrameType::kRts, 5, 1),
+      rec(300'700, FrameType::kData, 5, 1),  // missed CTS
+      rec(301'300, FrameType::kAck, 1, 5),
+  };
+  rules.start_us = 0;
+  rules.end_us = rules.records.back().time_us;
+  const UnrecordedTotals rules_totals = estimate_unrecorded(rules).totals;
+  EXPECT_EQ(rules_totals.missed_data, 1u);
+  EXPECT_EQ(rules_totals.missed_rts, 1u);
+  EXPECT_EQ(rules_totals.missed_cts, 1u);
+
+  const workload::CellResult cell = congested_cell(62, 3);
+  ASSERT_EQ(cell.sniffer_traces.size(), 3u);
+  EXPECT_GT(estimate_unrecorded(cell.trace).totals.missed(), 0u);
+
+  struct Discard final : AnalysisSink {
+    void on_second(const SecondStats&) override {}
+    void on_acceptance(const AcceptanceSample&, double) override {}
+  } discard;
+  const trace::Trace* const traces[] = {&rules, &cell.trace};
+  for (const trace::Trace* t : traces) {
+    const UnrecordedTotals expected = estimate_unrecorded(*t).totals;
+    expect_totals_equal(TraceAnalyzer{}.analyze(*t).unrecorded, expected,
+                        "batch");
+    for (AnalysisSink* sink : {static_cast<AnalysisSink*>(nullptr),
+                               static_cast<AnalysisSink*>(&discard)}) {
+      StreamingAnalyzer streaming({}, sink);
+      streaming.set_bounds(t->start_us, t->end_us);
+      for (const auto& r : t->records) streaming.push(r);
+      expect_totals_equal(streaming.finish().unrecorded, expected,
+                          sink ? "sink" : "collecting");
+    }
+  }
 }
 
 TEST(StreamingAnalyzerTest, UnsortedPushThrows) {

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/merge.hpp"
 #include "trace/trace_io.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
@@ -138,15 +139,24 @@ TEST(BatchedReceptionOracle, ChurningSessionsMatchScalarPath) {
     SCOPED_TRACE("round " + std::to_string(round) + " seed " +
                  std::to_string(cfg.seed));
 
-    cfg.reference = sim::EngineOptions::Reference::kScalarReception;
-    const workload::SessionResult ref = workload::run_session(cfg, kind);
-    cfg.reference = sim::EngineOptions::Reference::kNone;
-    const workload::SessionResult engine = workload::run_session(cfg, kind);
+    // Runs the session and returns the sniffers' captures merged.
+    const auto run_session = [&cfg, kind] {
+      workload::Scenario scenario = kind == workload::SessionKind::kDay
+                                        ? workload::Scenario::day(cfg)
+                                        : workload::Scenario::plenary(cfg);
+      scenario.run();
+      return trace::merge_sniffer_traces(scenario.network().sniffer_traces())
+          .trace;
+    };
 
-    ASSERT_EQ(ref.name, engine.name);
-    ASSERT_FALSE(ref.trace.records.empty());
-    expect_same_records(ref.trace.records, engine.trace.records, "session");
-    EXPECT_EQ(csv_bytes(ref.trace), csv_bytes(engine.trace))
+    cfg.reference = sim::EngineOptions::Reference::kScalarReception;
+    const trace::Trace ref = run_session();
+    cfg.reference = sim::EngineOptions::Reference::kNone;
+    const trace::Trace engine = run_session();
+
+    ASSERT_FALSE(ref.records.empty());
+    expect_same_records(ref.records, engine.records, "session");
+    EXPECT_EQ(csv_bytes(ref), csv_bytes(engine))
         << "figure-facing CSV bytes diverged";
   }
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/network.hpp"
+#include "trace/merge.hpp"
 #include "workload/scenario.hpp"
 
 namespace wlan::workload {
@@ -136,14 +137,13 @@ TEST(ChurnScenarioTest, SessionVariantRunsAndRecycles) {
   cfg.churn_turnover_per_min = 4.0;  // brisk: mean dwell 15 s
   cfg.profile.closed_loop = true;
 
-  const SessionResult result = run_session(cfg, SessionKind::kDay);
-  EXPECT_FALSE(result.trace.records.empty());
-
-  // And through the Scenario object for the process stats.
   Scenario scenario = Scenario::day(cfg);
   ASSERT_TRUE(scenario.has_churn());
   scenario.run();
   EXPECT_GT(scenario.churn().arrivals(), 0u);
+  EXPECT_FALSE(
+      trace::merge_sniffer_traces(scenario.network().sniffer_traces())
+          .trace.records.empty());
 }
 
 }  // namespace
