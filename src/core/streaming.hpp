@@ -46,8 +46,9 @@ class StreamingAnalyzer {
   /// With a sink, completed seconds and acceptance samples are emitted and
   /// dropped (constant memory); finish() then returns an AnalysisResult
   /// whose seconds/acceptance vectors are empty but whose totals, per-sender
-  /// tallies and unrecorded-frame estimate are complete.  Without a sink, finish() returns the
-  /// full AnalysisResult, bit-identical to TraceAnalyzer::analyze.
+  /// tallies and unrecorded-frame estimate are complete.  Without a sink,
+  /// finish() returns the full AnalysisResult, bit-identical to
+  /// TraceAnalyzer::analyze.
   explicit StreamingAnalyzer(AnalyzerConfig config = {},
                              AnalysisSink* sink = nullptr);
 

@@ -202,8 +202,8 @@ TEST_F(ReaderTest, RadiotapFieldsPastItsLengthSkipThePacket) {
   ASSERT_EQ(file_header.size(), 24u);
 
   std::string rts = bare_radiotap(0);
-  pcapfmt::put<std::uint16_t>(rts,
-                              pcapfmt::frame_control(mac::FrameType::kRts, false));
+  pcapfmt::put<std::uint16_t>(
+      rts, pcapfmt::frame_control(mac::FrameType::kRts, false));
   pcapfmt::put<std::uint16_t>(rts, 0);  // duration
   pcapfmt::put_mac_addr(rts, 1);
   pcapfmt::put_mac_addr(rts, 2);
