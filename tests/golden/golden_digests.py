@@ -25,8 +25,10 @@ DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "digests.txt")
 
 # (artifact, argv): argv[0] names a binary in the build directory, and the
-# command's stdout is the artifact.  Commands run in order in one directory;
-# example_trace_tool reads the capture example_ietf_day writes.
+# command's stdout is the artifact (None: the stdout is not pinned).  Commands
+# run in order in one directory: example_trace_tool reads the capture
+# example_ietf_day writes, and the second example_wlan_analyze run analyzes
+# the pcaps the first one writes.
 COMMANDS = [
     ("bench_fig04_ap_activity.stdout", ["bench_fig04_ap_activity"]),
     ("bench_tab1_datasets.stdout", ["bench_tab1_datasets"]),
@@ -35,6 +37,12 @@ COMMANDS = [
       "--duration", "4", "--quiet", "--out-dir", "."]),
     ("example_ietf_day.stdout", ["example_ietf_day"]),
     ("example_trace_tool.stdout", ["example_trace_tool", "ietf_day.trace"]),
+    (None,
+     ["example_wlan_analyze", "--sim-capture", "cap", "--duration", "5",
+      "--quiet"]),
+    ("example_wlan_analyze.stdout",
+     ["example_wlan_analyze", "cap/sniffer0.pcap", "cap/sniffer1.pcap",
+      "--out-dir", "figs"]),
 ]
 
 
@@ -49,6 +57,11 @@ FILES = [
     ("ietf_day.trace", "ietf_day.trace", lambda b: b),
     ("ablation_estimator_manifest.csv", "ablation_estimator_manifest.csv",
      drop_last_column),
+    ("wlan_analyze_sniffer0.pcap", "cap/sniffer0.pcap", lambda b: b),
+    ("wlan_analyze_sniffer1.pcap", "cap/sniffer1.pcap", lambda b: b),
+    ("wlan_analyze_fig05_seconds.csv", "figs/fig05_seconds.csv", lambda b: b),
+    ("wlan_analyze_fig06.csv", "figs/fig06.csv", lambda b: b),
+    ("wlan_analyze_fig15.csv", "figs/fig15.csv", lambda b: b),
 ]
 
 
@@ -66,7 +79,8 @@ def produce(bin_dir: str) -> dict:
             if proc.returncode != 0:
                 sys.exit(f"golden.digests: {' '.join(argv)} exited "
                          f"{proc.returncode}")
-            out[artifact] = digest(proc.stdout)
+            if artifact:
+                out[artifact] = digest(proc.stdout)
         for artifact, name, transform in FILES:
             with open(os.path.join(work, name), "rb") as f:
                 out[artifact] = digest(transform(f.read()))
