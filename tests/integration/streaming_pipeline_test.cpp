@@ -5,13 +5,15 @@
 //     path B (streaming):  PcapReader x2 -> estimate offsets ->
 //                          MergingReader -> StreamingAnalyzer (drain sinks)
 //
-// Acceptance criterion: the two paths' fig05/fig06 CSVs are byte-identical
-// on the cell scenario.  This is the library-level twin of
-// `wlan_analyze --selftest`.
+// Acceptance criterion: the two paths write byte-identical copies of every
+// figure CSV that `wlan_analyze` writes (fig05_seconds, fig06..fig15) on the
+// cell scenario.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "core/report.hpp"
 #include "core/streaming.hpp"
@@ -26,6 +28,32 @@ namespace {
 std::string bytes_of(const std::string& p) {
   std::ifstream in(p, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Every CSV `wlan_analyze` writes: fig05_seconds from the analysis, the
+/// rest from the figure accumulator (write_figures).
+constexpr const char* kFigureFiles[] = {
+    "fig05_seconds.csv", "fig06.csv",       "fig07.csv",       "fig08.csv",
+    "fig09.csv",         "fig10_13_S.csv",  "fig10_13_M.csv",  "fig10_13_L.csv",
+    "fig10_13_XL.csv",   "fig14.csv",       "fig15.csv"};
+
+void write_figures(const core::FigureAccumulator& acc,
+                   const std::string& prefix) {
+  core::write_figure_csv(acc.fig06_throughput_goodput(), prefix + "fig06.csv");
+  core::write_figure_csv(acc.fig07_rts_cts(), prefix + "fig07.csv");
+  core::write_figure_csv(acc.fig08_busytime_share(), prefix + "fig08.csv");
+  core::write_figure_csv(acc.fig09_bytes_per_rate(), prefix + "fig09.csv");
+  static constexpr std::pair<core::SizeClass, const char*> kClasses[] = {
+      {core::SizeClass::kS, "fig10_13_S.csv"},
+      {core::SizeClass::kM, "fig10_13_M.csv"},
+      {core::SizeClass::kL, "fig10_13_L.csv"},
+      {core::SizeClass::kXL, "fig10_13_XL.csv"},
+  };
+  for (const auto& [cls, name] : kClasses) {
+    core::write_figure_csv(acc.fig10_11_frames_of_class(cls), prefix + name);
+  }
+  core::write_figure_csv(acc.fig14_first_attempt_acked(), prefix + "fig14.csv");
+  core::write_figure_csv(acc.fig15_acceptance_delay(), prefix + "fig15.csv");
 }
 
 TEST(StreamingPipeline, PcapMergeAnalyzeMatchesInMemoryByteForByte) {
@@ -60,9 +88,9 @@ TEST(StreamingPipeline, PcapMergeAnalyzeMatchesInMemoryByteForByte) {
   const auto batch = core::TraceAnalyzer{}.analyze(merged.trace);
   core::FigureAccumulator batch_acc;
   batch_acc.add(batch);
-  const std::string a05 = dir + "a_fig05.csv", a06 = dir + "a_fig06.csv";
-  core::write_seconds_csv(batch, a05);
-  core::write_figure_csv(batch_acc.fig06_throughput_goodput(), a06);
+  const std::string a = dir + "a_", b = dir + "b_";
+  core::write_seconds_csv(batch, a + "fig05_seconds.csv");
+  write_figures(batch_acc, a);
 
   // --- path B: streaming, constant memory -------------------------------
   std::vector<std::unique_ptr<trace::TraceReader>> readers;
@@ -78,9 +106,8 @@ TEST(StreamingPipeline, PcapMergeAnalyzeMatchesInMemoryByteForByte) {
 
   core::FigureAccumulator stream_acc;
   core::FigureStreamSink figures(stream_acc);
-  const std::string b05 = dir + "b_fig05.csv", b06 = dir + "b_fig06.csv";
   {
-    core::SecondsCsvSink seconds(b05);
+    core::SecondsCsvSink seconds(b + "fig05_seconds.csv");
     core::TeeSink tee({&figures, &seconds});
     core::StreamingAnalyzer analyzer({}, &tee);
     trace::CaptureRecord r;
@@ -91,13 +118,14 @@ TEST(StreamingPipeline, PcapMergeAnalyzeMatchesInMemoryByteForByte) {
     EXPECT_EQ(drained.total_data, batch.total_data);
     EXPECT_EQ(drained.total_acks, batch.total_acks);
   }
-  core::write_figure_csv(stream_acc.fig06_throughput_goodput(), b06);
+  write_figures(stream_acc, b);
 
   // --- the acceptance criterion ----------------------------------------
-  EXPECT_GT(bytes_of(a05).size(), 0u);
-  EXPECT_EQ(bytes_of(a05), bytes_of(b05)) << "fig05 differs";
-  EXPECT_GT(bytes_of(a06).size(), 0u);
-  EXPECT_EQ(bytes_of(a06), bytes_of(b06)) << "fig06 differs";
+  for (const char* name : kFigureFiles) {
+    const std::string batch_bytes = bytes_of(a + name);
+    EXPECT_GT(batch_bytes.size(), 0u) << name;
+    EXPECT_EQ(batch_bytes, bytes_of(b + name)) << name << " differs";
+  }
 
   // The merge genuinely did cross-sniffer work on this capture.
   EXPECT_GT(merged.stats.duplicates_dropped, 100u);
@@ -106,7 +134,10 @@ TEST(StreamingPipeline, PcapMergeAnalyzeMatchesInMemoryByteForByte) {
             merged.stats.duplicates_dropped);
 
   for (const auto& f : files) std::remove(f.c_str());
-  for (const auto& f : {a05, a06, b05, b06}) std::remove(f.c_str());
+  for (const char* name : kFigureFiles) {
+    std::remove((a + name).c_str());
+    std::remove((b + name).c_str());
+  }
 }
 
 /// Sim-side in-memory merge (run_cell with num_sniffers > 1) agrees with
