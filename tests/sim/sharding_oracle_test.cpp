@@ -22,57 +22,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "oracle_compare.hpp"
 #include "obs/metrics.hpp"
 #include "trace/merge.hpp"
-#include "trace/trace_io.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
 
 namespace wlan {
 namespace {
 
-void expect_same_records(const std::vector<trace::CaptureRecord>& a,
-                         const std::vector<trace::CaptureRecord>& b,
-                         const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what << ": capture count diverged";
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto& x = a[i];
-    const auto& y = b[i];
-    ASSERT_TRUE(x.time_us == y.time_us && x.channel == y.channel &&
-                x.rate == y.rate && x.snr_db == y.snr_db &&
-                x.type == y.type && x.src == y.src && x.dst == y.dst &&
-                x.bssid == y.bssid && x.seq == y.seq && x.retry == y.retry &&
-                x.size_bytes == y.size_bytes &&
-                x.sniffer_id == y.sniffer_id && x.frame_id == y.frame_id)
-        << what << ": capture record " << i << " diverged (frame "
-        << x.frame_id << " vs " << y.frame_id << " at " << x.time_us << "/"
-        << y.time_us << "us)";
-  }
-}
-
-void expect_same_ground_truth(const std::vector<trace::TxRecord>& a,
-                              const std::vector<trace::TxRecord>& b,
-                              const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what << ": TxRecord count diverged";
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto& x = a[i];
-    const auto& y = b[i];
-    ASSERT_TRUE(x.time_us == y.time_us && x.frame_id == y.frame_id &&
-                x.type == y.type && x.src == y.src && x.dst == y.dst &&
-                x.channel == y.channel && x.rate == y.rate &&
-                x.size_bytes == y.size_bytes && x.retry == y.retry &&
-                x.seq == y.seq && x.outcome == y.outcome)
-        << what << ": TxRecord " << i << " diverged (frame " << x.frame_id
-        << " at " << x.time_us << " vs " << y.frame_id << " at " << y.time_us
-        << "us)";
-  }
-}
+using oracle::csv_bytes;
+using oracle::expect_same_ground_truth;
+using oracle::expect_same_records;
 
 /// Work counters must agree value for value — except the two per-queue
 /// high-water gauges, which depend on how events are *distributed* across
@@ -88,22 +52,6 @@ void expect_same_counters(const obs::Metrics& a, const obs::Metrics& b,
     EXPECT_EQ(a.value(id), b.value(id))
         << what << ": counter " << obs::name(id) << " diverged";
   }
-}
-
-// The figure pipeline consumes the merged capture through trace::write_csv
-// readers; identical CSV bytes means every downstream figure is identical.
-std::string csv_bytes(const trace::Trace& trace) {
-  const std::string path =
-      ::testing::TempDir() + "sharding_oracle_trace_" +
-      std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-      ".csv";
-  trace::write_csv(trace, path);
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  in.close();
-  std::remove(path.c_str());
-  return ss.str();
 }
 
 TEST(ShardingOracle, RandomizedCellsMatchSingleQueue) {
