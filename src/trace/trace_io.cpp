@@ -1,7 +1,9 @@
 #include "trace/trace_io.hpp"
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -108,7 +110,17 @@ Trace read_binary(const std::string& path) {
   }
   trace.records.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    trace.records.push_back(decode(buf.data() + 32 + i * kRecordBytes));
+    const CaptureRecord r = decode(buf.data() + 32 + i * kRecordBytes);
+    // The analyzers index per-rate arrays and divide by the rate's bit
+    // rate, so an out-of-range enum byte must stop here.
+    const char* bad = phy::rate_index(r.rate) >= phy::kNumRates ? "rate"
+                      : r.type > mac::FrameType::kDisassoc      ? "frame type"
+                                                                : nullptr;
+    if (bad) {
+      throw std::runtime_error("read_binary: " + path + " record " +
+                               std::to_string(i) + ": bad " + bad + " byte");
+    }
+    trace.records.push_back(r);
   }
   return trace;
 }
@@ -130,7 +142,7 @@ void write_csv(const Trace& trace, const std::string& path) {
 
 namespace {
 
-mac::FrameType parse_type(const std::string& name) {
+std::optional<mac::FrameType> parse_type(const std::string& name) {
   using mac::FrameType;
   if (name == "DATA") return FrameType::kData;
   if (name == "ACK") return FrameType::kAck;
@@ -140,7 +152,25 @@ mac::FrameType parse_type(const std::string& name) {
   if (name == "ASSOC-REQ") return FrameType::kAssocReq;
   if (name == "ASSOC-RESP") return FrameType::kAssocResp;
   if (name == "DISASSOC") return FrameType::kDisassoc;
-  throw std::runtime_error("read_csv: unknown frame type " + name);
+  return std::nullopt;
+}
+
+[[noreturn]] void bad_field(const std::string& where, const char* field,
+                            const std::string& cell) {
+  throw std::runtime_error("read_csv: " + where + ": bad " + field + " \"" +
+                           cell + "\"");
+}
+
+/// Parses the whole cell as a T within T's range (no trailing characters,
+/// no narrowing), or throws naming the file, the line and the field.
+template <typename T>
+T parse_field(const std::string& cell, const char* field,
+              const std::string& where) {
+  T value{};
+  const char* end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, value);
+  if (ec != std::errc{} || ptr != end) bad_field(where, field, cell);
+  return value;
 }
 
 }  // namespace
@@ -153,31 +183,36 @@ Trace read_csv(const std::string& path) {
   if (!std::getline(in, line)) {
     throw std::runtime_error("read_csv: empty file " + path);
   }
-  while (std::getline(in, line)) {
+  for (std::size_t line_no = 2; std::getline(in, line); ++line_no) {
     if (line.empty()) continue;
+    const std::string where = path + " line " + std::to_string(line_no);
     std::istringstream row(line);
     std::string cell;
     std::vector<std::string> cells;
     while (std::getline(row, cell, ',')) cells.push_back(cell);
     if (cells.size() != 13) {
-      throw std::runtime_error("read_csv: malformed row: " + line);
+      throw std::runtime_error("read_csv: " + where + ": malformed row: " +
+                               line);
     }
     CaptureRecord r;
-    r.time_us = std::stoll(cells[0]);
-    r.channel = static_cast<std::uint8_t>(std::stoi(cells[1]));
+    r.time_us = parse_field<std::int64_t>(cells[0], "time_us", where);
+    r.channel = parse_field<std::uint8_t>(cells[1], "channel", where);
     const auto rate = phy::parse_rate(cells[2]);
-    if (!rate) throw std::runtime_error("read_csv: bad rate " + cells[2]);
+    if (!rate) bad_field(where, "rate", cells[2]);
     r.rate = *rate;
-    r.snr_db = std::stof(cells[3]);
-    r.type = parse_type(cells[4]);
-    r.src = static_cast<mac::Addr>(std::stoul(cells[5]));
-    r.dst = static_cast<mac::Addr>(std::stoul(cells[6]));
-    r.bssid = static_cast<mac::Addr>(std::stoul(cells[7]));
-    r.seq = static_cast<std::uint16_t>(std::stoul(cells[8]));
+    r.snr_db = parse_field<float>(cells[3], "snr_db", where);
+    const auto type = parse_type(cells[4]);
+    if (!type) bad_field(where, "type", cells[4]);
+    r.type = *type;
+    r.src = parse_field<mac::Addr>(cells[5], "src", where);
+    r.dst = parse_field<mac::Addr>(cells[6], "dst", where);
+    r.bssid = parse_field<mac::Addr>(cells[7], "bssid", where);
+    r.seq = parse_field<std::uint16_t>(cells[8], "seq", where);
+    if (cells[9] != "0" && cells[9] != "1") bad_field(where, "retry", cells[9]);
     r.retry = cells[9] == "1";
-    r.size_bytes = static_cast<std::uint32_t>(std::stoul(cells[10]));
-    r.sniffer_id = static_cast<std::uint8_t>(std::stoi(cells[11]));
-    r.frame_id = std::stoull(cells[12]);
+    r.size_bytes = parse_field<std::uint32_t>(cells[10], "size_bytes", where);
+    r.sniffer_id = parse_field<std::uint8_t>(cells[11], "sniffer_id", where);
+    r.frame_id = parse_field<std::uint64_t>(cells[12], "frame_id", where);
     trace.records.push_back(r);
   }
   if (!trace.records.empty()) {

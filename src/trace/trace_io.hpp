@@ -17,13 +17,17 @@ inline constexpr std::uint16_t kTraceVersion = 1;
 /// Writes the trace; throws std::runtime_error on I/O failure.
 void write_binary(const Trace& trace, const std::string& path);
 
-/// Reads a trace written by write_binary; throws on bad magic/version/EOF.
+/// Reads a trace written by write_binary; throws std::runtime_error on bad
+/// magic/version/EOF or a record whose rate or frame-type byte is out of
+/// range (naming the file and the record index).
 Trace read_binary(const std::string& path);
 
 /// Human-readable CSV (one row per record, header included).
 void write_csv(const Trace& trace, const std::string& path);
 
-/// Parses the CSV produced by write_csv; throws on malformed rows.
+/// Parses the CSV produced by write_csv.  Each cell must be one whole token
+/// within its field's range, and retry must be 0 or 1; anything else throws
+/// std::runtime_error naming the file, the line and the field.
 Trace read_csv(const std::string& path);
 
 }  // namespace wlan::trace

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
+#include <string>
 
 namespace wlan::trace {
 namespace {
@@ -56,8 +58,43 @@ void expect_equal(const Trace& a, const Trace& b) {
 class TraceIoTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Overwrites one byte of the file at path_.
+  void patch_byte(std::size_t offset, char value) {
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.put(value);
+  }
+
+  /// Writes a CSV with write_csv's header and the given rows.
+  void write_rows(std::initializer_list<const char*> rows) {
+    std::ofstream out(path_);
+    out << "time_us,channel,rate,snr_db,type,src,dst,bssid,seq,retry,"
+           "size_bytes,sniffer_id,frame_id\n";
+    for (const char* row : rows) out << row << '\n';
+  }
+
+  /// The message of the std::runtime_error `read` throws, or "" if it
+  /// returns normally.
+  template <typename F>
+  static std::string error_of(F read) {
+    try {
+      read();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  }
+
   std::string path_ = ::testing::TempDir() + "trace_io_test.bin";
 };
+
+// On-disk layout: a 32-byte header, then 37-byte records with the rate byte
+// at +9 and the frame-type byte at +14.
+constexpr std::size_t kRateByte = 32 + 37 * 3 + 9;
+constexpr std::size_t kTypeByte = 32 + 37 * 4 + 14;
+
+constexpr const char* kGoodRow = "1000,6,11,20.5,DATA,1,2,3,4,0,100,0,7";
 
 TEST_F(TraceIoTest, BinaryRoundTrip) {
   const Trace original = sample_trace();
@@ -96,6 +133,22 @@ TEST_F(TraceIoTest, BinaryRejectsTruncatedFile) {
   EXPECT_THROW(read_binary(path_), std::runtime_error);
 }
 
+TEST_F(TraceIoTest, BinaryRejectsOutOfRangeRateByte) {
+  write_binary(sample_trace(), path_);
+  patch_byte(kRateByte, 7);
+  const std::string err = error_of([&] { read_binary(path_); });
+  EXPECT_NE(err.find(path_), std::string::npos) << err;
+  EXPECT_NE(err.find("record 3: bad rate"), std::string::npos) << err;
+}
+
+TEST_F(TraceIoTest, BinaryRejectsOutOfRangeFrameTypeByte) {
+  write_binary(sample_trace(), path_);
+  patch_byte(kTypeByte, 8);
+  const std::string err = error_of([&] { read_binary(path_); });
+  EXPECT_NE(err.find(path_), std::string::npos) << err;
+  EXPECT_NE(err.find("record 4: bad frame type"), std::string::npos) << err;
+}
+
 TEST_F(TraceIoTest, MissingFileThrows) {
   EXPECT_THROW(read_binary("/nonexistent/file.bin"), std::runtime_error);
   EXPECT_THROW(read_csv("/nonexistent/file.csv"), std::runtime_error);
@@ -116,6 +169,39 @@ TEST_F(TraceIoTest, CsvRejectsMalformedRows) {
     out << "header\n1,2,3\n";
   }
   EXPECT_THROW(read_csv(path_), std::runtime_error);
+}
+
+TEST_F(TraceIoTest, CsvRejectsTrailingCharacters) {
+  write_rows({kGoodRow, "1000x,6,11,20.5,DATA,1,2,3,4,0,100,0,7"});
+  const std::string err = error_of([&] { read_csv(path_); });
+  EXPECT_NE(err.find(path_ + " line 3: bad time_us"), std::string::npos)
+      << err;
+}
+
+TEST_F(TraceIoTest, CsvRejectsValuesOutsideTheFieldsRange) {
+  write_rows({"1000,262,11,20.5,DATA,1,2,3,4,0,100,0,7"});
+  EXPECT_NE(error_of([&] { read_csv(path_); }).find("line 2: bad channel"),
+            std::string::npos);
+  write_rows({"1000,6,11,20.5,DATA,70001,2,3,4,0,100,0,7"});
+  EXPECT_NE(error_of([&] { read_csv(path_); }).find("line 2: bad src"),
+            std::string::npos);
+  write_rows({"1000,6,11,20.5,DATA,1,2,3,-1,0,100,0,7"});
+  EXPECT_NE(error_of([&] { read_csv(path_); }).find("line 2: bad seq"),
+            std::string::npos);
+}
+
+TEST_F(TraceIoTest, CsvRetryMustBeZeroOrOne) {
+  write_rows({kGoodRow, "1000,6,11,20.5,DATA,1,2,3,4,yes,100,0,7"});
+  EXPECT_NE(error_of([&] { read_csv(path_); }).find("line 3: bad retry"),
+            std::string::npos);
+  write_rows({kGoodRow, "1000,6,11,20.5,DATA,1,2,3,4,1,100,0,7"});
+  EXPECT_TRUE(read_csv(path_).records.back().retry);
+}
+
+TEST_F(TraceIoTest, CsvNonNumericCellNamesFileLineAndField) {
+  write_rows({kGoodRow, kGoodRow, "1000,6,11,20.5,DATA,1,2,3,4,0,big,0,7"});
+  const std::string err = error_of([&] { read_csv(path_); });
+  EXPECT_EQ(err, "read_csv: " + path_ + " line 4: bad size_bytes \"big\"");
 }
 
 TEST_F(TraceIoTest, CsvRejectsEmptyFile) {
