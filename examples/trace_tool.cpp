@@ -36,9 +36,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string path = argv[1];
-  trace::Trace capture;
+  // Read errors, an unsorted capture (the analyzer throws) and failed
+  // exports all end in one error line and exit 1.
   try {
+    const std::string path = argv[1];
+    trace::Trace capture;
     if (ends_with(path, ".csv")) {
       capture = trace::read_csv(path);
     } else if (ends_with(path, ".pcap")) {
@@ -46,55 +48,55 @@ int main(int argc, char** argv) {
     } else {
       capture = trace::read_binary(path);
     }
+
+    // Optional --channel filter (must run before the analysis).
+    for (int i = 2; i + 1 < argc; i += 2) {
+      if (!std::strcmp(argv[i], "--channel")) {
+        const int wanted = std::atoi(argv[i + 1]);
+        std::erase_if(capture.records, [wanted](const auto& r) {
+          return int{r.channel} != wanted;
+        });
+        std::printf("filtered to channel %d: %zu records remain\n", wanted,
+                    capture.records.size());
+      }
+    }
+
+    std::set<int> channels;
+    for (const auto& r : capture.records) channels.insert(r.channel);
+    if (channels.size() > 1) {
+      std::printf("note: capture spans %zu channels; utilization below sums "
+                  "them — use --channel N for the paper's per-channel Eq. 8\n",
+                  channels.size());
+    }
+
+    std::printf("%s: %zu records over %.1f s\n\n", path.c_str(),
+                capture.records.size(), capture.duration_seconds());
+
+    const core::TraceAnalyzer analyzer;
+    const auto analysis = analyzer.analyze(capture);
+    std::fputs(core::render_summary(core::summarize(analysis)).c_str(),
+               stdout);
+
+    const auto aps = core::ap_activity(capture);
+    std::printf("%zu BSSIDs seen; busiest:", aps.size());
+    for (std::size_t i = 0; i < aps.size() && i < 5; ++i) {
+      std::printf(" %d(%llu)", aps[i].bssid,
+                  static_cast<unsigned long long>(aps[i].frames));
+    }
+    std::printf("\n");
+
+    for (int i = 2; i + 1 < argc; i += 2) {
+      if (!std::strcmp(argv[i], "--csv")) {
+        trace::write_csv(capture, argv[i + 1]);
+        std::printf("wrote %s\n", argv[i + 1]);
+      } else if (!std::strcmp(argv[i], "--pcap")) {
+        trace::write_pcap(capture, argv[i + 1]);
+        std::printf("wrote %s\n", argv[i + 1]);
+      }
+    }
+    return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-
-  // Optional --channel filter (must run before the analysis).
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (!std::strcmp(argv[i], "--channel")) {
-      const int wanted = std::atoi(argv[i + 1]);
-      std::erase_if(capture.records, [wanted](const auto& r) {
-        return int{r.channel} != wanted;
-      });
-      std::printf("filtered to channel %d: %zu records remain\n", wanted,
-                  capture.records.size());
-    }
-  }
-
-  std::set<int> channels;
-  for (const auto& r : capture.records) channels.insert(r.channel);
-  if (channels.size() > 1) {
-    std::printf("note: capture spans %zu channels; utilization below sums "
-                "them — use --channel N for the paper's per-channel Eq. 8\n",
-                channels.size());
-  }
-
-  std::printf("%s: %zu records over %.1f s\n\n", path.c_str(),
-              capture.records.size(), capture.duration_seconds());
-
-  const core::TraceAnalyzer analyzer;
-  const auto analysis = analyzer.analyze(capture);
-  std::fputs(core::render_summary(core::summarize(analysis)).c_str(),
-             stdout);
-
-  const auto aps = core::ap_activity(capture);
-  std::printf("%zu BSSIDs seen; busiest:", aps.size());
-  for (std::size_t i = 0; i < aps.size() && i < 5; ++i) {
-    std::printf(" %d(%llu)", aps[i].bssid,
-                static_cast<unsigned long long>(aps[i].frames));
-  }
-  std::printf("\n");
-
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (!std::strcmp(argv[i], "--csv")) {
-      trace::write_csv(capture, argv[i + 1]);
-      std::printf("wrote %s\n", argv[i + 1]);
-    } else if (!std::strcmp(argv[i], "--pcap")) {
-      trace::write_pcap(capture, argv[i + 1]);
-      std::printf("wrote %s\n", argv[i + 1]);
-    }
-  }
-  return 0;
 }
