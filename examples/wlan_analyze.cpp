@@ -5,11 +5,9 @@
 // Multiple captures are treated as per-sniffer recordings of one session:
 // clock offsets are estimated from shared beacons, the captures are k-way
 // merged with cross-sniffer duplicate suppression (trace/merge.hpp), and
-// the merged stream feeds the analyzers.  Everything streams by default —
-// pcap files are read in chunks and records are pushed one at a time
-// through core::StreamingAnalyzer, so peak memory is O(1) in capture size;
-// --in-memory switches to the classic load-then-analyze path, which is
-// guaranteed (and --selftest verifies) to produce byte-identical figures.
+// the merged stream feeds the analyzers.  Everything streams: pcap files are
+// read in chunks and records are pushed one at a time through
+// core::StreamingAnalyzer, so peak memory is O(1) in capture size.
 //
 // Flags: the shared exp dialect (--out-dir, --quiet, --duration for the
 // sim-backed modes) plus the tool's own, listed in usage() below.
@@ -17,7 +15,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,10 +32,8 @@ namespace {
 using namespace wlan;
 
 struct ToolOptions {
-  bool in_memory = false;
   std::optional<int> channel;
   trace::MergeOptions merge;
-  std::optional<std::string> selftest_dir;
   std::optional<std::string> sim_capture_dir;
   int sniffers = 2;
 };
@@ -46,18 +41,14 @@ struct ToolOptions {
 void usage(const char* argv0, std::FILE* out = stderr) {
   std::fprintf(out,
                "usage: %s <capture.{pcap,csv,trace}> [more captures...] [flags]\n"
-               "       %s --selftest DIR   [--duration S] [--sniffers N]\n"
                "       %s --sim-capture DIR [--duration S] [--sniffers N]\n\n"
-               "  --in-memory            load everything, then analyze (default: stream)\n"
                "  --channel N            restrict the analysis to one channel\n"
                "  --merge-window US      cross-sniffer duplicate window (default 100)\n"
                "  --no-clock-correction  merge on raw sniffer clocks\n"
-               "  --sniffers N           sniffer count for the sim-backed modes (default 2)\n"
-               "  --selftest DIR         sim a multi-sniffer cell, write pcaps, verify the\n"
-               "                         streaming and in-memory figures are byte-identical\n"
+               "  --sniffers N           sniffer count for --sim-capture (default 2)\n"
                "  --sim-capture DIR      write per-sniffer pcaps from a multi-sniffer cell run\n"
                "plus the shared experiment flags (--out-dir, --quiet, --duration, --help)\n",
-               argv0, argv0, argv0);
+               argv0, argv0);
 }
 
 /// Splits the tool's own flags out of argv before the exp-dialect parser
@@ -94,8 +85,6 @@ ToolOptions extract_tool_flags(int& argc, char** argv) {
       // Fall through to parse_bench_args, which appends the shared
       // experiment flags to stdout and exits 0.
       kept.push_back(argv[i]);
-    } else if (!std::strcmp(argv[i], "--in-memory")) {
-      opt.in_memory = true;
     } else if (!std::strcmp(argv[i], "--channel")) {
       opt.channel = static_cast<int>(int_value(1, 14));
     } else if (!std::strcmp(argv[i], "--merge-window")) {
@@ -104,8 +93,6 @@ ToolOptions extract_tool_flags(int& argc, char** argv) {
       opt.merge.clock_correction = false;
     } else if (!std::strcmp(argv[i], "--sniffers")) {
       opt.sniffers = static_cast<int>(int_value(2, 16));
-    } else if (!std::strcmp(argv[i], "--selftest")) {
-      opt.selftest_dir = value();
     } else if (!std::strcmp(argv[i], "--sim-capture")) {
       opt.sim_capture_dir = value();
     } else {
@@ -185,7 +172,7 @@ AnalyzeOutcome analyze_streaming(const std::vector<std::string>& files,
   trace::TraceReader* source = inputs[0];
   if (inputs.size() > 1) {
     if (opt.merge.clock_correction) {
-      out.offsets = trace::estimate_clock_offsets(inputs, opt.merge.max_anchors);
+      out.offsets = trace::estimate_clock_offsets(inputs);
       for (auto* in : inputs) in->reset();
     } else {
       out.offsets.offset_us.assign(inputs.size(), 0);
@@ -208,7 +195,7 @@ AnalyzeOutcome analyze_streaming(const std::vector<std::string>& files,
   core::TeeSink tee({&figures, &seconds});
   core::StreamingAnalyzer analyzer({}, &tee);
   // A single .trace/.csv capture carries explicit session bounds (quiet
-  // leading/trailing seconds included); honor them like the batch path.
+  // leading/trailing seconds included); honor them as TraceAnalyzer does.
   // Merges and channel filters derive bounds from surviving records.
   if (owned.size() == 1 && !opt.channel) {
     if (const auto* o = dynamic_cast<trace::OwningReader*>(owned[0].get())) {
@@ -221,53 +208,6 @@ AnalyzeOutcome analyze_streaming(const std::vector<std::string>& files,
   out.result = analyzer.finish();
   acc.add_senders(out.result.senders);
   if (merger) out.merge_stats = merger->stats();
-  out.seconds = acc.seconds_absorbed();
-  out.knee = acc.knee_utilization();
-  write_figure_set(acc, out_dir);
-  return out;
-}
-
-/// The classic path: materialize, merge, analyze, then emit the same files.
-AnalyzeOutcome analyze_in_memory(const std::vector<std::string>& files,
-                                 const ToolOptions& opt,
-                                 const std::string& out_dir) {
-  namespace fs = std::filesystem;
-  std::vector<trace::Trace> traces;
-  for (const auto& f : files) {
-    auto reader = trace::open_capture(f);
-    if (auto* o = dynamic_cast<trace::OwningReader*>(reader.get())) {
-      traces.push_back(o->trace());  // keeps .trace/.csv session bounds
-    } else {
-      traces.push_back(trace::read_all(*reader));
-    }
-  }
-
-  AnalyzeOutcome out;
-  trace::Trace capture;
-  if (traces.size() > 1) {
-    trace::MergeResult merged = trace::merge_sniffer_traces(traces, opt.merge);
-    capture = std::move(merged.trace);
-    out.offsets = std::move(merged.offsets);
-    out.merge_stats = merged.stats;
-  } else {
-    capture = std::move(traces[0]);
-  }
-  if (opt.channel) {
-    std::erase_if(capture.records, [&](const trace::CaptureRecord& r) {
-      return int{r.channel} != *opt.channel;
-    });
-    // Re-derive the session bounds from the surviving records, exactly as
-    // the streaming path (which never sees the filtered-out channels) does.
-    capture.start_us = capture.records.empty() ? 0 : capture.records.front().time_us;
-    capture.end_us = capture.records.empty() ? 0 : capture.records.back().time_us;
-  }
-
-  out.result = core::TraceAnalyzer{}.analyze(capture);
-  fs::create_directories(out_dir);
-  core::write_seconds_csv(out.result,
-                          (fs::path(out_dir) / "fig05_seconds.csv").string());
-  core::FigureAccumulator acc;
-  acc.add(out.result);
   out.seconds = acc.seconds_absorbed();
   out.knee = acc.knee_utilization();
   write_figure_set(acc, out_dir);
@@ -301,8 +241,8 @@ void print_summary(const AnalyzeOutcome& out, std::size_t num_files,
 }
 
 /// A short multi-sniffer cell session whose per-sniffer captures land in
-/// `dir` as sniffer<j>.pcap — the sim-backed source for the selftest, the
-/// check.sh smoke, and the CI memory-flatness probe.
+/// `dir` as sniffer<j>.pcap — the sim-backed source for the golden digests,
+/// the check.sh smoke, and the CI memory-flatness probe.
 std::vector<std::string> write_sim_capture(const std::string& dir,
                                            double duration_s, int sniffers) {
   namespace fs = std::filesystem;
@@ -331,56 +271,6 @@ std::vector<std::string> write_sim_capture(const std::string& dir,
   return files;
 }
 
-bool files_identical(const std::string& a, const std::string& b) {
-  std::ifstream fa(a, std::ios::binary), fb(b, std::ios::binary);
-  if (!fa || !fb) return false;
-  std::string ca((std::istreambuf_iterator<char>(fa)),
-                 std::istreambuf_iterator<char>());
-  std::string cb((std::istreambuf_iterator<char>(fb)),
-                 std::istreambuf_iterator<char>());
-  return ca == cb;
-}
-
-int run_selftest(const std::string& dir, double duration_s,
-                 const ToolOptions& opt) {
-  namespace fs = std::filesystem;
-  const auto files = write_sim_capture(dir, duration_s, opt.sniffers);
-
-  const std::string stream_dir = (fs::path(dir) / "streaming").string();
-  const std::string memory_dir = (fs::path(dir) / "in_memory").string();
-  const auto streamed = analyze_streaming(files, opt, stream_dir);
-  const auto batch = analyze_in_memory(files, opt, memory_dir);
-
-  int failures = 0;
-  if (streamed.offsets.offset_us != batch.offsets.offset_us) {
-    std::printf("FAIL: clock offsets differ between paths\n");
-    ++failures;
-  }
-  static constexpr const char* kFiles[] = {
-      "fig05_seconds.csv", "fig06.csv", "fig07.csv", "fig08.csv",
-      "fig09.csv", "fig10_13_S.csv", "fig10_13_M.csv", "fig10_13_L.csv",
-      "fig10_13_XL.csv", "fig14.csv", "fig15.csv"};
-  for (const char* name : kFiles) {
-    const bool same = files_identical((fs::path(stream_dir) / name).string(),
-                                      (fs::path(memory_dir) / name).string());
-    if (!same) {
-      std::printf("FAIL: %s differs between streaming and in-memory paths\n",
-                  name);
-      ++failures;
-    }
-  }
-  if (failures == 0) {
-    std::printf("selftest OK: %zu sniffers, %llu merged records, "
-                "%llu duplicates dropped, all %zu figure CSVs byte-identical\n",
-                files.size(),
-                static_cast<unsigned long long>(streamed.merge_stats.emitted),
-                static_cast<unsigned long long>(
-                    streamed.merge_stats.duplicates_dropped),
-                std::size(kFiles));
-  }
-  return failures == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -389,9 +279,6 @@ int main(int argc, char** argv) {
       argc, argv, "wlan_analyze: paper figure set over capture files", true);
 
   try {
-    if (opt.selftest_dir) {
-      return run_selftest(*opt.selftest_dir, args.duration_s, opt);
-    }
     if (opt.sim_capture_dir) {
       write_sim_capture(*opt.sim_capture_dir, args.duration_s, opt.sniffers);
       return 0;
@@ -401,8 +288,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     const AnalyzeOutcome out =
-        opt.in_memory ? analyze_in_memory(args.positionals, opt, args.out_dir)
-                      : analyze_streaming(args.positionals, opt, args.out_dir);
+        analyze_streaming(args.positionals, opt, args.out_dir);
     if (args.progress) print_summary(out, args.positionals.size(), args.out_dir);
     return 0;
   } catch (const std::exception& e) {

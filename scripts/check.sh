@@ -94,13 +94,13 @@ if [ "$policies" != "minstrel" ]; then
 fi
 echo "smoke: OK (minstrel manifest rows)"
 
-# Streaming trace pipeline: a 2-sniffer sim run written to pcap, clock-
-# corrected + merged + analyzed twice (streaming and in-memory), and the
-# figure CSVs diffed byte-for-byte inside the selftest.
-echo "smoke: wlan_analyze --selftest (pcap merge + streaming-vs-batch diff)"
-./build/example_wlan_analyze --selftest build/smoke_analyze --duration 5 \
+# Streaming trace pipeline: a 2-sniffer sim run written to pcap, then
+# clock-corrected, merged and analyzed by the plain CLI flow.  The
+# streaming-vs-batch byte comparison of every figure file is
+# integration.streaming_pipeline_test; golden.digests pins the outputs.
+echo "smoke: wlan_analyze --sim-capture, then the two-file analysis"
+./build/example_wlan_analyze --sim-capture build/smoke_analyze --duration 5 \
     2> /dev/null
-# And the plain CLI flow over the selftest's own capture files.
 ./build/example_wlan_analyze build/smoke_analyze/sniffer0.pcap \
     build/smoke_analyze/sniffer1.pcap --out-dir build/smoke_analyze/figs \
     > /dev/null
