@@ -29,10 +29,4 @@ double best_case_tmt_mbps(const DelayComponents& d) {
   return theoretical_max_throughput_mbps(d, 1472, phy::Rate::kR11, opt);
 }
 
-double mac_efficiency(const DelayComponents& d, std::uint32_t payload_bytes,
-                      phy::Rate rate, const TmtOptions& opt) {
-  return theoretical_max_throughput_mbps(d, payload_bytes, rate, opt) /
-         phy::rate_mbps(rate);
-}
-
 }  // namespace wlan::core

@@ -38,9 +38,4 @@ struct TmtOptions {
 /// at 11 Mbps without RTS/CTS (~6 Mbps with Table-2 parameters).
 [[nodiscard]] double best_case_tmt_mbps(const DelayComponents& d);
 
-/// MAC efficiency: TMT / nominal PHY rate, in [0, 1].
-[[nodiscard]] double mac_efficiency(const DelayComponents& d,
-                                    std::uint32_t payload_bytes, phy::Rate rate,
-                                    const TmtOptions& opt = {});
-
 }  // namespace wlan::core

@@ -1,17 +1,8 @@
 #include "mac/frame.hpp"
 
-#include <atomic>
-
 #include "phy/airtime.hpp"
 
 namespace wlan::mac {
-
-namespace {
-std::atomic<std::uint64_t> g_next_frame_id{1};
-std::uint64_t next_id() {
-  return g_next_frame_id.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace
 
 std::string_view frame_type_name(FrameType t) {
   switch (t) {
@@ -48,7 +39,6 @@ Microseconds Frame::airtime() const {
 Frame make_data(Addr src, Addr dst, Addr bssid, std::uint16_t seq,
                 std::uint32_t payload, phy::Rate rate, std::uint8_t channel) {
   Frame f;
-  f.id = next_id();
   f.type = FrameType::kData;
   f.src = src;
   f.dst = dst;
@@ -62,7 +52,6 @@ Frame make_data(Addr src, Addr dst, Addr bssid, std::uint16_t seq,
 
 Frame make_ack(Addr src, Addr dst, std::uint8_t channel) {
   Frame f;
-  f.id = next_id();
   f.type = FrameType::kAck;
   f.src = src;
   f.dst = dst;
@@ -71,35 +60,29 @@ Frame make_ack(Addr src, Addr dst, std::uint8_t channel) {
   return f;
 }
 
-Frame make_rts(Addr src, Addr dst, Addr bssid, std::uint8_t channel,
-               Microseconds nav) {
+Frame make_rts(Addr src, Addr dst, Addr bssid, std::uint8_t channel) {
   Frame f;
-  f.id = next_id();
   f.type = FrameType::kRts;
   f.src = src;
   f.dst = dst;
   f.bssid = bssid;
   f.rate = phy::Rate::kR1;
   f.channel = channel;
-  f.nav = nav;
   return f;
 }
 
-Frame make_cts(Addr src, Addr dst, std::uint8_t channel, Microseconds nav) {
+Frame make_cts(Addr src, Addr dst, std::uint8_t channel) {
   Frame f;
-  f.id = next_id();
   f.type = FrameType::kCts;
   f.src = src;
   f.dst = dst;
   f.rate = phy::Rate::kR1;
   f.channel = channel;
-  f.nav = nav;
   return f;
 }
 
 Frame make_beacon(Addr src, std::uint8_t channel, std::uint16_t seq) {
   Frame f;
-  f.id = next_id();
   f.type = FrameType::kBeacon;
   f.src = src;
   f.dst = kBroadcast;

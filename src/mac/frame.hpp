@@ -2,8 +2,8 @@
 //
 // We carry only the fields the paper's analysis reads from its tethereal
 // captures (type, addresses, size, rate, retry flag, sequence number), plus
-// simulator bookkeeping (a globally unique frame id for ground-truth
-// matching that a real sniffer would not have).
+// simulator bookkeeping (a frame id for ground-truth matching that a real
+// sniffer would not have).
 #pragma once
 
 #include <cstdint>
@@ -33,17 +33,6 @@ enum class FrameType : std::uint8_t {
 
 [[nodiscard]] std::string_view frame_type_name(FrameType t);
 
-/// True for the frame types the paper counts as "control" frames.
-[[nodiscard]] constexpr bool is_control(FrameType t) {
-  return t == FrameType::kAck || t == FrameType::kRts || t == FrameType::kCts;
-}
-
-/// True for management frames (beacons, association).
-[[nodiscard]] constexpr bool is_management(FrameType t) {
-  return t == FrameType::kBeacon || t == FrameType::kAssocReq ||
-         t == FrameType::kAssocResp || t == FrameType::kDisassoc;
-}
-
 /// On-air MAC sizes (bytes, header+FCS) of control/management frames.
 /// 802.11: ACK/CTS 14, RTS 20; beacons ~90 with typical IEs.
 inline constexpr std::uint32_t kAckBytes = 14;
@@ -53,7 +42,7 @@ inline constexpr std::uint32_t kBeaconBytes = 90;
 inline constexpr std::uint32_t kAssocBytes = 40;
 
 struct Frame {
-  std::uint64_t id = 0;        ///< simulator-unique (ground truth only)
+  std::uint64_t id = 0;        ///< set on transmit (ground truth only)
   FrameType type = FrameType::kData;
   Addr src = kNoAddr;
   Addr dst = kNoAddr;
@@ -63,7 +52,6 @@ struct Frame {
   std::uint32_t payload = 0;   ///< data payload bytes (0 for control)
   phy::Rate rate = phy::Rate::kR1;
   std::uint8_t channel = 1;
-  Microseconds nav{0};         ///< duration field (virtual carrier sense)
 
   /// Total MAC bytes on air, header included (what a sniffer reports).
   [[nodiscard]] std::uint32_t size_bytes() const;
@@ -76,9 +64,8 @@ struct Frame {
 Frame make_data(Addr src, Addr dst, Addr bssid, std::uint16_t seq,
                 std::uint32_t payload, phy::Rate rate, std::uint8_t channel);
 Frame make_ack(Addr src, Addr dst, std::uint8_t channel);
-Frame make_rts(Addr src, Addr dst, Addr bssid, std::uint8_t channel,
-               Microseconds nav);
-Frame make_cts(Addr src, Addr dst, std::uint8_t channel, Microseconds nav);
+Frame make_rts(Addr src, Addr dst, Addr bssid, std::uint8_t channel);
+Frame make_cts(Addr src, Addr dst, std::uint8_t channel);
 /// Beacons carry the radio's sequence counter like any other MSDU — the
 /// (bssid, seq) pair identifies a beacon instance uniquely until the 12-bit
 /// counter wraps, which is what lets multi-sniffer merges use beacons as

@@ -45,10 +45,6 @@ double Propagation::snr_db(const Position& from, const Position& to) const {
   return rx_power_dbm(from, to) - config_.noise_floor_dbm;
 }
 
-bool Propagation::senses_carrier(const Position& from, const Position& to) const {
-  return rx_power_dbm(from, to) >= config_.carrier_sense_dbm;
-}
-
 bool Propagation::receivable(const Position& from, const Position& to) const {
   return rx_power_dbm(from, to) >= config_.min_rx_dbm;
 }

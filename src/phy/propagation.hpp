@@ -33,7 +33,6 @@ struct PropagationConfig {
   double floor_penalty_db = 18.0;    ///< per floor of separation
   double noise_floor_dbm = -96.0;
   double tx_power_dbm = 15.0;        ///< typical client card
-  double carrier_sense_dbm = -92.0;  ///< energy-detect threshold
   double min_rx_dbm = -94.0;         ///< below this the radio sees nothing
 };
 
@@ -50,9 +49,6 @@ class Propagation {
 
   /// SNR in dB against the configured noise floor.
   [[nodiscard]] double snr_db(const Position& from, const Position& to) const;
-
-  /// True when a receiver at `to` senses carrier from `from`.
-  [[nodiscard]] bool senses_carrier(const Position& from, const Position& to) const;
 
   /// True when the signal is above the radio sensitivity at all.
   [[nodiscard]] bool receivable(const Position& from, const Position& to) const;

@@ -80,10 +80,7 @@ void AccessPoint::on_payload(const mac::Frame& f, double /*snr_db*/) {
       assoc_.erase(f.src);
       forget_peer(f.src);
       return;
-    case mac::FrameType::kData:
-      sink_bytes_ += f.payload;  // uplink terminates at the wired side
-      return;
-    default:
+    default:  // uplink data terminates at the wired side
       return;
   }
 }

@@ -39,9 +39,6 @@ class AccessPoint : public Station {
   [[nodiscard]] std::size_t association_count() const { return assoc_.size(); }
   [[nodiscard]] std::size_t association_count(mac::Addr vap) const;
 
-  /// Received uplink data bytes (the "wired side" sink).
-  [[nodiscard]] std::uint64_t sink_bytes() const { return sink_bytes_; }
-
  protected:
   void on_payload(const mac::Frame& frame, double snr_db) override;
   [[nodiscard]] bool owns_addr(mac::Addr a) const override;
@@ -52,7 +49,6 @@ class AccessPoint : public Station {
   std::vector<mac::Addr> vaps_;
   std::unordered_map<mac::Addr, mac::Addr> assoc_;  ///< client -> vap
   std::size_t beacon_cursor_ = 0;
-  std::uint64_t sink_bytes_ = 0;
 };
 
 }  // namespace wlan::sim

@@ -6,7 +6,6 @@
 
 #include "phy/error_model.hpp"
 #include "sim/sniffer.hpp"
-#include "util/logging.hpp"
 
 namespace wlan::sim {
 

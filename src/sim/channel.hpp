@@ -70,8 +70,8 @@ class Sniffer;
 class Channel {
  public:
   /// Frames put on the air are numbered frame_id_base + 1, + 2, ...: a
-  /// per-channel id space keeps ids deterministic per run (the factories'
-  /// fallback counter is process-wide and would leak ordering between runs).
+  /// per-channel id space keeps ids deterministic per run and unique across
+  /// a network's channels.
   Channel(Simulator& sim, const phy::Propagation& prop, const mac::Timing& timing,
           std::uint8_t number, std::uint64_t seed,
           std::uint64_t frame_id_base = 0);

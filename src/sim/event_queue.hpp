@@ -59,7 +59,7 @@ class EventId {
 class EventQueue {
  public:
   /// Inline capture budget: a SIFS-response lambda carries a mac::Frame
-  /// (~56 bytes) plus a pointer; anything larger spills to the heap.
+  /// (32 bytes) plus a pointer; anything larger spills to the heap.
   using Callback = util::SmallFn<void(), 72>;
 
   /// Schedules `fn` at absolute time `at`.  Events at equal times run in

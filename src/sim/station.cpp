@@ -160,12 +160,6 @@ std::optional<double> Station::snr_hint(mac::Addr peer_addr) const {
   return channel_.link_snr_db(*this, *p) + config_.tx_power_offset_db;
 }
 
-Microseconds Station::exchange_nav(std::uint32_t payload, phy::Rate r) const {
-  const auto& t = channel_.timing();
-  return t.sifs + t.cts_duration + t.sifs +
-         phy::data_airtime(payload, r) + t.sifs + t.ack_duration;
-}
-
 void Station::transmit_head() {
   Packet& head = queue_.front();
 
@@ -210,8 +204,7 @@ void Station::transmit_head() {
                         head.payload >= config_.rts_threshold;
   if (with_rts) {
     mac::Frame rts = mac::make_rts(addr_, head.dst, head.bssid,
-                                   channel_.number(),
-                                   exchange_nav(head.payload, current_rate_));
+                                   channel_.number());
     ++stats_.rts_sent;
     state_ = State::kWaitCts;
     channel_.transmit(this, rts, [this] {
@@ -304,12 +297,8 @@ void Station::on_receive(const mac::Frame& f, double snr_db) {
 
     case mac::FrameType::kRts:
       if (for_me) {
-        // CTS response after SIFS, echoing the remaining NAV.
-        const mac::Frame cts = mac::make_cts(
-            f.dst, f.src, channel_.number(),
-            f.nav > channel_.timing().sifs + channel_.timing().cts_duration
-                ? f.nav - channel_.timing().sifs - channel_.timing().cts_duration
-                : Microseconds{0});
+        // CTS response after SIFS.
+        const mac::Frame cts = mac::make_cts(f.dst, f.src, channel_.number());
         channel_.simulator().in(channel_.timing().sifs,
                                 [this, cts] { channel_.transmit(this, cts); });
       }

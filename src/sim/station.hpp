@@ -162,8 +162,6 @@ class Station : public MacEntity {
   void attempt_failed();
   void finish_head(bool delivered);
   [[nodiscard]] std::optional<double> snr_hint(mac::Addr peer) const;
-  [[nodiscard]] Microseconds exchange_nav(std::uint32_t payload,
-                                          phy::Rate rate) const;
 
   Channel& channel_;
   mac::Addr addr_;

@@ -1,7 +1,6 @@
 #include "trace/record.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace wlan::trace {
 
@@ -10,22 +9,6 @@ void sort_by_time(std::vector<CaptureRecord>& records) {
                    [](const CaptureRecord& a, const CaptureRecord& b) {
                      return a.time_us < b.time_us;
                    });
-}
-
-std::vector<std::pair<std::uint8_t, Trace>> split_by_channel(const Trace& t) {
-  std::map<std::uint8_t, Trace> by_channel;
-  for (const auto& r : t.records) {
-    Trace& channel_trace = by_channel[r.channel];
-    channel_trace.records.push_back(r);
-  }
-  std::vector<std::pair<std::uint8_t, Trace>> out;
-  out.reserve(by_channel.size());
-  for (auto& [channel, channel_trace] : by_channel) {
-    channel_trace.start_us = t.start_us;
-    channel_trace.end_us = t.end_us;
-    out.emplace_back(channel, std::move(channel_trace));
-  }
-  return out;
 }
 
 CaptureRecord record_from_frame(const mac::Frame& frame, Microseconds at,

@@ -89,9 +89,4 @@ void sort_by_time(std::vector<CaptureRecord>& records);
 CaptureRecord record_from_frame(const mac::Frame& frame, Microseconds at,
                                 float snr_db, std::uint8_t sniffer_id);
 
-/// Splits a capture into per-channel traces (utilization — Eq. 8 — is a
-/// per-channel quantity; analyze each separately).  Channel numbers are
-/// returned in ascending order alongside their traces.
-std::vector<std::pair<std::uint8_t, Trace>> split_by_channel(const Trace& t);
-
 }  // namespace wlan::trace

@@ -96,12 +96,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * r * std::cos(6.283185307179586 * u2);
 }
 
-double Rng::pareto(double shape, double minimum) {
-  double u = uniform01();
-  if (u >= 1.0) u = 0x1.fffffffffffffp-1;
-  return minimum / std::pow(1.0 - u, 1.0 / shape);
-}
-
 void Rng::jump() {
   static constexpr std::array<std::uint64_t, 4> kJump = {
       0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,

@@ -44,9 +44,6 @@ class Rng {
   /// Standard normal via Box-Muller (deterministic, no cached spare).
   double normal(double mean, double stddev);
 
-  /// Pareto(shape, minimum) — heavy-tailed sizes / on-off periods.
-  double pareto(double shape, double minimum);
-
   /// Equivalent of 2^128 calls to next(); for parallel substreams.
   void jump();
 

@@ -5,7 +5,7 @@
 // manager thunk.  The simulator schedules millions of short-lived callbacks
 // per run — MAC timers capturing `this`, SIFS responses capturing a frame —
 // so that churn dominates the event-queue hot path.  SmallFn stores captures
-// up to `Cap` bytes inline (a frame-carrying lambda is ~56 bytes) and only
+// up to `Cap` bytes inline (a frame-carrying lambda is 40 bytes) and only
 // falls back to the heap beyond that.
 //
 // Deliberately minimal: no copy, no allocator support, no target_type.

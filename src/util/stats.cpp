@@ -90,29 +90,4 @@ double QuantileSketch::quantile(double q) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
-LinearFit fit_line(const std::vector<double>& xs, const std::vector<double>& ys) {
-  LinearFit fit;
-  const std::size_t n = std::min(xs.size(), ys.size());
-  if (n < 2) return fit;
-  double sx = 0, sy = 0, sxx = 0, sxy = 0, syy = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sx += xs[i];
-    sy += ys[i];
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-    syy += ys[i] * ys[i];
-  }
-  const auto dn = static_cast<double>(n);
-  const double denom = dn * sxx - sx * sx;
-  if (denom == 0.0) return fit;
-  fit.slope = (dn * sxy - sx * sy) / denom;
-  fit.intercept = (sy - fit.slope * sx) / dn;
-  const double sst = syy - sy * sy / dn;
-  if (sst > 0) {
-    const double ssr = fit.slope * (sxy - sx * sy / dn);
-    fit.r2 = ssr / sst;
-  }
-  return fit;
-}
-
 }  // namespace wlan::util

@@ -84,14 +84,4 @@ class QuantileSketch {
   mutable bool sorted_ = false;
 };
 
-/// Least-squares slope/intercept — used by tests to assert trends
-/// ("throughput falls past the knee").
-struct LinearFit {
-  double slope = 0.0;
-  double intercept = 0.0;
-  double r2 = 0.0;
-};
-
-LinearFit fit_line(const std::vector<double>& xs, const std::vector<double>& ys);
-
 }  // namespace wlan::util

@@ -4,6 +4,10 @@
 // the natural unit of the IEEE 802.11 timing parameters (SIFS = 10 us,
 // DIFS = 50 us, ...).  A strong type prevents accidental mixing of
 // microseconds with seconds or slot counts.
+//
+// Layer contract (util): this layer depends on nothing else in the repo —
+// it is the root of the dependency DAG (docs/ARCHITECTURE.md) and must
+// stay free of phy/mac/sim/core includes.
 #pragma once
 
 #include <cstdint>

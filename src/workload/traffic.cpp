@@ -11,39 +11,6 @@ TrafficProfile conference_profile() {
   return p;
 }
 
-TrafficProfile voice_profile() {
-  TrafficProfile p;
-  p.name = "voice";
-  p.mean_pps = 25.0;
-  p.uplink_fraction = 0.5;
-  p.size_weights = {0.95, 0.05, 0.0, 0.0};
-  p.on_fraction = 0.4;
-  p.mean_on_seconds = 30.0;
-  return p;
-}
-
-TrafficProfile web_profile() {
-  TrafficProfile p;
-  p.name = "web";
-  p.mean_pps = 8.0;
-  p.uplink_fraction = 0.25;
-  p.size_weights = {0.35, 0.2, 0.1, 0.35};
-  p.on_fraction = 0.35;
-  p.mean_on_seconds = 5.0;
-  return p;
-}
-
-TrafficProfile bulk_profile() {
-  TrafficProfile p;
-  p.name = "bulk";
-  p.mean_pps = 30.0;
-  p.uplink_fraction = 0.15;
-  p.size_weights = {0.1, 0.05, 0.05, 0.8};
-  p.on_fraction = 0.9;
-  p.mean_on_seconds = 20.0;
-  return p;
-}
-
 std::uint32_t sample_payload(const TrafficProfile& profile, util::Rng& rng) {
   double total = 0.0;
   for (double w : profile.size_weights) total += w;

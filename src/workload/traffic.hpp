@@ -2,13 +2,12 @@
 //
 // The paper's frame-size taxonomy (§6): Small 0-400 B (voice/control),
 // Medium 401-800 B, Large 801-1200 B, Extra-large >1200 B (bulk transfer,
-// HTTP, video).  Profiles below mix the four classes the way the paper's
+// HTTP, video).  A profile mixes the four classes the way the paper's
 // applications would, with on/off bursting and exponential interarrivals.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 #include "util/rng.hpp"
 
@@ -21,7 +20,6 @@ inline constexpr std::uint32_t kLargeMax = 1200;
 inline constexpr std::uint32_t kXlMax = 1472;  ///< Ethernet MTU minus headers
 
 struct TrafficProfile {
-  std::string_view name = "mix";
   double mean_pps = 6.0;          ///< packets/s per user while ON
   double uplink_fraction = 0.35;  ///< rest is downlink through the AP
   /// Relative weight of S / M / L / XL packet sizes.
@@ -39,15 +37,6 @@ struct TrafficProfile {
 
 /// Conference-floor mix: interactive SSH/HTTP + some transfers (default).
 [[nodiscard]] TrafficProfile conference_profile();
-
-/// Voice-like: small frames, steady, mostly symmetric.
-[[nodiscard]] TrafficProfile voice_profile();
-
-/// Web browsing: bursty, downlink-heavy, M/XL sizes.
-[[nodiscard]] TrafficProfile web_profile();
-
-/// Bulk transfer: nearly always on, XL-dominated.
-[[nodiscard]] TrafficProfile bulk_profile();
 
 /// Draws a payload size according to the profile's class weights.
 [[nodiscard]] std::uint32_t sample_payload(const TrafficProfile& profile,

@@ -54,21 +54,6 @@ TEST(TheoreticalTest, PaperPeakIsNearTmtScaledByUtilization) {
   EXPECT_NEAR(0.84 * best_case_tmt_mbps(d), 4.9, 0.8);
 }
 
-TEST(TheoreticalTest, EfficiencyDropsWithRate) {
-  // Fixed PLCP/IFS overhead hurts fast rates relatively more: MAC
-  // efficiency is highest at 1 Mbps.
-  const double e1 = mac_efficiency(d, 1472, phy::Rate::kR1);
-  const double e11 = mac_efficiency(d, 1472, phy::Rate::kR11);
-  EXPECT_GT(e1, e11);
-  EXPECT_GT(e1, 0.9);
-  EXPECT_LT(e11, 0.7);
-}
-
-TEST(TheoreticalTest, EfficiencyGrowsWithFrameSize) {
-  EXPECT_LT(mac_efficiency(d, 64, phy::Rate::kR11),
-            mac_efficiency(d, 1472, phy::Rate::kR11));
-}
-
 TEST(TheoreticalTest, SmallFrameAtElevenBeatsLargeAtOne) {
   // The §6 headline, restated in TMT terms: raw per-exchange delivery rate
   // at 11 Mbps exceeds 1 Mbps for every frame size.

@@ -59,13 +59,11 @@ TEST(PropagationTest, SnrAgainstNoiseFloor) {
               prop.rx_power_dbm(a, b) - no_shadow().noise_floor_dbm, 1e-12);
 }
 
-TEST(PropagationTest, CarrierSenseAndReceivabilityThresholds) {
+TEST(PropagationTest, ReceivabilityThreshold) {
   Propagation prop(no_shadow());
   const Position tx{0, 0, 0};
-  EXPECT_TRUE(prop.senses_carrier(tx, {5, 0, 0}));
   EXPECT_TRUE(prop.receivable(tx, {5, 0, 0}));
-  // Very far away: below both thresholds (with exponent 3, ~1 km is gone).
-  EXPECT_FALSE(prop.senses_carrier(tx, {2000, 0, 0}));
+  // Very far away: below the sensitivity (with exponent 3, ~1 km is gone).
   EXPECT_FALSE(prop.receivable(tx, {2000, 0, 0}));
 }
 

@@ -80,6 +80,7 @@ TEST(SnifferTest, RecordsCarryRfmonMetadata) {
   cfg.snr_jitter_db = 0.0;
   Sniffer sniffer(cfg, 3);
   mac::Frame f = small_data(9);
+  f.id = 4242;
   f.channel = 11;
   f.retry = true;
   sniffer.observe(f, Microseconds{12345}, 27.5, true);
@@ -91,7 +92,7 @@ TEST(SnifferTest, RecordsCarryRfmonMetadata) {
   EXPECT_FLOAT_EQ(r.snr_db, 27.5f);
   EXPECT_TRUE(r.retry);
   EXPECT_EQ(r.sniffer_id, 3);
-  EXPECT_EQ(r.frame_id, f.id);
+  EXPECT_EQ(r.frame_id, 4242u);
 }
 
 TEST(SnifferTest, SnrJitterPerturbsMeasurement) {

@@ -32,6 +32,7 @@ TEST(TraceTest, DurationSeconds) {
 
 TEST(RecordFromFrameTest, CopiesAllAnalyzedFields) {
   mac::Frame f = mac::make_data(7, 8, 9, 42, 512, phy::Rate::kR5_5, 11);
+  f.id = 4242;
   f.retry = true;
   const CaptureRecord r = record_from_frame(f, Microseconds{999}, 18.5f, 2);
   EXPECT_EQ(r.time_us, 999);
@@ -46,43 +47,7 @@ TEST(RecordFromFrameTest, CopiesAllAnalyzedFields) {
   EXPECT_TRUE(r.retry);
   EXPECT_EQ(r.size_bytes, f.size_bytes());
   EXPECT_EQ(r.sniffer_id, 2);
-  EXPECT_EQ(r.frame_id, f.id);
-}
-
-
-TEST(SplitByChannelTest, PartitionsRecords) {
-  Trace t;
-  t.start_us = 0;
-  t.end_us = 5'000'000;
-  for (int i = 0; i < 9; ++i) {
-    CaptureRecord r = rec(i * 1000, static_cast<std::uint64_t>(i + 1), 0);
-    r.channel = static_cast<std::uint8_t>(i % 3 == 0 ? 1 : (i % 3 == 1 ? 6 : 11));
-    t.records.push_back(r);
-  }
-  const auto split = split_by_channel(t);
-  ASSERT_EQ(split.size(), 3u);
-  EXPECT_EQ(split[0].first, 1);
-  EXPECT_EQ(split[1].first, 6);
-  EXPECT_EQ(split[2].first, 11);
-  for (const auto& [channel, sub] : split) {
-    EXPECT_EQ(sub.records.size(), 3u);
-    EXPECT_EQ(sub.start_us, 0);
-    EXPECT_EQ(sub.end_us, 5'000'000);
-    for (const auto& r : sub.records) EXPECT_EQ(r.channel, channel);
-  }
-}
-
-TEST(SplitByChannelTest, EmptyTrace) {
-  EXPECT_TRUE(split_by_channel(Trace{}).empty());
-}
-
-TEST(SplitByChannelTest, SingleChannelPassThrough) {
-  Trace t;
-  t.records = {rec(10, 1, 0), rec(20, 2, 0)};
-  for (auto& r : t.records) r.channel = 6;
-  const auto split = split_by_channel(t);
-  ASSERT_EQ(split.size(), 1u);
-  EXPECT_EQ(split[0].second.records.size(), 2u);
+  EXPECT_EQ(r.frame_id, 4242u);
 }
 
 }  // namespace

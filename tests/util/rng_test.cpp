@@ -132,13 +132,6 @@ TEST(RngTest, NormalMoments) {
   EXPECT_NEAR(var, 9.0, 0.5);
 }
 
-TEST(RngTest, ParetoRespectsMinimum) {
-  Rng rng(37);
-  for (int i = 0; i < 10'000; ++i) {
-    EXPECT_GE(rng.pareto(1.5, 4.0), 4.0);
-  }
-}
-
 TEST(RngTest, JumpDecorrelatesStreams) {
   Rng a(5);
   Rng b(5);

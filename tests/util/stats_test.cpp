@@ -139,31 +139,5 @@ TEST(QuantileSketchTest, QuantileClampsArgument) {
   EXPECT_DOUBLE_EQ(q.quantile(2.0), 4.0);
 }
 
-TEST(FitLineTest, PerfectLine) {
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 20; ++i) {
-    xs.push_back(i);
-    ys.push_back(3.0 * i - 7.0);
-  }
-  const auto fit = fit_line(xs, ys);
-  EXPECT_NEAR(fit.slope, 3.0, 1e-12);
-  EXPECT_NEAR(fit.intercept, -7.0, 1e-9);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-12);
-}
-
-TEST(FitLineTest, DegenerateInputs) {
-  EXPECT_DOUBLE_EQ(fit_line({}, {}).slope, 0.0);
-  EXPECT_DOUBLE_EQ(fit_line({1.0}, {2.0}).slope, 0.0);
-  // Vertical data (all same x) cannot be fit.
-  EXPECT_DOUBLE_EQ(fit_line({2.0, 2.0, 2.0}, {1.0, 2.0, 3.0}).slope, 0.0);
-}
-
-TEST(FitLineTest, NegativeSlopeDetectsDecline) {
-  // The integration tests use fit_line to assert the post-knee throughput
-  // decline, so the sign convention matters.
-  const auto fit = fit_line({84, 90, 95, 98}, {4.9, 4.0, 3.2, 2.8});
-  EXPECT_LT(fit.slope, 0.0);
-}
-
 }  // namespace
 }  // namespace wlan::util

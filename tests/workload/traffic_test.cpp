@@ -7,15 +7,6 @@
 namespace wlan::workload {
 namespace {
 
-TEST(TrafficProfileTest, NamedProfilesAreDistinct) {
-  EXPECT_EQ(voice_profile().name, "voice");
-  EXPECT_EQ(web_profile().name, "web");
-  EXPECT_EQ(bulk_profile().name, "bulk");
-  EXPECT_GT(voice_profile().size_weights[0], 0.9);  // voice is all-small
-  EXPECT_GT(bulk_profile().size_weights[3], 0.5);   // bulk is XL-heavy
-  EXPECT_LT(web_profile().uplink_fraction, 0.5);    // web is downlink-heavy
-}
-
 TEST(TrafficProfileTest, ConferenceProfileIsClosedLoop) {
   const auto p = conference_profile();
   EXPECT_TRUE(p.closed_loop);
