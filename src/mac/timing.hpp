@@ -28,7 +28,6 @@ struct Timing {
   std::uint32_t cw_min = 31;   ///< initial contention window (slots)
   std::uint32_t cw_max = 255;  ///< backoff ceiling (slots)
   std::uint32_t short_retry_limit = 7;  ///< RTS / small-frame retries
-  std::uint32_t long_retry_limit = 4;   ///< data-frame retries after RTS
   Microseconds beacon_interval{100'000};
 
   /// ACK timeout: SIFS + ACK airtime + propagation guard.

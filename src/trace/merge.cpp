@@ -28,10 +28,13 @@ std::uint64_t dedup_key(const CaptureRecord& r) {
          (static_cast<std::uint64_t>(r.channel) << 48);
 }
 
+/// Beacon anchors retained per input during offset estimation (bounds the
+/// estimator's memory on arbitrarily long captures).
+constexpr std::size_t kMaxAnchors = 8192;
+
 }  // namespace
 
-ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs,
-                                    std::size_t max_anchors) {
+ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs) {
   ClockOffsets out;
   out.offset_us.assign(inputs.size(), 0);
   out.anchors.assign(inputs.size(), 0);
@@ -48,7 +51,7 @@ ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs,
   while (inputs[0]->next(r)) {
     if (r.type != mac::FrameType::kBeacon) continue;
     if (!ref.emplace(anchor_key(r), r.time_us).second) break;
-    if (ref.size() >= max_anchors) break;
+    if (ref.size() >= kMaxAnchors) break;
   }
 
   for (std::size_t i = 1; i < inputs.size(); ++i) {
@@ -63,7 +66,7 @@ ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs,
       deltas.push_back(r.time_us - it->second);
       // Every reference anchor matched (or the cap hit): no point scanning
       // the rest of a potentially huge capture.
-      if (deltas.size() >= max_anchors || deltas.size() >= ref.size()) break;
+      if (deltas.size() >= kMaxAnchors || deltas.size() >= ref.size()) break;
     }
     out.anchors[i] = deltas.size();
     if (!deltas.empty()) {
@@ -174,7 +177,7 @@ MergeResult merge_sniffer_traces(const std::vector<Trace>& traces,
   for (VectorReader& r : readers) inputs.push_back(&r);
 
   if (options.clock_correction) {
-    result.offsets = estimate_clock_offsets(inputs, options.max_anchors);
+    result.offsets = estimate_clock_offsets(inputs);
     for (TraceReader* in : inputs) in->reset();
   } else {
     result.offsets.offset_us.assign(traces.size(), 0);

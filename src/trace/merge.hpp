@@ -45,9 +45,6 @@ struct MergeOptions {
   std::int64_t dup_window_us = 100;
   /// Estimate and subtract per-sniffer clock offsets before merging.
   bool clock_correction = true;
-  /// Beacon anchors retained per input during offset estimation (bounds the
-  /// estimator's memory on arbitrarily long captures).
-  std::size_t max_anchors = 8192;
 };
 
 /// Per-input clock offsets relative to input 0 (always 0 for input 0).
@@ -67,9 +64,10 @@ struct MergeStats {
 };
 
 /// Scans every reader to estimate per-input clock offsets from shared
-/// beacons.  Consumes the readers; reset() them before reuse.
+/// beacons, keeping at most 8192 anchors per input.  Consumes the readers;
+/// reset() them before reuse.
 [[nodiscard]] ClockOffsets estimate_clock_offsets(
-    const std::vector<TraceReader*>& inputs, std::size_t max_anchors = 8192);
+    const std::vector<TraceReader*>& inputs);
 
 /// Streaming k-way merge with duplicate suppression.  Inputs must each be
 /// time-sorted and outlive the reader; as in the analyzer, a record may

@@ -165,10 +165,8 @@ Scenario Scenario::build(const ScenarioConfig& cfg, SessionKind kind) {
     churn.seed = util::mix_seed(cfg.seed, 0xC4u);
     churn.arrivals_per_s = cfg.churn_turnover_per_min * peak_users / 60.0;
     churn.dwell_mean_s = 60.0 / cfg.churn_turnover_per_min;
-    churn.dwell_sigma = cfg.churn_dwell_sigma;
     churn.roam_check_mean_s = cfg.churn_roam_mean_s;
     churn.move_probability = cfg.churn_move_probability;
-    churn.roam_hysteresis_db = cfg.churn_roam_hysteresis_db;
     churn.profile = cfg.profile;
     churn.rtscts_fraction = cfg.rtscts_fraction;
     churn.rate = cfg.rate;

@@ -54,10 +54,8 @@ struct ScenarioConfig : sim::EngineOptions {
   /// population turnover so sweeping it varies churn intensity at constant
   /// expected load.
   double churn_turnover_per_min = 0.0;
-  double churn_dwell_sigma = 0.75;
   double churn_roam_mean_s = 20.0;
   double churn_move_probability = 0.5;
-  double churn_roam_hysteresis_db = 6.0;
 };
 
 /// A built session: network + population dynamics + metadata.

@@ -344,7 +344,8 @@ void UserManager::tick() {
     }
   }
 
-  net_.simulator().in(config_.tick, [this] { tick(); });
+  // The population curve is sampled once per simulated second.
+  net_.simulator().in(sec(1), [this] { tick(); });
 }
 
 }  // namespace wlan::workload

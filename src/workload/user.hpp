@@ -132,8 +132,6 @@ struct UserManagerConfig {
   /// Fraction of users that enable RTS/CTS (paper: a small minority).
   double rtscts_fraction = 0.03;
   rate::ControllerConfig rate;
-  /// Sampling interval for tracking the population curve.
-  Microseconds tick{1'000'000};
   /// Position generator for new arrivals.
   std::function<phy::Position(util::Rng&)> placement;
 };
