@@ -96,55 +96,65 @@ RunOutput run_session_scenario(const RunSpec& run, workload::SessionKind kind,
   return out;
 }
 
-}  // namespace
+struct Entry {
+  const char* name;
+  ScenarioFn fn;
+};
 
-ScenarioRegistry::ScenarioRegistry() {
-  add("cell", run_cell_scenario);
-  add("hidden-terminal", run_hidden_terminal_scenario);
-  add("ietf-day", [](const RunSpec& run) {
-    return run_session_scenario(run, workload::SessionKind::kDay);
-  });
-  add("ietf-plenary", [](const RunSpec& run) {
-    return run_session_scenario(run, workload::SessionKind::kPlenary);
-  });
-  add("ietf-day-churn", [](const RunSpec& run) {
-    return run_session_scenario(run, workload::SessionKind::kDay, true);
-  });
-  add("ietf-plenary-churn", [](const RunSpec& run) {
-    return run_session_scenario(run, workload::SessionKind::kPlenary, true);
-  });
+/// The built-in scenarios, sorted by name (names() returns them in order).
+constexpr Entry kScenarios[] = {
+    {"cell", run_cell_scenario},
+    {"hidden-terminal", run_hidden_terminal_scenario},
+    {"ietf-day",
+     [](const RunSpec& run) {
+       return run_session_scenario(run, workload::SessionKind::kDay);
+     }},
+    {"ietf-day-churn",
+     [](const RunSpec& run) {
+       return run_session_scenario(run, workload::SessionKind::kDay, true);
+     }},
+    {"ietf-plenary",
+     [](const RunSpec& run) {
+       return run_session_scenario(run, workload::SessionKind::kPlenary);
+     }},
+    {"ietf-plenary-churn",
+     [](const RunSpec& run) {
+       return run_session_scenario(run, workload::SessionKind::kPlenary, true);
+     }},
+};
+
+ScenarioFn find_scenario(const std::string& name) {
+  for (const Entry& e : kScenarios) {
+    if (name == e.name) return e.fn;
+  }
+  return nullptr;
 }
 
-ScenarioRegistry& ScenarioRegistry::instance() {
-  static ScenarioRegistry registry;
+}  // namespace
+
+const ScenarioRegistry& ScenarioRegistry::instance() {
+  static const ScenarioRegistry registry;
   return registry;
 }
 
-void ScenarioRegistry::add(std::string name, ScenarioFn fn) {
-  if (!factories_.emplace(std::move(name), std::move(fn)).second) {
-    throw std::invalid_argument("ScenarioRegistry: duplicate scenario name");
-  }
-}
-
 bool ScenarioRegistry::contains(const std::string& name) const {
-  return factories_.count(name) != 0;
+  return find_scenario(name) != nullptr;
 }
 
 std::vector<std::string> ScenarioRegistry::names() const {
   std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, fn] : factories_) out.push_back(name);
-  return out;  // std::map iterates sorted
+  for (const Entry& e : kScenarios) out.emplace_back(e.name);
+  return out;
 }
 
 RunOutput ScenarioRegistry::run(const std::string& name,
                                 const RunSpec& run) const {
-  const auto it = factories_.find(name);
-  if (it == factories_.end()) {
+  const ScenarioFn fn = find_scenario(name);
+  if (!fn) {
     throw std::invalid_argument("ScenarioRegistry: unknown scenario \"" +
                                 name + "\"");
   }
-  return it->second(run);
+  return fn(run);
 }
 
 mac::TimingProfile parse_timing(std::string_view key) {

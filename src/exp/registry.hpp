@@ -5,16 +5,12 @@
 // The scenario registry is how benches and tools select what a RunSpec
 // executes at runtime ("cell", "ietf-day", "ietf-plenary") and how new
 // workloads plug into the experiment machinery without touching the runner:
-// register a factory once and every spec, manifest and CLI flag picks it up.
-//
-// Registration is not thread-safe; register before run_experiment spawns
-// workers (the runner touches instance() once up front, so the built-ins
-// are always safely constructed).
+// a scenario is one row in the table in registry.cpp, and every spec,
+// manifest and CLI flag picks it up.  The table is constant, so any thread
+// may read the registry.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,15 +41,12 @@ struct RunOutput {
   util::LogHistogram service_delay;
 };
 
-using ScenarioFn = std::function<RunOutput(const RunSpec&)>;
+using ScenarioFn = RunOutput (*)(const RunSpec&);
 
 class ScenarioRegistry {
  public:
-  /// The process-wide registry, pre-populated with the built-in scenarios.
-  static ScenarioRegistry& instance();
-
-  /// Registers a scenario; throws std::invalid_argument on a duplicate name.
-  void add(std::string name, ScenarioFn fn);
+  /// The process-wide registry of the built-in scenarios.
+  static const ScenarioRegistry& instance();
 
   [[nodiscard]] bool contains(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> names() const;  ///< sorted
@@ -63,8 +56,7 @@ class ScenarioRegistry {
   [[nodiscard]] RunOutput run(const std::string& name, const RunSpec& run) const;
 
  private:
-  ScenarioRegistry();
-  std::map<std::string, ScenarioFn> factories_;
+  ScenarioRegistry() = default;
 };
 
 // --- axis name maps --------------------------------------------------------

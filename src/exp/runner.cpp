@@ -60,10 +60,9 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   }
   const std::size_t n = runs.size();
 
-  // Touch the registry before spawning workers so its lazy construction
-  // (and any built-in registration) happens on one thread, and fail an
-  // unknown scenario name here, catchable, rather than inside a worker.
-  ScenarioRegistry& registry = ScenarioRegistry::instance();
+  // Fail an unknown scenario name here, catchable, rather than inside a
+  // worker.
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
   if (!registry.contains(spec.scenario)) {
     throw std::invalid_argument("run_experiment: unknown scenario \"" +
                                 spec.scenario + "\"");

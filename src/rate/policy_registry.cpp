@@ -10,40 +10,56 @@
 
 namespace wlan::rate {
 
-PolicyRegistry& PolicyRegistry::instance() {
-  static PolicyRegistry registry;
-  return registry;
-}
+namespace {
 
-PolicyRegistry::PolicyRegistry() {
-  add("arf", "ARF", [](const ControllerConfig& c, std::uint64_t) {
-    return std::make_unique<Arf>(c.up_threshold, c.down_threshold);
-  });
-  add("aarf", "AARF", [](const ControllerConfig& c, std::uint64_t) {
-    return std::make_unique<Aarf>(c.up_threshold, c.down_threshold);
-  });
-  add("snr", "SNR", [](const ControllerConfig& c, std::uint64_t) {
-    return std::make_unique<SnrThreshold>(c.snr_target, c.snr_frame_bytes);
-  });
-  add("fixed1", "FIXED-1", [](const ControllerConfig&, std::uint64_t) {
-    return std::make_unique<Fixed>(phy::Rate::kR1);
-  });
-  add("fixed11", "FIXED-11", [](const ControllerConfig&, std::uint64_t) {
-    return std::make_unique<Fixed>(phy::Rate::kR11);
-  });
-  add("minstrel", "MINSTREL", [](const ControllerConfig& c, std::uint64_t s) {
-    return std::make_unique<MinstrelLite>(c, s);
-  });
-}
+using Made = std::unique_ptr<RateController>;
 
-void PolicyRegistry::add(std::string key, std::string display_name,
-                         Factory factory) {
-  if (find(key) != nullptr) {
-    throw std::invalid_argument("PolicyRegistry: duplicate policy key \"" +
-                                key + "\"");
+struct Entry {
+  std::string_view key;
+  std::string_view display;
+  PolicyRegistry::Factory factory;
+};
+
+/// The built-in policies, in the order keys() presents them.
+constexpr Entry kPolicies[] = {
+    {"arf", "ARF",
+     [](const ControllerConfig& c, std::uint64_t) -> Made {
+       return std::make_unique<Arf>(c.up_threshold, c.down_threshold);
+     }},
+    {"aarf", "AARF",
+     [](const ControllerConfig& c, std::uint64_t) -> Made {
+       return std::make_unique<Aarf>(c.up_threshold, c.down_threshold);
+     }},
+    {"snr", "SNR",
+     [](const ControllerConfig& c, std::uint64_t) -> Made {
+       return std::make_unique<SnrThreshold>(c.snr_target, c.snr_frame_bytes);
+     }},
+    {"fixed1", "FIXED-1",
+     [](const ControllerConfig&, std::uint64_t) -> Made {
+       return std::make_unique<Fixed>(phy::Rate::kR1);
+     }},
+    {"fixed11", "FIXED-11",
+     [](const ControllerConfig&, std::uint64_t) -> Made {
+       return std::make_unique<Fixed>(phy::Rate::kR11);
+     }},
+    {"minstrel", "MINSTREL",
+     [](const ControllerConfig& c, std::uint64_t s) -> Made {
+       return std::make_unique<MinstrelLite>(c, s);
+     }},
+};
+
+const Entry* find(std::string_view key) {
+  for (const Entry& e : kPolicies) {
+    if (e.key == key) return &e;
   }
-  entries_.push_back({std::move(key), std::move(display_name),
-                      std::move(factory)});
+  return nullptr;
+}
+
+}  // namespace
+
+const PolicyRegistry& PolicyRegistry::instance() {
+  static const PolicyRegistry registry;
+  return registry;
 }
 
 bool PolicyRegistry::contains(std::string_view key) const {
@@ -52,8 +68,7 @@ bool PolicyRegistry::contains(std::string_view key) const {
 
 std::vector<std::string> PolicyRegistry::keys() const {
   std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.key);
+  for (const Entry& e : kPolicies) out.emplace_back(e.key);
   return out;
 }
 
@@ -71,7 +86,7 @@ std::unique_ptr<RateController> PolicyRegistry::make(
   const Entry* e = find(config.policy);
   if (e == nullptr) {
     std::string known;
-    for (const Entry& entry : entries_) {
+    for (const Entry& entry : kPolicies) {
       if (!known.empty()) known += ", ";
       known += entry.key;
     }
@@ -79,13 +94,6 @@ std::unique_ptr<RateController> PolicyRegistry::make(
                                 config.policy + "\" (known: " + known + ")");
   }
   return e->factory(config, stream_seed);
-}
-
-const PolicyRegistry::Entry* PolicyRegistry::find(std::string_view key) const {
-  for (const Entry& e : entries_) {
-    if (e.key == key) return &e;
-  }
-  return nullptr;
 }
 
 }  // namespace wlan::rate

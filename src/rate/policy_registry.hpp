@@ -3,12 +3,11 @@
 // One registry names every policy for the whole stack: stations construct
 // controllers from StationConfig's policy string, exp manifests carry the
 // same keys in their rate_policy column, and CLI flags / sweep axes
-// validate against keys().  Built-ins register in the singleton's
-// constructor; tests and future policy ablations may add() their own —
-// before any concurrent use, like ScenarioRegistry.
+// validate against keys().  A policy is one row in the table in
+// policy_registry.cpp; the table is constant, so any thread may read the
+// registry.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -25,18 +24,16 @@ class PolicyRegistry {
   /// deterministic policies ignore it, randomized ones (MinstrelLite's
   /// probe schedule) draw only from it, so runs stay pure functions of
   /// (seed, config).
-  using Factory = std::function<std::unique_ptr<RateController>(
-      const ControllerConfig& config, std::uint64_t stream_seed)>;
+  using Factory = std::unique_ptr<RateController> (*)(
+      const ControllerConfig& config, std::uint64_t stream_seed);
 
-  static PolicyRegistry& instance();
-
-  /// Registers a policy; throws std::invalid_argument on a duplicate key.
-  void add(std::string key, std::string display_name, Factory factory);
+  /// The process-wide registry of the built-in policies.
+  static const PolicyRegistry& instance();
 
   [[nodiscard]] bool contains(std::string_view key) const;
 
-  /// Keys in registration order (built-ins first) — the stable order CLI
-  /// help and sweep axes present.
+  /// Keys in table order — the stable order CLI help and sweep axes
+  /// present.
   [[nodiscard]] std::vector<std::string> keys() const;
 
   /// Human-readable name for tables and figure legends ("arf" -> "ARF");
@@ -49,17 +46,7 @@ class PolicyRegistry {
       const ControllerConfig& config, std::uint64_t stream_seed) const;
 
  private:
-  PolicyRegistry();  // registers the built-in policies
-
-  struct Entry {
-    std::string key;
-    std::string display;
-    Factory factory;
-  };
-
-  [[nodiscard]] const Entry* find(std::string_view key) const;
-
-  std::vector<Entry> entries_;
+  PolicyRegistry() = default;
 };
 
 }  // namespace wlan::rate

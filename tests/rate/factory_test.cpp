@@ -39,18 +39,12 @@ TEST(PolicyRegistryTest, DisplayNamesDistinct) {
   EXPECT_EQ(reg.display_name("minstrel"), "MINSTREL");
 }
 
-TEST(PolicyRegistryTest, UnknownAndDuplicateThrow) {
+TEST(PolicyRegistryTest, UnknownKeyThrows) {
   ControllerConfig cfg;
   cfg.policy = "carrier-pigeon";
   EXPECT_THROW((void)PolicyRegistry::instance().make(cfg, 1),
                std::invalid_argument);
   EXPECT_THROW((void)PolicyRegistry::instance().display_name("nope"),
-               std::invalid_argument);
-  EXPECT_THROW(PolicyRegistry::instance().add(
-                   "arf", "ARF-AGAIN",
-                   [](const ControllerConfig&, std::uint64_t) {
-                     return std::unique_ptr<RateController>{};
-                   }),
                std::invalid_argument);
 }
 
