@@ -124,7 +124,6 @@ class ChannelFilterReader final : public trace::TraceReader {
 void write_figure_set(const core::FigureAccumulator& acc,
                       const std::string& out_dir) {
   namespace fs = std::filesystem;
-  fs::create_directories(out_dir);
   const auto path = [&](const char* name) {
     return (fs::path(out_dir) / name).string();
   };
