@@ -57,7 +57,7 @@ inline void expect_same_ground_truth(const std::vector<trace::TxRecord>& a,
 
 // The figure pipeline consumes the merged capture through trace::write_csv
 // readers; identical CSV bytes means every downstream figure is identical.
-// The scratch file is named after the running test, so suites that ctest
+// The temporary file is named after the running test, so suites that ctest
 // runs in parallel never share one.
 inline std::string csv_bytes(const trace::Trace& trace) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
