@@ -12,7 +12,7 @@ namespace wlan::rate {
 
 namespace {
 
-using Made = std::unique_ptr<RateController>;
+using ControllerPtr = std::unique_ptr<RateController>;
 
 struct Entry {
   std::string_view key;
@@ -23,27 +23,27 @@ struct Entry {
 /// The built-in policies, in the order keys() presents them.
 constexpr Entry kPolicies[] = {
     {"arf", "ARF",
-     [](const ControllerConfig& c, std::uint64_t) -> Made {
+     [](const ControllerConfig& c, std::uint64_t) -> ControllerPtr {
        return std::make_unique<Arf>(c.up_threshold, c.down_threshold);
      }},
     {"aarf", "AARF",
-     [](const ControllerConfig& c, std::uint64_t) -> Made {
+     [](const ControllerConfig& c, std::uint64_t) -> ControllerPtr {
        return std::make_unique<Aarf>(c.up_threshold, c.down_threshold);
      }},
     {"snr", "SNR",
-     [](const ControllerConfig& c, std::uint64_t) -> Made {
+     [](const ControllerConfig& c, std::uint64_t) -> ControllerPtr {
        return std::make_unique<SnrThreshold>(c.snr_target, c.snr_frame_bytes);
      }},
     {"fixed1", "FIXED-1",
-     [](const ControllerConfig&, std::uint64_t) -> Made {
+     [](const ControllerConfig&, std::uint64_t) -> ControllerPtr {
        return std::make_unique<Fixed>(phy::Rate::kR1);
      }},
     {"fixed11", "FIXED-11",
-     [](const ControllerConfig&, std::uint64_t) -> Made {
+     [](const ControllerConfig&, std::uint64_t) -> ControllerPtr {
        return std::make_unique<Fixed>(phy::Rate::kR11);
      }},
     {"minstrel", "MINSTREL",
-     [](const ControllerConfig& c, std::uint64_t s) -> Made {
+     [](const ControllerConfig& c, std::uint64_t s) -> ControllerPtr {
        return std::make_unique<MinstrelLite>(c, s);
      }},
 };

@@ -90,7 +90,8 @@ class TraceIoTest : public ::testing::Test {
 };
 
 // On-disk layout: a 32-byte header, then 37-byte records with the rate byte
-// at +9 and the frame-type byte at +14.
+// at +9 and the frame-type byte at +14.  These are record 3's rate byte and
+// record 4's frame-type byte.
 constexpr std::size_t kRateByte = 32 + 37 * 3 + 9;
 constexpr std::size_t kTypeByte = 32 + 37 * 4 + 14;
 
