@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <thread>
 
 #include "phy/airtime.hpp"
 
@@ -18,6 +19,30 @@ std::size_t phase_participants(const NetworkConfig& config) {
   return std::clamp<std::size_t>(config.channels.size(), 1, shards);
 }
 
+/// Polls a phase-gate wait makes before it parks on the futex.  A phase's
+/// shard work is often tens of microseconds, less than a park and wake
+/// costs, so the wait polls first.  Each poll yields the core rather than
+/// spinning on `pause`, so with more threads than cores a descheduled
+/// participant still gets to run.  Counted in polls, not time: src/ reads
+/// no clock.
+constexpr int kPollsBeforePark = 2048;
+
+/// Waits until `done(word)` holds, and returns the value that satisfied it.
+template <class Done>
+std::uint32_t poll_then_park(const std::atomic<std::uint32_t>& word,
+                             Done done) {
+  std::uint32_t seen = word.load(std::memory_order_acquire);
+  for (int polls = 0; !done(seen) && polls < kPollsBeforePark; ++polls) {
+    std::this_thread::yield();
+    seen = word.load(std::memory_order_acquire);
+  }
+  while (!done(seen)) {
+    word.wait(seen, std::memory_order_acquire);
+    seen = word.load(std::memory_order_acquire);
+  }
+  return seen;
+}
+
 }  // namespace
 
 Network::Network(const NetworkConfig& config)
@@ -28,7 +53,6 @@ Network::Network(const NetworkConfig& config)
       single_queue_(config.reference ==
                     EngineOptions::Reference::kSingleQueue),
       participants_(phase_participants(config)),
-      phase_barrier_(static_cast<std::ptrdiff_t>(participants_)),
       phase_errors_(participants_) {
   const std::size_t n = channel_numbers_.size();
   channels_.reserve(n);
@@ -63,7 +87,8 @@ Network::Network(const NetworkConfig& config)
 Network::~Network() {
   if (workers_.empty()) return;
   stop_ = true;
-  phase_barrier_.arrive_and_wait();
+  phase_epoch_.fetch_add(1, std::memory_order_release);
+  phase_epoch_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -221,9 +246,16 @@ void Network::run_shard_phase(Microseconds until,
   phase_until_ = until;
   phase_marks_ = marks;
   in_parallel_phase_ = true;
-  phase_barrier_.arrive_and_wait();  // start
+  if (!workers_.empty()) {
+    pending_.store(static_cast<std::uint32_t>(workers_.size()),
+                   std::memory_order_relaxed);
+    phase_epoch_.fetch_add(1, std::memory_order_release);
+    phase_epoch_.notify_all();
+  }
   run_shards(0);
-  phase_barrier_.arrive_and_wait();  // done
+  if (!workers_.empty()) {
+    poll_then_park(pending_, [](std::uint32_t left) { return left == 0; });
+  }
   in_parallel_phase_ = false;
   // The lowest participant's throw wins; every slot is cleared for the next
   // phase.
@@ -247,18 +279,25 @@ void Network::run_shards(std::size_t participant) {
       }
     }
   } catch (...) {
-    // Held for the done crossing: a participant that threw past it would
-    // leave the others parked there, and the destructor's join would hang.
+    // Held until the phase joins: a worker that threw past its decrement
+    // would leave the driver waiting on pending_ forever.
     phase_errors_[participant] = std::current_exception();
   }
 }
 
 void Network::worker_loop(std::size_t participant) {
+  // Starts from the constructor's epoch, not a fresh load: the first phase
+  // (or the destructor) may bump it before this thread runs.  Epochs are
+  // compared only for inequality, so wraparound is harmless.
+  std::uint32_t epoch = 0;
   for (;;) {
-    phase_barrier_.arrive_and_wait();  // start
+    epoch = poll_then_park(
+        phase_epoch_, [epoch](std::uint32_t now) { return now != epoch; });
     if (stop_) return;
     run_shards(participant);
-    phase_barrier_.arrive_and_wait();  // done
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      pending_.notify_one();
+    }
   }
 }
 

@@ -11,7 +11,7 @@
 // worker-thread count and never changes any output byte.
 #pragma once
 
-#include <barrier>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -211,20 +211,25 @@ class Network {
   bool single_queue_ = false;
   bool in_parallel_phase_ = false;
 
-  // Phase barrier.  W = min(shards, channels) participants: the thread in
-  // run_for is participant 0 and W - 1 workers are the rest.  A phase is
-  // two crossings, start and done; they also publish the phase bound, the
-  // watermarks, the stop flag and each participant's error, which only
-  // change between phases.  Shard -> participant assignment is static
-  // round-robin, so shard i's events always run under shard_metrics_[i]
-  // whichever thread runs them.
+  // Phase gate (fork/join).  W = min(shards, channels) participants: the
+  // thread in run_for is participant 0 and W - 1 workers are the rest.  The
+  // driver forks a phase by storing pending_ = W - 1 and bumping
+  // phase_epoch_ (release); a worker waits for the next epoch, runs its
+  // share and decrements pending_ (acq_rel); the driver joins when pending_
+  // reads 0 (acquire).  The epoch publishes the phase bound, the watermarks
+  // and the stop flag, and the join publishes each participant's error;
+  // all of them only change between phases.  Shard -> participant
+  // assignment is static round-robin, so shard i's events always run under
+  // shard_metrics_[i] whichever thread runs them.
   std::size_t participants_ = 1;
-  std::barrier<> phase_barrier_;
+  std::atomic<std::uint32_t> phase_epoch_{0};
+  std::atomic<std::uint32_t> pending_{0};
   Microseconds phase_until_{0};
   const std::vector<std::uint64_t>* phase_marks_ = nullptr;
   bool stop_ = false;
   /// A shard event's throw, per participant, rethrown by run_shard_phase
-  /// after the done crossing so no participant is left parked at it.
+  /// once pending_ reads 0, so no worker is still running when the caller
+  /// unwinds.
   std::vector<std::exception_ptr> phase_errors_;
   std::vector<std::thread> workers_;
 };

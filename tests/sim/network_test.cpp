@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "trace/merge.hpp"
 
@@ -177,17 +179,52 @@ TEST(NetworkTest, DeterministicAcrossRuns) {
 }
 
 // A shard event's throw reaches run_for's caller whichever thread ran it,
-// and leaves no worker parked: the destructor still joins them.
+// and only after every worker has finished the phase: each case then reads
+// every lane's clock, which would race with a still-running worker (TSan).
+// The lowest participant's throw wins, so a throw from channel 1 (shard 0,
+// the caller's own share) beats one from channel 11 in the same phase.
 TEST(NetworkTest, ShardEventThrowReachesTheCaller) {
+  struct Case {
+    std::vector<std::uint8_t> throwing;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {{11}, "channel 11"}, {{1}, "channel 1"}, {{1, 11}, "channel 1"}};
   for (const int shards : {1, 3}) {
-    NetworkConfig cfg = tri_channel();
-    cfg.shards = shards;
-    Network net(cfg);
-    net.channel(11).simulator().in(
-        msec(1), [] { throw std::runtime_error("shard event"); });
-    EXPECT_THROW(net.run_for(msec(5)), std::runtime_error)
-        << "shards " << shards;
+    for (const Case& c : cases) {
+      NetworkConfig cfg = tri_channel();
+      cfg.shards = shards;
+      Network net(cfg);
+      // Channels 6 and 11 stay busy through the phase the throw ends.
+      for (const std::uint8_t ch : {6, 11}) {
+        Simulator& lane = net.channel(ch).simulator();
+        for (int t = 1; t < 5000; t += 5) lane.at(usec(t), [] {});
+      }
+      for (const std::uint8_t ch : c.throwing) {
+        const std::string what = "channel " + std::to_string(ch);
+        net.channel(ch).simulator().in(
+            msec(1), [what] { throw std::runtime_error(what); });
+      }
+      try {
+        net.run_for(msec(5));
+        ADD_FAILURE() << "no throw; shards " << shards;
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(e.what(), c.message) << "shards " << shards;
+      }
+      for (const std::uint8_t ch : net.channel_numbers()) {
+        EXPECT_LE(net.channel(ch).simulator().now(), msec(5));
+      }
+    }
   }
+}
+
+// Workers wait for the first phase from construction on; a Network that
+// never runs must still stop and join them.
+TEST(NetworkTest, ShardedNetworkThatNeverRunsJoinsItsWorkers) {
+  NetworkConfig cfg = tri_channel();
+  cfg.shards = 3;
+  { Network net(cfg); }
+  SUCCEED();
 }
 
 // Shard events must never schedule onto the control lane (see
