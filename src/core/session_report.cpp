@@ -48,11 +48,15 @@ SessionSummary summarize(const AnalysisResult& analysis) {
   s.knee_utilization_pct = detect_saturation_knee(analysis);
 
   s.congestion = breakdown(analysis);
-  if (s.congestion.high >= s.congestion.moderate &&
-      s.congestion.high >= s.congestion.uncongested) {
-    s.dominant_level = CongestionLevel::kHigh;
-  } else if (s.congestion.moderate >= s.congestion.uncongested) {
-    s.dominant_level = CongestionLevel::kModerate;
+  const CongestionBreakdown& c = s.congestion;
+  // Ties go to the higher level.  With no classified second the default
+  // kUncongested stands, as the 0% mean utilization says.
+  if (c.uncongested + c.moderate + c.high > 0) {
+    if (c.high >= c.moderate && c.high >= c.uncongested) {
+      s.dominant_level = CongestionLevel::kHigh;
+    } else if (c.moderate >= c.uncongested) {
+      s.dominant_level = CongestionLevel::kModerate;
+    }
   }
 
   s.unrecorded_pct = analysis.unrecorded.unrecorded_pct();

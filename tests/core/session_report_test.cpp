@@ -88,8 +88,10 @@ TEST(SessionReportEmpty, EmptyAnalysisSafe) {
   const auto summary = summarize(AnalysisResult{});
   EXPECT_EQ(summary.frames, 0u);
   EXPECT_DOUBLE_EQ(summary.mean_utilization_pct, 0.0);
+  // No classified second: an empty capture is not "highly congested".
+  EXPECT_EQ(summary.dominant_level, CongestionLevel::kUncongested);
   const std::string text = render_summary(summary);
-  EXPECT_FALSE(text.empty());
+  EXPECT_NE(text.find("congestion   : uncongested"), std::string::npos);
 }
 
 }  // namespace
