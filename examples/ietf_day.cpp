@@ -9,13 +9,13 @@
 // user counts (Figure 4b), per-AP activity (Figure 4a) and unrecorded
 // percentages (Figure 4c).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/analyzer.hpp"
 #include "core/per_ap.hpp"
 #include "core/unrecorded.hpp"
 #include "core/utilization.hpp"
+#include "exp/args.hpp"
 #include "trace/merge.hpp"
 #include "trace/trace_io.hpp"
 #include "util/ascii_chart.hpp"
@@ -26,8 +26,11 @@ int main(int argc, char** argv) {
 
   workload::ScenarioConfig cfg;
   cfg.seed = 62;
-  cfg.duration_s = argc > 1 ? std::atof(argv[1]) : 120.0;
-  cfg.scale = argc > 2 ? std::atof(argv[2]) : 0.2;
+  const std::string usage =
+      std::string("usage: ") + argv[0] + " [duration_s] [scale]";
+  cfg.duration_s =
+      argc > 1 ? exp::positive_arg(argv[1], "duration_s", usage) : 120.0;
+  cfg.scale = argc > 2 ? exp::positive_arg(argv[2], "scale", usage) : 0.2;
   // Daytime: parallel sessions, moderate per-user activity (the paper's day
   // channels hovered around 55% utilization).
   cfg.profile.mean_pps *= 3.0;

@@ -7,11 +7,12 @@
 // 11).  Compared with the day session the sniffers sit close to everyone,
 // so captured utilization is much higher — the paper's Figure 5 contrast.
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
 #include "core/analyzer.hpp"
 #include "core/congestion.hpp"
 #include "core/utilization.hpp"
+#include "exp/args.hpp"
 #include "util/ascii_chart.hpp"
 #include "workload/scenario.hpp"
 
@@ -20,8 +21,11 @@ int main(int argc, char** argv) {
 
   workload::ScenarioConfig cfg;
   cfg.seed = 63;
-  cfg.duration_s = argc > 1 ? std::atof(argv[1]) : 120.0;
-  cfg.scale = argc > 2 ? std::atof(argv[2]) : 0.2;
+  const std::string usage =
+      std::string("usage: ") + argv[0] + " [duration_s] [scale]";
+  cfg.duration_s =
+      argc > 1 ? exp::positive_arg(argv[1], "duration_s", usage) : 120.0;
+  cfg.scale = argc > 2 ? exp::positive_arg(argv[2], "scale", usage) : 0.2;
   // Plenary evenings: everyone in one room, laptops busy (the paper's
   // plenary channels sat near 86% utilization).
   cfg.profile.mean_pps *= 6.0;

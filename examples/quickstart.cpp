@@ -7,12 +7,14 @@
 // run it, analyze the sniffer trace, classify congestion, and print the
 // headline metrics.
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <string>
 
 #include "core/analyzer.hpp"
 #include "core/congestion.hpp"
 #include "core/unrecorded.hpp"
 #include "core/utilization.hpp"
+#include "exp/args.hpp"
 #include "workload/scenario.hpp"
 
 int main(int argc, char** argv) {
@@ -20,7 +22,11 @@ int main(int argc, char** argv) {
 
   workload::CellConfig cell;
   cell.seed = 42;
-  cell.num_users = argc > 1 ? std::atoi(argv[1]) : 30;
+  const std::string usage = std::string("usage: ") + argv[0] + " [num_users]";
+  cell.num_users =
+      argc > 1 ? exp::int_arg(argv[1], "num_users", 1,
+                              std::numeric_limits<int>::max(), usage)
+               : 30;
   cell.duration_s = 20.0;
 
   std::printf("Simulating one 802.11b channel: %d users, %.0f s...\n",

@@ -10,13 +10,13 @@
 // which inflates airtime and collapses goodput; SNR-based selection does
 // not.
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
-
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "core/analyzer.hpp"
 #include "core/utilization.hpp"
+#include "exp/args.hpp"
 #include "rate/policy_registry.hpp"
 #include "util/ascii_chart.hpp"
 #include "workload/scenario.hpp"
@@ -24,7 +24,11 @@
 int main(int argc, char** argv) {
   using namespace wlan;
 
-  const int users = argc > 1 ? std::atoi(argv[1]) : 40;
+  const std::string usage = std::string("usage: ") + argv[0] + " [num_users]";
+  const int users =
+      argc > 1 ? exp::int_arg(argv[1], "num_users", 1,
+                              std::numeric_limits<int>::max(), usage)
+               : 40;
   const std::vector<std::string> policies = {"arf", "aarf", "snr", "minstrel",
                                              "fixed11"};
 

@@ -7,14 +7,16 @@
 // usable on externally produced captures.  Utilization (Eq. 8) is a
 // per-channel quantity: pass --channel to restrict a multi-channel merge.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/analyzer.hpp"
 #include "core/per_ap.hpp"
 #include "core/session_report.hpp"
+#include "exp/args.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace_io.hpp"
 
@@ -29,11 +31,35 @@ bool ends_with(const std::string& s, const char* suffix) {
 
 int main(int argc, char** argv) {
   using namespace wlan;
+  const std::string usage =
+      std::string("usage: ") + argv[0] +
+      " <capture.{trace,csv,pcap}> [--channel N] [--csv out] [--pcap out]";
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <capture.{trace,csv,pcap}> [--csv out] [--pcap out]\n",
-                 argv[0]);
+    std::fprintf(stderr, "%s\n", usage.c_str());
     return 2;
+  }
+  // Flag/value pairs after the capture, each applied in command-line order:
+  // --channel filters before the analysis, the exports run after it.
+  std::vector<int> wanted_channels;
+  std::vector<std::pair<std::string, std::string>> exports;
+  for (int i = 2; i < argc; i += 2) {
+    const std::string flag = argv[i];
+    if (flag != "--channel" && flag != "--csv" && flag != "--pcap") {
+      std::fprintf(stderr, "unknown flag %s\n%s\n", flag.c_str(),
+                   usage.c_str());
+      return 2;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n%s\n", flag.c_str(),
+                   usage.c_str());
+      return 2;
+    }
+    if (flag == "--channel") {
+      wanted_channels.push_back(
+          exp::int_arg(argv[i + 1], "--channel", 1, 14, usage));
+    } else {
+      exports.emplace_back(flag, argv[i + 1]);
+    }
   }
 
   // Read errors, an unsorted capture (the analyzer throws) and failed
@@ -49,16 +75,12 @@ int main(int argc, char** argv) {
       capture = trace::read_binary(path);
     }
 
-    // Optional --channel filter (must run before the analysis).
-    for (int i = 2; i + 1 < argc; i += 2) {
-      if (!std::strcmp(argv[i], "--channel")) {
-        const int wanted = std::atoi(argv[i + 1]);
-        std::erase_if(capture.records, [wanted](const auto& r) {
-          return int{r.channel} != wanted;
-        });
-        std::printf("filtered to channel %d: %zu records remain\n", wanted,
-                    capture.records.size());
-      }
+    for (const int wanted : wanted_channels) {
+      std::erase_if(capture.records, [wanted](const auto& r) {
+        return int{r.channel} != wanted;
+      });
+      std::printf("filtered to channel %d: %zu records remain\n", wanted,
+                  capture.records.size());
     }
 
     std::set<int> channels;
@@ -85,14 +107,13 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
 
-    for (int i = 2; i + 1 < argc; i += 2) {
-      if (!std::strcmp(argv[i], "--csv")) {
-        trace::write_csv(capture, argv[i + 1]);
-        std::printf("wrote %s\n", argv[i + 1]);
-      } else if (!std::strcmp(argv[i], "--pcap")) {
-        trace::write_pcap(capture, argv[i + 1]);
-        std::printf("wrote %s\n", argv[i + 1]);
+    for (const auto& [flag, out] : exports) {
+      if (flag == "--csv") {
+        trace::write_csv(capture, out);
+      } else {
+        trace::write_pcap(capture, out);
       }
+      std::printf("wrote %s\n", out.c_str());
     }
     return 0;
   } catch (const std::exception& e) {

@@ -1,6 +1,7 @@
 #include "exp/args.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -69,17 +70,14 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
       }
       return argv[++i];
     };
-    // Numeric values must be the whole token: "2x" is a typo, not 2.
     auto positive_int = [&]() {
-      const char* v = value();
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || parsed < 1 ||
-          parsed > std::numeric_limits<int>::max()) {
+      const auto parsed =
+          parse_integer(value(), 1, std::numeric_limits<int>::max());
+      if (!parsed) {
         std::fprintf(stderr, "%s wants a positive integer\n", flag.c_str());
         usage(what, 2);
       }
-      return static_cast<int>(parsed);
+      return static_cast<int>(*parsed);
     };
     if (flag == "--help" || flag == "-h") {
       usage(what, 0);
@@ -90,25 +88,22 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
     } else if (flag == "--seeds") {
       args.seeds = positive_int();
     } else if (flag == "--duration") {
-      const char* v = value();
-      char* end = nullptr;
-      args.duration_s = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !std::isfinite(args.duration_s) ||
-          args.duration_s <= 0.0) {
+      const auto parsed = parse_positive(value());
+      if (!parsed) {
         std::fprintf(stderr, "--duration wants positive seconds\n");
         usage(what, 2);
       }
+      args.duration_s = *parsed;
     } else if (flag == "--out-dir") {
       args.out_dir = value();
     } else if (flag == "--only") {
-      const char* v = value();
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || parsed < 0) {
+      const auto parsed =
+          parse_integer(value(), 0, std::numeric_limits<long long>::max());
+      if (!parsed) {
         std::fprintf(stderr, "--only wants a non-negative run index\n");
         usage(what, 2);
       }
-      args.only_run = static_cast<std::size_t>(parsed);
+      args.only_run = static_cast<std::size_t>(*parsed);
     } else if (flag == "--churn") {
       const std::string list = value();
       std::size_t pos = 0;
@@ -160,6 +155,59 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
     }
   }
   return args;
+}
+
+std::optional<long long> parse_integer(const char* token, long long lo,
+                                       long long hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(token, &end, 10);
+  if (end == token || *end != '\0' || errno == ERANGE || parsed < lo ||
+      parsed > hi) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
+std::optional<double> parse_positive(const char* token) {
+  char* end = nullptr;
+  const double parsed = std::strtod(token, &end);
+  if (end == token || *end != '\0' || !std::isfinite(parsed) ||
+      parsed <= 0.0) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
+int int_arg(const char* token, const char* name, int lo, int hi,
+            std::string_view usage) {
+  const auto parsed = parse_integer(token, lo, hi);
+  if (!parsed) {
+    if (hi == std::numeric_limits<int>::max()) {
+      std::fprintf(stderr, "%s wants a whole number of at least %d, not '%s'\n",
+                   name, lo, token);
+    } else {
+      std::fprintf(stderr, "%s wants a whole number from %d to %d, not '%s'\n",
+                   name, lo, hi, token);
+    }
+    std::fprintf(stderr, "%.*s\n", static_cast<int>(usage.size()),
+                 usage.data());
+    std::exit(2);
+  }
+  return static_cast<int>(*parsed);
+}
+
+double positive_arg(const char* token, const char* name,
+                    std::string_view usage) {
+  const auto parsed = parse_positive(token);
+  if (!parsed) {
+    std::fprintf(stderr, "%s wants a positive number, not '%s'\n", name,
+                 token);
+    std::fprintf(stderr, "%.*s\n", static_cast<int>(usage.size()),
+                 usage.data());
+    std::exit(2);
+  }
+  return *parsed;
 }
 
 void apply_args(const BenchArgs& args, ExperimentSpec& spec) {
