@@ -29,6 +29,38 @@ void dump_trace_at_exit() {
 }
 #endif
 
+/// Whole-token number parsers: the value must be the entire token ("2x" is
+/// a typo, not 2) and lie in [lo, hi], or be positive and finite ("inf" and
+/// "nan" are no duration); nullopt when it does not.
+std::optional<long long> parse_integer(const char* token, long long lo,
+                                       long long hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(token, &end, 10);
+  if (end == token || *end != '\0' || errno == ERANGE || parsed < lo ||
+      parsed > hi) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
+std::optional<double> parse_positive(const char* token) {
+  char* end = nullptr;
+  const double parsed = std::strtod(token, &end);
+  if (end == token || *end != '\0' || !std::isfinite(parsed) ||
+      parsed <= 0.0) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
+/// An example's bad argument: prints its usage line and exits 2.
+[[noreturn]] void exit_with_usage(std::string_view usage) {
+  std::fprintf(stderr, "%.*s\n", static_cast<int>(usage.size()),
+               usage.data());
+  std::exit(2);
+}
+
 [[noreturn]] void usage(std::string_view what, int code) {
   std::FILE* out = code == 0 ? stdout : stderr;
   std::fprintf(out, "%.*s\n\n", static_cast<int>(what.size()), what.data());
@@ -157,57 +189,26 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
   return args;
 }
 
-std::optional<long long> parse_integer(const char* token, long long lo,
-                                       long long hi) {
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(token, &end, 10);
-  if (end == token || *end != '\0' || errno == ERANGE || parsed < lo ||
-      parsed > hi) {
-    return std::nullopt;
-  }
-  return parsed;
-}
-
-std::optional<double> parse_positive(const char* token) {
-  char* end = nullptr;
-  const double parsed = std::strtod(token, &end);
-  if (end == token || *end != '\0' || !std::isfinite(parsed) ||
-      parsed <= 0.0) {
-    return std::nullopt;
-  }
-  return parsed;
-}
-
 int int_arg(const char* token, const char* name, int lo, int hi,
             std::string_view usage) {
-  const auto parsed = parse_integer(token, lo, hi);
-  if (!parsed) {
-    if (hi == std::numeric_limits<int>::max()) {
-      std::fprintf(stderr, "%s wants a whole number of at least %d, not '%s'\n",
-                   name, lo, token);
-    } else {
-      std::fprintf(stderr, "%s wants a whole number from %d to %d, not '%s'\n",
-                   name, lo, hi, token);
-    }
-    std::fprintf(stderr, "%.*s\n", static_cast<int>(usage.size()),
-                 usage.data());
-    std::exit(2);
+  if (const auto parsed = parse_integer(token, lo, hi)) {
+    return static_cast<int>(*parsed);
   }
-  return static_cast<int>(*parsed);
+  if (hi == std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "%s wants a whole number of at least %d, not '%s'\n",
+                 name, lo, token);
+  } else {
+    std::fprintf(stderr, "%s wants a whole number from %d to %d, not '%s'\n",
+                 name, lo, hi, token);
+  }
+  exit_with_usage(usage);
 }
 
 double positive_arg(const char* token, const char* name,
                     std::string_view usage) {
-  const auto parsed = parse_positive(token);
-  if (!parsed) {
-    std::fprintf(stderr, "%s wants a positive number, not '%s'\n", name,
-                 token);
-    std::fprintf(stderr, "%.*s\n", static_cast<int>(usage.size()),
-                 usage.data());
-    std::exit(2);
-  }
-  return *parsed;
+  if (const auto parsed = parse_positive(token)) return *parsed;
+  std::fprintf(stderr, "%s wants a positive number, not '%s'\n", name, token);
+  exit_with_usage(usage);
 }
 
 void apply_args(const BenchArgs& args, ExperimentSpec& spec) {

@@ -46,19 +46,11 @@ struct BenchArgs {
                                          std::string_view what,
                                          bool allow_positionals = false);
 
-/// The whole-token number parsers behind the flags above: the value must be
-/// the entire token ("2x" is a typo, not 2) and lie in [lo, hi]; nullopt
-/// when it does not.
-[[nodiscard]] std::optional<long long> parse_integer(const char* token,
-                                                     long long lo,
-                                                     long long hi);
-/// A positive, finite number ("inf" and "nan" are no duration).
-[[nodiscard]] std::optional<double> parse_positive(const char* token);
-
 /// The examples' own arguments (`quickstart 30`, `ietf_day 10 0.1`,
-/// `trace_tool cap.pcap --channel 6`), parsed like the flags above.  On a
-/// bad value each prints which argument `name` wants what, then `usage`,
-/// to stderr and exits 2.
+/// `trace_tool cap.pcap --channel 6`), parsed like the numeric flags above:
+/// the value must be the whole token and lie in [lo, hi] (int_arg) or be
+/// positive and finite (positive_arg).  On a bad value each prints what
+/// argument `name` wants, then `usage`, to stderr and exits 2.
 [[nodiscard]] int int_arg(const char* token, const char* name, int lo, int hi,
                           std::string_view usage);
 [[nodiscard]] double positive_arg(const char* token, const char* name,

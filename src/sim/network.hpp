@@ -47,7 +47,9 @@ struct EngineOptions {
   enum class Reference : std::uint8_t { kNone, kScalarReception, kSingleQueue };
   /// Threads for the parallel shard phases, the caller's own included:
   /// purely a thread count, clamped to [1, channels.size()] (1 runs the
-  /// phases on the caller's thread and starts no worker).
+  /// phases on the caller's thread and starts no worker).  More threads
+  /// than cores (runner threads x shards) degrade gracefully: a phase
+  /// wait yields its core while it polls, then parks.
   int shards = 1;
   Reference reference = Reference::kNone;
 };
