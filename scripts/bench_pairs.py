@@ -42,9 +42,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
-                          stdout=subprocess.PIPE, text=True).stdout.strip()
+def revision(rev: str) -> str:
+    """The full commit id `rev` names; exits on a bad revision."""
+    done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify",
+                           "--quiet", rev + "^{commit}"],
+                          stdout=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        sys.exit(f"bench_pairs: {rev} names no commit")
+    return done.stdout.strip()
 
 
 def export(rev: str, dest: Path) -> None:
@@ -137,8 +142,7 @@ def main() -> int:
 
     with open(ROOT / "BENCHMARK.json") as f:
         spec = json.load(f)
-    revs = {"parent": git("rev-parse", "--verify", args.base + "^{commit}"),
-            "change": git("rev-parse", "--verify", args.change + "^{commit}")}
+    revs = {"parent": revision(args.base), "change": revision(args.change)}
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         trees = {}
