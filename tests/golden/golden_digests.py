@@ -24,6 +24,10 @@ import tempfile
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "digests.txt")
 
+# Registry scenarios whose manifests are pinned: the two churn sessions and
+# the hidden-terminal cell.  run_experiment's stdout carries a wall time.
+EXPERIMENTS = ["ietf-day-churn", "ietf-plenary-churn", "hidden-terminal"]
+
 # (artifact, argv): argv[0] names a binary in the build directory, and the
 # command's stdout is the artifact (None: the stdout is not pinned).  Commands
 # run in order in one directory: example_trace_tool reads the capture
@@ -31,11 +35,16 @@ DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 # the pcaps the first one writes.
 COMMANDS = [
     ("bench_fig04_ap_activity.stdout", ["bench_fig04_ap_activity"]),
+    ("bench_fig05_utilization.stdout", ["bench_fig05_utilization"]),
     ("bench_tab1_datasets.stdout", ["bench_tab1_datasets"]),
     ("bench_ablation_estimator.stdout",
      ["bench_ablation_estimator", "--threads", "2", "--seeds", "1",
       "--duration", "4", "--quiet", "--out-dir", "."]),
     ("example_ietf_day.stdout", ["example_ietf_day"]),
+    ("example_ietf_plenary.stdout", ["example_ietf_plenary"]),
+    ("example_quickstart.stdout", ["example_quickstart"]),
+    ("example_rate_adaptation_study.stdout",
+     ["example_rate_adaptation_study"]),
     ("example_trace_tool.stdout", ["example_trace_tool", "ietf_day.trace"]),
     (None,
      ["example_wlan_analyze", "--sim-capture", "cap", "--duration", "5",
@@ -43,7 +52,9 @@ COMMANDS = [
     ("example_wlan_analyze.stdout",
      ["example_wlan_analyze", "cap/sniffer0.pcap", "cap/sniffer1.pcap",
       "--out-dir", "figs"]),
-]
+] + [(None, ["example_run_experiment", name, "--threads", "2", "--seeds", "1",
+             "--duration", "20", "--quiet", "--out-dir", "."])
+     for name in EXPERIMENTS]
 
 
 def drop_last_column(data: bytes) -> bytes:
@@ -54,6 +65,8 @@ def drop_last_column(data: bytes) -> bytes:
 
 # (artifact, file written by COMMANDS, transform before hashing)
 FILES = [
+    ("fig05_day.csv", "fig05_day.csv", lambda b: b),
+    ("fig05_plenary.csv", "fig05_plenary.csv", lambda b: b),
     ("ietf_day.trace", "ietf_day.trace", lambda b: b),
     ("ablation_estimator_manifest.csv", "ablation_estimator_manifest.csv",
      drop_last_column),
@@ -62,7 +75,8 @@ FILES = [
     ("wlan_analyze_fig05_seconds.csv", "figs/fig05_seconds.csv", lambda b: b),
     ("wlan_analyze_fig06.csv", "figs/fig06.csv", lambda b: b),
     ("wlan_analyze_fig15.csv", "figs/fig15.csv", lambda b: b),
-]
+] + [(f"run_experiment_{name}_manifest.csv", f"example_{name}_manifest.csv",
+      drop_last_column) for name in EXPERIMENTS]
 
 
 def digest(data: bytes) -> str:
