@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   spec.timings = {"standard"};
   spec.loads = {{6, 60.0, 0.25, 3}, {10, 60.0, 0.25, 3},
                 {14, 60.0, 0.25, 3}, {18, 60.0, 0.25, 3}};
-  spec.base.profile.closed_loop = true;
   spec.base.profile.uplink_fraction = 0.5;
   // A weaker sniffer so there is something to estimate.
   spec.base.sniffer_capacity_fps = 600.0;

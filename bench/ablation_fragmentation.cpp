@@ -58,7 +58,6 @@ double contended_goodput(std::uint32_t threshold) {
   cell.far_fraction = 0.0;
   cell.duration_s = 15.0;
   cell.timing = mac::TimingProfile::kStandard;
-  cell.profile.closed_loop = true;
   cell.profile.window = 3;
   cell.profile.uplink_fraction = 0.5;
   // run_cell has no frag knob (fragmentation is a station-level setting),

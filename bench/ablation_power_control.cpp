@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
   spec.power_margins = {-1.0, 3.0};  // off / boost to 11 Mbps SNR + 3 dB
   spec.timings = {"standard"};
   spec.loads = {{6, 60.0, 0.5, 2}, {8, 60.0, 0.5, 2}, {14, 60.0, 0.5, 2}};
-  spec.base.profile.closed_loop = true;
   spec.base.profile.uplink_fraction = 0.8;
   exp::apply_args(args, spec);
 

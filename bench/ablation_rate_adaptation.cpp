@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   spec.rate_policies = {"arf", "aarf", "snr", "minstrel", "fixed11", "fixed1"};
   spec.timings = {"standard"};
   spec.loads = {{14, 60.0, 0.3, 3}};
-  spec.base.profile.closed_loop = true;
   spec.base.profile.uplink_fraction = 0.5;
   exp::apply_args(args, spec);
 

@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   spec.rtscts_fractions = {0.0, 0.1, 0.25, 0.5, 1.0};
   spec.timings = {"standard"};
   spec.loads = {{16, 60.0, 0.25, 3}};
-  spec.base.profile.closed_loop = true;
   spec.base.profile.uplink_fraction = 0.5;
   exp::apply_args(args, spec);
 

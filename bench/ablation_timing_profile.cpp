@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   spec.duration_s = 20.0;
   spec.timings = {"paper", "standard"};
   spec.loads = {{8, 60.0, 0.2, 3}, {16, 60.0, 0.2, 3}};
-  spec.base.profile.closed_loop = true;
   spec.base.profile.uplink_fraction = 0.5;
   exp::apply_args(args, spec);
 

@@ -24,7 +24,6 @@ exp::ExperimentSpec standard_spec(const std::string& name,
   spec.timings = {"paper"};
 
   spec.base.rate = opt.rate;
-  spec.base.profile.closed_loop = true;
   spec.base.profile.uplink_fraction = 0.5;
   // Conference mix skewed toward full-MTU transfers (the paper's peak
   // throughput implies XL-11 dominance).

@@ -80,7 +80,6 @@ void BM_SimulatedSecond(benchmark::State& state) {
     cell.duration_s = 1.5;
     cell.warmup_s = 0.5;
     cell.timing = mac::TimingProfile::kStandard;
-    cell.profile.closed_loop = true;
     cell.profile.window = 3;
     benchmark::DoNotOptimize(workload::run_cell(cell));
   }
@@ -95,7 +94,6 @@ void BM_AnalyzeTrace(benchmark::State& state) {
   cell.per_user_pps = 60.0;
   cell.duration_s = 10.0;
   cell.timing = mac::TimingProfile::kStandard;
-  cell.profile.closed_loop = true;
   cell.profile.window = 3;
   const auto result = workload::run_cell(cell);
   const core::TraceAnalyzer analyzer;
@@ -116,7 +114,6 @@ void BM_StreamingAnalyzeDrain(benchmark::State& state) {
   cell.per_user_pps = 60.0;
   cell.duration_s = 10.0;
   cell.timing = mac::TimingProfile::kStandard;
-  cell.profile.closed_loop = true;
   cell.profile.window = 3;
   const auto result = workload::run_cell(cell);
   for (auto _ : state) {
@@ -141,7 +138,6 @@ void BM_MergeSnifferTraces(benchmark::State& state) {
   cell.num_users = 10;
   cell.per_user_pps = 40.0;
   cell.duration_s = 6.0;
-  cell.profile.closed_loop = true;
   cell.num_sniffers = 2;
   const auto result = workload::run_cell(cell);
   for (auto _ : state) {
@@ -161,7 +157,6 @@ void BM_PcapReaderStream(benchmark::State& state) {
   cell.num_users = 10;
   cell.per_user_pps = 40.0;
   cell.duration_s = 6.0;
-  cell.profile.closed_loop = true;
   const auto result = workload::run_cell(cell);
   const std::string path = "bench_pcap_reader.pcap";
   trace::write_pcap(result.trace, path);

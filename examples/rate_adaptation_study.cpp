@@ -49,7 +49,6 @@ int main(int argc, char** argv) {
     cell.per_user_pps = 60.0;
     cell.far_fraction = 0.3;
     cell.timing = mac::TimingProfile::kStandard;
-    cell.profile.closed_loop = true;
     cell.profile.window = 3;
     cell.profile.uplink_fraction = 0.5;
 

@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   spec.duration_s = 10.0;
   // A small load ladder; session scenarios read `users` as scale x100.
   spec.loads = {{6, 20.0, 0.1, 1}, {10, 40.0, 0.15, 2}, {14, 60.0, 0.2, 3}};
-  spec.base.profile.closed_loop = true;
   exp::apply_args(args, spec);
 
   std::printf("scenario %s: %zu grid points x %d seeds, %.0f s each\n\n",

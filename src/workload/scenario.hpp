@@ -39,7 +39,7 @@ struct ScenarioConfig : sim::EngineOptions {
   /// physical APs / 523 peak users; benches default to a laptop-friendly
   /// fraction).  The *shape* of every figure is scale-invariant.
   double scale = 0.2;
-  TrafficProfile profile = conference_profile();
+  TrafficProfile profile;
   double rtscts_fraction = 0.03;
   rate::ControllerConfig rate;
   mac::TimingProfile timing = mac::TimingProfile::kPaper;
@@ -108,7 +108,7 @@ struct CellConfig : sim::EngineOptions {
   int num_aps = 2;
   int num_users = 30;
   double per_user_pps = 5.0;
-  TrafficProfile profile = conference_profile();
+  TrafficProfile profile;
   double rtscts_fraction = 0.05;
   rate::ControllerConfig rate;
   mac::TimingProfile timing = mac::TimingProfile::kPaper;

@@ -2,15 +2,6 @@
 
 namespace wlan::workload {
 
-TrafficProfile conference_profile() {
-  TrafficProfile p;
-  // Mostly TCP-borne traffic: clock sends off completions so offered load
-  // adapts to channel state, as the IETF attendees' transports did.
-  p.closed_loop = true;
-  p.window = 1;
-  return p;
-}
-
 std::uint32_t sample_payload(const TrafficProfile& profile, util::Rng& rng) {
   double total = 0.0;
   for (double w : profile.size_weights) total += w;

@@ -108,7 +108,6 @@ bool UserSession::relocate(const phy::Position& pos, double hysteresis_db) {
   // across the move, so only a roam-away warrants aging it out of the old
   // AP — on a same-AP move that would wipe the imminent re-association.
   ++session_epoch_;
-  ++packet_epoch_;
   // Under sharding the old channel's queue must not even *hold* chain
   // closures that touch this session while the new channel's events do —
   // cancel them here, on the control lane, before any parallel phase
@@ -121,7 +120,6 @@ bool UserSession::relocate(const phy::Position& pos, double hysteresis_db) {
   vap_ = next_vap;
 
   associated_ = false;
-  on_ = false;
   assoc_attempts_ = 0;
   bring_up_station(keep_addr);
   associate();
@@ -162,18 +160,9 @@ void UserSession::on_station_payload(const mac::Frame& f) {
 
 void UserSession::start_traffic() {
   if (departed_) return;
-  if (spec_.profile.closed_loop) {
-    for (std::uint32_t w = 0; w < spec_.profile.window; ++w) {
-      launch_flow(true);
-      launch_flow(false);
-    }
-    return;
-  }
-  if (spec_.profile.on_fraction >= 1.0) {
-    on_ = true;
-    schedule_next_packet();
-  } else {
-    toggle_onoff(rng_.chance(spec_.profile.on_fraction));
+  for (std::uint32_t w = 0; w < spec_.profile.window; ++w) {
+    launch_flow(true);
+    launch_flow(false);
   }
 }
 
@@ -187,7 +176,7 @@ void UserSession::arm_chain_timer(Microseconds delay,
     chain_sim_ = &sim;
   }
   // Prune fired ids so the list stays bounded by the handful of
-  // concurrently-armed chains — without this, one gap timer per packet
+  // concurrently-armed chains — without this, one think timer per packet
   // accumulates for the life of the station generation.
   if (chain_timers_.size() >= 16) {
     std::erase_if(chain_timers_, [&sim](sim::EventId id) {
@@ -230,46 +219,6 @@ void UserSession::send_closed_loop(bool uplink) {
     p.dst = station_->addr();
     ap_->enqueue(std::move(p));
   }
-}
-
-void UserSession::toggle_onoff(bool now_on) {
-  if (departed_) return;
-  on_ = now_on;
-  ++packet_epoch_;
-  const double f = std::clamp(spec_.profile.on_fraction, 0.01, 0.99);
-  const double mean_on = spec_.profile.mean_on_seconds;
-  const double mean_off = mean_on * (1.0 - f) / f;
-  const double hold_s = rng_.exponential(now_on ? mean_on : mean_off);
-  arm_chain_timer(Microseconds{static_cast<std::int64_t>(hold_s * 1e6)},
-                  [this, now_on] { toggle_onoff(!now_on); });
-  if (on_) schedule_next_packet();
-}
-
-void UserSession::schedule_next_packet() {
-  if (departed_ || !on_ || !associated_) return;
-  const double gap_s = rng_.exponential(1.0 / spec_.profile.mean_pps);
-  const std::uint64_t epoch = packet_epoch_;
-  arm_chain_timer(Microseconds{static_cast<std::int64_t>(gap_s * 1e6)},
-                  [this, epoch] {
-                    if (epoch == packet_epoch_) emit_packet();
-                  });
-}
-
-void UserSession::emit_packet() {
-  if (departed_ || !on_ || !associated_) return;
-  const std::uint32_t payload = sample_payload(spec_.profile, rng_);
-  Packet p;
-  p.payload = payload;
-  p.type = mac::FrameType::kData;
-  p.bssid = vap_;
-  if (rng_.chance(spec_.profile.uplink_fraction)) {
-    p.dst = vap_;
-    station_->enqueue(std::move(p));
-  } else {
-    p.dst = station_->addr();
-    ap_->enqueue(std::move(p));
-  }
-  schedule_next_packet();
 }
 
 void UserSession::depart() {

@@ -81,23 +81,20 @@ class UserSession {
   void retire_station(sim::AccessPoint* deregister_ap);
   void on_station_payload(const mac::Frame& frame);
   void start_traffic();
-  void schedule_next_packet();
-  void emit_packet();
-  void toggle_onoff(bool now_on);
   /// Closed-loop clocking: send one packet in the given direction and
   /// re-arm on completion.
   void launch_flow(bool uplink);
   void send_closed_loop(bool uplink);
-  /// Arms a traffic-chain timer (think/hold/gap) on the *station's channel*
-  /// simulator — those timers only touch that channel's station/AP queues,
-  /// so they belong to the shard lane, not the control lane — and records
-  /// the EventId so relocation/departure can cancel it.
+  /// Arms a traffic-chain think timer on the *station's channel* simulator
+  /// — it only touches that channel's station/AP queues, so it belongs to
+  /// the shard lane, not the control lane — and records the EventId so
+  /// relocation/departure can cancel it.
   void arm_chain_timer(Microseconds delay, sim::EventQueue::Callback fn);
   /// Cancels every armed chain timer of the current station generation.
   /// Required for sharding, not just hygiene: a stale closure left on the
   /// old channel's queue after a roam would touch this session while the
-  /// new channel's events do — a cross-shard race.  It also makes the
-  /// think and hold timers' session-epoch checks unnecessary.
+  /// new channel's events do — a cross-shard race.  It also makes a
+  /// session-epoch check in the think timers unnecessary.
   void cancel_chain_timers();
 
   sim::Network& net_;
@@ -107,11 +104,8 @@ class UserSession {
   sim::AccessPoint* ap_ = nullptr;
   mac::Addr vap_ = mac::kNoAddr;
   bool associated_ = false;
-  bool on_ = false;
   bool departed_ = false;
   int assoc_attempts_ = 0;
-  /// Guards against duplicate packet chains across ON/OFF toggles.
-  std::uint64_t packet_epoch_ = 0;
   /// Bumped on relocation/departure; the callbacks that are not cancelled
   /// with the chain timers (association retries, closed-loop completions)
   /// check it and die off, so each re-association restarts exactly one set

@@ -15,7 +15,6 @@ class SessionReportTest : public ::testing::Test {
     cell.num_users = 16;
     cell.per_user_pps = 10.0;
     cell.duration_s = 10.0;
-    cell.profile.closed_loop = true;
     result_ = new workload::CellResult(workload::run_cell(cell));
     analysis_ = new AnalysisResult(TraceAnalyzer{}.analyze(result_->trace));
     summary_ = new SessionSummary(summarize(*analysis_));

@@ -25,7 +25,6 @@ workload::CellResult congested_cell(std::uint64_t seed = 62,
   cell.duration_s = 8.0;
   cell.warmup_s = 1.0;
   cell.rtscts_fraction = 0.2;  // exercise RTS/CTS counters too
-  cell.profile.closed_loop = true;
   cell.profile.window = 2;
   return workload::run_cell(cell);
 }

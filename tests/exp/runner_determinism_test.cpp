@@ -37,7 +37,6 @@ ExperimentSpec tiny_sweep() {
   spec.duration_s = 5.0;
   spec.base.warmup_s = 1.0;
   spec.loads = {{6, 30.0, 0.1, 1}, {10, 60.0, 0.25, 3}};
-  spec.base.profile.closed_loop = true;
   return spec;
 }
 
@@ -153,7 +152,6 @@ ExperimentSpec churn_sweep() {
   // turnover per minute — 6/min means a brisk 10 s mean dwell.
   spec.loads = {{6, 20.0, 0.1, 1}, {8, 30.0, 0.1, 1}};
   spec.churn_rates = {2.0, 6.0};
-  spec.base.profile.closed_loop = true;
   return spec;
 }
 

@@ -19,7 +19,6 @@ workload::CellConfig moderate_cell() {
   cell.per_user_pps = 8.0;
   cell.duration_s = 12.0;
   cell.warmup_s = 2.0;
-  cell.profile.closed_loop = true;
   cell.profile.window = 1;
   return cell;
 }

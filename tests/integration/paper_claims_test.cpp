@@ -26,7 +26,6 @@ workload::CellConfig sweep_cell(std::uint64_t seed, int users, double far,
   cell.per_user_pps = pps;
   cell.duration_s = 12.0;
   cell.timing = mac::TimingProfile::kPaper;
-  cell.profile.closed_loop = true;
   cell.profile.window = window;
   cell.profile.uplink_fraction = 0.5;
   cell.profile.size_weights = {0.35, 0.10, 0.08, 0.47};
@@ -212,7 +211,6 @@ TEST(PaperClaimsAblation, ArfLosesToSnrUnderCongestion) {
     cell.duration_s = 12.0;
     cell.timing = mac::TimingProfile::kStandard;
     cell.rate.policy = policy;
-    cell.profile.closed_loop = true;
     cell.profile.window = 3;
     cell.profile.uplink_fraction = 0.5;
     const auto result = workload::run_cell(cell);
@@ -239,7 +237,6 @@ TEST(PaperClaimsRtsCts, MinorityRtsUsersGetWorseDelivery) {
     cell.rtscts_fraction = 0.15;
     cell.duration_s = 12.0;
     cell.timing = mac::TimingProfile::kStandard;
-    cell.profile.closed_loop = true;
     cell.profile.window = 3;
     cell.profile.uplink_fraction = 0.5;
     const auto result = workload::run_cell(cell);

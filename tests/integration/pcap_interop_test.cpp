@@ -17,7 +17,6 @@ TEST(PcapInterop, AnalysisSurvivesPcapRoundTrip) {
   cell.num_users = 12;
   cell.per_user_pps = 10.0;
   cell.duration_s = 8.0;
-  cell.profile.closed_loop = true;
   const auto result = workload::run_cell(cell);
   ASSERT_GT(result.trace.records.size(), 100u);
 
@@ -54,7 +53,6 @@ TEST(PcapInterop, TimestampsPreservedToMicrosecond) {
   cell.seed = 779;
   cell.num_users = 4;
   cell.duration_s = 5.0;
-  cell.profile.closed_loop = true;
   const auto result = workload::run_cell(cell);
 
   const std::string path = ::testing::TempDir() + "interop_ts.pcap";

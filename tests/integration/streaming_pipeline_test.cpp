@@ -63,7 +63,6 @@ TEST(StreamingPipeline, PcapMergeAnalyzeMatchesInMemoryByteForByte) {
   cell.per_user_pps = 30.0;
   cell.duration_s = 7.0;
   cell.warmup_s = 1.0;
-  cell.profile.closed_loop = true;
   cell.profile.window = 2;
   cell.num_sniffers = 3;  // three sniffers, like the paper's deployment
   cell.sniffer_clock_skew_us = 900;
@@ -149,7 +148,6 @@ TEST(StreamingPipeline, CellMergeIsReproducibleFromRawTraces) {
   cell.per_user_pps = 25.0;
   cell.duration_s = 5.0;
   cell.warmup_s = 1.0;
-  cell.profile.closed_loop = true;
   cell.num_sniffers = 2;
   const auto once = workload::run_cell(cell);
   const auto again = trace::merge_sniffer_traces(once.sniffer_traces);

@@ -113,7 +113,6 @@ TEST(PowerControlTest, AutoPowerSessionBoostsOnlyWhenNeeded) {
 
   workload::UserSpec near_spec;
   near_spec.position = {12, 12, 0};
-  near_spec.profile = workload::conference_profile();
   near_spec.auto_power_margin_db = 3.0;
   workload::UserSession near_user(net, near_spec, 11);
 

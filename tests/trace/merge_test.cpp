@@ -240,7 +240,6 @@ TEST(MergeTest, TwoSnifferCellEndToEnd) {
   cell.per_user_pps = 20.0;
   cell.duration_s = 6.0;
   cell.warmup_s = 1.0;
-  cell.profile.closed_loop = true;
   cell.num_sniffers = 2;
   cell.sniffer_clock_skew_us = 1500;
   const auto result = workload::run_cell(cell);

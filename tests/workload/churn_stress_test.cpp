@@ -40,7 +40,6 @@ TEST(ChurnStressTest, LinkCacheBoundedByConcurrentPopulationUnderLongChurn) {
   churn_cfg.roam_check_mean_s = 1.5;
   churn_cfg.move_probability = 0.8;
   churn_cfg.roam_hysteresis_db = 3.0;
-  churn_cfg.profile.closed_loop = true;
   churn_cfg.placement = [](util::Rng& rng) {
     return phy::Position{rng.uniform_real(0, 45), rng.uniform_real(0, 45), 0};
   };

@@ -22,7 +22,6 @@ ChurnConfig fast_churn(std::uint64_t seed) {
   cfg.roam_check_mean_s = 2.0;
   cfg.move_probability = 0.7;
   cfg.roam_hysteresis_db = 3.0;
-  cfg.profile.closed_loop = true;
   cfg.placement = [](util::Rng& rng) {
     return phy::Position{rng.uniform_real(0, 40), rng.uniform_real(0, 40), 0};
   };
@@ -106,7 +105,6 @@ TEST(ChurnProcessTest, RoamKeepsMacAddressAndSwitchesAp) {
 
   UserSpec spec;
   spec.position = {4, 4, 0};
-  spec.profile.closed_loop = true;
   spec.remove_on_depart = true;
   UserSession user(net, spec, 99);
   net.run_for(sec(3));
@@ -135,7 +133,6 @@ TEST(ChurnScenarioTest, SessionVariantRunsAndRecycles) {
   cfg.duration_s = 12.0;
   cfg.scale = 0.06;
   cfg.churn_turnover_per_min = 4.0;  // brisk: mean dwell 15 s
-  cfg.profile.closed_loop = true;
 
   Scenario scenario = Scenario::day(cfg);
   ASSERT_TRUE(scenario.has_churn());

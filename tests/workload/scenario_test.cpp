@@ -123,7 +123,6 @@ TEST(RunCellTest, FarFractionProducesLowRateTraffic) {
   cell.per_user_pps = 40.0;
   cell.far_fraction = 0.5;
   cell.duration_s = 8.0;
-  cell.profile.closed_loop = true;
   cell.profile.window = 2;
   const auto result = run_cell(cell);
   std::uint64_t slow_data = 0;

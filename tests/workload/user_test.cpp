@@ -21,7 +21,6 @@ UserSpec basic_spec() {
   UserSpec spec;
   spec.position = {8, 8, 0};
   spec.join = Microseconds{0};
-  spec.profile = conference_profile();
   spec.profile.mean_pps = 20.0;
   return spec;
 }
@@ -112,11 +111,36 @@ TEST(UserSessionTest, JoinsWithoutAnyApRetriesGracefully) {
   EXPECT_FALSE(user.associated());
 }
 
+// Closed-loop clocking keeps at most `window` uplink packets outstanding, so
+// the station's queue stays within the window however fast the user sends:
+// at 1000 pps an unclocked source would fill it to its tail-drop limit.
+class UserWindowTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(UserWindowTest, QueueDepthStaysWithinWindow) {
+  const std::uint32_t window = GetParam();
+  sim::Network net(small_net());
+  net.add_ap({5, 5, 0}, 6);
+  UserSpec spec;
+  spec.position = {8, 8, 0};
+  spec.profile = TrafficProfile{};
+  spec.profile.mean_pps = 1000.0;
+  spec.profile.window = window;
+  UserSession user(net, spec, 7);
+  for (int ms = 10; ms <= 10'000; ms += 10) {
+    net.run_for(msec(10));
+    ASSERT_NE(user.station(), nullptr);
+    ASSERT_LE(user.station()->queue_depth(), window) << "at " << ms << " ms";
+  }
+  EXPECT_TRUE(user.associated());
+  EXPECT_GT(user.station()->stats().delivered, 1000u);  // traffic flowed
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, UserWindowTest, ::testing::Values(1u, 2u));
+
 TEST(UserManagerTest, PopulationTracksCurve) {
   sim::Network net(small_net(63));
   net.add_ap({5, 5, 0}, 6);
   UserManagerConfig cfg;
-  cfg.profile = conference_profile();
   cfg.profile.mean_pps = 2.0;
   cfg.placement = [](util::Rng& rng) {
     return phy::Position{rng.uniform_real(0, 10), rng.uniform_real(0, 10), 0};
@@ -133,7 +157,6 @@ TEST(UserManagerTest, PopulationShrinksOnDecline) {
   sim::Network net(small_net(65));
   net.add_ap({5, 5, 0}, 6);
   UserManagerConfig cfg;
-  cfg.profile = conference_profile();
   cfg.profile.mean_pps = 2.0;
   cfg.placement = [](util::Rng& rng) {
     return phy::Position{rng.uniform_real(0, 10), rng.uniform_real(0, 10), 0};
@@ -155,7 +178,6 @@ TEST(UserManagerTest, RtsCtsFractionRoughlyHonoured) {
   sim::Network net(small_net(67));
   net.add_ap({25, 25, 0}, 6);
   UserManagerConfig cfg;
-  cfg.profile = conference_profile();
   cfg.profile.mean_pps = 1.0;
   cfg.rtscts_fraction = 1.0;  // everyone
   cfg.placement = [](util::Rng& rng) {
