@@ -144,8 +144,10 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
         const std::string tok = list.substr(pos, comma - pos);
         char* end = nullptr;
         const double parsed = std::strtod(tok.c_str(), &end);
-        if (tok.empty() || end != tok.c_str() + tok.size()) {
-          std::fprintf(stderr, "--churn wants comma-separated numbers\n");
+        if (tok.empty() || end != tok.c_str() + tok.size() ||
+            !std::isfinite(parsed)) {
+          std::fprintf(stderr,
+                       "--churn wants comma-separated finite numbers\n");
           usage(what, 2);
         }
         args.churn_rates.push_back(parsed);

@@ -1,5 +1,6 @@
 #include "exp/spec.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "exp/registry.hpp"
@@ -51,6 +52,13 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
   }
   std::size_t non_positive = 0;
   for (double churn : spec.churn_rates) {
+    // An infinite turnover draws zero arrival gaps forever, and a NaN one
+    // would reach the manifest while the run used the default.
+    if (!std::isfinite(churn)) {
+      throw std::invalid_argument(
+          "ExperimentSpec: churn_rates axis for scenario \"" + scen +
+          "\" has a non-finite value");
+    }
     if (churn <= 0.0) ++non_positive;
   }
   if (non_positive > 1) {

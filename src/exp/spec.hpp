@@ -104,9 +104,9 @@ struct RunSpec {
 /// policy × timing × power margin × seed repeats (innermost) — so run and
 /// point indices are stable properties of the spec.  Throws
 /// std::invalid_argument on an empty axis, seeds_per_point < 1, an unknown
-/// rate-policy / timing name, or a churn_rates axis that would silently
-/// duplicate runs (multi-valued on a static scenario, or more than one
-/// non-positive value).
+/// rate-policy / timing name, a non-finite churn rate, or a churn_rates
+/// axis that would silently duplicate runs (multi-valued on a static
+/// scenario, or more than one non-positive value).
 [[nodiscard]] std::vector<RunSpec> expand(const ExperimentSpec& spec);
 
 }  // namespace wlan::exp

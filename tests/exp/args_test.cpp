@@ -56,6 +56,12 @@ TEST_F(BenchArgsDeathTest, RejectsEmptyAndOutOfRangeValues) {
               ExitedWithCode(2), "--duration wants");
   EXPECT_EXIT(static_cast<void>(parse({"--duration", "nan"})),
               ExitedWithCode(2), "--duration wants");
+  EXPECT_EXIT(static_cast<void>(parse({"--churn", "inf"})),
+              ExitedWithCode(2), "--churn wants");
+  EXPECT_EXIT(static_cast<void>(parse({"--churn", "nan"})),
+              ExitedWithCode(2), "--churn wants");
+  EXPECT_EXIT(static_cast<void>(parse({"--churn", "1,inf"})),
+              ExitedWithCode(2), "--churn wants");
 }
 
 }  // namespace

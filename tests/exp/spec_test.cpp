@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -122,6 +123,11 @@ TEST(SpecTest, BadSpecsThrow) {
 
   spec = small_spec();
   spec.timings = {"lunar"};
+  EXPECT_THROW(expand(spec), std::invalid_argument);
+
+  spec = small_spec();
+  spec.scenario = "ietf-day-churn";
+  spec.churn_rates = {std::numeric_limits<double>::infinity()};
   EXPECT_THROW(expand(spec), std::invalid_argument);
 }
 
