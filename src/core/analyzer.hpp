@@ -114,12 +114,6 @@ struct AnalysisResult {
 
 struct AnalyzerConfig {
   DelayComponents delays = DelayComponents::paper();
-  /// Max gap between a DATA frame's end and its ACK for the pair to count
-  /// as an atomic exchange (SIFS + ACK duration + slack).
-  Microseconds ack_match_slack{150};
-  /// Acceptance-delay matching forgets a pending data frame after this long
-  /// (sequence numbers wrap; stale entries would fabricate huge delays).
-  Microseconds pending_expiry{2'000'000};
 };
 
 class TraceAnalyzer {

@@ -13,6 +13,13 @@ namespace {
 /// of several seconds is already far beyond any reachable lag.
 constexpr std::size_t kUtilizationTail = 8;
 
+/// Max gap between a DATA frame's end and its ACK for the pair to count as
+/// an atomic exchange (SIFS + ACK duration + slack).
+constexpr std::int64_t kAckMatchSlackUs = 150;
+/// Acceptance-delay matching forgets a pending data frame after this long
+/// (sequence numbers wrap; stale entries would fabricate huge delays).
+constexpr std::int64_t kPendingExpiryUs = 2'000'000;
+
 /// Key for the pending-acceptance map: sender address + sequence number.
 constexpr std::uint32_t pending_key(mac::Addr src, std::uint16_t seq) {
   return (static_cast<std::uint32_t>(src) << 16) | seq;
@@ -159,9 +166,8 @@ void StreamingAnalyzer::process(const trace::CaptureRecord& r,
   // it only keeps the map O(in-flight exchanges) on unbounded captures.
   if (r.time_us - last_prune_us_ >= 1'000'000) {
     last_prune_us_ = r.time_us;
-    const std::int64_t expiry = config_.pending_expiry.count();
     std::erase_if(pending_, [&](const auto& kv) {
-      return r.time_us - kv.second.first_tx_us > expiry;
+      return r.time_us - kv.second.first_tx_us > kPendingExpiryUs;
     });
   }
 
@@ -229,7 +235,7 @@ void StreamingAnalyzer::process(const trace::CaptureRecord& r,
   bool acked = false;
   if (next != nullptr) {
     acked = next->type == mac::FrameType::kAck && next->dst == r.src &&
-            next->time_us <= data_end + config_.ack_match_slack.count();
+            next->time_us <= data_end + kAckMatchSlackUs;
   }
 
   const std::uint32_t key = pending_key(r.src, r.seq);
@@ -239,8 +245,7 @@ void StreamingAnalyzer::process(const trace::CaptureRecord& r,
     // First attempt (or we never saw the first attempt: approximate with
     // this one, as the authors must have).
     it = pending_.insert_or_assign(key, Pending{r.time_us, cat}).first;
-  } else if (r.time_us - it->second.first_tx_us >
-             config_.pending_expiry.count()) {
+  } else if (r.time_us - it->second.first_tx_us > kPendingExpiryUs) {
     it->second = Pending{r.time_us, cat};  // stale (seq wrapped)
   }
 

@@ -34,19 +34,19 @@ double Propagation::shadowing_db(const Position& from, const Position& to) const
 
 double Propagation::rx_power_dbm(const Position& from, const Position& to) const {
   const double d = std::max(distance(from, to), 1.0);
-  const double path_loss = config_.reference_loss_db +
-                           10.0 * config_.path_loss_exponent * std::log10(d);
+  const double path_loss =
+      kReferenceLossDb + 10.0 * config_.path_loss_exponent * std::log10(d);
   const double floors = std::abs(from.floor - to.floor);
-  return config_.tx_power_dbm - path_loss - floors * config_.floor_penalty_db +
+  return kTxPowerDbm - path_loss - floors * kFloorPenaltyDb +
          shadowing_db(from, to);
 }
 
 double Propagation::snr_db(const Position& from, const Position& to) const {
-  return rx_power_dbm(from, to) - config_.noise_floor_dbm;
+  return rx_power_dbm(from, to) - kNoiseFloorDbm;
 }
 
 bool Propagation::receivable(const Position& from, const Position& to) const {
-  return rx_power_dbm(from, to) >= config_.min_rx_dbm;
+  return rx_power_dbm(from, to) >= kMinRxDbm;
 }
 
 }  // namespace wlan::phy

@@ -26,14 +26,16 @@ struct Position {
 /// Euclidean distance ignoring floors (floor penalty applied separately).
 double distance(const Position& a, const Position& b);
 
+/// Fixed link-budget terms of the 2.4 GHz indoor model (dB / dBm).
+inline constexpr double kReferenceLossDb = 40.0;  ///< loss at 1 m, 2.4 GHz
+inline constexpr double kFloorPenaltyDb = 18.0;   ///< per floor of separation
+inline constexpr double kNoiseFloorDbm = -96.0;
+inline constexpr double kTxPowerDbm = 15.0;       ///< typical client card
+inline constexpr double kMinRxDbm = -94.0;  ///< below this the radio sees nothing
+
 struct PropagationConfig {
   double path_loss_exponent = 3.0;   ///< indoor with obstructions
-  double reference_loss_db = 40.0;   ///< loss at 1 m, 2.4 GHz
   double shadowing_sigma_db = 0.0;   ///< 0 disables log-normal shadowing
-  double floor_penalty_db = 18.0;    ///< per floor of separation
-  double noise_floor_dbm = -96.0;
-  double tx_power_dbm = 15.0;        ///< typical client card
-  double min_rx_dbm = -94.0;         ///< below this the radio sees nothing
 };
 
 /// Deterministic path-loss model.  Shadowing is *frozen* per link: the same

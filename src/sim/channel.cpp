@@ -18,7 +18,7 @@ Channel::Channel(Simulator& sim, const phy::Propagation& prop,
       // triples) but let a big session grow it to 2^18; size never changes
       // returned values (see FrameSuccessCache).
       frame_success_(12, 14),
-      noise_mw_(phy::dbm_to_mw(prop.config().noise_floor_dbm)),
+      noise_mw_(phy::dbm_to_mw(phy::kNoiseFloorDbm)),
       noise_db_roundtrip_(phy::mw_to_dbm(noise_mw_)),
       last_frame_id_(frame_id_base) {
   // The default mask-1 domain exists from t=0 with the historic zero idle
@@ -407,7 +407,7 @@ void Channel::evaluate_receptions_scalar(const Completed& done) {
   // Range check with the sender's power offset folded in.
   auto receivable = [&](LinkId rx) {
     return links_.rx_power_dbm(done.from_link, rx) + done.power_offset_db >=
-           prop_.config().min_rx_dbm;
+           phy::kMinRxDbm;
   };
 
   // Broadcast delivery: each node draws its own reception independently.
@@ -466,7 +466,6 @@ void Channel::evaluate_receptions_batched(const Completed& done) {
     return;
   }
   const double offset = done.power_offset_db;
-  const double min_rx_dbm = prop_.config().min_rx_dbm;
   const double* const srow = links_.row(done.from_link);
   const std::uint32_t bytes = f.size_bytes();
 
@@ -497,7 +496,7 @@ void Channel::evaluate_receptions_batched(const Completed& done) {
       const double s = srow[l] + offset;
       // Keep the scalar comparison orientation (signal vs threshold, offset
       // folded into the signal) so the receivable set matches bit for bit.
-      if (l != done.from_link && s >= min_rx_dbm) {
+      if (l != done.from_link && s >= phy::kMinRxDbm) {
         cand_link[n] = l;
         sig[n] = s;
         cand_node[n] = nodes_[i];
@@ -511,7 +510,7 @@ void Channel::evaluate_receptions_batched(const Completed& done) {
       unicast_rx = rx;
       const LinkId l = rx->link_id_;
       const double s = srow[l] + offset;
-      if (s >= min_rx_dbm) {
+      if (s >= phy::kMinRxDbm) {
         cand_link[n] = l;
         sig[n] = s;
         cand_node[n] = rx;
@@ -598,7 +597,7 @@ void Channel::evaluate_receptions_batched(const Completed& done) {
   for (std::size_t j = 0; j < sniffers_.size(); ++j) {
     const std::size_t i = deliver_end + j;
     sniffers_[j].sniffer->observe(f, done.start, sinr[i],
-                                  sig[i] >= min_rx_dbm);
+                                  sig[i] >= phy::kMinRxDbm);
   }
 
   if (snapshot_allocs_ == snaps_before) arena_.rewind(scratch_mark);
@@ -644,14 +643,13 @@ void Channel::run_broadcast_plan(const Completed& done) {
     // frame_success_ is exact-keyed, so evaluating it here instead of inside
     // the delivery loop returns the identical doubles.
     const double offset = done.power_offset_db;
-    const double min_rx_dbm = prop_.config().min_rx_dbm;
     const double* const srow = links_.row(done.from_link);
     const LinkId* const nl = node_links_.data();
     const std::size_t n_nodes = nodes_.size();
     for (std::size_t i = 0; i < n_nodes; ++i) {
       const LinkId l = nl[i];
       const double s = srow[l] + offset;
-      if (l != done.from_link && s >= min_rx_dbm) {
+      if (l != done.from_link && s >= phy::kMinRxDbm) {
         const double sinr = s - noise_db_roundtrip_;
         plan.node.push_back(nodes_[i]);
         plan.sinr.push_back(sinr);
@@ -661,7 +659,7 @@ void Channel::run_broadcast_plan(const Completed& done) {
     for (const SnifferRef& s : sniffers_) {
       const double sig = srow[s.link] + offset;
       plan.sniffer_sinr.push_back(sig - noise_db_roundtrip_);
-      plan.sniffer_in_range.push_back(sig >= min_rx_dbm ? 1 : 0);
+      plan.sniffer_in_range.push_back(sig >= phy::kMinRxDbm ? 1 : 0);
     }
   }
 

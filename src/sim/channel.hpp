@@ -133,8 +133,7 @@ class Channel {
         b.link_id_ == phy::LinkBudgetCache::kNoLink) {
       return prop_.snr_db(a.position(), b.position());
     }
-    return links_.rx_power_dbm(a.link_id_, b.link_id_) -
-           prop_.config().noise_floor_dbm;
+    return links_.rx_power_dbm(a.link_id_, b.link_id_) - phy::kNoiseFloorDbm;
   }
 
   [[nodiscard]] std::uint64_t transmissions() const { return tx_count_; }

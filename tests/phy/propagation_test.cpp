@@ -31,7 +31,7 @@ TEST(PropagationTest, ReferenceLossAtOneMetre) {
   Propagation prop(no_shadow());
   // Distances under 1 m clamp to 1 m: tx_power - reference_loss.
   EXPECT_DOUBLE_EQ(prop.rx_power_dbm({0, 0, 0}, {0.5, 0, 0}),
-                   no_shadow().tx_power_dbm - no_shadow().reference_loss_db);
+                   kTxPowerDbm - kReferenceLossDb);
 }
 
 TEST(PropagationTest, PathLossExponentSlope) {
@@ -48,15 +48,15 @@ TEST(PropagationTest, FloorPenaltyApplied) {
   const double same = prop.rx_power_dbm({0, 0, 0}, {10, 0, 0});
   const double above = prop.rx_power_dbm({0, 0, 0}, {10, 0, 1});
   const double two_up = prop.rx_power_dbm({0, 0, 0}, {10, 0, 2});
-  EXPECT_NEAR(same - above, no_shadow().floor_penalty_db, 1e-9);
-  EXPECT_NEAR(same - two_up, 2 * no_shadow().floor_penalty_db, 1e-9);
+  EXPECT_NEAR(same - above, kFloorPenaltyDb, 1e-9);
+  EXPECT_NEAR(same - two_up, 2 * kFloorPenaltyDb, 1e-9);
 }
 
 TEST(PropagationTest, SnrAgainstNoiseFloor) {
   Propagation prop(no_shadow());
   const Position a{0, 0, 0}, b{10, 0, 0};
   EXPECT_NEAR(prop.snr_db(a, b),
-              prop.rx_power_dbm(a, b) - no_shadow().noise_floor_dbm, 1e-12);
+              prop.rx_power_dbm(a, b) - kNoiseFloorDbm, 1e-12);
 }
 
 TEST(PropagationTest, ReceivabilityThreshold) {
