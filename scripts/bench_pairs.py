@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Interleaved parent/change pairs of the repository benchmark.
 
-    python3 scripts/bench_pairs.py --base REV [--change REV] --workload W [W ...]
+    python3 scripts/bench_pairs.py --base REV [--change REV] [--workload W [W ...]]
                                    [--pairs 10] [--seconds 20] [--seed 62]
 
-Exports each revision (default change: HEAD) with `git archive` into a
+Without --workload it runs every workload in BENCHMARK.json, in file order;
+a name that is not there exits with the known names before anything is
+exported or built.  Exports each revision (default change: HEAD) with `git archive` into a
 temporary directory, so nothing is left in .git even if the script is
 killed, and builds and runs BENCHMARK.json's command in each tree:
 
@@ -132,7 +134,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="parent revision")
     ap.add_argument("--change", default="HEAD", help="change revision")
-    ap.add_argument("--workload", required=True, nargs="+")
+    ap.add_argument("--workload", nargs="+",
+                    help="workloads to run (default: all, in BENCHMARK.json "
+                         "order)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=62)
@@ -142,6 +146,12 @@ def main() -> int:
 
     with open(ROOT / "BENCHMARK.json") as f:
         spec = json.load(f)
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or known
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        sys.exit(f"bench_pairs: unknown workload {' '.join(unknown)} "
+                 f"(known: {' '.join(known)})")
     revs = {"parent": revision(args.base), "change": revision(args.change)}
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
@@ -150,7 +160,7 @@ def main() -> int:
             trees[side] = work / side
             export(revs[side], trees[side])
             print(f"{side}: {revs[side][:12]} in {trees[side]}", flush=True)
-        for workload in args.workload:
+        for workload in workloads:
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
             for i in range(args.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
