@@ -26,8 +26,9 @@ inline constexpr std::uint32_t kXlMax = 1472;  ///< Ethernet MTU minus headers
 /// one `~exp(1/rate)` after the previous completes, which bounds the
 /// backlog the way a real transport's congestion control does.
 struct TrafficProfile {
-  /// Think-time rate per user, split between the directions by
-  /// uplink_fraction; the achieved rate is lower on a busy channel.
+  /// The `rate` above, per window slot, split between the directions by
+  /// uplink_fraction; completions come later on a busy channel, so the
+  /// achieved rate is lower.
   double mean_pps = 6.0;
   double uplink_fraction = 0.35;  ///< rest is downlink through the AP
   /// Relative weight of S / M / L / XL packet sizes.
