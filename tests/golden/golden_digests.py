@@ -40,6 +40,9 @@ COMMANDS = [
     ("bench_ablation_estimator.stdout",
      ["bench_ablation_estimator", "--threads", "2", "--seeds", "1",
       "--duration", "4", "--quiet", "--out-dir", "."]),
+    ("bench_ablation_rate_adaptation.stdout",
+     ["bench_ablation_rate_adaptation", "--threads", "2", "--seeds", "1",
+      "--duration", "20", "--quiet", "--out-dir", "."]),
     ("example_ietf_day.stdout", ["example_ietf_day"]),
     ("example_ietf_plenary.stdout", ["example_ietf_plenary"]),
     ("example_quickstart.stdout", ["example_quickstart"]),
@@ -70,6 +73,8 @@ FILES = [
     ("ietf_day.trace", "ietf_day.trace", lambda b: b),
     ("ablation_estimator_manifest.csv", "ablation_estimator_manifest.csv",
      drop_last_column),
+    ("ablation_rate_adaptation_manifest.csv",
+     "ablation_rate_adaptation_manifest.csv", drop_last_column),
     ("wlan_analyze_sniffer0.pcap", "cap/sniffer0.pcap", lambda b: b),
     ("wlan_analyze_sniffer1.pcap", "cap/sniffer1.pcap", lambda b: b),
     ("wlan_analyze_fig05_seconds.csv", "figs/fig05_seconds.csv", lambda b: b),
