@@ -1,5 +1,7 @@
 #include "rate/arf.hpp"
 
+#include <algorithm>
+
 namespace wlan::rate {
 
 TxPlan Arf::plan(const TxContext& /*ctx*/) { return TxPlan::single(rate_); }
@@ -18,16 +20,19 @@ void Arf::on_tx_outcome(const TxFeedback& fb) {
     return;
   }
   successes_ = 0;
-  // A failed probe falls straight back down (classic ARF).
+  // A failed probe falls straight back down (classic ARF) and lengthens the
+  // next success train up to the ceiling (AARF).
   if (probing_) {
     probing_ = false;
     rate_ = phy::next_lower(rate_);
+    up_threshold_ = std::min(2 * up_threshold_, up_ceiling_);
     failures_ = 0;
     return;
   }
-  if (++failures_ >= down_threshold_) {
+  if (++failures_ >= kDownThreshold) {
     failures_ = 0;
     rate_ = phy::next_lower(rate_);
+    up_threshold_ = kUpThreshold;  // fresh operating point
   }
 }
 

@@ -16,7 +16,6 @@ class Fixed final : public RateController {
     return TxPlan::single(rate_);
   }
   void on_tx_outcome(const TxFeedback& /*fb*/) override {}
-  [[nodiscard]] std::string_view name() const override { return "FIXED"; }
 
  private:
   phy::Rate rate_;

@@ -5,17 +5,9 @@
 
 namespace wlan::rate {
 
-MinstrelLite::MinstrelLite(const ControllerConfig& config,
-                           std::uint64_t stream_seed)
-    : alpha_(config.minstrel_ewma_alpha),
-      window_(config.minstrel_window),
-      probe_interval_(config.minstrel_probe_interval),
-      stage_attempts_(config.minstrel_stage_attempts == 0
-                          ? 1
-                          : config.minstrel_stage_attempts),
-      rng_(stream_seed) {
+MinstrelLite::MinstrelLite(std::uint64_t stream_seed) : rng_(stream_seed) {
   frames_until_probe_ =
-      1 + static_cast<std::uint32_t>(rng_.uniform(2 * probe_interval_));
+      1 + static_cast<std::uint32_t>(rng_.uniform(2 * kProbeInterval));
 }
 
 double MinstrelLite::score(phy::Rate r, std::uint32_t payload_bytes) const {
@@ -62,13 +54,13 @@ TxPlan MinstrelLite::plan(const TxContext& ctx) {
       ++probe_cursor_;
     }
     frames_until_probe_ =
-        1 + static_cast<std::uint32_t>(rng_.uniform(2 * probe_interval_));
+        1 + static_cast<std::uint32_t>(rng_.uniform(2 * kProbeInterval));
     p.push(probe, 1);
     obs::count(obs::Id::kRateProbePlans);
   }
-  p.push(best, stage_attempts_);
-  p.push(second, stage_attempts_);
-  p.push(phy::Rate::kR1, stage_attempts_);
+  p.push(best, kStageAttempts);
+  p.push(second, kStageAttempts);
+  p.push(phy::Rate::kR1, kStageAttempts);
   return p;
 }
 
@@ -82,13 +74,13 @@ void MinstrelLite::on_tick(Microseconds now) {
   if (!window_armed_) {
     // Lazily anchor the first window to the first planned frame, so idle
     // time before traffic starts does not decay anything.
-    window_end_ = now + window_;
+    window_end_ = now + kWindow;
     window_armed_ = true;
     return;
   }
   while (now >= window_end_) {
     roll_window();
-    window_end_ += window_;
+    window_end_ += kWindow;
   }
 }
 
@@ -97,7 +89,7 @@ void MinstrelLite::roll_window() {
     if (s.attempts > 0) {
       const double p =
           static_cast<double>(s.success) / static_cast<double>(s.attempts);
-      s.ewma = alpha_ * p + (1.0 - alpha_) * s.ewma;
+      s.ewma = kEwmaAlpha * p + (1.0 - kEwmaAlpha) * s.ewma;
     }
     s.attempts = 0;
     s.success = 0;

@@ -20,12 +20,22 @@ namespace wlan::rate {
 
 class MinstrelLite final : public RateController {
  public:
-  MinstrelLite(const ControllerConfig& config, std::uint64_t stream_seed);
+  /// EWMA weight of the newest window's success ratio.
+  static constexpr double kEwmaAlpha = 0.25;
+  /// Statistics window folded by on_tick().
+  static constexpr Microseconds kWindow{100'000};
+  /// Mean frames between probe plans: the actual gap is drawn uniformly
+  /// from [1, 2 * kProbeInterval] on the controller's own seeded stream,
+  /// so probes never synchronize across stations.
+  static constexpr std::uint32_t kProbeInterval = 16;
+  /// Attempt budget per retry-chain stage.
+  static constexpr std::uint8_t kStageAttempts = 4;
+
+  explicit MinstrelLite(std::uint64_t stream_seed);
 
   TxPlan plan(const TxContext& ctx) override;
   void on_tx_outcome(const TxFeedback& fb) override;
   void on_tick(Microseconds now) override;
-  [[nodiscard]] std::string_view name() const override { return "MINSTREL"; }
 
   /// Test hooks: current EWMA success estimate and in-window tallies.
   [[nodiscard]] double ewma(phy::Rate r) const {
@@ -46,13 +56,9 @@ class MinstrelLite final : public RateController {
   [[nodiscard]] double score(phy::Rate r, std::uint32_t payload_bytes) const;
 
   std::array<RateStat, phy::kNumRates> stats_{};
-  double alpha_;
-  Microseconds window_;
   Microseconds window_end_{0};
   bool window_armed_ = false;
-  std::uint32_t probe_interval_;
   std::uint32_t frames_until_probe_;
-  std::uint8_t stage_attempts_;
   std::size_t probe_cursor_ = 0;
   util::Rng rng_;
 };

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "rate/aarf.hpp"
 #include "rate/arf.hpp"
 #include "rate/fixed.hpp"
 #include "rate/minstrel_lite.hpp"
@@ -23,28 +22,28 @@ struct Entry {
 /// The built-in policies, in the order keys() presents them.
 constexpr Entry kPolicies[] = {
     {"arf", "ARF",
-     [](const ControllerConfig& c, std::uint64_t) -> ControllerPtr {
-       return std::make_unique<Arf>(c.up_threshold, c.down_threshold);
+     [](std::uint64_t) -> ControllerPtr {
+       return std::make_unique<Arf>(Arf::kArfCeiling);
      }},
     {"aarf", "AARF",
-     [](const ControllerConfig& c, std::uint64_t) -> ControllerPtr {
-       return std::make_unique<Aarf>(c.up_threshold, c.down_threshold);
+     [](std::uint64_t) -> ControllerPtr {
+       return std::make_unique<Arf>(Arf::kAarfCeiling);
      }},
     {"snr", "SNR",
-     [](const ControllerConfig& c, std::uint64_t) -> ControllerPtr {
-       return std::make_unique<SnrThreshold>(c.snr_target, c.snr_frame_bytes);
+     [](std::uint64_t) -> ControllerPtr {
+       return std::make_unique<SnrThreshold>();
      }},
     {"fixed1", "FIXED-1",
-     [](const ControllerConfig&, std::uint64_t) -> ControllerPtr {
+     [](std::uint64_t) -> ControllerPtr {
        return std::make_unique<Fixed>(phy::Rate::kR1);
      }},
     {"fixed11", "FIXED-11",
-     [](const ControllerConfig&, std::uint64_t) -> ControllerPtr {
+     [](std::uint64_t) -> ControllerPtr {
        return std::make_unique<Fixed>(phy::Rate::kR11);
      }},
     {"minstrel", "MINSTREL",
-     [](const ControllerConfig& c, std::uint64_t s) -> ControllerPtr {
-       return std::make_unique<MinstrelLite>(c, s);
+     [](std::uint64_t s) -> ControllerPtr {
+       return std::make_unique<MinstrelLite>(s);
      }},
 };
 
@@ -93,7 +92,7 @@ std::unique_ptr<RateController> PolicyRegistry::make(
     throw std::invalid_argument("PolicyRegistry: unknown policy \"" +
                                 config.policy + "\" (known: " + known + ")");
   }
-  return e->factory(config, stream_seed);
+  return e->factory(stream_seed);
 }
 
 }  // namespace wlan::rate

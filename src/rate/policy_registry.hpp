@@ -4,7 +4,8 @@
 // controllers from StationConfig's policy string, exp manifests carry the
 // same keys in their rate_policy column, and CLI flags / sweep axes
 // validate against keys().  A policy is one row in the table in
-// policy_registry.cpp; the table is constant, so any thread may read the
+// policy_registry.cpp: its key, the display name tables and legends print,
+// and its factory.  The table is constant, so any thread may read the
 // registry.
 #pragma once
 
@@ -23,9 +24,10 @@ class PolicyRegistry {
   /// seed (stations derive it from their own seed and the peer address);
   /// deterministic policies ignore it, randomized ones (MinstrelLite's
   /// probe schedule) draw only from it, so runs stay pure functions of
-  /// (seed, config).
-  using Factory = std::unique_ptr<RateController> (*)(
-      const ControllerConfig& config, std::uint64_t stream_seed);
+  /// (seed, config).  A policy's parameters are constants in its class, so
+  /// the seed is all a factory takes.
+  using Factory =
+      std::unique_ptr<RateController> (*)(std::uint64_t stream_seed);
 
   /// The process-wide registry of the built-in policies.
   static const PolicyRegistry& instance();

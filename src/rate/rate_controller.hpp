@@ -14,9 +14,10 @@
 // (Minstrel-family) additionally receive deterministic on_tick() calls
 // carrying simulated time; controllers never read clocks or RNGs of their
 // own beyond the seed handed to their factory.  Policies are constructed by
-// string key through rate::PolicyRegistry (policy_registry.hpp) so
-// stations, exp manifests, and ablation benches name them through one
-// factory.
+// string key through rate::PolicyRegistry (policy_registry.hpp), the one
+// place a policy is named and configured: its row holds the key, the
+// display name benches print, and a factory that takes only the stream
+// seed.  A policy's parameters are constants in its class.
 #pragma once
 
 #include <array>
@@ -24,7 +25,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "phy/rate.hpp"
 #include "util/time.hpp"
@@ -136,33 +136,13 @@ class RateController {
   /// before each plan().  Windowed policies fold statistics here; the
   /// default is a no-op.
   virtual void on_tick(Microseconds /*now*/) {}
-
-  [[nodiscard]] virtual std::string_view name() const = 0;
 };
 
-/// Knobs for the built-in policies.  `policy` is a PolicyRegistry key
-/// ("arf", "aarf", "snr", "fixed1", "fixed11", "minstrel"); unknown keys
-/// fail at construction with the known keys in the message.
+/// Which built-in policy a link runs: a PolicyRegistry key ("arf",
+/// "aarf", "snr", "fixed1", "fixed11", "minstrel").  Unknown keys fail at
+/// construction with the known keys in the message.
 struct ControllerConfig {
   std::string policy = "arf";
-  /// ARF/AARF: successes needed to probe one rate up.
-  std::uint32_t up_threshold = 10;
-  /// ARF/AARF: consecutive failures that force one rate down.
-  std::uint32_t down_threshold = 2;
-  /// SNR policy: target frame success probability.
-  double snr_target = 0.9;
-  /// SNR policy: representative frame size for threshold computation.
-  std::uint32_t snr_frame_bytes = 1024;
-  /// MinstrelLite: EWMA weight of the newest window's success ratio.
-  double minstrel_ewma_alpha = 0.25;
-  /// MinstrelLite: statistics window folded by on_tick().
-  Microseconds minstrel_window{100'000};
-  /// MinstrelLite: mean frames between probe plans (the actual gap is
-  /// drawn uniformly from [1, 2*interval] on the controller's own seeded
-  /// stream, so probes never synchronize across stations).
-  std::uint32_t minstrel_probe_interval = 16;
-  /// MinstrelLite: attempt budget per retry-chain stage.
-  std::uint8_t minstrel_stage_attempts = 4;
 };
 
 }  // namespace wlan::rate

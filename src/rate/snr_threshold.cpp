@@ -4,10 +4,10 @@
 
 namespace wlan::rate {
 
-SnrThreshold::SnrThreshold(double target, std::uint32_t frame_bytes) {
+SnrThreshold::SnrThreshold() {
   for (phy::Rate r : phy::kAllRates) {
     thresholds_[phy::rate_index(r)] =
-        phy::required_snr_db(r, frame_bytes, target);
+        phy::required_snr_db(r, kFrameBytes, kTarget);
   }
 }
 

@@ -13,13 +13,17 @@ namespace wlan::rate {
 
 class SnrThreshold final : public RateController {
  public:
+  /// Target frame success probability.
+  static constexpr double kTarget = 0.9;
+  /// Representative frame size for the thresholds, bytes.
+  static constexpr std::uint32_t kFrameBytes = 1024;
+
   /// Thresholds derived from the PHY error model: minimum SNR at which a
-  /// `frame_bytes` frame succeeds with probability >= `target`.
-  SnrThreshold(double target, std::uint32_t frame_bytes);
+  /// kFrameBytes frame succeeds with probability >= kTarget.
+  SnrThreshold();
 
   TxPlan plan(const TxContext& ctx) override;
   void on_tx_outcome(const TxFeedback& /*fb*/) override {}
-  [[nodiscard]] std::string_view name() const override { return "SNR"; }
 
   [[nodiscard]] double threshold_db(phy::Rate r) const {
     return thresholds_[phy::rate_index(r)];

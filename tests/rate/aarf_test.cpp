@@ -1,4 +1,6 @@
-#include "rate/aarf.hpp"
+// AARF: the ARF machine at its AARF ceiling, as the "aarf" registry key
+// builds it.
+#include "rate/arf.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,10 +14,10 @@ using testing::next_rate;
 using testing::succeed;
 
 // Drives the controller to 5.5 Mbps from the initial 11.
-void drop_one_rate(Aarf& aarf) { fail(aarf, 2); }
+void drop_one_rate(Arf& aarf) { fail(aarf, 2); }
 
 TEST(AarfTest, BehavesLikeArfInitially) {
-  Aarf aarf(10, 2);
+  Arf aarf(Arf::kAarfCeiling);
   EXPECT_EQ(next_rate(aarf), phy::Rate::kR11);
   drop_one_rate(aarf);
   EXPECT_EQ(next_rate(aarf), phy::Rate::kR5_5);
@@ -24,7 +26,7 @@ TEST(AarfTest, BehavesLikeArfInitially) {
 }
 
 TEST(AarfTest, FailedProbeDoublesUpThreshold) {
-  Aarf aarf(10, 2);
+  Arf aarf(Arf::kAarfCeiling);
   drop_one_rate(aarf);  // at 5.5
 
   // Probe up, fail -> back to 5.5, threshold now 20.
@@ -42,7 +44,7 @@ TEST(AarfTest, FailedProbeDoublesUpThreshold) {
 }
 
 TEST(AarfTest, ThresholdCapped) {
-  Aarf aarf(10, 2);
+  Arf aarf(Arf::kAarfCeiling);
   drop_one_rate(aarf);
   // Fail many probes: threshold doubles 10->20->40->50 (cap).
   for (int round = 0; round < 5; ++round) {
@@ -55,7 +57,7 @@ TEST(AarfTest, ThresholdCapped) {
 }
 
 TEST(AarfTest, RegularDropResetsThreshold) {
-  Aarf aarf(10, 2);
+  Arf aarf(Arf::kAarfCeiling);
   drop_one_rate(aarf);  // 5.5
   succeed(aarf, 10);
   fail(aarf);  // failed probe -> threshold 20, back at 5.5
@@ -63,11 +65,6 @@ TEST(AarfTest, RegularDropResetsThreshold) {
   ASSERT_EQ(next_rate(aarf), phy::Rate::kR2);
   succeed(aarf, 10);
   EXPECT_EQ(next_rate(aarf), phy::Rate::kR5_5);
-}
-
-TEST(AarfTest, Name) {
-  Aarf aarf(10, 2);
-  EXPECT_EQ(aarf.name(), "AARF");
 }
 
 }  // namespace

@@ -12,12 +12,12 @@ using testing::next_rate;
 using testing::succeed;
 
 TEST(ArfTest, StartsAtTopRate) {
-  Arf arf(10, 2);
+  Arf arf(Arf::kArfCeiling);
   EXPECT_EQ(next_rate(arf), phy::Rate::kR11);
 }
 
 TEST(ArfTest, TwoConsecutiveFailuresDropRate) {
-  Arf arf(10, 2);
+  Arf arf(Arf::kArfCeiling);
   fail(arf);
   EXPECT_EQ(next_rate(arf), phy::Rate::kR11);  // one is not enough
   fail(arf);
@@ -25,7 +25,7 @@ TEST(ArfTest, TwoConsecutiveFailuresDropRate) {
 }
 
 TEST(ArfTest, SuccessResetsFailureCount) {
-  Arf arf(10, 2);
+  Arf arf(Arf::kArfCeiling);
   fail(arf);
   succeed(arf);
   fail(arf);
@@ -33,7 +33,7 @@ TEST(ArfTest, SuccessResetsFailureCount) {
 }
 
 TEST(ArfTest, SuccessTrainProbesUp) {
-  Arf arf(10, 2);
+  Arf arf(Arf::kArfCeiling);
   // Get down to 5.5 first.
   fail(arf, 2);
   ASSERT_EQ(next_rate(arf), phy::Rate::kR5_5);
@@ -42,7 +42,7 @@ TEST(ArfTest, SuccessTrainProbesUp) {
 }
 
 TEST(ArfTest, FailedProbeFallsStraightBack) {
-  Arf arf(10, 2);
+  Arf arf(Arf::kArfCeiling);
   fail(arf, 2);  // at 5.5
   succeed(arf, 10);  // probe up to 11
   ASSERT_EQ(next_rate(arf), phy::Rate::kR11);
@@ -51,19 +51,19 @@ TEST(ArfTest, FailedProbeFallsStraightBack) {
 }
 
 TEST(ArfTest, CannotDropBelowOne) {
-  Arf arf(10, 2);
+  Arf arf(Arf::kArfCeiling);
   fail(arf, 20);
   EXPECT_EQ(next_rate(arf), phy::Rate::kR1);
 }
 
 TEST(ArfTest, CannotProbeAboveEleven) {
-  Arf arf(2, 2);
+  Arf arf(Arf::kArfCeiling);
   succeed(arf, 50);
   EXPECT_EQ(next_rate(arf), phy::Rate::kR11);
 }
 
 TEST(ArfTest, DescendsWholeLadderUnderSustainedLoss) {
-  Arf arf(10, 2);
+  Arf arf(Arf::kArfCeiling);
   fail(arf, 2);
   EXPECT_EQ(next_rate(arf), phy::Rate::kR5_5);
   fail(arf, 2);
@@ -75,7 +75,7 @@ TEST(ArfTest, DescendsWholeLadderUnderSustainedLoss) {
 TEST(ArfTest, IgnoresSnrHint) {
   // ARF is loss-based: the paper's point is precisely that it cannot tell
   // collisions from weak signal.
-  Arf arf(10, 2);
+  Arf arf(Arf::kArfCeiling);
   EXPECT_EQ(next_rate(arf, -50.0), phy::Rate::kR11);
   EXPECT_EQ(next_rate(arf, 50.0), phy::Rate::kR11);
 }
@@ -84,15 +84,10 @@ TEST(ArfTest, PlansSingleAttemptStages) {
   // Legacy cadence contract: one attempt per plan, so the station re-plans
   // (and ARF sees every outcome) before each retry — byte-identical to the
   // old per-attempt API.
-  Arf arf(10, 2);
+  Arf arf(Arf::kArfCeiling);
   const TxPlan p = arf.plan({});
   ASSERT_EQ(p.size(), 1u);
   EXPECT_EQ(p.total_attempts(), 1u);
-}
-
-TEST(ArfTest, Name) {
-  Arf arf(10, 2);
-  EXPECT_EQ(arf.name(), "ARF");
 }
 
 }  // namespace

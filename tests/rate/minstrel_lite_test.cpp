@@ -31,8 +31,7 @@ bool plans_equal(const TxPlan& a, const TxPlan& b) {
 }
 
 TEST(MinstrelLiteTest, FreshPlanOrdersByThroughput) {
-  ControllerConfig cfg;
-  MinstrelLite c(cfg, /*stream_seed=*/7);
+  MinstrelLite c(/*stream_seed=*/7);
   const TxPlan p = c.plan({});
   ASSERT_GE(p.size(), 3u);
   ASSERT_LE(p.size(), 4u);
@@ -42,16 +41,15 @@ TEST(MinstrelLiteTest, FreshPlanOrdersByThroughput) {
   EXPECT_EQ(tail_stage(p, 1).rate, phy::Rate::kR5_5);
   EXPECT_EQ(tail_stage(p, 0).rate, phy::Rate::kR1);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(tail_stage(p, i).attempts, cfg.minstrel_stage_attempts);
+    EXPECT_EQ(tail_stage(p, i).attempts, MinstrelLite::kStageAttempts);
   }
 }
 
 TEST(MinstrelLiteTest, ProbeStageIsSingleAttemptNonBest) {
-  ControllerConfig cfg;
-  cfg.minstrel_probe_interval = 1;  // probe gap drawn from {1, 2}
-  MinstrelLite c(cfg, 3);
+  MinstrelLite c(3);
+  constexpr int kPlans = 200;
   int probes = 0;
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < kPlans; ++i) {
     const TxPlan p = c.plan({});
     if (p.size() == 4) {
       ++probes;
@@ -59,13 +57,15 @@ TEST(MinstrelLiteTest, ProbeStageIsSingleAttemptNonBest) {
       EXPECT_NE(p.stage(0).rate, tail_stage(p, 2).rate);
     }
   }
-  EXPECT_GE(probes, 5);  // gap <= 2 frames, so at least every other plan
+  // Probe gaps are drawn from [1, 2 * kProbeInterval] frames, so every
+  // run of that many plans holds at least one probe.
+  EXPECT_GE(probes,
+            kPlans / (2 * static_cast<int>(MinstrelLite::kProbeInterval)));
 }
 
 TEST(MinstrelLiteTest, SameSeedReplaysIdentically) {
-  ControllerConfig cfg;
-  MinstrelLite a(cfg, 11);
-  MinstrelLite b(cfg, 11);
+  MinstrelLite a(11);
+  MinstrelLite b(11);
   for (int i = 0; i < 300; ++i) {
     const Microseconds now{i * 7'000};
     a.on_tick(now);
@@ -83,9 +83,8 @@ TEST(MinstrelLiteTest, SameSeedReplaysIdentically) {
 }
 
 TEST(MinstrelLiteTest, DifferentSeedsShiftTheProbeSchedule) {
-  ControllerConfig cfg;
-  MinstrelLite a(cfg, 1);
-  MinstrelLite b(cfg, 2);
+  MinstrelLite a(1);
+  MinstrelLite b(2);
   std::vector<std::size_t> sizes_a, sizes_b;
   for (int i = 0; i < 400; ++i) {
     sizes_a.push_back(a.plan({}).size());
@@ -95,14 +94,13 @@ TEST(MinstrelLiteTest, DifferentSeedsShiftTheProbeSchedule) {
 }
 
 TEST(MinstrelLiteTest, EwmaUpdateIsPinned) {
-  ControllerConfig cfg;
-  MinstrelLite c(cfg, 7);
+  MinstrelLite c(7);
   c.on_tick(Microseconds{0});  // arms the first window at [0, window)
   outcome(c, true, phy::Rate::kR11);
   outcome(c, false, phy::Rate::kR11);
   EXPECT_EQ(c.window_attempts(phy::Rate::kR11), 2u);
 
-  c.on_tick(cfg.minstrel_window);  // exactly one window rolls
+  c.on_tick(MinstrelLite::kWindow);  // exactly one window rolls
   // alpha 0.25, window success ratio 0.5: 0.25 * 0.5 + 0.75 * 1.0.
   EXPECT_DOUBLE_EQ(c.ewma(phy::Rate::kR11), 0.875);
   EXPECT_EQ(c.window_attempts(phy::Rate::kR11), 0u);
@@ -111,36 +109,28 @@ TEST(MinstrelLiteTest, EwmaUpdateIsPinned) {
 }
 
 TEST(MinstrelLiteTest, IdleWindowsDoNotDecay) {
-  ControllerConfig cfg;
-  MinstrelLite c(cfg, 7);
+  MinstrelLite c(7);
   c.on_tick(Microseconds{0});
   outcome(c, false, phy::Rate::kR11);
   // Jump five windows ahead: the first roll applies the all-fail window,
   // the idle ones leave the estimate alone.
-  c.on_tick(Microseconds{5 * cfg.minstrel_window.count()});
+  c.on_tick(Microseconds{5 * MinstrelLite::kWindow.count()});
   EXPECT_DOUBLE_EQ(c.ewma(phy::Rate::kR11), 0.75);
 }
 
 TEST(MinstrelLiteTest, SustainedLossDemotesTheBestRate) {
-  ControllerConfig cfg;
-  MinstrelLite c(cfg, 7);
+  MinstrelLite c(7);
   c.on_tick(Microseconds{0});
   for (int w = 1; w <= 3; ++w) {
     outcome(c, false, phy::Rate::kR11);
     outcome(c, false, phy::Rate::kR11);
-    c.on_tick(Microseconds{w * cfg.minstrel_window.count()});
+    c.on_tick(Microseconds{w * MinstrelLite::kWindow.count()});
   }
   EXPECT_DOUBLE_EQ(c.ewma(phy::Rate::kR11), 0.421875);  // 0.75^3
   // 11 Mbps at ~42% expected success scores below a clean 5.5 Mbps.
   const TxPlan p = c.plan({});
   EXPECT_EQ(tail_stage(p, 2).rate, phy::Rate::kR5_5);
   EXPECT_EQ(tail_stage(p, 0).rate, phy::Rate::kR1);
-}
-
-TEST(MinstrelLiteTest, Name) {
-  ControllerConfig cfg;
-  MinstrelLite c(cfg, 7);
-  EXPECT_EQ(c.name(), "MINSTREL");
 }
 
 }  // namespace

@@ -12,24 +12,24 @@ using testing::fail;
 using testing::next_rate;
 
 TEST(SnrThresholdTest, HighSnrSelectsEleven) {
-  SnrThreshold ctl(0.9, 1024);
+  SnrThreshold ctl;
   EXPECT_EQ(next_rate(ctl, 30.0), phy::Rate::kR11);
 }
 
 TEST(SnrThresholdTest, VeryLowSnrFallsToOne) {
-  SnrThreshold ctl(0.9, 1024);
+  SnrThreshold ctl;
   EXPECT_EQ(next_rate(ctl, -5.0), phy::Rate::kR1);
 }
 
 TEST(SnrThresholdTest, ThresholdsMatchErrorModel) {
-  SnrThreshold ctl(0.9, 1024);
+  SnrThreshold ctl;
   for (phy::Rate r : phy::kAllRates) {
     EXPECT_NEAR(ctl.threshold_db(r), phy::required_snr_db(r, 1024, 0.9), 1e-9);
   }
 }
 
 TEST(SnrThresholdTest, SelectionIsHighestFeasible) {
-  SnrThreshold ctl(0.9, 1024);
+  SnrThreshold ctl;
   // Just above the 5.5 threshold but below the 11 threshold.
   const double snr =
       (ctl.threshold_db(phy::Rate::kR5_5) + ctl.threshold_db(phy::Rate::kR11)) / 2;
@@ -39,12 +39,12 @@ TEST(SnrThresholdTest, SelectionIsHighestFeasible) {
 TEST(SnrThresholdTest, OptimisticBeforeFirstMeasurement) {
   // A fresh controller with no SNR in the context starts from its
   // optimistic prior, not from the floor.
-  SnrThreshold ctl(0.9, 1024);
+  SnrThreshold ctl;
   EXPECT_EQ(next_rate(ctl), phy::Rate::kR11);
 }
 
 TEST(SnrThresholdTest, RemembersLastKnownSnr) {
-  SnrThreshold ctl(0.9, 1024);
+  SnrThreshold ctl;
   EXPECT_EQ(next_rate(ctl, -5.0), phy::Rate::kR1);
   // An absent hint (peer SNR unknown) must reuse the remembered SNR, not
   // reset to the optimistic prior.
@@ -52,25 +52,12 @@ TEST(SnrThresholdTest, RemembersLastKnownSnr) {
 }
 
 TEST(SnrThresholdTest, IgnoresLossFeedback) {
-  SnrThreshold ctl(0.9, 1024);
+  SnrThreshold ctl;
   (void)next_rate(ctl, 30.0);
   fail(ctl, 10);
   // Still 11: collisions do not drag an SNR-based policy down (the paper's
   // recommended behaviour).
   EXPECT_EQ(next_rate(ctl, 30.0), phy::Rate::kR11);
-}
-
-TEST(SnrThresholdTest, TighterTargetNeedsMoreSnr) {
-  SnrThreshold loose(0.5, 1024);
-  SnrThreshold tight(0.99, 1024);
-  for (phy::Rate r : phy::kAllRates) {
-    EXPECT_LT(loose.threshold_db(r), tight.threshold_db(r));
-  }
-}
-
-TEST(SnrThresholdTest, Name) {
-  SnrThreshold ctl(0.9, 1024);
-  EXPECT_EQ(ctl.name(), "SNR");
 }
 
 }  // namespace
