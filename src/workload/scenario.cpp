@@ -11,6 +11,11 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
+/// The cell fixtures' square side, metres.  Large enough that edge users
+/// have marginal SNR and rate adaptation genuinely exercises the lower
+/// rates (the ballroom was ~64 m wide).
+constexpr double kRoomM = 70.0;
+
 sim::NetworkConfig network_config(const ScenarioConfig& cfg,
                                   SessionKind kind) {
   sim::NetworkConfig net;
@@ -222,8 +227,7 @@ CellResult run_cell(const CellConfig& config) {
   std::vector<sim::AccessPoint*> aps;
   for (int i = 0; i < config.num_aps; ++i) {
     const double frac = (i + 1.0) / (config.num_aps + 1.0);
-    auto& ap = net.add_ap({config.room_m * frac, config.room_m * frac, 0},
-                          config.channel);
+    auto& ap = net.add_ap({kRoomM * frac, kRoomM * frac, 0}, config.channel);
     ap.start_beacons();
     aps.push_back(&ap);
   }
@@ -235,8 +239,8 @@ CellResult run_cell(const CellConfig& config) {
   const int num_sniffers = std::max(1, config.num_sniffers);
   for (int j = 0; j < num_sniffers; ++j) {
     sim::SnifferConfig sniff;
-    const double mid = config.room_m / 2;
-    const double step = 0.15 * config.room_m * ((j + 1) / 2);
+    const double mid = kRoomM / 2;
+    const double step = 0.15 * kRoomM * ((j + 1) / 2);
     const double sign = j % 2 == 1 ? -1.0 : 1.0;
     sniff.position = {mid + sign * step, mid + sign * step, 0};
     sniff.channel = config.channel;
@@ -259,9 +263,8 @@ CellResult run_cell(const CellConfig& config) {
       // Weak-link zone: the two corners orthogonal to the AP diagonal, well
       // away from every AP, where rate adaptation genuinely lands on the
       // low rates.
-      const double cx = rng.chance(0.5) ? 0.91 * config.room_m
-                                        : 0.09 * config.room_m;
-      const double cy = config.room_m - cx;
+      const double cx = rng.chance(0.5) ? 0.91 * kRoomM : 0.09 * kRoomM;
+      const double cy = kRoomM - cx;
       spec.position = {cx + rng.uniform_real(-5.0, 5.0),
                        cy + rng.uniform_real(-5.0, 5.0), 0};
     } else {
@@ -269,7 +272,7 @@ CellResult run_cell(const CellConfig& config) {
       const double frac =
           (rng.uniform(static_cast<std::uint64_t>(config.num_aps)) + 1.0) /
           (config.num_aps + 1.0);
-      const phy::Position ap{config.room_m * frac, config.room_m * frac, 0};
+      const phy::Position ap{kRoomM * frac, kRoomM * frac, 0};
       spec.position = {ap.x + rng.uniform_real(-12.0, 12.0),
                        ap.y + rng.uniform_real(-12.0, 12.0), 0};
     }
@@ -291,7 +294,7 @@ CellResult run_hidden_terminal(const CellConfig& config) {
   util::Rng rng(config.seed ^ 0x41DDE4ULL);
 
   // One AP in the middle; its carrier sense spans both wings.
-  const double mid = config.room_m / 2;
+  const double mid = kRoomM / 2;
   auto& ap = net.add_ap({mid, mid, 0}, config.channel, 4, 0b11u);
   ap.start_beacons();
 
@@ -311,7 +314,7 @@ CellResult run_hidden_terminal(const CellConfig& config) {
   std::vector<std::unique_ptr<UserSession>> sessions;
   for (int i = 0; i < config.num_users; ++i) {
     const bool east = i % 2 == 0;
-    const double cx = east ? 0.75 * config.room_m : 0.25 * config.room_m;
+    const double cx = east ? 0.75 * kRoomM : 0.25 * kRoomM;
     UserSpec spec;
     spec.position = {cx + rng.uniform_real(-5.0, 5.0),
                      cx + rng.uniform_real(-5.0, 5.0), 0};

@@ -114,10 +114,6 @@ struct CellConfig : sim::EngineOptions {
   mac::TimingProfile timing = mac::TimingProfile::kPaper;
   double duration_s = 25.0;
   double warmup_s = 3.0;  ///< stripped from the returned trace
-  /// Square cell side.  Large enough that edge users have marginal SNR and
-  /// rate adaptation genuinely exercises the lower rates (the ballroom was
-  /// ~64 m wide).
-  double room_m = 70.0;
   double path_loss_exponent = 4.0;  ///< crowded hall, bodies absorb
   double shadowing_sigma_db = 6.0;
   /// Fraction of users placed in the room's outer ring, where SNR is

@@ -47,7 +47,7 @@ void UserSession::bring_up_station(mac::Addr reuse_addr) {
     const double needed = phy::required_snr_db(phy::Rate::kR11, 1024, 0.9) +
                           spec_.auto_power_margin_db;
     cfg.tx_power_offset_db =
-        std::clamp(needed - snr, 0.0, spec_.max_power_boost_db);
+        std::clamp(needed - snr, 0.0, kMaxPowerBoostDb);
   }
   station_ = &net_.add_station(ap_->channel().number(), cfg);
   station_->set_payload_handler(

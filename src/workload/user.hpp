@@ -19,6 +19,9 @@
 
 namespace wlan::workload {
 
+/// The most transmit power control raises a client's power, dB.
+inline constexpr double kMaxPowerBoostDb = 12.0;
+
 struct UserSpec {
   phy::Position position;
   Microseconds join{0};
@@ -31,9 +34,8 @@ struct UserSpec {
   std::uint32_t sense_mask = 1;
   /// Transmit power control (§7's alternative remedy): when >= 0, the
   /// client raises its transmit power so the uplink supports 11 Mbps with
-  /// this much margin (dB), up to `max_power_boost_db`.
+  /// this much margin (dB), up to kMaxPowerBoostDb.
   double auto_power_margin_db = -1.0;
-  double max_power_boost_db = 12.0;
   /// Tear the station down for real on departure/relocation
   /// (Network::remove_station — link id recycled, memory freed).  Off by
   /// default: the classic fixed-population scenarios keep departed radios

@@ -93,11 +93,11 @@ TEST(SpecTest, SeedOfARunIsAPureFunctionOfItsGridPosition) {
 TEST(SpecTest, AxisValuesResolveIntoTheCell) {
   auto spec = small_spec();
   spec.duration_s = 7.5;
-  spec.base.room_m = 55.0;
+  spec.base.sniffer_capacity_fps = 900.0;
   for (const auto& run : expand(spec)) {
     EXPECT_EQ(run.cell.seed, run.seed);
     EXPECT_DOUBLE_EQ(run.cell.duration_s, 7.5);
-    EXPECT_DOUBLE_EQ(run.cell.room_m, 55.0);  // base carried through
+    EXPECT_DOUBLE_EQ(run.cell.sniffer_capacity_fps, 900.0);  // base carried
     EXPECT_EQ(run.cell.rate.policy, run.rate_policy);
     EXPECT_EQ(run.cell.timing, parse_timing(run.timing));
     EXPECT_DOUBLE_EQ(run.cell.rtscts_fraction, run.rtscts_fraction);

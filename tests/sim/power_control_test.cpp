@@ -126,7 +126,7 @@ TEST(PowerControlTest, AutoPowerSessionBoostsOnlyWhenNeeded) {
   EXPECT_DOUBLE_EQ(near_user.station()->tx_power_offset_db(), 0.0);
   EXPECT_GT(far_user.station()->tx_power_offset_db(), 3.0);
   EXPECT_LE(far_user.station()->tx_power_offset_db(),
-            far_spec.max_power_boost_db);
+            workload::kMaxPowerBoostDb);
 }
 
 }  // namespace
