@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const std::string usage =
       std::string("usage: ") + argv[0] + " [duration_s] [scale]";
   cfg.duration_s =
-      argc > 1 ? exp::positive_arg(argv[1], "duration_s", usage) : 120.0;
+      argc > 1 ? exp::duration_arg(argv[1], "duration_s", usage) : 120.0;
   cfg.scale = argc > 2 ? exp::positive_arg(argv[2], "scale", usage) : 0.2;
   // Plenary evenings: everyone in one room, laptops busy (the paper's
   // plenary channels sat near 86% utilization).

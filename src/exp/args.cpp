@@ -54,6 +54,13 @@ std::optional<double> parse_positive(const char* token) {
   return parsed;
 }
 
+/// A run length in (0, kMaxDurationS) seconds.
+std::optional<double> parse_duration(const char* token) {
+  const auto parsed = parse_positive(token);
+  if (!parsed || *parsed >= kMaxDurationS) return std::nullopt;
+  return parsed;
+}
+
 /// An example's bad argument: prints its usage line and exits 2.
 [[noreturn]] void exit_with_usage(std::string_view usage) {
   std::fprintf(stderr, "%.*s\n", static_cast<int>(usage.size()),
@@ -73,14 +80,15 @@ std::optional<double> parse_positive(const char* token) {
                "  --out-dir DIR   where CSV series + manifests land (default .)\n"
                "  --only RUN      replay one grid run (a manifest 'run' index)\n"
                "  --churn LIST    comma-separated churn-rate axis (population\n"
-               "                  turnovers/min; churn scenarios only)\n"
+               "                  turnovers/min, at most %d; churn scenarios only)\n"
                "  --rate-policies LIST\n"
                "                  comma-separated rate-policy axis (registry\n"
                "                  keys, e.g. arf,minstrel; see --list)\n"
                "  --trace-out F   dump Chrome trace-event JSON (wall-clock\n"
                "                  spans; open in Perfetto) to F at exit\n"
                "  --quiet         no per-run progress on stderr\n"
-               "  --help          this text\n");
+               "  --help          this text\n",
+               kMaxChurnPerMin);
   std::exit(code);
 }
 
@@ -120,9 +128,10 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
     } else if (flag == "--seeds") {
       args.seeds = positive_int();
     } else if (flag == "--duration") {
-      const auto parsed = parse_positive(value());
+      const auto parsed = parse_duration(value());
       if (!parsed) {
-        std::fprintf(stderr, "--duration wants positive seconds\n");
+        std::fprintf(stderr, "--duration wants positive seconds below %s\n",
+                     std::to_string(kMaxDurationS).c_str());
         usage(what, 2);
       }
       args.duration_s = *parsed;
@@ -145,9 +154,11 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
         char* end = nullptr;
         const double parsed = std::strtod(tok.c_str(), &end);
         if (tok.empty() || end != tok.c_str() + tok.size() ||
-            !std::isfinite(parsed)) {
+            !std::isfinite(parsed) || parsed > kMaxChurnPerMin) {
           std::fprintf(stderr,
-                       "--churn wants comma-separated finite numbers\n");
+                       "--churn wants comma-separated finite numbers of at "
+                       "most %d turnovers/min\n",
+                       kMaxChurnPerMin);
           usage(what, 2);
         }
         args.churn_rates.push_back(parsed);
@@ -210,6 +221,14 @@ double positive_arg(const char* token, const char* name,
                     std::string_view usage) {
   if (const auto parsed = parse_positive(token)) return *parsed;
   std::fprintf(stderr, "%s wants a positive number, not '%s'\n", name, token);
+  exit_with_usage(usage);
+}
+
+double duration_arg(const char* token, const char* name,
+                    std::string_view usage) {
+  if (const auto parsed = parse_duration(token)) return *parsed;
+  std::fprintf(stderr, "%s wants positive seconds below %s, not '%s'\n", name,
+               std::to_string(kMaxDurationS).c_str(), token);
   exit_with_usage(usage);
 }
 

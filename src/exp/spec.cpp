@@ -36,6 +36,17 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
   if (spec.seeds_per_point < 1) {
     throw std::invalid_argument("ExperimentSpec: seeds_per_point must be >= 1");
   }
+  // Written so that NaN fails too.
+  if (!(spec.duration_s > 0.0 && spec.duration_s < kMaxDurationS)) {
+    throw std::invalid_argument(
+        "ExperimentSpec: duration_s must be positive and below " +
+        std::to_string(kMaxDurationS) + " s");
+  }
+  if (spec.base.shards != 1) {
+    throw std::invalid_argument(
+        "ExperimentSpec: base.shards must stay 1; set ExperimentSpec::shards, "
+        "which expansion copies into every run");
+  }
   // The churn axis is only meaningful on the dynamic-population scenarios
   // (the "-churn" registry keys).  Anywhere it cannot vary behavior, a
   // multi-valued axis would silently multiply the grid with duplicate runs
@@ -52,12 +63,19 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
   }
   std::size_t non_positive = 0;
   for (double churn : spec.churn_rates) {
-    // An infinite turnover draws zero arrival gaps forever, and a NaN one
-    // would reach the manifest while the run used the default.
+    // An infinite turnover draws zero arrival gaps forever, and a huge
+    // finite one nearly so; a NaN one would reach the manifest while the
+    // run used the default.
     if (!std::isfinite(churn)) {
       throw std::invalid_argument(
           "ExperimentSpec: churn_rates axis for scenario \"" + scen +
           "\" has a non-finite value");
+    }
+    if (churn > kMaxChurnPerMin) {
+      throw std::invalid_argument(
+          "ExperimentSpec: churn_rates axis for scenario \"" + scen +
+          "\" exceeds the cap of " + std::to_string(kMaxChurnPerMin) +
+          " turnovers/min (a one-second mean dwell)");
     }
     if (churn <= 0.0) ++non_positive;
   }

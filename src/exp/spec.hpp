@@ -35,6 +35,17 @@ struct LoadPoint {
   std::uint32_t window = 1;     ///< closed-loop packets in flight
 };
 
+/// Bound on a run's length, seconds: its microsecond count must stay below
+/// Microseconds::never().  expand() and the CLI parsers accept a duration
+/// only in (0, kMaxDurationS).
+inline constexpr std::int64_t kMaxDurationS =
+    Microseconds::never().count() / 1'000'000;
+
+/// Largest churn rate, in population turnovers per minute, that expand()
+/// and --churn accept: a one-second mean dwell.  The churn process keeps
+/// one entry per arrival, so an unbounded rate never finishes a run.
+inline constexpr int kMaxChurnPerMin = 60;
+
 /// A declarative parameter grid.  The grid is the cartesian product
 /// loads × rtscts_fractions × rate_policies × timings × power_margins,
 /// each point repeated seeds_per_point times with derived seeds.
@@ -67,8 +78,9 @@ struct ExperimentSpec {
   std::vector<double> churn_rates = {0.0};
 
   /// Everything not on an axis (traffic profile, geometry, sniffer
-  /// capacity, ...).  Axis values, duration_s and seed are overwritten per
-  /// run during expansion.
+  /// capacity, ...).  Axis values, duration_s, seed and shards are
+  /// overwritten per run during expansion; `shards` above is the one shard
+  /// knob, so expand() rejects a base.shards other than 1.
   workload::CellConfig base;
 };
 
@@ -103,10 +115,12 @@ struct RunSpec {
 /// Unrolls the grid in a fixed order — loads (outermost) × rtscts × rate
 /// policy × timing × power margin × seed repeats (innermost) — so run and
 /// point indices are stable properties of the spec.  Throws
-/// std::invalid_argument on an empty axis, seeds_per_point < 1, an unknown
-/// rate-policy / timing name, a non-finite churn rate, or a churn_rates
-/// axis that would silently duplicate runs (multi-valued on a static
-/// scenario, or more than one non-positive value).
+/// std::invalid_argument on an empty axis, seeds_per_point < 1, a duration
+/// outside (0, kMaxDurationS), a base.shards other than 1, an unknown
+/// rate-policy / timing name, a churn rate that is non-finite or above
+/// kMaxChurnPerMin, or a churn_rates axis that would silently duplicate
+/// runs (multi-valued on a static scenario, or more than one non-positive
+/// value).
 [[nodiscard]] std::vector<RunSpec> expand(const ExperimentSpec& spec);
 
 }  // namespace wlan::exp

@@ -62,6 +62,14 @@ TEST_F(BenchArgsDeathTest, RejectsEmptyAndOutOfRangeValues) {
               ExitedWithCode(2), "--churn wants");
   EXPECT_EXIT(static_cast<void>(parse({"--churn", "1,inf"})),
               ExitedWithCode(2), "--churn wants");
+  // Past the cap of 60 turnovers/min, arrivals swamp the run.
+  EXPECT_EXIT(static_cast<void>(parse({"--churn", "1e12"})),
+              ExitedWithCode(2), "--churn wants .* at most 60");
+  EXPECT_EXIT(static_cast<void>(parse({"--churn", "61"})), ExitedWithCode(2),
+              "--churn wants .* at most 60");
+  // A duration whose microsecond count overflows the simulated clock.
+  EXPECT_EXIT(static_cast<void>(parse({"--duration", "1e300"})),
+              ExitedWithCode(2), "--duration wants");
 }
 
 }  // namespace

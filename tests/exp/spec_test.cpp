@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -128,6 +129,25 @@ TEST(SpecTest, BadSpecsThrow) {
   spec = small_spec();
   spec.scenario = "ietf-day-churn";
   spec.churn_rates = {std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(expand(spec), std::invalid_argument);
+
+  // Above the cap of 60 turnovers/min, arrivals swamp the run.
+  spec = small_spec();
+  spec.scenario = "ietf-day-churn";
+  spec.churn_rates = {61.0};
+  EXPECT_THROW(expand(spec), std::invalid_argument);
+
+  // The microsecond count of 1e300 s overflows the simulated clock.
+  for (double bad : {1e300, 0.0, -1.0, std::nan("")}) {
+    spec = small_spec();
+    spec.duration_s = bad;
+    EXPECT_THROW(expand(spec), std::invalid_argument) << bad;
+  }
+
+  // ExperimentSpec::shards is the one shard knob; expansion would silently
+  // overwrite base.shards.
+  spec = small_spec();
+  spec.base.shards = 3;
   EXPECT_THROW(expand(spec), std::invalid_argument);
 }
 
