@@ -14,7 +14,6 @@ namespace wlan::exp {
 
 namespace {
 
-#if WLAN_OBS_ENABLED
 /// --trace-out destination; the atexit hook below writes it after main
 /// returns, so every driver gets the dump without any per-driver code.
 std::string g_trace_out;  // NOLINT(cert-err58-cpp): literal-free construction
@@ -27,7 +26,6 @@ void dump_trace_at_exit() {
     std::fprintf(stderr, "failed to write trace to %s\n", g_trace_out.c_str());
   }
 }
-#endif
 
 /// Whole-token number parsers: the value must be the entire token ("2x" is
 /// a typo, not 2) and lie in [lo, hi], or be positive and finite ("inf" and
@@ -180,18 +178,12 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
       }
     } else if (flag == "--trace-out") {
       args.trace_out = value();
-#if WLAN_OBS_ENABLED
       // Enable before the sweep starts; dump after main returns.  Handler
       // order: instance() is constructed here, *before* std::atexit, so the
       // dump runs before the TraceLog's own static destructor.
       g_trace_out = args.trace_out;
       obs::TraceLog::instance().enable();
       std::atexit(dump_trace_at_exit);
-#else
-      std::fprintf(stderr,
-                   "--trace-out: observability compiled out (-DWLAN_OBS=OFF); "
-                   "no trace will be written\n");
-#endif
     } else if (flag == "--quiet") {
       args.progress = false;
     } else {

@@ -9,8 +9,7 @@
 // exp.runner_determinism_test pins.
 //
 // Snapshots land in their own <stem>_metrics.csv/.json files rather than as
-// extra manifest columns, so the manifest byte-identity contract (including
-// against a -DWLAN_OBS=OFF build, where every counter reads zero) is
+// extra manifest columns, so the manifest byte-identity contract is
 // untouched.
 #pragma once
 

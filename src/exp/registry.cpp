@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/streaming.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 #include "trace/merge.hpp"
 #include "workload/floorplan.hpp"

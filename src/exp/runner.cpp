@@ -18,7 +18,7 @@ namespace {
 
 // The runner's wall_ms manifest column and progress lines time the host,
 // not the simulation; no simulated state ever reads this clock.  The
-// obs_killswitch_check compares outputs "modulo wall_ms" for this reason.
+// golden digests pin manifests minus wall_ms for this reason.
 // wlan-lint: allow(wall-clock) — host-side run timing (wall_ms column)
 using Clock = std::chrono::steady_clock;
 
@@ -106,7 +106,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
         slot.figures.add(out.analysis);
         slot.figures.add_delays(out.queue_delay, out.service_delay);
         slot.record = make_record(run, out, wall_ms);
-        WLAN_OBS_ONLY(slot.metrics.add(obs::Id::kRuns, 1);)
+        slot.metrics.add(obs::Id::kRuns, 1);
       } catch (...) {
         // Never let an exception escape the thread (std::terminate); park
         // it in the slot for the merging thread to rethrow.
@@ -173,7 +173,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     write_manifest_json(stem + "_manifest.json", result.runs,
                         opt.timing_in_manifest);
     // Counter snapshots ride in their own files so the manifest bytes stay
-    // identical with observability on, off, or compiled out.
+    // the same whether or not anyone reads the counters.
     write_metrics_csv(stem + "_metrics.csv", result.run_metrics);
     write_metrics_json(stem + "_metrics.json", result.run_metrics,
                        result.metrics);

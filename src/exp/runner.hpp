@@ -50,9 +50,9 @@ struct ExperimentResult {
   std::vector<core::FigureAccumulator> per_point;
   /// One manifest row per run, in grid order.
   std::vector<RunRecord> runs;
-  /// One work-counter snapshot per run, in grid order (all zeros in a
-  /// -DWLAN_OBS=OFF build).  Deterministic: byte-identical for any thread
-  /// count and for an --only replay of the same row.
+  /// One work-counter snapshot per run, in grid order.  Deterministic:
+  /// byte-identical for any thread count and for an --only replay of the
+  /// same row.
   std::vector<RunMetrics> run_metrics;
   /// Every run's counters folded with Metrics::merge (kSum adds, kMax
   /// takes the high-water mark across runs).

@@ -34,7 +34,6 @@ void Metrics::merge(const Metrics& other) {
   }
 }
 
-#if WLAN_OBS_ENABLED
 namespace {
 thread_local Metrics* g_current = nullptr;
 }  // namespace
@@ -43,6 +42,5 @@ Metrics* current() { return g_current; }
 
 MetricsScope::MetricsScope(Metrics& m) : prev_(g_current) { g_current = &m; }
 MetricsScope::~MetricsScope() { g_current = prev_; }
-#endif
 
 }  // namespace wlan::obs

@@ -13,8 +13,8 @@
 // Contract (the property that makes this layer safe to leave on):
 //  * Out-of-band only.  Nothing in this layer draws from a util::Rng,
 //    touches a double that feeds simulation output, or reorders any
-//    computation.  Figure/CSV/manifest bytes are identical with metrics
-//    compiled in, compiled out (-DWLAN_OBS_DISABLED), or ignored.
+//    computation.  Figure/CSV/manifest bytes are identical whether the
+//    counters are harvested or ignored.
 //  * Per-run ownership.  A Metrics object belongs to one run; the exp
 //    runner installs it on the worker thread via MetricsScope before the
 //    run and harvests it after.  The thread-local current() pointer is the
@@ -27,29 +27,16 @@
 //    The obs::count()/obs::note_max() helpers (one TLS load + null check)
 //    are for cool paths: run lifecycle, churn arrivals, teardown.
 //
-// Kill switch: configure with -DWLAN_OBS=OFF (adds WLAN_OBS_DISABLED to the
-// whole stack) and every helper and WLAN_OBS_ONLY() expansion compiles to
-// nothing; the byte-identity regression test diffs that build's figures
-// against the instrumented build's.
+// There is no build without this layer: docs/OBSERVABILITY.md ("Cost")
+// measures the counters at under 1% of the plenary workload's wall time.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 
-#if defined(WLAN_OBS_DISABLED)
-#define WLAN_OBS_ENABLED 0
-#else
-#define WLAN_OBS_ENABLED 1
-#endif
-
-/// Wraps a statement (typically a member-counter increment) that should
-/// vanish in a -DWLAN_OBS=OFF build.
-#if WLAN_OBS_ENABLED
+/// Expands to its statement; kept because perfbench/driver.cpp still uses it.
 #define WLAN_OBS_ONLY(...) __VA_ARGS__
-#else
-#define WLAN_OBS_ONLY(...)
-#endif
 
 namespace wlan::obs {
 
@@ -159,7 +146,6 @@ class Metrics {
   std::array<std::uint64_t, kNumCounters> v_{};
 };
 
-#if WLAN_OBS_ENABLED
 /// The register runs on this thread currently deposit into; nullptr outside
 /// any MetricsScope (all helpers then no-op).
 Metrics* current();
@@ -185,14 +171,5 @@ inline void count(Id id, std::uint64_t n = 1) {
 inline void note_max(Id id, std::uint64_t v) {
   if (Metrics* m = current()) m->note_max(id, v);
 }
-#else
-inline Metrics* current() { return nullptr; }
-class MetricsScope {
- public:
-  explicit MetricsScope(Metrics&) {}
-};
-inline void count(Id, std::uint64_t = 1) {}
-inline void note_max(Id, std::uint64_t) {}
-#endif
 
 }  // namespace wlan::obs

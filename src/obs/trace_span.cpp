@@ -1,7 +1,5 @@
 #include "obs/trace_span.hpp"
 
-#if WLAN_OBS_ENABLED
-
 #include <cinttypes>
 
 namespace wlan::obs {
@@ -106,5 +104,3 @@ void TraceLog::reset() {
 }
 
 }  // namespace wlan::obs
-
-#endif  // WLAN_OBS_ENABLED

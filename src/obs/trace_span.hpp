@@ -28,11 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"  // for WLAN_OBS_ENABLED
-
 namespace wlan::obs {
-
-#if WLAN_OBS_ENABLED
 
 /// Process-wide span sink.  Disabled (and free) until enable() is called.
 class TraceLog {
@@ -112,27 +108,5 @@ class Span {
   std::uint64_t start_us_ = 0;
   bool active_ = false;
 };
-
-#else  // !WLAN_OBS_ENABLED
-
-class TraceLog {
- public:
-  static TraceLog& instance() {
-    static TraceLog log;
-    return log;
-  }
-  void enable() {}
-  [[nodiscard]] bool enabled() const { return false; }
-  [[nodiscard]] std::uint64_t now_us() const { return 0; }
-  bool write(const std::string&) { return false; }
-  void reset() {}
-};
-
-class Span {
- public:
-  explicit Span(std::string, const char* = "run") {}
-};
-
-#endif  // WLAN_OBS_ENABLED
 
 }  // namespace wlan::obs

@@ -77,7 +77,7 @@ class FrameSuccessCache {
     // (Thresholds are copied into the cache at construction: this runs tens
     // of millions of times per session, too hot for a static-local guard.)
     if (snr_db >= saturation_db_[rate_index(rate)]) {
-      WLAN_OBS_ONLY(++saturated_;)
+      ++saturated_;
       return 1.0;
     }
     std::uint64_t snr_bits;
@@ -89,13 +89,13 @@ class FrameSuccessCache {
     Entry* e = &entries_[(key * 0xC2B2AE3D27D4EB4FULL) >> (64 - log2_)];
     if (e->snr_bits == snr_bits && e->bytes == bytes && e->rate == rate &&
         e->valid) {
-      WLAN_OBS_ONLY(++hits_;)
+      ++hits_;
       return e->p;
     }
-    WLAN_OBS_ONLY(++evals_;)
+    ++evals_;
     if (log2_ < log2_cap_ &&
         ++misses_since_resize_ >= (entries_.size() << 2)) {
-      WLAN_OBS_ONLY(++resizes_;)
+      ++resizes_;
       log2_ = log2_ + 2 > log2_cap_ ? log2_cap_ : log2_ + 2;
       entries_.assign(std::size_t{1} << log2_, Entry{});
       misses_since_resize_ = 0;
@@ -112,10 +112,10 @@ class FrameSuccessCache {
   /// Current table size; tests pin the growth policy with this.
   [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
 
-  // Work counters (zero in a -DWLAN_OBS=OFF build): exact-key hits, full
-  // frame_success_probability evaluations (the four-libm-pow path), answers
-  // served by the saturation shortcut, and table resizes.  Deterministic
-  // per (seed, config); harvested into obs::Metrics once per run.
+  // Work counters: exact-key hits, full frame_success_probability
+  // evaluations (the four-libm-pow path), answers served by the saturation
+  // shortcut, and table resizes.  Deterministic per (seed, config);
+  // harvested into obs::Metrics once per run.
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t evals() const { return evals_; }
   [[nodiscard]] std::uint64_t saturated() const { return saturated_; }

@@ -94,10 +94,10 @@ class ExactUnaryMemo {
     std::memcpy(&bits, &x, sizeof bits);
     Entry* e = &entries_[(bits * 0x9E3779B97F4A7C15ULL) >> (64 - log2_)];
     if (e->bits == bits) {
-      WLAN_OBS_ONLY(++hits_;)
+      ++hits_;
       return e->value;
     }
-    WLAN_OBS_ONLY(++evals_;)
+    ++evals_;
     if (log2_ < log2_cap_ &&
         ++misses_since_resize_ >= (entries_.size() << 2)) {
       log2_ = log2_ + 2 > log2_cap_ ? log2_cap_ : log2_ + 2;
@@ -113,8 +113,8 @@ class ExactUnaryMemo {
   /// Current table size; tests pin the growth policy with this.
   [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
 
-  // Work counters (zero in a -DWLAN_OBS=OFF build): exact-key hits vs full
-  // Fn (libm) evaluations.  Harvested into obs::Metrics once per run.
+  // Work counters: exact-key hits vs full Fn (libm) evaluations.  Harvested
+  // into obs::Metrics once per run.
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t evals() const { return evals_; }
 

@@ -58,7 +58,7 @@ void Channel::release_link(LinkId id) {
   if (--link_refs_[id] == 0 && link_departed_[id] != 0) {
     link_departed_[id] = 0;
     links_.remove_endpoint(id);
-    WLAN_OBS_ONLY(++links_recycled_;)
+    ++links_recycled_;
   }
 }
 
@@ -110,7 +110,7 @@ void Channel::remove_node(MacEntity* node) {
   if (old_link != phy::LinkBudgetCache::kNoLink) {
     if (link_refs_[old_link] == 0) {
       links_.remove_endpoint(old_link);
-      WLAN_OBS_ONLY(++links_recycled_;)
+      ++links_recycled_;
     } else {
       link_departed_[old_link] = 1;
     }
@@ -118,10 +118,10 @@ void Channel::remove_node(MacEntity* node) {
 }
 
 void Channel::add_sniffer(Sniffer* sniffer) {
-  WLAN_OBS_ONLY(const std::uint64_t version_before = links_.version();)
+  const std::uint64_t version_before = links_.version();
   const LinkId link = links_.add_endpoint(sniffer->position());
   track_link(link);  // never referenced by frames, but keeps indexing dense
-  WLAN_OBS_ONLY(sniffer_link_mutations_ += links_.version() - version_before;)
+  sniffer_link_mutations_ += links_.version() - version_before;
   sniffers_.push_back({sniffer, link});
 }
 
@@ -285,7 +285,7 @@ void Channel::on_transmission_end(std::uint32_t slot, std::uint64_t frame_id) {
   // reset below.
   assert(flight_.frame[slot].id == frame_id);
   (void)frame_id;
-  WLAN_OBS_ONLY(++end_of_air_;)
+  ++end_of_air_;
   // Domains created during this frame's callbacks (index >= n_domains)
   // never counted it — neither at transmit nor in their creation scan,
   // which runs after the swap-erase below — so only pre-existing domains
@@ -335,10 +335,10 @@ void Channel::on_transmission_end(std::uint32_t slot, std::uint64_t frame_id) {
   // correct idle anchor.
   if (done_cb) done_cb();
   if (scalar_reception_) {
-    WLAN_OBS_ONLY(++receptions_scalar_;)
+    ++receptions_scalar_;
     evaluate_receptions_scalar(done);
   } else {
-    WLAN_OBS_ONLY(++receptions_batched_;)
+    ++receptions_batched_;
     evaluate_receptions_batched(done);
   }
   // The frame is fully processed: drop its link references.  A link whose
@@ -416,7 +416,7 @@ void Channel::evaluate_receptions_scalar(const Completed& done) {
     if (!receivable(rx->link_id_)) return;
     const double sinr = sinr_db_at(done, rx->link_id_);
     const double p = frame_success_(f.rate, f.size_bytes(), sinr);
-    WLAN_OBS_ONLY(++chance_draws_;)
+    ++chance_draws_;
     if (rng_.chance(p)) rx->on_receive(f, sinr);
   };
 
@@ -436,7 +436,7 @@ void Channel::evaluate_receptions_scalar(const Completed& done) {
       if (receivable(rx->link_id_)) {
         sinr = sinr_db_at(done, rx->link_id_);
         const double p = frame_success_(f.rate, f.size_bytes(), sinr);
-        WLAN_OBS_ONLY(++chance_draws_;)
+        ++chance_draws_;
         delivered = rng_.chance(p);
       }
       if (delivered) {
@@ -557,7 +557,7 @@ void Channel::evaluate_receptions_batched(const Completed& done) {
   // order — and only for the delivery candidates, never sniffers.
   if (f.dst == mac::kBroadcast) {
     const std::uint64_t epoch = nodes_epoch_;
-    WLAN_OBS_ONLY(chance_draws_ += deliver_end;)
+    chance_draws_ += deliver_end;
     for (std::size_t i = 0; i < deliver_end; ++i) {
       const double p = frame_success_(f.rate, bytes, sinr[i]);
       if (!rng_.chance(p)) continue;
@@ -580,7 +580,7 @@ void Channel::evaluate_receptions_batched(const Completed& done) {
       if (deliver_end == 1) {  // the destination was receivable
         rx_sinr = sinr[0];
         const double p = frame_success_(f.rate, bytes, rx_sinr);
-        WLAN_OBS_ONLY(++chance_draws_;)
+        ++chance_draws_;
         delivered = rng_.chance(p);
       }
       if (delivered) {
@@ -622,7 +622,7 @@ void Channel::run_broadcast_plan(const Completed& done) {
                         plan.rate == f.rate && plan.bytes == bytes &&
                         plan.power_offset_bits == offset_bits &&
                         plan.sniffer_count == sniffers_.size();
-  WLAN_OBS_ONLY(reusable ? ++plan_hits_ : ++plan_rebuilds_;)
+  reusable ? ++plan_hits_ : ++plan_rebuilds_;
   if (!reusable) {
     plan.links_version = links_.version();
     plan.nodes_epoch = nodes_epoch_;
@@ -668,7 +668,7 @@ void Channel::run_broadcast_plan(const Completed& done) {
   // mid-delivery membership re-validation.
   const std::uint64_t epoch = nodes_epoch_;
   const std::size_t deliver_end = plan.node.size();
-  WLAN_OBS_ONLY(chance_draws_ += deliver_end;)
+  chance_draws_ += deliver_end;
   for (std::size_t i = 0; i < deliver_end; ++i) {
     if (!rng_.chance(plan.p[i])) continue;
     MacEntity* rx = plan.node[i];
@@ -795,7 +795,7 @@ void Channel::fire_access(std::size_t di) {
     // remaining contenders do not double-count the consumed slots.
     d.idle_anchor = sim_.now() - timing_.difs;
 
-    WLAN_OBS_ONLY(access_grants_ += winners.size();)
+    access_grants_ += winners.size();
     // The grants may transmit — which re-enters the domain table (busy
     // accounting, even creating domains and reallocating domains_) — so the
     // reference above dies with this scope.

@@ -157,12 +157,12 @@ class Channel {
   /// Delivery RNG draws performed (`rng_.chance` calls — one per receivable
   /// delivery candidate).  The draw count is part of the determinism
   /// contract: the batched-vs-scalar diff test pins it equal across both
-  /// reception engines.  Zero in a -DWLAN_OBS=OFF build.
+  /// reception engines.
   [[nodiscard]] std::uint64_t delivery_chance_draws() const {
     return chance_draws_;
   }
   /// Broadcast-plan cache traffic: replays of a still-valid plan vs
-  /// validate-or-rebuild misses.  Zero in a -DWLAN_OBS=OFF build.
+  /// validate-or-rebuild misses.
   [[nodiscard]] std::uint64_t broadcast_plan_hits() const { return plan_hits_; }
   [[nodiscard]] std::uint64_t broadcast_plan_rebuilds() const {
     return plan_rebuilds_;
@@ -174,8 +174,8 @@ class Channel {
 
   /// Rate-layer work counters (member counters on the per-frame path, like
   /// the reception ones above; harvested by harvest_metrics).
-  void note_rate_plan() { WLAN_OBS_ONLY(++rate_plans_;) }
-  void note_rate_outcome() { WLAN_OBS_ONLY(++rate_outcomes_;) }
+  void note_rate_plan() { ++rate_plans_; }
+  void note_rate_outcome() { ++rate_outcomes_; }
 
   /// Records a delivered data MSDU's delay split (paper §6): time queued
   /// behind other heads vs time at the head of the line.  Always on — the
@@ -385,9 +385,9 @@ class Channel {
   std::uint64_t last_frame_id_ = 0;
   std::uint64_t tx_count_ = 0;
   std::uint64_t collision_count_ = 0;
-  // Work counters (see harvest_metrics; all stay zero in a -DWLAN_OBS=OFF
-  // build).  Plain members, not obs::count() calls: end-of-air and delivery
-  // are the hottest paths in the simulator and must not pay a TLS lookup.
+  // Work counters (see harvest_metrics).  Plain members, not obs::count()
+  // calls: end-of-air and delivery are the hottest paths in the simulator
+  // and must not pay a TLS lookup.
   std::uint64_t end_of_air_ = 0;
   std::uint64_t access_grants_ = 0;
   std::uint64_t chance_draws_ = 0;

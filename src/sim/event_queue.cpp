@@ -25,7 +25,8 @@ EventId EventQueue::schedule(Microseconds at, Callback fn) {
   const std::uint64_t seq = next_seq_++;
   heap_push(Entry{at, seq, slot, s.gen});
   ++live_;
-  WLAN_OBS_ONLY(++scheduled_; if (live_ > depth_hw_) depth_hw_ = live_;)
+  ++scheduled_;
+  if (live_ > depth_hw_) depth_hw_ = live_;
   if (observer_) observer_(observer_ctx_, at, seq);
   return EventId{slot, s.gen};
 }
@@ -74,7 +75,7 @@ void EventQueue::cancel(EventId id) {
   free_slots_.push_back(id.slot_);
   assert(live_ > 0);
   --live_;
-  WLAN_OBS_ONLY(++cancelled_;)
+  ++cancelled_;
 }
 
 void EventQueue::drop_cancelled() const {

@@ -115,10 +115,10 @@ class EventQueue {
   [[nodiscard]] std::size_t slot_pool_size() const { return slots_.size(); }
   [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
 
-  // Work counters (zero in a -DWLAN_OBS=OFF build): total schedules, live
-  // events actually cancelled (generation-mismatch no-ops excluded), and
-  // the live-event depth high-water mark.  Deterministic per (seed,
-  // config); harvested into obs::Metrics once per run.
+  // Work counters: total schedules, live events actually cancelled
+  // (generation-mismatch no-ops excluded), and the live-event depth
+  // high-water mark.  Deterministic per (seed, config); harvested into
+  // obs::Metrics once per run.
   [[nodiscard]] std::uint64_t scheduled() const { return scheduled_; }
   [[nodiscard]] std::uint64_t cancelled() const { return cancelled_; }
   [[nodiscard]] std::size_t depth_high_water() const { return depth_hw_; }

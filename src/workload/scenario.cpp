@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 
 namespace wlan::workload {

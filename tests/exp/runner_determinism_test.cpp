@@ -104,8 +104,7 @@ TEST(RunnerDeterminismTest, OneThreadAndManyThreadsAreByteIdentical) {
   EXPECT_EQ(slurp(dir1 + "/determinism_metrics.json"),
             slurp(dir4 + "/determinism_metrics.json"));
   EXPECT_FALSE(slurp(dir1 + "/determinism_metrics.csv").empty());
-#if WLAN_OBS_ENABLED
-  // Compiled-in counters must actually count: a 5-second 4-run sweep
+  // The counters must actually count: a 5-second 4-run sweep
   // dispatches events, transmits frames, and draws delivery chances.
   EXPECT_EQ(r1.metrics.value(obs::Id::kRuns), 4u);
   EXPECT_GT(r1.metrics.value(obs::Id::kEventsExecuted), 0u);
@@ -113,7 +112,6 @@ TEST(RunnerDeterminismTest, OneThreadAndManyThreadsAreByteIdentical) {
   EXPECT_GT(r1.metrics.value(obs::Id::kDeliveryChanceDraws), 0u);
   EXPECT_GT(r1.metrics.value(obs::Id::kFrameSuccessEvals), 0u);
   EXPECT_GT(r1.metrics.value(obs::Id::kEventQueueDepthHw), 0u);
-#endif
 }
 
 TEST(RunnerDeterminismTest, OnlyRunReproducesASingleGridPointExactly) {
@@ -186,14 +184,12 @@ TEST(RunnerDeterminismTest, ChurnScenarioIsThreadCountInvariantByteForByte) {
   EXPECT_EQ(slurp(dir1 + "/churn_det_metrics.csv"),
             slurp(dir4 + "/churn_det_metrics.csv"));
   EXPECT_EQ(counter_values(r1.metrics), counter_values(r4.metrics));
-#if WLAN_OBS_ENABLED
   // A brisk-turnover day session must exercise the whole lifecycle:
   // arrivals, dwell-out removals, and deferred link-id recycling.
   EXPECT_GT(r1.metrics.value(obs::Id::kChurnArrivals), 0u);
   EXPECT_GT(r1.metrics.value(obs::Id::kStationsRemoved), 0u);
   EXPECT_GT(r1.metrics.value(obs::Id::kLinkIdsRecycled), 0u);
   EXPECT_GT(r1.metrics.value(obs::Id::kChurnPeakLive), 0u);
-#endif
 
   // Churn arms at the same load and repeat are seed-paired (common random
   // numbers): same derived seed, different churn treatment.
@@ -261,7 +257,6 @@ TEST(RunnerDeterminismTest, ReferenceEnginesAreByteIdentical) {
       EXPECT_EQ(core::render_figure(rp.figures.fig08_busytime_share(1)),
                 core::render_figure(rr.figures.fig08_busytime_share(1)));
 
-#if WLAN_OBS_ENABLED
       // The counters tell the same story from the work side.  The RNG
       // contract (one chance() per receivable candidate, in node order)
       // makes the delivery draw count engine-invariant, and neither
@@ -297,7 +292,6 @@ TEST(RunnerDeterminismTest, ReferenceEnginesAreByteIdentical) {
           EXPECT_EQ(mp.value(id), mr.value(id)) << obs::name(id);
         }
       }
-#endif
     }
   }
 }
@@ -320,7 +314,6 @@ TEST(RunnerDeterminismTest, ReferenceEnginesAgreeOnAChurnGridPoint) {
     const auto rr = run_experiment(spec, opt);
     ASSERT_EQ(rr.runs.size(), 1u);
     EXPECT_EQ(manifest_row(rp.runs[0], false), manifest_row(rr.runs[0], false));
-#if WLAN_OBS_ENABLED
     // Vacuous-pass guards: the switch must reach the session through the
     // registry.  The scalar path books its receptions separately, and one
     // queue holding all three channels' events peaks deeper than any shard.
@@ -332,16 +325,12 @@ TEST(RunnerDeterminismTest, ReferenceEnginesAgreeOnAChurnGridPoint) {
       EXPECT_GT(mr.value(obs::Id::kEventQueueDepthHw),
                 mp.value(obs::Id::kEventQueueDepthHw));
     }
-#endif
   }
 }
 
 // The observability invariant from the other side: turning span tracing ON
 // must not change a byte of any figure, manifest, or counter snapshot —
 // tracing is wall-clock profiling, strictly out-of-band of the simulation.
-// (The compile-time half of the invariant — a -DWLAN_OBS=OFF build emits
-// the same figure/manifest bytes — is checked by
-// scripts/obs_killswitch_check.sh, which needs a second build tree.)
 TEST(RunnerDeterminismTest, EnablingTracingChangesNoOutputByte) {
   const std::string dir_off = ::testing::TempDir() + "exp_trace_off";
   const std::string dir_on = ::testing::TempDir() + "exp_trace_on";
@@ -349,13 +338,11 @@ TEST(RunnerDeterminismTest, EnablingTracingChangesNoOutputByte) {
 
   obs::TraceLog::instance().enable();
   const auto on = run_with_threads(2, dir_on);
-#if WLAN_OBS_ENABLED
   const std::string trace_path = ::testing::TempDir() + "exp_trace.json";
   EXPECT_TRUE(obs::TraceLog::instance().write(trace_path));
   const std::string trace = slurp(trace_path);
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("\"run: cell #0 seed"), std::string::npos);
-#endif
   obs::TraceLog::instance().reset();  // don't leak tracing into other tests
 
   EXPECT_EQ(core::render_figure(off.figures.fig06_throughput_goodput(1)),
@@ -436,10 +423,8 @@ TEST(RunnerDeterminismTest, ChurnScenarioIsShardCountInvariant) {
   EXPECT_EQ(core::render_figure(r1.figures.fig06_throughput_goodput(1)),
             core::render_figure(r3.figures.fig06_throughput_goodput(1)));
   EXPECT_EQ(counter_values(r1.metrics), counter_values(r3.metrics));
-#if WLAN_OBS_ENABLED
   // Vacuous-pass guard: the sweep must actually exercise cross-shard roams.
   EXPECT_GT(r1.metrics.value(obs::Id::kChurnRoams), 0u);
-#endif
 }
 
 // The churn_rates axis is validated at expansion (KNOWN_ISSUES PR 5

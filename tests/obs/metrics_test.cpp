@@ -1,9 +1,6 @@
 // Unit tests for the observability layer: the counter catalog, register
 // merge semantics, the thread-local MetricsScope plumbing, and the trace
-// log's Chrome-JSON output.  Everything here must pass in both the default
-// build and -DWLAN_OBS=OFF (where the helpers are no-ops but the Metrics
-// type itself stays fully functional — the exp layer stores and serializes
-// it unconditionally).
+// log's Chrome-JSON output.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -73,15 +70,10 @@ TEST(ObsScopeTest, HelpersDepositIntoTheInstalledRegisterOnly) {
     note_max(Id::kChurnPeakLive, 11);
   }
   count(Id::kRuns);  // scope gone: no-op again
-#if WLAN_OBS_ENABLED
   EXPECT_EQ(m.value(Id::kRuns), 2u);
   EXPECT_EQ(m.value(Id::kChurnPeakLive), 11u);
-#else
-  EXPECT_EQ(m.value(Id::kRuns), 0u);  // helpers compile to nothing
-#endif
 }
 
-#if WLAN_OBS_ENABLED
 TEST(ObsScopeTest, ScopesNestAndRestore) {
   Metrics outer, inner;
   EXPECT_EQ(current(), nullptr);
@@ -140,7 +132,6 @@ TEST(ObsTraceTest, SpansRecordOnlyWhileEnabledAndWriteChromeJson) {
   EXPECT_NE(json.find("\"cat\": \"merge\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
 }
-#endif  // WLAN_OBS_ENABLED
 
 }  // namespace
 }  // namespace wlan::obs
