@@ -37,6 +37,7 @@ cmake --build build -j
 python3 scripts/clang_tidy_check.py --build-dir build --if-available
 
 echo "smoke: bench_fig06_throughput_goodput --threads 2 --seeds 1 --duration 4"
+rm -f build/smoke/trace.json  # a stale trace must not stand in for this run's
 ./build/bench_fig06_throughput_goodput --threads 2 --seeds 1 --duration 4 \
     --quiet --out-dir build/smoke --trace-out build/smoke/trace.json \
     > /dev/null
@@ -59,20 +60,18 @@ echo "smoke: OK (2-shard outputs byte-identical)"
 
 # Observability smoke: the per-run metrics snapshot and the --trace-out
 # span dump must both be well-formed JSON; the trace must hold one complete
-# ("ph":"X") event per run.  In a -DWLAN_OBS=OFF build the trace file is
-# not written and the counters are all zero, so only shape is checked here
+# ("ph":"X") event per run.  Only shape is checked here
 # (exp.runner_determinism_test and the perf guard check the values).
 echo "smoke: metrics snapshot + trace JSON shape"
 python3 - <<'EOF'
-import json, os
+import json
 m = json.load(open("build/smoke/fig06_metrics.json"))
 assert m["runs"], "metrics JSON has no per-run snapshots"
 assert "sim.events_executed" in m["aggregate"], "missing counter catalog"
-if os.path.exists("build/smoke/trace.json"):
-    t = json.load(open("build/smoke/trace.json"))
-    runs = [e for e in t["traceEvents"] if e["ph"] == "X"
-            and e["name"].startswith("run: ")]
-    assert len(runs) == len(m["runs"]), (len(runs), len(m["runs"]))
+t = json.load(open("build/smoke/trace.json"))
+runs = [e for e in t["traceEvents"] if e["ph"] == "X"
+        and e["name"].startswith("run: ")]
+assert len(runs) == len(m["runs"]), (len(runs), len(m["runs"]))
 print(f"smoke: OK ({len(m['runs'])} run snapshots)")
 EOF
 
