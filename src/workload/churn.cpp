@@ -5,6 +5,24 @@
 
 namespace wlan::workload {
 
+namespace {
+
+/// `now` plus `s` seconds, truncated to the clock's microseconds;
+/// Microseconds::never() when the sum does not fit the clock (the gap of
+/// a vanishing arrival rate, an astronomically long dwell), so the time
+/// lands past any horizon instead of wrapping into the past.
+Microseconds after_seconds(Microseconds now, double s) {
+  const double us = s * 1e6;
+  if (!(us < 0x1p63)) return Microseconds::never();  // also catches NaN
+  const auto d = static_cast<std::int64_t>(us);
+  if (d >= Microseconds::never().count() - now.count()) {
+    return Microseconds::never();
+  }
+  return now + Microseconds{d};
+}
+
+}  // namespace
+
 ChurnProcess::ChurnProcess(sim::Network& net, ChurnConfig config,
                            Microseconds horizon)
     : net_(net), config_(std::move(config)), horizon_(horizon),
@@ -20,9 +38,7 @@ phy::Position ChurnProcess::draw_position(util::Rng& rng) {
 void ChurnProcess::schedule_next_arrival() {
   if (config_.arrivals_per_s <= 0.0) return;
   const double gap_s = arrival_rng_.exponential(1.0 / config_.arrivals_per_s);
-  const Microseconds at =
-      net_.simulator().now() +
-      Microseconds{static_cast<std::int64_t>(gap_s * 1e6)};
+  const Microseconds at = after_seconds(net_.simulator().now(), gap_s);
   if (at > horizon_) return;  // venue closes; nobody new walks in
   net_.simulator().at(at, [this] { arrive(); });
 }
@@ -41,7 +57,7 @@ void ChurnProcess::arrive() {
   const double dwell_s = std::exp(m.rng.normal(mu, sigma));
 
   const Microseconds now = net_.simulator().now();
-  m.leave = now + Microseconds{static_cast<std::int64_t>(dwell_s * 1e6)};
+  m.leave = after_seconds(now, dwell_s);  // never(): stays past the run
 
   UserSpec spec;
   spec.position = draw_position(m.rng);
@@ -57,9 +73,11 @@ void ChurnProcess::arrive() {
 
   ++live_;
   peak_live_ = std::max(peak_live_, live_);
-  net_.simulator().at(members_.back().leave, [this] {
-    if (live_ > 0) --live_;
-  });
+  if (members_.back().leave != Microseconds::never()) {
+    net_.simulator().at(members_.back().leave, [this] {
+      if (live_ > 0) --live_;
+    });
+  }
 
   schedule_mobility(index);
   schedule_next_arrival();
@@ -69,9 +87,7 @@ void ChurnProcess::schedule_mobility(std::size_t index) {
   if (config_.roam_check_mean_s <= 0.0) return;
   Member& m = members_[index];
   const double gap_s = m.rng.exponential(config_.roam_check_mean_s);
-  const Microseconds at =
-      net_.simulator().now() +
-      Microseconds{static_cast<std::int64_t>(gap_s * 1e6)};
+  const Microseconds at = after_seconds(net_.simulator().now(), gap_s);
   if (at >= m.leave || at > horizon_) return;
   net_.simulator().at(at, [this, index] { mobility_check(index); });
 }

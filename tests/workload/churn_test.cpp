@@ -96,6 +96,32 @@ TEST(ChurnProcessTest, PopulationTracksLittlesLawAndChurns) {
   EXPECT_LE(s.stations_left, s.live + 8);
 }
 
+// A gap or dwell too long for the microsecond clock lands past the run
+// instead of wrapping into the past.  The vanishing rate once scheduled
+// every arrival at `now`, so the run never finished.
+TEST(ChurnProcessTest, VanishingArrivalRateSpawnsNobody) {
+  sim::Network net(one_channel_net(9));
+  net.add_ap({8, 8, 0}, 6).start_beacons();
+  ChurnConfig cfg = fast_churn(31);
+  cfg.arrivals_per_s = 1e-20;  // mean gap 1e20 s, past the clock's range
+  ChurnProcess churn(net, cfg, sec(5));
+  net.run_for(sec(5));
+  EXPECT_EQ(churn.arrivals(), 0u);
+}
+
+TEST(ChurnProcessTest, OverlongDwellOutlastsTheRun) {
+  sim::Network net(one_channel_net(9));
+  net.add_ap({8, 8, 0}, 6).start_beacons();
+  ChurnConfig cfg = fast_churn(32);
+  cfg.dwell_mean_s = 1e20;  // every dwell is past the clock's range
+  cfg.dwell_sigma = 0.0;
+  ChurnProcess churn(net, cfg, sec(5));
+  net.run_for(sec(5));
+  ASSERT_GT(churn.arrivals(), 0u);
+  EXPECT_EQ(churn.live(), churn.arrivals());
+  EXPECT_EQ(net.stations().size(), churn.arrivals());
+}
+
 TEST(ChurnProcessTest, RoamKeepsMacAddressAndSwitchesAp) {
   sim::Network net(one_channel_net(3));
   sim::AccessPoint& near_ap = net.add_ap({5, 5, 0}, 6);
