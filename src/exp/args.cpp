@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/trace_span.hpp"
 
@@ -25,6 +27,19 @@ void dump_trace_at_exit() {
   } else {
     std::fprintf(stderr, "failed to write trace to %s\n", g_trace_out.c_str());
   }
+}
+
+/// The tokens of a comma-separated flag value in order, empty ones
+/// included ("a,,b" is "a", "", "b"), for the caller to check.
+std::vector<std::string> split_list(const std::string& list) {
+  std::vector<std::string> tokens;
+  std::size_t pos = 0;
+  while (pos <= list.size()) {
+    const std::size_t comma = std::min(list.find(',', pos), list.size());
+    tokens.push_back(list.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  return tokens;
 }
 
 /// Whole-token number parsers: the value must be the entire token ("2x" is
@@ -144,11 +159,7 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
       }
       args.only_run = static_cast<std::size_t>(*parsed);
     } else if (flag == "--churn") {
-      const std::string list = value();
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const std::size_t comma = std::min(list.find(',', pos), list.size());
-        const std::string tok = list.substr(pos, comma - pos);
+      for (const std::string& tok : split_list(value())) {
         char* end = nullptr;
         const double parsed = std::strtod(tok.c_str(), &end);
         if (tok.empty() || end != tok.c_str() + tok.size() ||
@@ -160,21 +171,15 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
           usage(what, 2);
         }
         args.churn_rates.push_back(parsed);
-        pos = comma + 1;
       }
     } else if (flag == "--rate-policies") {
-      const std::string list = value();
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const std::size_t comma = std::min(list.find(',', pos), list.size());
-        const std::string tok = list.substr(pos, comma - pos);
+      for (std::string& tok : split_list(value())) {
         if (tok.empty()) {
           std::fprintf(stderr,
                        "--rate-policies wants comma-separated policy keys\n");
           usage(what, 2);
         }
-        args.rate_policies.push_back(tok);
-        pos = comma + 1;
+        args.rate_policies.push_back(std::move(tok));
       }
     } else if (flag == "--trace-out") {
       args.trace_out = value();

@@ -28,6 +28,13 @@ TEST(BenchArgsTest, ParsesNumericFlags) {
   EXPECT_DOUBLE_EQ(args.duration_s, 2.5);
 }
 
+TEST(BenchArgsTest, ParsesCommaLists) {
+  const BenchArgs args =
+      parse({"--churn", "1,2.5", "--rate-policies", "arf,aarf"});
+  EXPECT_EQ(args.churn_rates, (std::vector<double>{1, 2.5}));
+  EXPECT_EQ(args.rate_policies, (std::vector<std::string>{"arf", "aarf"}));
+}
+
 using BenchArgsDeathTest = ::testing::Test;
 
 TEST_F(BenchArgsDeathTest, RejectsTrailingCharacters) {
@@ -62,6 +69,10 @@ TEST_F(BenchArgsDeathTest, RejectsEmptyAndOutOfRangeValues) {
               ExitedWithCode(2), "--churn wants");
   EXPECT_EXIT(static_cast<void>(parse({"--churn", "1,inf"})),
               ExitedWithCode(2), "--churn wants");
+  EXPECT_EXIT(static_cast<void>(parse({"--rate-policies", "arf,,aarf"})),
+              ExitedWithCode(2), "--rate-policies wants");
+  EXPECT_EXIT(static_cast<void>(parse({"--rate-policies", "arf,"})),
+              ExitedWithCode(2), "--rate-policies wants");
   // Past the cap of 60 turnovers/min, arrivals swamp the run.
   EXPECT_EXIT(static_cast<void>(parse({"--churn", "1e12"})),
               ExitedWithCode(2), "--churn wants .* at most 60");
