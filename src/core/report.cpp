@@ -77,15 +77,7 @@ void FigureAccumulator::merge(const FigureAccumulator& other) {
   }
   queue_delay_.merge(other.queue_delay_);
   service_delay_.merge(other.service_delay_);
-  // wlan-lint: allow(unordered-iteration) — keyed merge of commutative
-  // sums (+=) and an or-fold; the aggregate is visit-order-independent
-  for (const auto& [addr, st] : other.senders_) {
-    SenderStats& agg = senders_[addr];
-    agg.data_tx += st.data_tx;
-    agg.data_acked += st.data_acked;
-    agg.rts_tx += st.rts_tx;
-    agg.uses_rtscts = agg.uses_rtscts || st.uses_rtscts;
-  }
+  add_senders(other.senders_);
 }
 
 FigureSeries FigureAccumulator::fig06_throughput_goodput(std::size_t min_n) const {
