@@ -10,8 +10,7 @@ moves in a pinned artifact fails the test, naming that artifact.
     golden_digests.py --bin-dir BUILD_DIR --update   # rewrite digests.txt
 
 Refresh digests.txt only in a commit of its own whose message says why the
-outputs moved.  Metrics files are not pinned: a -DWLAN_OBS=OFF build writes
-them as zeros.  Python stdlib only.
+outputs moved.  Python stdlib only.
 """
 
 import argparse
@@ -24,8 +23,9 @@ import tempfile
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "digests.txt")
 
-# Registry scenarios whose manifests are pinned: the two churn sessions and
-# the hidden-terminal cell.  run_experiment's stdout carries a wall time.
+# Registry scenarios whose manifests and metrics files are pinned: the two
+# churn sessions and the hidden-terminal cell.  run_experiment's stdout
+# carries a wall time.
 EXPERIMENTS = ["ietf-day-churn", "ietf-plenary-churn", "hidden-terminal"]
 
 # (artifact, argv): argv[0] names a binary in the build directory, and the
@@ -81,7 +81,9 @@ FILES = [
     ("wlan_analyze_fig06.csv", "figs/fig06.csv", lambda b: b),
     ("wlan_analyze_fig15.csv", "figs/fig15.csv", lambda b: b),
 ] + [(f"run_experiment_{name}_manifest.csv", f"example_{name}_manifest.csv",
-      drop_last_column) for name in EXPERIMENTS]
+      drop_last_column) for name in EXPERIMENTS] + [
+    (f"run_experiment_{name}_metrics.csv", f"example_{name}_metrics.csv",
+     lambda b: b) for name in EXPERIMENTS]
 
 
 def digest(data: bytes) -> str:
