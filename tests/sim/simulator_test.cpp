@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 namespace wlan::sim {
 namespace {
 
@@ -81,6 +85,106 @@ TEST(SimulatorTest, RunDrainsEverything) {
   sim.run();
   EXPECT_EQ(count, 5);
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// --- The sharded driver's watermark primitive -------------------------------
+
+TEST(SimulatorTest, RunUntilKeyRunsAtTheBoundOnlyBelowTheWatermark) {
+  // run_until_key(t, w) runs every event before t, and an event at t only
+  // while its sequence is below w -- including events that callbacks
+  // schedule at t after w was sampled.
+  Simulator sim;
+  std::vector<int> order;
+  sim.at(Microseconds{40}, [&] { order.push_back(0); });
+  sim.at(Microseconds{100}, [&] { order.push_back(1); });
+  const std::uint64_t mark = sim.queue().next_seq();
+  sim.at(Microseconds{100}, [&] { order.push_back(2); });
+  sim.at(Microseconds{60}, [&] {
+    order.push_back(3);
+    sim.at(Microseconds{100}, [&] { order.push_back(4); });
+  });
+  sim.at(Microseconds{101}, [&] { order.push_back(5); });
+
+  sim.run_until_key(Microseconds{100}, mark);
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 1}));
+  EXPECT_EQ(sim.pending_events(), 3u);
+
+  // Raising the watermark by one admits exactly the next event at t.
+  sim.run_until_key(Microseconds{100}, mark + 1);
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 2}));
+  sim.run_until(Microseconds{200});
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 2, 4, 5}));
+}
+
+TEST(SimulatorTest, RunUntilKeyLeavesTheClockOnTheBound) {
+  Simulator sim;
+  sim.at(Microseconds{30}, [] {});
+  sim.at(Microseconds{150}, [] {});  // at the bound, above the watermark
+  sim.run_until_key(Microseconds{150}, 0);
+  EXPECT_EQ(sim.now().count(), 150);
+  EXPECT_EQ(sim.pending_events(), 1u);
+
+  // An idle queue still lands on the bound, and what a later schedule
+  // stamps relative to now() starts from there.
+  Simulator idle;
+  idle.run_until_key(Microseconds{70}, 1);
+  EXPECT_EQ(idle.now().count(), 70);
+  std::int64_t ran_at = -1;
+  idle.in(Microseconds{5}, [&] { ran_at = idle.now().count(); });
+  idle.run_until(Microseconds{100});
+  EXPECT_EQ(ran_at, 75);
+}
+
+TEST(SimulatorTest, NextKeySkipsCancelledHeads) {
+  Simulator sim;
+  const std::uint64_t first = sim.queue().next_seq();
+  const EventId a = sim.at(Microseconds{5}, [] {});
+  const EventId b = sim.at(Microseconds{5}, [] {});
+  sim.at(Microseconds{9}, [] {});
+  EXPECT_EQ(sim.queue().next_key(), (EventKey{Microseconds{5}, first}));
+  sim.cancel(a);
+  EXPECT_EQ(sim.queue().next_key(), (EventKey{Microseconds{5}, first + 1}));
+  sim.cancel(b);
+  EXPECT_EQ(sim.queue().next_key(), (EventKey{Microseconds{9}, first + 2}));
+  sim.run_until(Microseconds{10});
+  // Drained: the key reads never(), which no event can be scheduled at.
+  EXPECT_EQ(sim.queue().next_key(), EventKey{});
+  EXPECT_EQ(sim.queue().next_key().at, Microseconds::never());
+}
+
+TEST(SimulatorTest, ScheduleObserverSeesEachClampedKey) {
+  using Seen = std::vector<std::pair<std::int64_t, std::uint64_t>>;
+  Simulator sim;
+  Seen seen;
+  sim.queue().set_schedule_observer(
+      [](void* ctx, Microseconds at, std::uint64_t seq) {
+        static_cast<Seen*>(ctx)->emplace_back(at.count(), seq);
+      },
+      &seen);
+  sim.run_until(Microseconds{100});
+  const std::uint64_t first = sim.queue().next_seq();
+  sim.at(Microseconds{10}, [] {});  // in the past: clamped to now() == 100
+  sim.in(Microseconds{5}, [] {});
+  const EventId doomed = sim.at(Microseconds{300}, [] {});
+  sim.cancel(doomed);  // cancelling notifies nothing
+  EXPECT_EQ(seen, (Seen{{100, first}, {105, first + 1}, {300, first + 2}}));
+
+  sim.queue().set_schedule_observer(nullptr, nullptr);
+  sim.at(Microseconds{400}, [] {});
+  EXPECT_EQ(seen.size(), 3u);
+}
+
+TEST(SimulatorTest, NextSeqAdvancesByOnePerSchedule) {
+  Simulator sim;
+  const std::uint64_t first = sim.queue().next_seq();
+  const EventId id = sim.at(Microseconds{1}, [] {});
+  EXPECT_EQ(sim.queue().next_seq(), first + 1);
+  sim.cancel(id);  // neither cancelling ...
+  EXPECT_EQ(sim.queue().next_seq(), first + 1);
+  sim.in(Microseconds{2}, [&] { sim.in(Microseconds{1}, [] {}); });
+  EXPECT_EQ(sim.queue().next_seq(), first + 2);
+  sim.run_until(Microseconds{10});  // ... nor running takes a number
+  EXPECT_EQ(sim.queue().next_seq(), first + 3);
 }
 
 }  // namespace
