@@ -9,7 +9,7 @@
 #include "core/report.hpp"
 #include "core/streaming.hpp"
 #include "phy/error_model.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/simulator.hpp"
 #include "trace/merge.hpp"
 #include "trace/pcap.hpp"
 #include "trace/reader.hpp"
@@ -55,16 +55,17 @@ void BM_CbtComputation(benchmark::State& state) {
 }
 BENCHMARK(BM_CbtComputation);
 
+/// The event kernel at a steady 64 pending events: one schedule per
+/// iteration, then the earliest event runs alone, as a control event does.
 void BM_EventQueueScheduleRun(benchmark::State& state) {
-  sim::EventQueue q;
+  sim::Simulator sim;
   // wlan-lint: allow(rng-seed) — single fixed micro-bench stream
   util::Rng rng(3);
-  std::int64_t t = 0;
   for (auto _ : state) {
-    q.schedule(Microseconds{t + static_cast<std::int64_t>(rng.uniform(1000))},
-               [] {});
-    if (q.size() > 64) {
-      t = q.run_next().count();
+    sim.in(Microseconds{static_cast<std::int64_t>(rng.uniform(1000))}, [] {});
+    if (sim.pending_events() > 64) {
+      const sim::EventKey next = sim.next_key();
+      sim.run_until_key(next.at, next.seq + 1);
     }
   }
 }

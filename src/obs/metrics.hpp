@@ -21,9 +21,10 @@
 //    only global state, so concurrent runs on the runner's pool never
 //    share a register.
 //  * Cheap increments.  Hot structures (FrameSuccessCache, ExactUnaryMemo,
-//    EventQueue, Channel) keep plain member counters — one untaken-branch-
-//    free integer add in the hot path, no TLS lookup — and the sim layer
-//    harvests them into current() once per run (Network::harvest_metrics).
+//    the event kernel sim::Simulator, Channel) keep plain member counters —
+//    one untaken-branch-free integer add in the hot path, no TLS lookup —
+//    and the sim layer harvests them into current() once per run
+//    (Network::harvest_metrics, which calls Simulator::harvest_metrics).
 //    The obs::count()/obs::note_max() helpers (one TLS load + null check)
 //    are for cool paths: run lifecycle, churn arrivals, teardown.
 //

@@ -189,7 +189,7 @@ void Channel::cancel_access(MacEntity* node) {
 }
 
 void Channel::transmit(MacEntity* from, const mac::Frame& frame,
-                       EventQueue::Callback on_air_done) {
+                       Simulator::Callback on_air_done) {
   // A removed node's kNoLink id would index the link-budget table far out of
   // bounds when the frame leaves the air.  Assert in Debug, drop in Release
   // (the dead node's on_air_done is intentionally not invoked).
@@ -305,7 +305,7 @@ void Channel::on_transmission_end(std::uint32_t slot, std::uint64_t frame_id) {
   // reentrant transmit appends during our callbacks is after this instant
   // and does not (the scalar path agrees: we are out of on_air_ by then).
   done.log_end = static_cast<std::uint32_t>(tx_log_.size());
-  EventQueue::Callback done_cb = std::move(flight_.on_air_done[slot]);
+  Simulator::Callback done_cb = std::move(flight_.on_air_done[slot]);
   flight_.on_air_done[slot] = nullptr;
 
   // Unlink from the live list (swap-erase, O(1)) and recycle the slot before

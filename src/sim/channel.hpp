@@ -114,7 +114,7 @@ class Channel {
   /// of the frame, before receptions are delivered — senders use it to start
   /// response timeouts.
   void transmit(MacEntity* from, const mac::Frame& frame,
-                EventQueue::Callback on_air_done = {});
+                Simulator::Callback on_air_done = {});
 
   [[nodiscard]] bool busy() const { return !on_air_.empty(); }
   [[nodiscard]] std::uint8_t number() const { return number_; }
@@ -223,7 +223,7 @@ class Channel {
     /// Sender, or nullptr when the node was removed mid-air (the frame
     /// finishes via from_link; see remove_node).
     std::vector<MacEntity*> from;
-    std::vector<EventQueue::Callback> on_air_done;
+    std::vector<Simulator::Callback> on_air_done;
 
     [[nodiscard]] std::size_t size() const { return from_link.size(); }
     void push_slot();

@@ -75,8 +75,7 @@ Network::Network(const NetworkConfig& config)
         config.reference == EngineOptions::Reference::kScalarReception);
   }
   if (!single_queue_) {
-    sim_.queue().set_schedule_observer(&Network::observe_control_schedule,
-                                       this);
+    sim_.set_schedule_observer(&Network::observe_control_schedule, this);
   }
   workers_.reserve(participants_ - 1);
   for (std::size_t p = 1; p < participants_; ++p) {
@@ -104,7 +103,7 @@ void Network::observe_control_schedule(void* ctx, Microseconds /*at*/,
   std::vector<std::uint64_t> marks;
   marks.reserve(net->shard_sims_.size());
   for (const auto& s : net->shard_sims_) {
-    marks.push_back(s->queue().next_seq());
+    marks.push_back(s->next_seq());
   }
   net->watermarks_.emplace(seq, std::move(marks));
 }
@@ -222,7 +221,7 @@ void Network::run_for(Microseconds duration) {
     // induction the per-lane projection of the single-queue schedule is
     // reproduced exactly, for any worker-thread count.
     for (;;) {
-      const EventKey ck = sim_.queue().next_key();
+      const EventKey ck = sim_.next_key();
       if (ck.at == Microseconds::never() || ck.at > until) break;
       const auto wit = watermarks_.find(ck.seq);
       assert(wit != watermarks_.end());
@@ -232,7 +231,9 @@ void Network::run_for(Microseconds duration) {
         run_shard_phase(ck.at, marks);
         watermarks_.erase(wit);
       }
-      sim_.run_one();
+      // Runs exactly the control event: it holds the earliest pending key,
+      // and what it schedules at ck.at takes later sequence numbers.
+      sim_.run_until_key(ck.at, ck.seq + 1);
     }
     // No control events remain at or before `until`: drain the shards to
     // the deadline, then clamp the control clock onto it.
@@ -347,22 +348,12 @@ std::vector<trace::Trace> Network::sniffer_traces() const {
 
 void Network::harvest_metrics(obs::Metrics& m) const {
   using obs::Id;
-  m.add(Id::kEventsExecuted, sim_.events_executed());
-  m.add(Id::kEventsScheduled, sim_.queue().scheduled());
-  m.add(Id::kEventsCancelled, sim_.queue().cancelled());
-  m.note_max(Id::kEventQueueDepthHw, sim_.queue().depth_high_water());
-  m.note_max(Id::kEventQueueSlotPoolHw, sim_.queue().slot_pool_size());
   // Event-kernel sums are invariant across shard counts (the control/shard
   // queue split is structural, not thread-dependent); only the per-queue
   // high-water gauges differ between sharded and single_queue modes, which
   // the differential oracle exempts.
-  for (const auto& s : shard_sims_) {
-    m.add(Id::kEventsExecuted, s->events_executed());
-    m.add(Id::kEventsScheduled, s->queue().scheduled());
-    m.add(Id::kEventsCancelled, s->queue().cancelled());
-    m.note_max(Id::kEventQueueDepthHw, s->queue().depth_high_water());
-    m.note_max(Id::kEventQueueSlotPoolHw, s->queue().slot_pool_size());
-  }
+  sim_.harvest_metrics(m);
+  for (const auto& s : shard_sims_) s->harvest_metrics(m);
   // Per-shard registers, merged in channel (shard) order.
   for (const obs::Metrics& sm : shard_metrics_) m.merge(sm);
   for (const auto& ch : channels_) ch->harvest_metrics(m);

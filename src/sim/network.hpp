@@ -3,7 +3,7 @@
 //
 // Channel sharding (docs/ARCHITECTURE.md "Channel sharding"): the paper's
 // three 802.11b channels are radio-orthogonal, so each Channel runs on its
-// own EventQueue and the only cross-channel interactions — user arrivals,
+// own Simulator and the only cross-channel interactions — user arrivals,
 // roams, departures, population ticks — run on a separate *control* queue
 // owned by the driver.  Network::run_for alternates parallel shard phases
 // with serial control events under a watermark protocol that reproduces the

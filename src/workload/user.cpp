@@ -167,7 +167,7 @@ void UserSession::start_traffic() {
 }
 
 void UserSession::arm_chain_timer(Microseconds delay,
-                                  sim::EventQueue::Callback fn) {
+                                  sim::Simulator::Callback fn) {
   sim::Simulator& sim = station_->channel().simulator();
   if (chain_sim_ != &sim) {
     // First arm of a new station generation (the previous generation's
@@ -180,7 +180,7 @@ void UserSession::arm_chain_timer(Microseconds delay,
   // accumulates for the life of the station generation.
   if (chain_timers_.size() >= 16) {
     std::erase_if(chain_timers_, [&sim](sim::EventId id) {
-      return !sim.queue().live(id);
+      return !sim.live(id);
     });
   }
   chain_timers_.push_back(sim.in(delay, std::move(fn)));

@@ -91,7 +91,7 @@ class UserSession {
   /// — it only touches that channel's station/AP queues, so it belongs to
   /// the shard lane, not the control lane — and records the EventId so
   /// relocation/departure can cancel it.
-  void arm_chain_timer(Microseconds delay, sim::EventQueue::Callback fn);
+  void arm_chain_timer(Microseconds delay, sim::Simulator::Callback fn);
   /// Cancels every armed chain timer of the current station generation.
   /// Required for sharding, not just hygiene: a stale closure left on the
   /// old channel's queue after a roam would touch this session while the

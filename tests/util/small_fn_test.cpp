@@ -2,9 +2,9 @@
 // event.  Three storage strategies exist (trivial inline, non-trivial
 // inline, heap spill) and each must move, assign, reset and destroy without
 // leaking or double-freeing; instance counting makes lifetime bugs visible
-// even without ASan (the CI Debug jobs add ASan on top).  The EventQueue
-// cancel-generation cases at the bottom cover the SmallFn consumer with the
-// trickiest lifecycle: slots recycled under cancel/reschedule churn.
+// even without ASan (the CI Debug jobs add ASan on top).  The SmallFn
+// consumer with the trickiest lifecycle — sim::Simulator's slots, recycled
+// under cancel/reschedule churn — is covered in tests/sim/simulator_test.cpp.
 #include "util/small_fn.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <memory>
 #include <utility>
 
-#include "sim/event_queue.hpp"
 
 namespace wlan::util {
 namespace {
@@ -122,54 +121,6 @@ TEST(SmallFnTest, NullAndEmptyBehaviors) {
   // Moving an empty one is harmless and leaves both empty.
   SmallFn<void()> target(std::move(empty));
   EXPECT_FALSE(static_cast<bool>(target));
-}
-
-// --- EventQueue cancel-generation edges ------------------------------------
-
-TEST(SmallFnTest, EventQueueCancelAfterRunIsHarmless) {
-  sim::EventQueue q;
-  int runs = 0;
-  const sim::EventId id =
-      q.schedule(Microseconds{10}, [&runs] { ++runs; });
-  EXPECT_EQ(q.run_next(), Microseconds{10});
-  EXPECT_EQ(runs, 1);
-  // The slot has been recycled; a late cancel must not kill a future event
-  // that happens to reuse the slot (generation mismatch protects it).
-  q.cancel(id);
-  q.cancel(id);  // and double-cancel is equally inert
-  int later = 0;
-  q.schedule(Microseconds{20}, [&later] { ++later; });
-  q.cancel(id);  // stale handle again, after the slot was re-issued
-  ASSERT_FALSE(q.empty());
-  q.run_next();
-  EXPECT_EQ(later, 1);
-}
-
-TEST(SmallFnTest, EventQueueSlotReuseKeepsGenerationsDistinct) {
-  sim::EventQueue q;
-  Counted::live = 0;
-  int fired = 0;
-  // Schedule + cancel churn: the slot pool must stay bounded and cancelled
-  // closures must be destroyed promptly enough to balance (drained when the
-  // dead entries surface or are overwritten on reuse).
-  for (int i = 0; i < 1000; ++i) {
-    const sim::EventId id = q.schedule(
-        Microseconds{1000 + i}, [&fired, c = Counted{i}] { ++fired; });
-    if (i % 2 == 0) q.cancel(id);
-  }
-  EXPECT_LE(q.slot_pool_size(), 1002u);
-  while (!q.empty()) q.run_next();
-  EXPECT_EQ(fired, 500);
-  EXPECT_EQ(Counted::live, 0);  // every closure destroyed exactly once
-}
-
-TEST(SmallFnTest, EventQueueDefaultIdIsInert) {
-  sim::EventQueue q;
-  int runs = 0;
-  q.schedule(Microseconds{5}, [&runs] { ++runs; });
-  q.cancel(sim::EventId{});  // "no event" handle
-  q.run_next();
-  EXPECT_EQ(runs, 1);
 }
 
 }  // namespace
