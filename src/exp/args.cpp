@@ -93,7 +93,8 @@ std::optional<double> parse_duration(const char* token) {
                "  --out-dir DIR   where CSV series + manifests land (default .)\n"
                "  --only RUN      replay one grid run (a manifest 'run' index)\n"
                "  --churn LIST    comma-separated churn-rate axis (population\n"
-               "                  turnovers/min, at most %d; churn scenarios only)\n"
+               "                  turnovers/min from 0 to at most %d, where 0 is\n"
+               "                  the scenario's default; churn scenarios only)\n"
                "  --rate-policies LIST\n"
                "                  comma-separated rate-policy axis (registry\n"
                "                  keys, e.g. arf,minstrel; see --list)\n"
@@ -162,11 +163,13 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
       for (const std::string& tok : split_list(value())) {
         char* end = nullptr;
         const double parsed = std::strtod(tok.c_str(), &end);
+        // signbit also catches -0, which would reach the manifest as "-0".
         if (tok.empty() || end != tok.c_str() + tok.size() ||
-            !std::isfinite(parsed) || parsed > kMaxChurnPerMin) {
+            !std::isfinite(parsed) || std::signbit(parsed) ||
+            parsed > kMaxChurnPerMin) {
           std::fprintf(stderr,
-                       "--churn wants comma-separated finite numbers of at "
-                       "most %d turnovers/min\n",
+                       "--churn wants comma-separated finite numbers from 0 "
+                       "to at most %d turnovers/min\n",
                        kMaxChurnPerMin);
           usage(what, 2);
         }

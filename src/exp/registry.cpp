@@ -43,8 +43,9 @@ RunOutput run_hidden_terminal_scenario(const RunSpec& run) {
 /// packet rate, `window` the closed-loop window.  With `churn` true the
 /// session runs the dynamic-population variant (Poisson arrivals, lognormal
 /// dwell, AP roaming, stations torn down on departure): the spec's
-/// churn-rate axis sets the population turnover per minute, and a
-/// non-positive axis value falls back to one full turnover per minute.
+/// churn-rate axis sets the population turnover per minute, and 0 (the
+/// only non-positive value expand() admits) falls back to one full
+/// turnover per minute.
 ///
 /// The sniffers' own captures stream through the paper's merge (clock
 /// alignment, windowed dedup) straight into the analyzer: no capture is

@@ -61,15 +61,21 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
         "multi-valued churn_rates axis would only duplicate every run "
         "(drop the axis or use a *-churn scenario)");
   }
-  std::size_t non_positive = 0;
+  std::size_t zeros = 0;
   for (double churn : spec.churn_rates) {
     // An infinite turnover draws zero arrival gaps forever, and a huge
-    // finite one nearly so; a NaN one would reach the manifest while the
-    // run used the default.
+    // finite one nearly so; a NaN or negative one (-0 included) would reach
+    // the manifest while the run used the default.
     if (!std::isfinite(churn)) {
       throw std::invalid_argument(
           "ExperimentSpec: churn_rates axis for scenario \"" + scen +
           "\" has a non-finite value");
+    }
+    if (std::signbit(churn)) {
+      throw std::invalid_argument(
+          "ExperimentSpec: churn_rates axis for scenario \"" + scen +
+          "\" has a negative value; use 0 for the scenario's default "
+          "turnover");
     }
     if (churn > kMaxChurnPerMin) {
       throw std::invalid_argument(
@@ -77,15 +83,14 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
           "\" exceeds the cap of " + std::to_string(kMaxChurnPerMin) +
           " turnovers/min (a one-second mean dwell)");
     }
-    if (churn <= 0.0) ++non_positive;
+    if (churn == 0.0) ++zeros;
   }
-  if (non_positive > 1) {
+  if (zeros > 1) {
     throw std::invalid_argument(
         "ExperimentSpec: churn_rates axis for scenario \"" + scen + "\" has " +
-        std::to_string(non_positive) +
-        " non-positive values; a churn scenario substitutes its default "
-        "turnover for every value <= 0, so those arms would be duplicate "
-        "runs (keep at most one)");
+        std::to_string(zeros) +
+        " zero values; a churn scenario substitutes its default turnover "
+        "for 0, so those arms would be duplicate runs (keep at most one)");
   }
   // Validate axis names up front: one bad key fails the whole expansion
   // before any run starts, with the registry's own known-keys message.

@@ -70,11 +70,11 @@ struct ExperimentSpec {
   /// Population turnover per minute for the churn scenarios.  A treatment
   /// axis like rtscts/policy: churn arms at the same load share seeds, so
   /// churn-rate sweeps are paired.  Caveats, enforced by expand(): manifests
-  /// record the *raw* axis value, and a churn scenario substitutes its
-  /// default (1 turnover/min) for any value <= 0 — so at most one
-  /// non-positive value may be on the axis; static scenarios ignore the
-  /// axis entirely, so a multi-valued axis there is rejected (it would only
-  /// duplicate every run).
+  /// record the *raw* axis value, so values must be non-negative (-0
+  /// included in the rejection), and a churn scenario substitutes its
+  /// default (1 turnover/min) for 0 — so at most one 0 may be on the axis;
+  /// static scenarios ignore the axis entirely, so a multi-valued axis there
+  /// is rejected (it would only duplicate every run).
   std::vector<double> churn_rates = {0.0};
 
   /// Everything not on an axis (traffic profile, geometry, sniffer
@@ -117,10 +117,10 @@ struct RunSpec {
 /// point indices are stable properties of the spec.  Throws
 /// std::invalid_argument on an empty axis, seeds_per_point < 1, a duration
 /// outside (0, kMaxDurationS), a base.shards other than 1, an unknown
-/// rate-policy / timing name, a churn rate that is non-finite or above
-/// kMaxChurnPerMin, or a churn_rates axis that would silently duplicate
-/// runs (multi-valued on a static scenario, or more than one non-positive
-/// value).
+/// rate-policy / timing name, a churn rate that is non-finite, negative
+/// (sign bit set, so -0 too) or above kMaxChurnPerMin, or a churn_rates axis
+/// that would silently duplicate runs (multi-valued on a static scenario,
+/// or more than one 0).
 [[nodiscard]] std::vector<RunSpec> expand(const ExperimentSpec& spec);
 
 }  // namespace wlan::exp

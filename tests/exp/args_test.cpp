@@ -69,6 +69,14 @@ TEST_F(BenchArgsDeathTest, RejectsEmptyAndOutOfRangeValues) {
               ExitedWithCode(2), "--churn wants");
   EXPECT_EXIT(static_cast<void>(parse({"--churn", "1,inf"})),
               ExitedWithCode(2), "--churn wants");
+  // A negative rate would run as the default but reach the manifest as
+  // typed; -0 would print as "-0".
+  EXPECT_EXIT(static_cast<void>(parse({"--churn", "-1"})), ExitedWithCode(2),
+              "--churn wants");
+  EXPECT_EXIT(static_cast<void>(parse({"--churn", "-0"})), ExitedWithCode(2),
+              "--churn wants");
+  EXPECT_EXIT(static_cast<void>(parse({"--churn", "1,-1"})),
+              ExitedWithCode(2), "--churn wants");
   EXPECT_EXIT(static_cast<void>(parse({"--rate-policies", "arf,,aarf"})),
               ExitedWithCode(2), "--rate-policies wants");
   EXPECT_EXIT(static_cast<void>(parse({"--rate-policies", "arf,"})),

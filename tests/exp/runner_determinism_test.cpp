@@ -444,17 +444,21 @@ TEST(RunnerDeterminismTest, ChurnAxisFootgunsAreRejectedAtExpansion) {
     EXPECT_NE(msg.find("churn_rates"), std::string::npos) << msg;
   }
 
-  // More than one non-positive value: a churn scenario substitutes its
-  // default for each, so the arms would be identical.
-  auto bad_churn = churn_sweep();
-  bad_churn.churn_rates = {0.0, -1.0, 4.0};
-  try {
-    (void)expand(bad_churn);
-    FAIL() << "two non-positive churn values should not expand";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("ietf-day-churn"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("churn_rates"), std::string::npos) << msg;
+  // More than one 0: a churn scenario substitutes its default for each, so
+  // the arms would be identical.  A negative value is rejected on its own.
+  for (const std::vector<double>& rates :
+       {std::vector<double>{0.0, -1.0, 4.0},
+        std::vector<double>{0.0, 0.0, 4.0}}) {
+    auto bad_churn = churn_sweep();
+    bad_churn.churn_rates = rates;
+    try {
+      (void)expand(bad_churn);
+      FAIL() << "a negative or a second 0 churn value should not expand";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("ietf-day-churn"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("churn_rates"), std::string::npos) << msg;
+    }
   }
 
   // The legitimate shapes still expand: a single disabled value on a static

@@ -137,6 +137,15 @@ TEST(SpecTest, BadSpecsThrow) {
   spec.churn_rates = {61.0};
   EXPECT_THROW(expand(spec), std::invalid_argument);
 
+  // A negative rate (or -0) would run as the default while the manifest
+  // records the value typed.
+  for (double bad : {-1.0, -0.0}) {
+    spec = small_spec();
+    spec.scenario = "ietf-day-churn";
+    spec.churn_rates = {2.0, bad};
+    EXPECT_THROW(expand(spec), std::invalid_argument) << bad;
+  }
+
   // The microsecond count of 1e300 s overflows the simulated clock.
   for (double bad : {1e300, 0.0, -1.0, std::nan("")}) {
     spec = small_spec();
