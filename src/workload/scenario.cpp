@@ -17,6 +17,10 @@ constexpr double kPi = 3.14159265358979323846;
 /// rates (the ballroom was ~64 m wide).
 constexpr double kRoomM = 70.0;
 
+/// The cell fixtures' propagation: a crowded hall whose bodies absorb.
+constexpr double kCellPathLossExponent = 4.0;
+constexpr double kCellShadowingSigmaDb = 6.0;
+
 sim::NetworkConfig network_config(const ScenarioConfig& cfg,
                                   SessionKind kind) {
   sim::NetworkConfig net;
@@ -42,8 +46,8 @@ sim::NetworkConfig cell_network_config(const CellConfig& config) {
   net.seed = config.seed;
   net.timing_profile = config.timing;
   net.channels = {config.channel};
-  net.propagation.path_loss_exponent = config.path_loss_exponent;
-  net.propagation.shadowing_sigma_db = config.shadowing_sigma_db;
+  net.propagation.path_loss_exponent = kCellPathLossExponent;
+  net.propagation.shadowing_sigma_db = kCellShadowingSigmaDb;
   return net;
 }
 

@@ -114,8 +114,6 @@ struct CellConfig : sim::EngineOptions {
   mac::TimingProfile timing = mac::TimingProfile::kPaper;
   double duration_s = 25.0;
   double warmup_s = 3.0;  ///< stripped from the returned trace
-  double path_loss_exponent = 4.0;  ///< crowded hall, bodies absorb
-  double shadowing_sigma_db = 6.0;
   /// Fraction of users placed in the room's outer ring, where SNR is
   /// marginal and rate adaptation genuinely drops to 1-2 Mbps.  This is the
   /// knob that moves a cell into the paper's >84%-utilization regime: slow
