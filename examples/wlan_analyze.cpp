@@ -38,23 +38,28 @@ struct ToolOptions {
   int sniffers = 2;
 };
 
+std::string usage_text(const std::string& argv0) {
+  return "usage: " + argv0 +
+         " <capture.{pcap,csv,trace}> [more captures...] [flags]\n"
+         "       " + argv0 +
+         " --sim-capture DIR [--duration S] [--sniffers N]\n\n"
+         "  --channel N            restrict the analysis to one channel\n"
+         "  --merge-window US      cross-sniffer duplicate window (default 100)\n"
+         "  --no-clock-correction  merge on raw sniffer clocks\n"
+         "  --sniffers N           sniffer count for --sim-capture (default 2)\n"
+         "  --sim-capture DIR      write per-sniffer pcaps from a multi-sniffer cell run\n"
+         "plus the shared experiment flags (--out-dir, --quiet, --duration, --help)";
+}
+
 void usage(const char* argv0, std::FILE* out = stderr) {
-  std::fprintf(out,
-               "usage: %s <capture.{pcap,csv,trace}> [more captures...] [flags]\n"
-               "       %s --sim-capture DIR [--duration S] [--sniffers N]\n\n"
-               "  --channel N            restrict the analysis to one channel\n"
-               "  --merge-window US      cross-sniffer duplicate window (default 100)\n"
-               "  --no-clock-correction  merge on raw sniffer clocks\n"
-               "  --sniffers N           sniffer count for --sim-capture (default 2)\n"
-               "  --sim-capture DIR      write per-sniffer pcaps from a multi-sniffer cell run\n"
-               "plus the shared experiment flags (--out-dir, --quiet, --duration, --help)\n",
-               argv0, argv0);
+  std::fprintf(out, "%s\n", usage_text(argv0).c_str());
 }
 
 /// Splits the tool's own flags out of argv before the exp-dialect parser
 /// sees the rest.
 ToolOptions extract_tool_flags(int& argc, char** argv) {
   ToolOptions opt;
+  const std::string usage_str = usage_text(argv[0]);
   std::vector<char*> kept{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const auto value = [&]() -> const char* {
@@ -65,34 +70,20 @@ ToolOptions extract_tool_flags(int& argc, char** argv) {
       }
       return argv[++i];
     };
-    // Strict numeric parsing: a typo must be an error, not a silent zero
-    // (the sibling exp::parse_bench_args validates the same way).
-    const auto int_value = [&](long lo, long hi) {
-      const char* flag = argv[i];
-      const char* v = value();
-      char* end = nullptr;
-      const long parsed = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || parsed < lo || parsed > hi) {
-        std::fprintf(stderr, "%s wants an integer in [%ld, %ld], got \"%s\"\n",
-                     flag, lo, hi, v);
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return parsed;
-    };
     if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
       usage(argv[0], stdout);
       // Fall through to parse_bench_args, which appends the shared
       // experiment flags to stdout and exits 0.
       kept.push_back(argv[i]);
     } else if (!std::strcmp(argv[i], "--channel")) {
-      opt.channel = static_cast<int>(int_value(1, 14));
+      opt.channel = exp::int_arg(value(), "--channel", 1, 14, usage_str);
     } else if (!std::strcmp(argv[i], "--merge-window")) {
-      opt.merge.dup_window_us = int_value(0, 1'000'000);
+      opt.merge.dup_window_us =
+          exp::int_arg(value(), "--merge-window", 0, 1'000'000, usage_str);
     } else if (!std::strcmp(argv[i], "--no-clock-correction")) {
       opt.merge.clock_correction = false;
     } else if (!std::strcmp(argv[i], "--sniffers")) {
-      opt.sniffers = static_cast<int>(int_value(2, 16));
+      opt.sniffers = exp::int_arg(value(), "--sniffers", 2, 16, usage_str);
     } else if (!std::strcmp(argv[i], "--sim-capture")) {
       opt.sim_capture_dir = value();
     } else {
