@@ -29,8 +29,10 @@
 //    grow).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
