@@ -70,11 +70,11 @@ struct ExperimentSpec {
   /// Population turnover per minute for the churn scenarios.  A treatment
   /// axis like rtscts/policy: churn arms at the same load share seeds, so
   /// churn-rate sweeps are paired.  Caveats, enforced by expand(): manifests
-  /// record the *raw* axis value, so values must be non-negative (-0
-  /// included in the rejection), and a churn scenario substitutes its
-  /// default (1 turnover/min) for 0 — so at most one 0 may be on the axis;
-  /// static scenarios ignore the axis entirely, so a multi-valued axis there
-  /// is rejected (it would only duplicate every run).
+  /// record the *raw* axis value, so a negative value (-0 too) is rejected,
+  /// and a churn scenario substitutes its default (1 turnover/min) for 0 —
+  /// so at most one 0 may be on the axis; static scenarios ignore the axis
+  /// entirely, so a multi-valued axis there is rejected (it would only
+  /// duplicate every run).
   std::vector<double> churn_rates = {0.0};
 
   /// Everything not on an axis (traffic profile, geometry, sniffer
