@@ -1,98 +1,90 @@
-#include "sim/event_queue.hpp"
+// sim::Simulator's event queue: (time, sequence) ordering, and
+// generation-checked cancellation over the recycled slot pool under
+// schedule/cancel churn.
+#include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace wlan::sim {
 namespace {
 
-TEST(EventQueueTest, EmptyInitially) {
-  EventQueue q;
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.next_time(), Microseconds::never());
-}
+/// Capture payload that counts live instances, so a closure the kernel
+/// leaks or destroys twice shows up even without ASan.
+struct Counted {
+  static int live;
+  int tag;
+  explicit Counted(int t) : tag(t) { ++live; }
+  Counted(const Counted& o) : tag(o.tag) { ++live; }
+  Counted(Counted&& o) noexcept : tag(o.tag) { ++live; }
+  ~Counted() { --live; }
+};
+int Counted::live = 0;
 
 TEST(EventQueueTest, RunsInTimeOrder) {
-  EventQueue q;
+  Simulator sim;
   std::vector<int> order;
-  q.schedule(Microseconds{30}, [&] { order.push_back(3); });
-  q.schedule(Microseconds{10}, [&] { order.push_back(1); });
-  q.schedule(Microseconds{20}, [&] { order.push_back(2); });
-  while (!q.empty()) q.run_next();
+  sim.at(Microseconds{30}, [&] { order.push_back(3); });
+  sim.at(Microseconds{10}, [&] { order.push_back(1); });
+  sim.at(Microseconds{20}, [&] { order.push_back(2); });
+  sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, EqualTimesRunInScheduleOrder) {
-  EventQueue q;
+  Simulator sim;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    q.schedule(Microseconds{5}, [&order, i] { order.push_back(i); });
+    sim.at(Microseconds{5}, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.run_next();
+  sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueueTest, RunNextReturnsEventTime) {
-  EventQueue q;
-  q.schedule(Microseconds{42}, [] {});
-  EXPECT_EQ(q.run_next().count(), 42);
-}
-
-TEST(EventQueueTest, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const EventId id = q.schedule(Microseconds{5}, [&] { ran = true; });
-  q.cancel(id);
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
-}
-
 TEST(EventQueueTest, CancelledEventSkippedBetweenLiveOnes) {
-  EventQueue q;
+  Simulator sim;
   std::vector<int> order;
-  q.schedule(Microseconds{1}, [&] { order.push_back(1); });
-  const EventId id = q.schedule(Microseconds{2}, [&] { order.push_back(2); });
-  q.schedule(Microseconds{3}, [&] { order.push_back(3); });
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.run_next();
+  sim.at(Microseconds{1}, [&] { order.push_back(1); });
+  const EventId id = sim.at(Microseconds{2}, [&] { order.push_back(2); });
+  sim.at(Microseconds{3}, [&] { order.push_back(3); });
+  sim.cancel(id);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 TEST(EventQueueTest, DoubleCancelHarmless) {
-  EventQueue q;
-  const EventId id = q.schedule(Microseconds{1}, [] {});
-  q.schedule(Microseconds{2}, [] {});
-  q.cancel(id);
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 1u);
+  Simulator sim;
+  const EventId id = sim.at(Microseconds{1}, [] {});
+  sim.at(Microseconds{2}, [] {});
+  sim.cancel(id);
+  sim.cancel(id);
+  EXPECT_EQ(sim.pending_events(), 1u);
 }
 
 TEST(EventQueueTest, CancelDefaultIdIsNoop) {
-  EventQueue q;
-  q.schedule(Microseconds{1}, [] {});
-  q.cancel(EventId{});
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueueTest, NextTimeSkipsCancelled) {
-  EventQueue q;
-  const EventId id = q.schedule(Microseconds{1}, [] {});
-  q.schedule(Microseconds{9}, [] {});
-  q.cancel(id);
-  EXPECT_EQ(q.next_time().count(), 9);
+  Simulator sim;
+  int runs = 0;
+  sim.at(Microseconds{1}, [&runs] { ++runs; });
+  sim.cancel(EventId{});  // "no event" handle
+  EXPECT_FALSE(sim.live(EventId{}));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(runs, 1);
 }
 
 TEST(EventQueueTest, CallbackMayScheduleMoreEvents) {
-  EventQueue q;
+  Simulator sim;
   int depth = 0;
   std::function<void()> chain = [&] {
-    if (++depth < 5) q.schedule(Microseconds{depth * 10}, chain);
+    if (++depth < 5) sim.at(Microseconds{depth * 10}, chain);
   };
-  q.schedule(Microseconds{0}, chain);
-  while (!q.empty()) q.run_next();
+  sim.at(Microseconds{0}, chain);
+  sim.run();
   EXPECT_EQ(depth, 5);
 }
 
@@ -102,35 +94,35 @@ TEST(EventQueueTest, HeavyCancellationChurnStaysBounded) {
   // a handful of entries no matter how long the churn runs (the historic
   // tombstone set grew monotonically), and every stale heap entry must have
   // been dropped as it surfaced during the interleaved runs.
-  EventQueue q;
+  Simulator sim;
   int ran = 0;
   for (int i = 0; i < 100'000; ++i) {
-    const EventId doomed = q.schedule(Microseconds{i}, [] {});
-    q.cancel(doomed);
+    const EventId doomed = sim.at(Microseconds{i}, [] {});
+    sim.cancel(doomed);
     if (i % 100 == 99) {
-      q.schedule(Microseconds{i}, [&] { ++ran; });
-      q.run_next();
+      sim.at(Microseconds{i}, [&] { ++ran; });
+      sim.run_until(Microseconds{i});
     }
   }
   EXPECT_EQ(ran, 1000);
-  EXPECT_TRUE(q.empty());
-  EXPECT_LE(q.slot_pool_size(), 4u);
-  EXPECT_EQ(q.heap_entries(), 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_LE(sim.slot_pool_size(), 4u);
+  EXPECT_EQ(sim.heap_entries(), 0u);
 }
 
-TEST(EventQueueTest, NextTimeSkipsBurstOfDeadEntries) {
-  // A block of cancelled events ahead of the only live one: next_time must
+TEST(EventQueueTest, NextKeySkipsBurstOfDeadEntries) {
+  // A block of cancelled events ahead of the only live one: next_key must
   // report the live event, not a dead timestamp.
-  EventQueue q;
+  Simulator sim;
   std::vector<EventId> ids;
   ids.reserve(1000);
   for (int i = 0; i < 1000; ++i) {
-    ids.push_back(q.schedule(Microseconds{i}, [] {}));
+    ids.push_back(sim.at(Microseconds{i}, [] {}));
   }
-  q.schedule(Microseconds{5000}, [] {});
-  for (const EventId id : ids) q.cancel(id);
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.next_time().count(), 5000);
+  sim.at(Microseconds{5000}, [] {});
+  for (const EventId id : ids) sim.cancel(id);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.next_key().at.count(), 5000);
 }
 
 TEST(EventQueueTest, EqualTimeCancelRescheduleKeepsScheduleOrder) {
@@ -138,17 +130,17 @@ TEST(EventQueueTest, EqualTimeCancelRescheduleKeepsScheduleOrder) {
   // scheduling order, and same-time replacements scheduled afterwards run
   // after every survivor — cancellation must not perturb the (time, seq)
   // total order that makes runs reproducible.
-  EventQueue q;
+  Simulator sim;
   std::vector<int> order;
   std::vector<EventId> ids;
   for (int i = 0; i < 32; ++i) {
-    ids.push_back(q.schedule(Microseconds{7}, [&order, i] { order.push_back(i); }));
+    ids.push_back(sim.at(Microseconds{7}, [&order, i] { order.push_back(i); }));
   }
-  for (int i = 0; i < 32; i += 3) q.cancel(ids[i]);
+  for (int i = 0; i < 32; i += 3) sim.cancel(ids[i]);
   for (int i = 0; i < 8; ++i) {
-    q.schedule(Microseconds{7}, [&order, i] { order.push_back(100 + i); });
+    sim.at(Microseconds{7}, [&order, i] { order.push_back(100 + i); });
   }
-  while (!q.empty()) q.run_next();
+  sim.run();
 
   std::vector<int> expected;
   for (int i = 0; i < 32; ++i) {
@@ -161,42 +153,78 @@ TEST(EventQueueTest, EqualTimeCancelRescheduleKeepsScheduleOrder) {
 TEST(EventQueueTest, StaleIdCannotCancelSlotReuser) {
   // A cancelled event's slot is recycled by the next schedule; the old
   // EventId's generation is stale and must not touch the new occupant.
-  EventQueue q;
-  const EventId old_id = q.schedule(Microseconds{1}, [] {});
-  q.cancel(old_id);
+  Simulator sim;
+  const EventId old_id = sim.at(Microseconds{1}, [] {});
+  sim.cancel(old_id);
   bool ran = false;
-  q.schedule(Microseconds{2}, [&] { ran = true; });
-  q.cancel(old_id);
-  EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.run_next();
+  const EventId new_id = sim.at(Microseconds{2}, [&] { ran = true; });
+  EXPECT_FALSE(sim.live(old_id));
+  EXPECT_TRUE(sim.live(new_id));
+  sim.cancel(old_id);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
   EXPECT_TRUE(ran);
 }
 
+TEST(EventQueueTest, CancelAfterRunIsHarmless) {
+  Simulator sim;
+  int runs = 0;
+  const EventId id = sim.at(Microseconds{10}, [&runs] { ++runs; });
+  EXPECT_TRUE(sim.live(id));
+  sim.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_FALSE(sim.live(id));
+  // The slot has been recycled; a late cancel must not kill a future event
+  // that happens to reuse the slot (generation mismatch protects it).
+  sim.cancel(id);
+  sim.cancel(id);  // and double-cancel is equally inert
+  int later = 0;
+  sim.at(Microseconds{20}, [&later] { ++later; });
+  sim.cancel(id);  // stale handle again, after the slot was re-issued
+  ASSERT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(later, 1);
+}
+
+TEST(EventQueueTest, SlotReuseKeepsGenerationsDistinct) {
+  Simulator sim;
+  Counted::live = 0;
+  int fired = 0;
+  // Schedule + cancel churn: the slot pool must stay bounded and cancelled
+  // closures must be destroyed promptly enough to balance (drained when the
+  // dead entries surface or are overwritten on reuse).
+  for (int i = 0; i < 1000; ++i) {
+    const EventId id = sim.at(Microseconds{1000 + i},
+                              [&fired, c = Counted{i}] { ++fired; });
+    if (i % 2 == 0) sim.cancel(id);
+  }
+  EXPECT_LE(sim.slot_pool_size(), 1002u);
+  sim.run();
+  EXPECT_EQ(fired, 500);
+  EXPECT_EQ(Counted::live, 0);  // every closure destroyed exactly once
+}
+
 TEST(EventQueueTest, CallbackCancelsLaterEventAtSameTime) {
-  EventQueue q;
+  Simulator sim;
   bool second_ran = false;
   EventId second{};
-  q.schedule(Microseconds{5}, [&] { q.cancel(second); });
-  second = q.schedule(Microseconds{5}, [&] { second_ran = true; });
-  q.schedule(Microseconds{5}, [] {});
-  while (!q.empty()) q.run_next();
+  sim.at(Microseconds{5}, [&] { sim.cancel(second); });
+  second = sim.at(Microseconds{5}, [&] { second_ran = true; });
+  sim.at(Microseconds{5}, [] {});
+  sim.run();
   EXPECT_FALSE(second_ran);
 }
 
 TEST(EventQueueTest, ManyEventsStressOrdering) {
-  EventQueue q;
-  std::int64_t last = -1;
-  bool monotone = true;
+  Simulator sim;
+  std::vector<std::int64_t> times;
   for (int i = 0; i < 1000; ++i) {
     const std::int64_t t = (i * 7919) % 1000;  // pseudo-shuffled times
-    q.schedule(Microseconds{t}, [] {});
+    sim.at(Microseconds{t}, [&] { times.push_back(sim.now().count()); });
   }
-  while (!q.empty()) {
-    const auto t = q.run_next().count();
-    monotone = monotone && t >= last;
-    last = t;
-  }
-  EXPECT_TRUE(monotone);
+  sim.run();
+  ASSERT_EQ(times.size(), 1000u);
+  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
 }
 
 }  // namespace

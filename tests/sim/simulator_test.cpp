@@ -1,13 +1,11 @@
-// sim::Simulator, the event kernel: the clock, the (time, sequence)
-// ordered heap, generation-checked cancellation over a recycled slot pool,
-// the sharded driver's watermark primitive and the work counters.
+// sim::Simulator, the event kernel: the clock, the run loops, the sharded
+// driver's watermark primitive and the work counters.  Ordering and
+// cancellation of the event queue itself are in event_queue_test.cpp.
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -15,18 +13,6 @@
 
 namespace wlan::sim {
 namespace {
-
-/// Capture payload that counts live instances, so a closure the kernel
-/// leaks or destroys twice shows up even without ASan.
-struct Counted {
-  static int live;
-  int tag;
-  explicit Counted(int t) : tag(t) { ++live; }
-  Counted(const Counted& o) : tag(o.tag) { ++live; }
-  Counted(Counted&& o) noexcept : tag(o.tag) { ++live; }
-  ~Counted() { --live; }
-};
-int Counted::live = 0;
 
 TEST(SimulatorTest, EmptyInitially) {
   Simulator sim;
@@ -119,210 +105,6 @@ TEST(SimulatorTest, RunLeavesTheClockOnTheLastEvent) {
   sim.at(Microseconds{42}, [] {});
   sim.run();
   EXPECT_EQ(sim.now().count(), 42);
-}
-
-// --- Ordering and cancellation ----------------------------------------------
-
-TEST(SimulatorTest, RunsInTimeOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.at(Microseconds{30}, [&] { order.push_back(3); });
-  sim.at(Microseconds{10}, [&] { order.push_back(1); });
-  sim.at(Microseconds{20}, [&] { order.push_back(2); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(SimulatorTest, EqualTimesRunInScheduleOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    sim.at(Microseconds{5}, [&order, i] { order.push_back(i); });
-  }
-  sim.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(SimulatorTest, CancelledEventSkippedBetweenLiveOnes) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.at(Microseconds{1}, [&] { order.push_back(1); });
-  const EventId id = sim.at(Microseconds{2}, [&] { order.push_back(2); });
-  sim.at(Microseconds{3}, [&] { order.push_back(3); });
-  sim.cancel(id);
-  EXPECT_EQ(sim.pending_events(), 2u);
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(SimulatorTest, DoubleCancelHarmless) {
-  Simulator sim;
-  const EventId id = sim.at(Microseconds{1}, [] {});
-  sim.at(Microseconds{2}, [] {});
-  sim.cancel(id);
-  sim.cancel(id);
-  EXPECT_EQ(sim.pending_events(), 1u);
-}
-
-TEST(SimulatorTest, CancelDefaultIdIsNoop) {
-  Simulator sim;
-  int runs = 0;
-  sim.at(Microseconds{1}, [&runs] { ++runs; });
-  sim.cancel(EventId{});  // "no event" handle
-  EXPECT_FALSE(sim.live(EventId{}));
-  EXPECT_EQ(sim.pending_events(), 1u);
-  sim.run();
-  EXPECT_EQ(runs, 1);
-}
-
-TEST(SimulatorTest, CallbackMayScheduleMoreEvents) {
-  Simulator sim;
-  int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 5) sim.at(Microseconds{depth * 10}, chain);
-  };
-  sim.at(Microseconds{0}, chain);
-  sim.run();
-  EXPECT_EQ(depth, 5);
-}
-
-TEST(SimulatorTest, HeavyCancellationChurnStaysBounded) {
-  // 100k schedule-then-cancel cycles with a live event run every 100 cycles.
-  // Cancellation recycles slots through the free list, so the pool must stay
-  // a handful of entries no matter how long the churn runs (the historic
-  // tombstone set grew monotonically), and every stale heap entry must have
-  // been dropped as it surfaced during the interleaved runs.
-  Simulator sim;
-  int ran = 0;
-  for (int i = 0; i < 100'000; ++i) {
-    const EventId doomed = sim.at(Microseconds{i}, [] {});
-    sim.cancel(doomed);
-    if (i % 100 == 99) {
-      sim.at(Microseconds{i}, [&] { ++ran; });
-      sim.run_until(Microseconds{i});
-    }
-  }
-  EXPECT_EQ(ran, 1000);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_LE(sim.slot_pool_size(), 4u);
-  EXPECT_EQ(sim.heap_entries(), 0u);
-}
-
-TEST(SimulatorTest, NextKeySkipsBurstOfDeadEntries) {
-  // A block of cancelled events ahead of the only live one: next_key must
-  // report the live event, not a dead timestamp.
-  Simulator sim;
-  std::vector<EventId> ids;
-  ids.reserve(1000);
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(sim.at(Microseconds{i}, [] {}));
-  }
-  sim.at(Microseconds{5000}, [] {});
-  for (const EventId id : ids) sim.cancel(id);
-  EXPECT_EQ(sim.pending_events(), 1u);
-  EXPECT_EQ(sim.next_key().at.count(), 5000);
-}
-
-TEST(SimulatorTest, EqualTimeCancelRescheduleKeepsScheduleOrder) {
-  // Survivors of a cancel wave at one timestamp run in their original
-  // scheduling order, and same-time replacements scheduled afterwards run
-  // after every survivor — cancellation must not perturb the (time, seq)
-  // total order that makes runs reproducible.
-  Simulator sim;
-  std::vector<int> order;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 32; ++i) {
-    ids.push_back(sim.at(Microseconds{7}, [&order, i] { order.push_back(i); }));
-  }
-  for (int i = 0; i < 32; i += 3) sim.cancel(ids[i]);
-  for (int i = 0; i < 8; ++i) {
-    sim.at(Microseconds{7}, [&order, i] { order.push_back(100 + i); });
-  }
-  sim.run();
-
-  std::vector<int> expected;
-  for (int i = 0; i < 32; ++i) {
-    if (i % 3 != 0) expected.push_back(i);
-  }
-  for (int i = 0; i < 8; ++i) expected.push_back(100 + i);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(SimulatorTest, StaleIdCannotCancelSlotReuser) {
-  // A cancelled event's slot is recycled by the next schedule; the old
-  // EventId's generation is stale and must not touch the new occupant.
-  Simulator sim;
-  const EventId old_id = sim.at(Microseconds{1}, [] {});
-  sim.cancel(old_id);
-  bool ran = false;
-  const EventId new_id = sim.at(Microseconds{2}, [&] { ran = true; });
-  EXPECT_FALSE(sim.live(old_id));
-  EXPECT_TRUE(sim.live(new_id));
-  sim.cancel(old_id);
-  EXPECT_EQ(sim.pending_events(), 1u);
-  sim.run();
-  EXPECT_TRUE(ran);
-}
-
-TEST(SimulatorTest, CancelAfterRunIsHarmless) {
-  Simulator sim;
-  int runs = 0;
-  const EventId id = sim.at(Microseconds{10}, [&runs] { ++runs; });
-  EXPECT_TRUE(sim.live(id));
-  sim.run();
-  EXPECT_EQ(runs, 1);
-  EXPECT_FALSE(sim.live(id));
-  // The slot has been recycled; a late cancel must not kill a future event
-  // that happens to reuse the slot (generation mismatch protects it).
-  sim.cancel(id);
-  sim.cancel(id);  // and double-cancel is equally inert
-  int later = 0;
-  sim.at(Microseconds{20}, [&later] { ++later; });
-  sim.cancel(id);  // stale handle again, after the slot was re-issued
-  ASSERT_EQ(sim.pending_events(), 1u);
-  sim.run();
-  EXPECT_EQ(later, 1);
-}
-
-TEST(SimulatorTest, SlotReuseKeepsGenerationsDistinct) {
-  Simulator sim;
-  Counted::live = 0;
-  int fired = 0;
-  // Schedule + cancel churn: the slot pool must stay bounded and cancelled
-  // closures must be destroyed promptly enough to balance (drained when the
-  // dead entries surface or are overwritten on reuse).
-  for (int i = 0; i < 1000; ++i) {
-    const EventId id = sim.at(Microseconds{1000 + i},
-                              [&fired, c = Counted{i}] { ++fired; });
-    if (i % 2 == 0) sim.cancel(id);
-  }
-  EXPECT_LE(sim.slot_pool_size(), 1002u);
-  sim.run();
-  EXPECT_EQ(fired, 500);
-  EXPECT_EQ(Counted::live, 0);  // every closure destroyed exactly once
-}
-
-TEST(SimulatorTest, CallbackCancelsLaterEventAtSameTime) {
-  Simulator sim;
-  bool second_ran = false;
-  EventId second{};
-  sim.at(Microseconds{5}, [&] { sim.cancel(second); });
-  second = sim.at(Microseconds{5}, [&] { second_ran = true; });
-  sim.at(Microseconds{5}, [] {});
-  sim.run();
-  EXPECT_FALSE(second_ran);
-}
-
-TEST(SimulatorTest, ManyEventsStressOrdering) {
-  Simulator sim;
-  std::vector<std::int64_t> times;
-  for (int i = 0; i < 1000; ++i) {
-    const std::int64_t t = (i * 7919) % 1000;  // pseudo-shuffled times
-    sim.at(Microseconds{t}, [&] { times.push_back(sim.now().count()); });
-  }
-  sim.run();
-  ASSERT_EQ(times.size(), 1000u);
-  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
 }
 
 // --- Work counters ----------------------------------------------------------
