@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
+#include <tuple>
+#include <unordered_map>
+
 #include "core/analyzer.hpp"
+#include "util/rng.hpp"
 #include "workload/scenario.hpp"
 
 namespace wlan::trace {
@@ -263,6 +270,303 @@ TEST(MergeTest, TwoSnifferCellEndToEnd) {
   // And the result is a well-formed analyzable capture.
   const auto analysis = core::TraceAnalyzer{}.analyze(result.trace);
   EXPECT_GT(analysis.total_frames, 0u);
+}
+
+// --- Differential oracle for the dedup window ------------------------------
+//
+// The reference below is MergingReader's dedup window as an unordered_map
+// (key -> last emitted corrected time) plus a deque of (key, time) in
+// insertion order, step for step: slide out entries older than the window,
+// erasing a key only if its map time is the one sliding out; look the key
+// up; drop a copy within the window (moving the key's time forward) or emit
+// it.  The k-way order is MergingReader's: smallest (corrected head time,
+// input index) first.  Every comparison checks all emitted records, in
+// order, field by field, and MergeStats.
+
+std::uint64_t oracle_dedup_key(const CaptureRecord& r) {
+  const bool no_src =
+      r.type == mac::FrameType::kAck || r.type == mac::FrameType::kCts;
+  const std::uint64_t src = no_src ? mac::kNoAddr : r.src;
+  return (static_cast<std::uint64_t>(r.seq) & 0xfffu) |
+         (static_cast<std::uint64_t>(r.dst) << 12) | (src << 28) |
+         (static_cast<std::uint64_t>(r.retry) << 44) |
+         (static_cast<std::uint64_t>(r.type) << 45) |
+         (static_cast<std::uint64_t>(r.channel) << 48);
+}
+
+struct OracleResult {
+  std::vector<CaptureRecord> records;
+  MergeStats stats;
+  std::size_t peak_window = 0;  ///< most (key, time) entries held at once
+};
+
+OracleResult oracle_merge(const std::vector<Trace>& traces,
+                          const std::vector<std::int64_t>& offsets_us,
+                          std::int64_t dup_window_us) {
+  OracleResult out;
+  std::vector<std::size_t> cursor(traces.size(), 0);
+  std::unordered_map<std::uint64_t, std::int64_t> last_emit;
+  std::deque<std::pair<std::uint64_t, std::int64_t>> emit_order;
+  for (;;) {
+    std::size_t best = traces.size();
+    std::int64_t best_time = 0;
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      if (cursor[i] >= traces[i].records.size()) continue;
+      const std::int64_t t =
+          traces[i].records[cursor[i]].time_us - offsets_us[i];
+      if (best == traces.size() || t < best_time) {
+        best = i;
+        best_time = t;
+      }
+    }
+    if (best == traces.size()) break;
+    CaptureRecord r = traces[best].records[cursor[best]++];
+    r.time_us = best_time;
+    ++out.stats.records_in;
+
+    while (!emit_order.empty() &&
+           emit_order.front().second + dup_window_us < best_time) {
+      const auto& [key, when] = emit_order.front();
+      const auto it = last_emit.find(key);
+      if (it != last_emit.end() && it->second == when) last_emit.erase(it);
+      emit_order.pop_front();
+    }
+    const std::uint64_t key = oracle_dedup_key(r);
+    const auto it = last_emit.find(key);
+    if (it != last_emit.end() && best_time - it->second <= dup_window_us) {
+      it->second = best_time;
+      emit_order.emplace_back(key, best_time);
+      out.peak_window = std::max(out.peak_window, emit_order.size());
+      ++out.stats.duplicates_dropped;
+      continue;
+    }
+    last_emit[key] = best_time;
+    emit_order.emplace_back(key, best_time);
+    out.peak_window = std::max(out.peak_window, emit_order.size());
+    ++out.stats.emitted;
+    out.records.push_back(r);
+  }
+  return out;
+}
+
+auto fields(const CaptureRecord& r) {
+  return std::tie(r.time_us, r.channel, r.rate, r.snr_db, r.type, r.src,
+                  r.dst, r.bssid, r.seq, r.retry, r.size_bytes, r.sniffer_id,
+                  r.frame_id);
+}
+
+void expect_same(const std::vector<CaptureRecord>& got,
+                 const OracleResult& want, const MergeStats& got_stats) {
+  ASSERT_EQ(got.size(), want.records.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(fields(got[i]) == fields(want.records[i]))
+        << "record " << i << ": got frame " << got[i].frame_id << " at "
+        << got[i].time_us << " us, want frame " << want.records[i].frame_id
+        << " at " << want.records[i].time_us << " us";
+  }
+  EXPECT_EQ(got_stats.records_in, want.stats.records_in);
+  EXPECT_EQ(got_stats.duplicates_dropped, want.stats.duplicates_dropped);
+  EXPECT_EQ(got_stats.emitted, want.stats.emitted);
+}
+
+/// Runs MergingReader on `traces` and checks it against the oracle; returns
+/// the oracle's result so callers can assert what the case exercised.
+OracleResult expect_matches_oracle(const std::vector<Trace>& traces,
+                                   const std::vector<std::int64_t>& offsets,
+                                   std::int64_t dup_window_us) {
+  const OracleResult want = oracle_merge(traces, offsets, dup_window_us);
+  std::vector<VectorReader> readers(traces.begin(), traces.end());
+  std::vector<TraceReader*> inputs;
+  for (VectorReader& r : readers) inputs.push_back(&r);
+  MergeOptions options;
+  options.dup_window_us = dup_window_us;
+  MergingReader merger(inputs, offsets, options);
+  const Trace got = read_all(merger);
+  expect_same(got.records, want, merger.stats());
+  return want;
+}
+
+/// One channel heard by three sniffers.  Frames come from a small key space
+/// (4 sources, 4 destinations, 8 sequence numbers), so keys recur both
+/// inside and outside the window.  Each sniffer hears 80% of them, most at
+/// the frame's instant (equal corrected times across inputs), some 1-10 us,
+/// 80 us, exactly 100 us or 101 us late.  ACK/CTS copies keep their src or
+/// lose it (a pcap round-trip), so copies can differ only in src.  After a
+/// stable sort, a fifth of each sniffer's records move up to kSortSlackUs
+/// earlier, which the merge tolerates; finally each sniffer's clock offset
+/// is added.
+std::vector<Trace> three_sniffer_capture(
+    std::uint64_t seed, std::size_t frames,
+    const std::vector<std::int64_t>& offsets_us) {
+  util::Rng rng(seed);
+  constexpr std::array<std::int64_t, 9> kGaps = {0, 1, 5, 50, 99, 100, 101,
+                                                 150, 400};
+  constexpr std::array<mac::FrameType, 5> kTypes = {
+      mac::FrameType::kData, mac::FrameType::kAck, mac::FrameType::kRts,
+      mac::FrameType::kCts, mac::FrameType::kBeacon};
+  constexpr std::array<std::int64_t, 4> kLate = {80, 100, 101, 7};
+  std::array<std::vector<CaptureRecord>, 3> heard;
+  std::int64_t t = 1'000;
+  for (std::size_t f = 0; f < frames; ++f) {
+    t += kGaps[rng.uniform(kGaps.size())];
+    CaptureRecord r;
+    r.time_us = t;
+    r.channel = 6;
+    r.rate = static_cast<phy::Rate>(rng.uniform(4));
+    r.type = kTypes[rng.uniform(kTypes.size())];
+    r.src = static_cast<mac::Addr>(1 + rng.uniform(4));
+    r.dst = static_cast<mac::Addr>(1 + rng.uniform(4));
+    r.bssid = 1;
+    r.seq = static_cast<std::uint16_t>(rng.uniform(8));
+    r.retry = rng.chance(0.2);
+    r.size_bytes = static_cast<std::uint32_t>(14 + rng.uniform(1500));
+    r.frame_id = f + 1;
+    const bool control =
+        r.type == mac::FrameType::kAck || r.type == mac::FrameType::kCts;
+    for (std::uint8_t s = 0; s < 3; ++s) {
+      if (!rng.chance(0.8)) continue;
+      CaptureRecord copy = r;
+      copy.sniffer_id = s;
+      copy.snr_db = static_cast<float>(rng.uniform_real(5.0, 40.0));
+      if (control && rng.chance(0.5)) copy.src = mac::kNoAddr;
+      if (rng.chance(0.3)) copy.time_us += kLate[rng.uniform(kLate.size())];
+      heard[s].push_back(copy);
+    }
+  }
+  std::vector<Trace> traces;
+  for (std::size_t s = 0; s < 3; ++s) {
+    std::vector<CaptureRecord>& records = heard[s];
+    sort_by_time(records);
+    for (CaptureRecord& r : records) {
+      if (rng.chance(0.2)) r.time_us -= rng.uniform_int(0, kSortSlackUs);
+      r.time_us += offsets_us[s];
+    }
+    traces.push_back(as_trace(std::move(records)));
+  }
+  return traces;
+}
+
+TEST(DedupOracleTest, MatchesReferenceOnRandomThreeSnifferCaptures) {
+  const std::vector<std::int64_t> offsets = {0, 2'345, -1'500};
+  std::uint64_t dropped = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto traces = three_sniffer_capture(seed, 2'000, offsets);
+    for (const std::int64_t window : {std::int64_t{0}, std::int64_t{100},
+                                      std::int64_t{400}}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", window " +
+                   std::to_string(window) + " us");
+      dropped += expect_matches_oracle(traces, offsets, window)
+                     .stats.duplicates_dropped;
+    }
+  }
+  EXPECT_GT(dropped, 10'000u);
+}
+
+TEST(DedupOracleTest, EqualCorrectedTimesAcrossInputs) {
+  // Three copies of one frame at one corrected instant, on clocks that
+  // disagree: input order breaks the tie, and the first copy survives.
+  std::vector<Trace> traces;
+  const std::vector<std::int64_t> offsets = {0, 700, -300};
+  for (std::uint8_t s = 0; s < 3; ++s) {
+    CaptureRecord r = data(5, 9, 5'000 + offsets[s]);
+    r.sniffer_id = s;
+    traces.push_back(as_trace({r}));
+  }
+  const auto want = expect_matches_oracle(traces, offsets, 100);
+  ASSERT_EQ(want.records.size(), 1u);
+  EXPECT_EQ(want.records[0].sniffer_id, 0);
+  EXPECT_EQ(want.stats.duplicates_dropped, 2u);
+}
+
+TEST(DedupOracleTest, RecordsWithinSortSlack) {
+  // Sniffer 0 stamps its second frame kSortSlackUs before its first; the
+  // other sniffers' copies of both land in between.
+  CaptureRecord a0 = data(5, 1, 1'000), a1 = data(6, 2, 1'000 - kSortSlackUs);
+  CaptureRecord b0 = data(5, 1, 995), b1 = data(6, 2, 992);
+  CaptureRecord c0 = data(6, 2, 991), c1 = data(5, 1, 1'001);
+  b0.sniffer_id = b1.sniffer_id = 1;
+  c0.sniffer_id = c1.sniffer_id = 2;
+  const auto want = expect_matches_oracle(
+      {as_trace({a0, a1}), as_trace({b0, b1}), as_trace({c0, c1})}, {0, 0, 0},
+      100);
+  EXPECT_EQ(want.stats.emitted, 2u);
+  EXPECT_EQ(want.stats.duplicates_dropped, 4u);
+}
+
+TEST(DedupOracleTest, HundredMicrosecondEdge) {
+  // A copy exactly dup_window_us after the last one is dropped (and moves
+  // the key's time); one 101 us after that is a new frame.
+  CaptureRecord first = data(5, 3, 1'000), edge = data(5, 3, 1'100),
+                past = data(5, 3, 1'201);
+  edge.sniffer_id = 1;
+  past.sniffer_id = 2;
+  const auto want = expect_matches_oracle(
+      {as_trace({first}), as_trace({edge}), as_trace({past})}, {0, 0, 0}, 100);
+  ASSERT_EQ(want.records.size(), 2u);
+  EXPECT_EQ(want.records[0].time_us, 1'000);
+  EXPECT_EQ(want.records[1].time_us, 1'201);
+  EXPECT_EQ(want.stats.duplicates_dropped, 1u);
+}
+
+TEST(DedupOracleTest, ThirdSnifferCopySlidesWindow) {
+  // Copies 80 us apart: the third is 160 us after the emitted one but only
+  // 80 us after the second copy, which slid the window.
+  CaptureRecord a = data(5, 4, 2'000), b = data(5, 4, 2'080),
+                c = data(5, 4, 2'160);
+  b.sniffer_id = 1;
+  c.sniffer_id = 2;
+  const auto want = expect_matches_oracle(
+      {as_trace({a}), as_trace({b}), as_trace({c})}, {0, 0, 0}, 100);
+  EXPECT_EQ(want.stats.emitted, 1u);
+  EXPECT_EQ(want.stats.duplicates_dropped, 2u);
+}
+
+TEST(DedupOracleTest, AckAndCtsCopiesDifferingOnlyInSrc) {
+  std::vector<Trace> traces;
+  const std::array<mac::Addr, 3> srcs = {3, mac::kNoAddr, 7};
+  for (std::uint8_t s = 0; s < 3; ++s) {
+    std::vector<CaptureRecord> records;
+    for (const auto type : {mac::FrameType::kAck, mac::FrameType::kCts}) {
+      CaptureRecord r;
+      r.type = type;
+      r.src = srcs[s];
+      r.dst = 5;
+      r.channel = 6;
+      r.sniffer_id = s;
+      r.time_us = type == mac::FrameType::kAck ? 100 : 400;
+      r.size_bytes = type == mac::FrameType::kAck ? mac::kAckBytes
+                                                  : mac::kCtsBytes;
+      records.push_back(r);
+    }
+    traces.push_back(as_trace(records));
+  }
+  const auto want = expect_matches_oracle(traces, {0, 0, 0}, 100);
+  EXPECT_EQ(want.stats.emitted, 2u);
+  EXPECT_EQ(want.stats.duplicates_dropped, 4u);
+}
+
+TEST(DedupOracleTest, OneSecondWindowHoldsThousandsOfEntries) {
+  const std::vector<std::int64_t> offsets = {0, 90, -40};
+  const auto traces = three_sniffer_capture(77, 20'000, offsets);
+  const auto want = expect_matches_oracle(traces, offsets, 1'000'000);
+  // Far more entries than any first ring size: the window must grow.
+  EXPECT_GT(want.peak_window, 4'096u);
+}
+
+TEST(DedupOracleTest, ResetMidStreamThenFullReread) {
+  const std::vector<std::int64_t> offsets = {0, -250, 1'000};
+  const auto traces = three_sniffer_capture(5, 3'000, offsets);
+  const OracleResult want = oracle_merge(traces, offsets, 100);
+  std::vector<VectorReader> readers(traces.begin(), traces.end());
+  std::vector<TraceReader*> inputs;
+  for (VectorReader& r : readers) inputs.push_back(&r);
+  MergingReader merger(inputs, offsets);
+  CaptureRecord r;
+  for (int i = 0; i < 1'234 && merger.next(r); ++i) {
+  }
+  merger.reset();
+  const Trace got = read_all(merger);
+  expect_same(got.records, want, merger.stats());
 }
 
 }  // namespace
