@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace wlan::trace {
@@ -16,7 +17,8 @@ constexpr std::uint32_t anchor_key(const CaptureRecord& r) {
 
 /// Cross-sniffer duplicate identity.  ACK/CTS normalize src to kNoAddr:
 /// the real frames carry no transmitter address, so raw sim captures and
-/// pcap round-trips must dedup identically.
+/// pcap round-trips must dedup identically.  The fields fill bits 0-55, so
+/// the key is never all ones (MergingReader's empty key).
 std::uint64_t dedup_key(const CaptureRecord& r) {
   const bool no_src =
       r.type == mac::FrameType::kAck || r.type == mac::FrameType::kCts;
@@ -31,6 +33,15 @@ std::uint64_t dedup_key(const CaptureRecord& r) {
 /// Beacon anchors retained per input during offset estimation (bounds the
 /// estimator's memory on arbitrarily long captures).
 constexpr std::size_t kMaxAnchors = 8192;
+
+/// Largest clock lead over input 0 the estimator waits out: it stops
+/// reading input i at its first record later than input 0's last anchor
+/// plus this.  1 s is 44x the largest skew the simulator configures (15 x
+/// 1.5 ms with 16 sniffers); NTP-synced sniffers sit within milliseconds.
+constexpr std::int64_t kMaxClockOffsetUs = 1'000'000;
+
+/// First size of MergingReader's dedup ring (a power of two).
+constexpr std::size_t kInitialWindowSlots = 16;
 
 }  // namespace
 
@@ -47,17 +58,29 @@ ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs) {
   // of valid anchors, and clock offsets are constant, so a prefix is all
   // the estimate needs.
   std::unordered_map<std::uint32_t, std::int64_t> ref;
+  std::int64_t ref_last_us = std::numeric_limits<std::int64_t>::min();
   CaptureRecord r;
   while (inputs[0]->next(r)) {
     if (r.type != mac::FrameType::kBeacon) continue;
     if (!ref.emplace(anchor_key(r), r.time_us).second) break;
+    ref_last_us = std::max(ref_last_us, r.time_us);
     if (ref.size() >= kMaxAnchors) break;
   }
+  // Nothing to align against: leave every other input unread.
+  if (ref.empty()) return out;
+
+  // An input whose clock leads input 0's by at most kMaxClockOffsetUs has
+  // shown every anchor it shares by this time, so reading on finds none.
+  const std::int64_t horizon_us =
+      std::min(ref_last_us,
+               std::numeric_limits<std::int64_t>::max() - kMaxClockOffsetUs) +
+      kMaxClockOffsetUs;
 
   for (std::size_t i = 1; i < inputs.size(); ++i) {
     std::vector<std::int64_t> deltas;
     std::unordered_set<std::uint32_t> seen;
     while (inputs[i]->next(r)) {
+      if (r.time_us > horizon_us) break;
       if (r.type != mac::FrameType::kBeacon) continue;
       const std::uint32_t key = anchor_key(r);
       if (!seen.insert(key).second) continue;
@@ -86,7 +109,8 @@ MergingReader::MergingReader(std::vector<TraceReader*> inputs,
                              const MergeOptions& options)
     : inputs_(std::move(inputs)), offsets_us_(std::move(offsets_us)),
       options_(options), head_(inputs_.size()),
-      latest_time_(inputs_.size(), std::numeric_limits<std::int64_t>::min()) {
+      latest_time_(inputs_.size(), std::numeric_limits<std::int64_t>::min()),
+      window_(kInitialWindowSlots) {
   if (offsets_us_.size() != inputs_.size()) {
     throw std::invalid_argument(
         "MergingReader: one clock offset per input required");
@@ -127,32 +151,48 @@ bool MergingReader::next(CaptureRecord& out) {
     advance(top.input);
 
     // Slide the dedup window forward.
-    while (!emit_order_.empty() &&
-           emit_order_.front().second + options_.dup_window_us < top.time_us) {
-      const auto& [key, when] = emit_order_.front();
-      const auto it = last_emit_.find(key);
-      if (it != last_emit_.end() && it->second == when) last_emit_.erase(it);
-      emit_order_.pop_front();
+    while (window_size_ != 0 &&
+           window_[window_head_].time_us + options_.dup_window_us <
+               top.time_us) {
+      const auto [key, when] = window_[window_head_];
+      const std::int64_t* last = last_emit_.find(key);
+      if (last != nullptr && *last == when) last_emit_.erase(key);
+      window_head_ = (window_head_ + 1) & (window_.size() - 1);
+      --window_size_;
     }
 
     const std::uint64_t key = dedup_key(r);
-    const auto it = last_emit_.find(key);
-    if (it != last_emit_.end() &&
-        top.time_us - it->second <= options_.dup_window_us) {
+    std::int64_t* last = last_emit_.find(key);
+    if (last != nullptr && top.time_us - *last <= options_.dup_window_us) {
       // Same frame heard by another sniffer: suppress, and slide the
       // window so a third sniffer's copy is suppressed too.
-      it->second = top.time_us;
-      emit_order_.emplace_back(key, top.time_us);
+      *last = top.time_us;
+      remember(key, top.time_us);
       ++stats_.duplicates_dropped;
       continue;
     }
-    last_emit_[key] = top.time_us;
-    emit_order_.emplace_back(key, top.time_us);
+    last_emit_.insert_or_assign(key, top.time_us);
+    remember(key, top.time_us);
     ++stats_.emitted;
     out = r;
     return true;
   }
   return false;
+}
+
+void MergingReader::remember(std::uint64_t key, std::int64_t time_us) {
+  if (window_size_ == window_.size()) {
+    // Full: unroll into a ring twice the size, oldest entry first.
+    std::vector<WindowEntry> grown(window_.size() * 2);
+    for (std::size_t k = 0; k < window_size_; ++k) {
+      grown[k] = window_[(window_head_ + k) & (window_.size() - 1)];
+    }
+    window_ = std::move(grown);
+    window_head_ = 0;
+  }
+  const std::size_t mask = window_.size() - 1;
+  window_[(window_head_ + window_size_) & mask] = {key, time_us};
+  ++window_size_;
 }
 
 void MergingReader::reset() {
@@ -162,8 +202,9 @@ void MergingReader::reset() {
   heap_ = {};
   primed_ = false;
   stats_ = {};
-  last_emit_.clear();
-  emit_order_.clear();
+  window_head_ = 0;
+  window_size_ = 0;
+  last_emit_ = {};
 }
 
 MergeResult merge_sniffer_traces(const std::vector<Trace>& traces,

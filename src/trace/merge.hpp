@@ -9,7 +9,10 @@
 //      same transmission, so the per-anchor timestamp difference between a
 //      sniffer and the reference sniffer (input 0) is that sniffer's clock
 //      offset.  We take the median difference, which is robust to anchors
-//      corrupted by sequence-number wrap or capture glitches.
+//      corrupted by sequence-number wrap or capture glitches.  Only a prefix
+//      of each capture is read: input 0 up to its first repeated beacon key,
+//      every other input up to its first record more than kMaxClockOffsetUs
+//      (1 s, merge.cpp) past input 0's last anchor.
 //   2. k-way merge — a heap over per-input cursors emits records in
 //      corrected-time order (ties broken by input index, so the merge is
 //      deterministic and independent of how captures are listed on disk).
@@ -18,7 +21,10 @@
 //      (channel, type, src, dst, seq, retry) key within dup_window_us of an
 //      already-emitted record.  ACK/CTS keys ignore src: real ACK/CTS frames
 //      carry no transmitter address, so a pcap round-trip erases it and the
-//      merge must behave identically on raw and pcap-loaded captures.
+//      merge must behave identically on raw and pcap-loaded captures.  The
+//      window is a ring of (key, time) entries in merge order plus an
+//      open-addressing map from key to its latest time, so no record costs
+//      an allocation.
 //
 // Everything streams: MergingReader pulls from TraceReaders, holds one
 // record per input plus a sliding dedup window, and never materializes a
@@ -26,14 +32,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/reader.hpp"
 #include "trace/record.hpp"
+#include "util/flat_map.hpp"
 
 namespace wlan::trace {
 
@@ -63,9 +68,16 @@ struct MergeStats {
   std::uint64_t emitted = 0;
 };
 
-/// Scans every reader to estimate per-input clock offsets from shared
-/// beacons, keeping at most 8192 anchors per input.  Consumes the readers;
-/// reset() them before reuse.
+/// Estimates per-input clock offsets from shared beacons, keeping at most
+/// 8192 anchors per input.  Reads input 0 up to its first repeated beacon
+/// key (a sequence wrap); if that prefix holds no beacon, returns all-zero
+/// offsets without reading any other input.  Reads input i >= 1 up to its
+/// first record later than input 0's last anchor plus kMaxClockOffsetUs
+/// (1 s), or until every anchor matched.  An input whose clock runs behind
+/// input 0, or ahead by at most 1 s, is aligned from every anchor it shares;
+/// one further ahead is aligned from the anchors it shows before that bound,
+/// and keeps its raw clock (0 anchors) when the lead exceeds the anchor
+/// prefix's span plus 1 s.  Consumes the readers; reset() them before reuse.
 [[nodiscard]] ClockOffsets estimate_clock_offsets(
     const std::vector<TraceReader*>& inputs);
 
@@ -88,6 +100,7 @@ class MergingReader final : public TraceReader {
  private:
   void prime();
   void advance(std::size_t input);
+  void remember(std::uint64_t key, std::int64_t time_us);
 
   struct HeapEntry {
     std::int64_t time_us;  ///< corrected
@@ -106,10 +119,20 @@ class MergingReader final : public TraceReader {
   bool primed_ = false;
   MergeStats stats_;
 
-  // Sliding dedup window: key -> last emitted corrected time, pruned as the
-  // merged timeline advances so memory stays O(window).
-  std::unordered_map<std::uint64_t, std::int64_t> last_emit_;
-  std::deque<std::pair<std::uint64_t, std::int64_t>> emit_order_;
+  // Sliding dedup window, pruned as the merged timeline advances so memory
+  // stays O(window).  window_ is a power-of-two ring of (key, corrected
+  // time) entries in insertion order, the oldest at window_head_; it doubles
+  // only when the window holds more entries than it has slots.  last_emit_
+  // maps each key in the window to its last emitted time.  Dedup keys use
+  // only the low 56 bits, so the map's empty key (all ones) never occurs.
+  struct WindowEntry {
+    std::uint64_t key;
+    std::int64_t time_us;
+  };
+  std::vector<WindowEntry> window_;
+  std::size_t window_head_ = 0;
+  std::size_t window_size_ = 0;
+  util::FlatMap<std::uint64_t, std::int64_t, ~std::uint64_t{0}> last_emit_;
 };
 
 /// One-call in-memory convenience: estimates offsets, merges, and returns
