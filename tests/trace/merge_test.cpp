@@ -113,6 +113,112 @@ TEST(ClockOffsetTest, NoSharedBeaconsMeansZeroOffset) {
   EXPECT_EQ(offsets.anchors[1], 0u);
 }
 
+/// merge.cpp's kMaxClockOffsetUs: the largest clock lead over input 0 that
+/// the estimator waits out before it stops reading an input.
+constexpr std::int64_t kMaxClockOffsetUs = 1'000'000;
+
+/// Reference capture for the bounded scan: 30 beacons of BSS 9, 100 ms
+/// apart from 20 s, so input 0's last anchor is at 22.9 s and every other
+/// input is read up to its first record after 23.9 s.
+constexpr int kRefBeacons = 30;
+constexpr std::int64_t kRefStartUs = 20'000'000;
+constexpr std::int64_t kBeaconGapUs = 100'000;
+constexpr std::int64_t kScanHorizonUs =
+    kRefStartUs + (kRefBeacons - 1) * kBeaconGapUs + kMaxClockOffsetUs;
+
+/// The reference beacons as a sniffer whose clock leads by `lead_us` hears
+/// them (a negative lead is a clock running behind).
+Trace reference_beacons(std::int64_t lead_us) {
+  std::vector<CaptureRecord> records;
+  for (int i = 0; i < kRefBeacons; ++i) {
+    records.push_back(beacon(9, static_cast<std::uint16_t>(i),
+                             kRefStartUs + kBeaconGapUs * i + lead_us));
+  }
+  return as_trace(records);
+}
+
+/// Hands out `inner`'s records, counting them.
+class CountingReader final : public TraceReader {
+ public:
+  explicit CountingReader(TraceReader& inner) : inner_(&inner) {}
+  bool next(CaptureRecord& out) override {
+    if (!inner_->next(out)) return false;
+    ++records_read_;
+    return true;
+  }
+  void reset() override { inner_->reset(); }
+  [[nodiscard]] std::size_t records_read() const { return records_read_; }
+
+ private:
+  TraceReader* inner_;
+  std::size_t records_read_ = 0;
+};
+
+TEST(ClockOffsetTest, StopsReadingAtFirstRecordPastTheBound) {
+  // 600 s of another BSS's beacons and data, sharing no anchor with input
+  // 0: the scan reads up to the first record after the bound, no further.
+  std::vector<CaptureRecord> other;
+  for (std::int64_t t = 0; t < 600'000'000; t += 10'000) {
+    if (t % kBeaconGapUs == 0) {
+      other.push_back(beacon(12, static_cast<std::uint16_t>(t / kBeaconGapUs),
+                             t));
+    }
+    other.push_back(data(5, static_cast<std::uint16_t>(t / 10'000), t + 500));
+  }
+  const Trace ta = reference_beacons(0), tb = as_trace(other);
+  VectorReader ra(ta), rb(tb);
+  CountingReader counted(rb);
+  const auto offsets = estimate_clock_offsets({&ra, &counted});
+  EXPECT_EQ(offsets.offset_us[1], 0);
+  EXPECT_EQ(offsets.anchors[1], 0u);
+  const auto within = std::count_if(
+      other.begin(), other.end(),
+      [](const CaptureRecord& r) { return r.time_us <= kScanHorizonUs; });
+  EXPECT_EQ(counted.records_read(), static_cast<std::size_t>(within) + 1);
+  EXPECT_LT(counted.records_read(), other.size() / 20);
+}
+
+TEST(ClockOffsetTest, RecoversLeadWithinBoundAndAnyLagWithEveryAnchor) {
+  const Trace ta = reference_beacons(0),
+              ahead = reference_beacons(kMaxClockOffsetUs / 2),
+              behind = reference_beacons(-10 * kMaxClockOffsetUs);
+  VectorReader ra(ta), rb(ahead), rc(behind);
+  const auto offsets = estimate_clock_offsets({&ra, &rb, &rc});
+  EXPECT_EQ(offsets.offset_us[1], kMaxClockOffsetUs / 2);
+  EXPECT_EQ(offsets.anchors[1], static_cast<std::size_t>(kRefBeacons));
+  EXPECT_EQ(offsets.offset_us[2], -10 * kMaxClockOffsetUs);
+  EXPECT_EQ(offsets.anchors[2], static_cast<std::size_t>(kRefBeacons));
+}
+
+TEST(ClockOffsetTest, LeadPastBoundUsesOnlyAnchorsBeforeIt) {
+  // 2 s ahead, beacon k shows at 22 s + 100 ms * k: beacons 0-19 fall at or
+  // before the 23.9 s bound (the 20th exactly on it), 20-29 after.  A lead
+  // of the anchors' 2.9 s span plus the bound plus 1 us shows none.
+  constexpr std::int64_t kLeadPastAll =
+      (kRefBeacons - 1) * kBeaconGapUs + kMaxClockOffsetUs + 1;
+  const Trace ta = reference_beacons(0),
+              ahead = reference_beacons(2 * kMaxClockOffsetUs),
+              too_far = reference_beacons(kLeadPastAll);
+  VectorReader ra(ta), rb(ahead), rc(too_far);
+  const auto offsets = estimate_clock_offsets({&ra, &rb, &rc});
+  EXPECT_EQ(offsets.offset_us[1], 2 * kMaxClockOffsetUs);
+  EXPECT_EQ(offsets.anchors[1], 20u);
+  EXPECT_EQ(offsets.offset_us[2], 0);
+  EXPECT_EQ(offsets.anchors[2], 0u);
+}
+
+TEST(ClockOffsetTest, NoReferenceBeaconReadsNoOtherInput) {
+  const Trace ta = as_trace({data(5, 1, 0), data(5, 2, 5'000)});
+  const Trace tb = reference_beacons(0), tc = reference_beacons(300);
+  VectorReader ra(ta), rb(tb), rc(tc);
+  CountingReader cb(rb), cc(rc);
+  const auto offsets = estimate_clock_offsets({&ra, &cb, &cc});
+  EXPECT_EQ(cb.records_read(), 0u);
+  EXPECT_EQ(cc.records_read(), 0u);
+  EXPECT_EQ(offsets.offset_us, (std::vector<std::int64_t>{0, 0, 0}));
+  EXPECT_EQ(offsets.anchors, (std::vector<std::size_t>{0, 0, 0}));
+}
+
 /// The same frames heard by two sniffers merge to one copy each.
 TEST(MergeTest, SuppressesCrossSnifferDuplicates) {
   std::vector<CaptureRecord> a, b;
