@@ -4,6 +4,12 @@ baseline and fail on regression.
 
 Usage: perf_guard.py CURRENT.json BASELINE.json [--threshold PCT]
 
+Each benchmark's time is its median CPU time: the `median` aggregate that
+--benchmark_repetitions writes, or, in a file without one (such as the
+committed baseline), the median of the benchmark's iteration rows.  One
+run of a benchmark on a shared machine swings by as much as the threshold,
+so CI runs five repetitions and compares medians.
+
 Raw nanosecond baselines are machine-specific, so every benchmark is first
 normalized by its own file's BM_RngNext time (a pure-ALU benchmark that
 scales with single-core speed).  A benchmark regresses when its normalized
@@ -20,6 +26,7 @@ run; refresh the baseline with:
 """
 import argparse
 import json
+import statistics
 import sys
 
 REFERENCE = "BM_RngNext"
@@ -27,14 +34,19 @@ UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load(path):
-    """Returns {name: cpu_ns}."""
+    """Returns {name: median cpu_ns}."""
     with open(path) as f:
         data = json.load(f)
-    times = {}
+    medians, rows = {}, {}
     for b in data.get("benchmarks", []):
-        if b.get("run_type", "iteration") != "iteration":
-            continue
-        times[b["name"]] = b["cpu_time"] * UNIT_NS[b.get("time_unit", "ns")]
+        name = b.get("run_name", b["name"])
+        ns = b["cpu_time"] * UNIT_NS[b.get("time_unit", "ns")]
+        if b.get("run_type", "iteration") == "iteration":
+            rows.setdefault(name, []).append(ns)
+        elif b.get("aggregate_name") == "median":
+            medians[name] = ns
+    times = {name: statistics.median(ns) for name, ns in rows.items()}
+    times.update(medians)
     return times
 
 
