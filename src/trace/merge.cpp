@@ -182,13 +182,12 @@ bool MergingReader::next(CaptureRecord& out) {
 
 void MergingReader::remember(std::uint64_t key, std::int64_t time_us) {
   if (window_size_ == window_.size()) {
-    // Full: unroll into a ring twice the size, oldest entry first.
-    std::vector<WindowEntry> grown(window_.size() * 2);
-    for (std::size_t k = 0; k < window_size_; ++k) {
-      grown[k] = window_[(window_head_ + k) & (window_.size() - 1)];
-    }
-    window_ = std::move(grown);
+    // Full: move the oldest entry to slot 0, then double the ring.
+    std::rotate(window_.begin(),
+                window_.begin() + static_cast<std::ptrdiff_t>(window_head_),
+                window_.end());
     window_head_ = 0;
+    window_.resize(window_.size() * 2);
   }
   const std::size_t mask = window_.size() - 1;
   window_[(window_head_ + window_size_) & mask] = {key, time_us};
