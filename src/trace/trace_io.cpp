@@ -105,7 +105,9 @@ Trace read_binary(const std::string& path) {
   trace.start_us = get<std::int64_t>(p);
   trace.end_us = get<std::int64_t>(p);
   const auto count = get<std::uint64_t>(p);
-  if (buf.size() < 32 + count * kRecordBytes) {
+  // Divide rather than multiply: the count comes from the file, and
+  // count * kRecordBytes can wrap.
+  if (count > (buf.size() - 32) / kRecordBytes) {
     throw std::runtime_error("read_binary: truncated records in " + path);
   }
   trace.records.reserve(count);

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <string>
 
 namespace wlan::trace {
@@ -94,6 +96,8 @@ class TraceIoTest : public ::testing::Test {
 // record 4's frame-type byte.
 constexpr std::size_t kRateByte = 32 + 37 * 3 + 9;
 constexpr std::size_t kTypeByte = 32 + 37 * 4 + 14;
+// The header's little-endian 64-bit record count.
+constexpr std::size_t kCountField = 24;
 
 constexpr const char* kGoodRow = "1000,6,11,20.5,DATA,1,2,3,4,0,100,0,7";
 
@@ -132,6 +136,25 @@ TEST_F(TraceIoTest, BinaryRejectsTruncatedFile) {
     out.write(content.data(), static_cast<std::streamsize>(content.size() / 2));
   }
   EXPECT_THROW(read_binary(path_), std::runtime_error);
+}
+
+TEST_F(TraceIoTest, BinaryRejectsRecordCountPastTheFile) {
+  // A 96-byte file whose header claims ceil(2^64 / 37) records: their byte
+  // count wraps to 25 in 64-bit arithmetic, so it fits a naive size check.
+  constexpr std::uint64_t kCount =
+      std::numeric_limits<std::uint64_t>::max() / 37 + 1;
+  static_assert(kCount * 37 == 25);
+  write_binary(Trace{}, path_);
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::app);
+    out << std::string(64, '\0');
+  }
+  for (std::size_t i = 0; i < 8; ++i) {
+    patch_byte(kCountField + i, static_cast<char>(kCount >> (8 * i)));
+  }
+  const std::string err = error_of([&] { read_binary(path_); });
+  EXPECT_NE(err.find("truncated records in " + path_), std::string::npos)
+      << err;
 }
 
 TEST_F(TraceIoTest, BinaryRejectsOutOfRangeRateByte) {
