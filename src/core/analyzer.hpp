@@ -124,8 +124,6 @@ class TraceAnalyzer {
   /// microseconds indicate an unmerged capture and throw std::invalid_argument.
   [[nodiscard]] AnalysisResult analyze(const trace::Trace& trace) const;
 
-  [[nodiscard]] const AnalyzerConfig& config() const { return config_; }
-
  private:
   AnalyzerConfig config_;
 };

@@ -8,9 +8,9 @@ namespace wlan::core {
 namespace {
 
 /// Keep finalized-second utilizations this far behind the finalization
-/// front (sink mode): acceptance samples can lag their second by at most
-/// the one-record lookahead plus the ±10 us capture tolerance, so a margin
-/// of several seconds is already far beyond any reachable lag.
+/// front: acceptance samples can lag their second by at most the one-record
+/// lookahead plus the ±10 us capture tolerance, so a margin of several
+/// seconds is already far beyond any reachable lag.
 constexpr std::size_t kUtilizationTail = 8;
 
 /// Max gap between a DATA frame's end and its ACK for the pair to count as
@@ -28,7 +28,16 @@ constexpr std::uint32_t pending_key(mac::Addr src, std::uint16_t seq) {
 }  // namespace
 
 StreamingAnalyzer::StreamingAnalyzer(AnalyzerConfig config, AnalysisSink* sink)
-    : config_(config), sink_(sink) {}
+    : config_(config), sink_(sink != nullptr ? sink : this) {}
+
+void StreamingAnalyzer::on_second(const SecondStats& s) {
+  result_.seconds.push_back(s);
+}
+
+void StreamingAnalyzer::on_acceptance(const AcceptanceSample& sample,
+                                      double /*utilization_pct*/) {
+  result_.acceptance.push_back(sample);
+}
 
 void StreamingAnalyzer::set_bounds(std::int64_t start_us, std::int64_t end_us) {
   have_bounds_ = true;
@@ -44,28 +53,23 @@ SecondStats& StreamingAnalyzer::second_at(std::size_t sec_idx,
     open_seconds_.push_back(s);
     // Keep the deque O(1) across capture gaps: a multi-hour silence must
     // stream its empty seconds through the sink, not materialize them.
-    if (sink_) emit_final_seconds(now_us);
+    emit_final_seconds(now_us);
   }
   return open_seconds_[sec_idx - base_second_];
 }
 
-void StreamingAnalyzer::emit_second(SecondStats& s) {
-  if (sink_) {
-    sink_->on_second(s);
-    final_utilization_.emplace_back(s.second, s.utilization());
-    while (final_utilization_.size() > 1 &&
-           final_utilization_.front().first +
-               static_cast<std::int64_t>(kUtilizationTail) <
-               static_cast<std::int64_t>(base_second_)) {
-      final_utilization_.pop_front();
-    }
-  } else {
-    result_.seconds.push_back(s);
+void StreamingAnalyzer::emit_second(const SecondStats& s) {
+  sink_->on_second(s);
+  final_utilization_.emplace_back(s.second, s.utilization());
+  while (final_utilization_.size() > 1 &&
+         final_utilization_.front().first +
+             static_cast<std::int64_t>(kUtilizationTail) <
+             static_cast<std::int64_t>(base_second_)) {
+    final_utilization_.pop_front();
   }
 }
 
 void StreamingAnalyzer::emit_final_seconds(std::int64_t now_us) {
-  if (!sink_) return;  // collecting mode keeps seconds until finish()
   while (!open_seconds_.empty() &&
          start_us_ +
                  static_cast<std::int64_t>(base_second_ + 1) * 1'000'000 <=
@@ -123,29 +127,20 @@ AnalysisResult StreamingAnalyzer::finish() {
                                                        : last_record_us_;
   const auto num_seconds =
       static_cast<std::size_t>((target_end - start_us_) / 1'000'000 + 1);
-  if (sink_) {
-    while (!open_seconds_.empty()) {
-      emit_second(open_seconds_.front());
-      open_seconds_.pop_front();
-      ++base_second_;
-    }
-    // Every sample's second is final now; flush before the padding below
-    // can prune those seconds' utilizations out of the lookup tail.
-    flush_ready_acceptance();
-    // Session-bound padding streams straight through, never materialized.
-    while (base_second_ < num_seconds) {
-      SecondStats s;
-      s.second = static_cast<std::int64_t>(base_second_);
-      emit_second(s);
-      ++base_second_;
-    }
-  } else {
-    if (num_seconds > open_seconds_.size()) {
-      second_at(num_seconds - 1, last_record_us_);
-    }
-    result_.seconds.reserve(open_seconds_.size());
-    for (SecondStats& s : open_seconds_) result_.seconds.push_back(s);
-    open_seconds_.clear();
+  while (!open_seconds_.empty()) {
+    emit_second(open_seconds_.front());
+    open_seconds_.pop_front();
+    ++base_second_;
+  }
+  // Every sample's second is final now; flush before the padding below
+  // can prune those seconds' utilizations out of the lookup tail.
+  flush_ready_acceptance();
+  // Session-bound padding streams straight through, never materialized.
+  while (base_second_ < num_seconds) {
+    SecondStats s;
+    s.second = static_cast<std::int64_t>(base_second_);
+    emit_second(s);
+    ++base_second_;
   }
   return std::move(result_);
 }
@@ -261,11 +256,7 @@ void StreamingAnalyzer::process(const trace::CaptureRecord& r,
     sample.category = cat;
     sample.delay_us =
         static_cast<double>(ack_rec.time_us - it->second.first_tx_us);
-    if (sink_) {
-      pending_acceptance_.push_back(sample);
-    } else {
-      result_.acceptance.push_back(sample);
-    }
+    pending_acceptance_.push_back(sample);
     pending_.erase(it);
   }
   emit_final_seconds(r.time_us);

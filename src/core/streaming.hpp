@@ -7,11 +7,12 @@
 // byte-identical to in-memory figures" holds structurally, not by test
 // luck.
 //
-// Memory: O(1) in capture length when a sink drains completed seconds
-// (plus bounded per-station state: pending ACKs and the §4.4 rules'
-// pending RTSs); the only O(capture) growth is in collecting mode, where
-// finish() returns the classic AnalysisResult with every second and
-// acceptance sample retained.
+// One delivery path: every completed second and acceptance sample leaves
+// through an AnalysisSink, in order.  Without a caller's sink the analyzer
+// is its own sink and keeps them in the AnalysisResult finish() returns,
+// the only O(capture) growth.  With a sink that drains them, memory is O(1)
+// in capture length (plus bounded per-station state: pending ACKs and the
+// §4.4 rules' pending RTSs).
 //
 // Lookahead: the batch analyzer matches a DATA frame against the next
 // record in the capture.  Streaming reproduces that with a one-record hold:
@@ -41,7 +42,7 @@ class AnalysisSink {
                              double utilization_pct) = 0;
 };
 
-class StreamingAnalyzer {
+class StreamingAnalyzer : private AnalysisSink {
  public:
   /// With a sink, completed seconds and acceptance samples are emitted and
   /// dropped (constant memory); finish() then returns an AnalysisResult
@@ -51,6 +52,10 @@ class StreamingAnalyzer {
   /// TraceAnalyzer::analyze.
   explicit StreamingAnalyzer(AnalyzerConfig config = {},
                              AnalysisSink* sink = nullptr);
+
+  /// Not copyable: the default sink is the object itself.
+  StreamingAnalyzer(const StreamingAnalyzer&) = delete;
+  StreamingAnalyzer& operator=(const StreamingAnalyzer&) = delete;
 
   /// Declares the capture's session bounds (a Trace's start_us/end_us).
   /// Optional — without bounds the first/last record define the span, which
@@ -73,15 +78,20 @@ class StreamingAnalyzer {
     std::size_t category = 0;
   };
 
+  // The default sink: collect into result_.
+  void on_second(const SecondStats& s) override;
+  void on_acceptance(const AcceptanceSample& sample,
+                     double utilization_pct) override;
+
   void process(const trace::CaptureRecord& r,
                const trace::CaptureRecord* next);
   SecondStats& second_at(std::size_t sec_idx, std::int64_t now_us);
   void emit_final_seconds(std::int64_t now_us);
-  void emit_second(SecondStats& s);
+  void emit_second(const SecondStats& s);
   void flush_ready_acceptance();
 
   AnalyzerConfig config_;
-  AnalysisSink* sink_;
+  AnalysisSink* sink_;  ///< the caller's sink, or this
 
   bool have_bounds_ = false;
   std::int64_t bound_start_us_ = 0;
@@ -95,15 +105,14 @@ class StreamingAnalyzer {
   std::optional<trace::CaptureRecord> held_;
 
   AnalysisResult result_;
-  /// Seconds not yet final; index base_second_ + position.  In collecting
-  /// mode seconds are moved into result_.seconds as they finalize, in sink
-  /// mode they are emitted and dropped.
+  /// Seconds not yet final; index base_second_ + position.  Each is emitted
+  /// and dropped as it finalizes.
   std::deque<SecondStats> open_seconds_;
   std::size_t base_second_ = 0;
-  /// Acceptance samples awaiting their second's finalization (sink mode).
+  /// Acceptance samples awaiting their second's finalization.
   std::deque<AcceptanceSample> pending_acceptance_;
   /// Utilization of recently finalized seconds, kept until no pending
-  /// acceptance sample can reference them (sink mode).
+  /// acceptance sample can reference them.
   std::deque<std::pair<std::int64_t, double>> final_utilization_;
 
   std::unordered_map<std::uint32_t, Pending> pending_;

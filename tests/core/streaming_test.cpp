@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <utility>
 #include <vector>
 
 #include "core/report.hpp"
@@ -51,7 +52,7 @@ void expect_seconds_equal(const SecondStats& a, const SecondStats& b,
   EXPECT_EQ(a.tx_by_category, b.tx_by_category) << i;
 }
 
-TEST(StreamingAnalyzerTest, CollectingModeEqualsBatchAnalyze) {
+TEST(StreamingAnalyzerTest, DefaultSinkEqualsBatchAnalyze) {
   const auto cell = congested_cell();
   const auto batch = TraceAnalyzer{}.analyze(cell.trace);
 
@@ -88,10 +89,10 @@ TEST(StreamingAnalyzerTest, CollectingModeEqualsBatchAnalyze) {
   }
 }
 
-/// Drain mode: seconds and samples leave through the sink, the result's
-/// vectors stay empty, and the figure accumulator state is bit-identical
+/// A caller's sink drains seconds and samples, the result's vectors stay
+/// empty, and the figure accumulator state is bit-identical
 /// to the batch add() path — checked through the rendered CSV bytes.
-TEST(StreamingAnalyzerTest, DrainModeFiguresAreByteIdentical) {
+TEST(StreamingAnalyzerTest, DrainingSinkFiguresAreByteIdentical) {
   const auto cell = congested_cell();
   const auto batch = TraceAnalyzer{}.analyze(cell.trace);
   FigureAccumulator batch_acc;
@@ -163,8 +164,8 @@ void expect_totals_equal(const UnrecordedTotals& a, const UnrecordedTotals& b,
   EXPECT_EQ(a.missed_cts, b.missed_cts) << what;
 }
 
-/// The §4.4 rules run inside the analyzer: the collecting and the sink mode
-/// both carry exactly the standalone estimator's totals.
+/// The §4.4 rules run inside the analyzer: with the default sink and with a
+/// caller's sink it carries exactly the standalone estimator's totals.
 TEST(StreamingAnalyzerTest, UnrecordedTotalsMatchTheStandaloneEstimator) {
   // One exchange of each kind the rules judge, then one frame per rule
   // whose partner went unrecorded.
@@ -218,7 +219,7 @@ TEST(StreamingAnalyzerTest, UnrecordedTotalsMatchTheStandaloneEstimator) {
       streaming.set_bounds(t->start_us, t->end_us);
       for (const auto& r : t->records) streaming.push(r);
       expect_totals_equal(streaming.finish().unrecorded, expected,
-                          sink ? "sink" : "collecting");
+                          sink ? "caller's sink" : "default sink");
     }
   }
 }
@@ -236,12 +237,12 @@ TEST(StreamingAnalyzerTest, UnsortedPushThrows) {
 
 /// A capture drifting backwards a few microseconds per record keeps every
 /// record within 10 us of its predecessor, but not of the latest record
-/// seen.  The guard measures from the latest one, so the drift throws in
-/// both modes; in sink mode it would otherwise land in a second that was
-/// already emitted.
+/// seen.  The guard measures from the latest one, so the drift throws
+/// whatever the sink; it would otherwise land in a second that was already
+/// emitted.
 TEST(StreamingAnalyzerTest, DriftingCaptureThrows) {
   std::vector<trace::CaptureRecord> drift(6);
-  drift[1].time_us = 1'000'020;  // finalizes second 0 in sink mode
+  drift[1].time_us = 1'000'020;  // finalizes second 0
   for (std::size_t i = 2; i < drift.size(); ++i) {
     drift[i].time_us = drift[i - 1].time_us - 6;
   }
@@ -278,7 +279,7 @@ TEST(StreamingAnalyzerTest, BoundsPadEmptyTrailingSeconds) {
 }
 
 /// Regression: session bounds extending far past the last ACK must not
-/// drop acceptance samples in sink mode (the finish-time padding used to
+/// drop acceptance samples (the finish-time padding used to
 /// prune the sample's second out of the utilization tail before flushing).
 TEST(StreamingAnalyzerTest, LongTrailingPaddingKeepsAcceptanceSamples) {
   trace::Trace t;
@@ -313,6 +314,47 @@ TEST(StreamingAnalyzerTest, LongTrailingPaddingKeepsAcceptanceSamples) {
   (void)streaming.finish();
   EXPECT_EQ(counter.seconds, batch.seconds.size());
   EXPECT_EQ(counter.samples, 1u);
+}
+
+/// One delivery path: a caller's sink receives exactly the seconds (session
+/// padding included) and acceptance samples the default sink collects, in
+/// the same order, each sample with its second's final utilization.
+TEST(StreamingAnalyzerTest, CallerSinkSeesWhatTheDefaultSinkCollects) {
+  trace::Trace padded = congested_cell().trace;
+  padded.end_us += 3'000'000;
+  const AnalysisResult collected = TraceAnalyzer{}.analyze(padded);
+  ASSERT_FALSE(collected.acceptance.empty());
+
+  struct Recorder final : AnalysisSink {
+    std::vector<SecondStats> seconds;
+    std::vector<std::pair<AcceptanceSample, double>> samples;
+    void on_second(const SecondStats& s) override { seconds.push_back(s); }
+    void on_acceptance(const AcceptanceSample& sample,
+                       double utilization_pct) override {
+      samples.emplace_back(sample, utilization_pct);
+    }
+  } recorder;
+  StreamingAnalyzer streaming({}, &recorder);
+  streaming.set_bounds(padded.start_us, padded.end_us);
+  for (const auto& r : padded.records) streaming.push(r);
+  (void)streaming.finish();
+
+  ASSERT_EQ(recorder.seconds.size(), collected.seconds.size());
+  for (std::size_t i = 0; i < collected.seconds.size(); ++i) {
+    expect_seconds_equal(recorder.seconds[i], collected.seconds[i], i);
+  }
+  ASSERT_EQ(recorder.samples.size(), collected.acceptance.size());
+  for (std::size_t i = 0; i < collected.acceptance.size(); ++i) {
+    const auto& [sample, utilization] = recorder.samples[i];
+    const AcceptanceSample& want = collected.acceptance[i];
+    EXPECT_EQ(sample.second, want.second) << i;
+    EXPECT_EQ(sample.category, want.category) << i;
+    EXPECT_DOUBLE_EQ(sample.delay_us, want.delay_us) << i;
+    EXPECT_DOUBLE_EQ(
+        utilization,
+        collected.seconds[static_cast<std::size_t>(want.second)].utilization())
+        << i;
+  }
 }
 
 TEST(StreamingAnalyzerTest, NoRecordsMeansEmptyResult) {
