@@ -34,6 +34,7 @@ using namespace wlan;
 struct ToolOptions {
   std::optional<int> channel;
   trace::MergeOptions merge;
+  bool clock_correction = true;  ///< false merges on all-zero offsets
   std::optional<std::string> sim_capture_dir;
   int sniffers = 2;
 };
@@ -81,7 +82,7 @@ ToolOptions extract_tool_flags(int& argc, char** argv) {
       opt.merge.dup_window_us =
           exp::int_arg(value(), "--merge-window", 0, 1'000'000, usage_str);
     } else if (!std::strcmp(argv[i], "--no-clock-correction")) {
-      opt.merge.clock_correction = false;
+      opt.clock_correction = false;
     } else if (!std::strcmp(argv[i], "--sniffers")) {
       opt.sniffers = exp::int_arg(value(), "--sniffers", 2, 16, usage_str);
     } else if (!std::strcmp(argv[i], "--sim-capture")) {
@@ -161,9 +162,8 @@ AnalyzeOutcome analyze_streaming(const std::vector<std::string>& files,
   std::optional<trace::MergingReader> merger;
   trace::TraceReader* source = inputs[0];
   if (inputs.size() > 1) {
-    if (opt.merge.clock_correction) {
+    if (opt.clock_correction) {
       out.offsets = trace::estimate_clock_offsets(inputs);
-      for (auto* in : inputs) in->reset();
     } else {
       out.offsets.offset_us.assign(inputs.size(), 0);
       out.offsets.anchors.assign(inputs.size(), 0);

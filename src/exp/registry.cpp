@@ -87,7 +87,6 @@ RunOutput run_session_scenario(const RunSpec& run, workload::SessionKind kind,
   std::vector<trace::TraceReader*> inputs;
   for (trace::VectorReader& reader : readers) inputs.push_back(&reader);
   const trace::ClockOffsets offsets = trace::estimate_clock_offsets(inputs);
-  for (trace::TraceReader* input : inputs) input->reset();
   trace::MergingReader merger(std::move(inputs), offsets.offset_us);
   core::StreamingAnalyzer analyzer;
   trace::CaptureRecord r;

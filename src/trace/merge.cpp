@@ -67,7 +67,10 @@ ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs) {
     if (ref.size() >= kMaxAnchors) break;
   }
   // Nothing to align against: leave every other input unread.
-  if (ref.empty()) return out;
+  if (ref.empty()) {
+    inputs[0]->reset();
+    return out;
+  }
 
   // An input whose clock leads input 0's by at most kMaxClockOffsetUs has
   // shown every anchor it shares by this time, so reading on finds none.
@@ -101,6 +104,7 @@ ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs) {
       out.offset_us[i] = *mid;
     }
   }
+  for (TraceReader* in : inputs) in->reset();
   return out;
 }
 
@@ -206,8 +210,7 @@ void MergingReader::reset() {
   last_emit_ = {};
 }
 
-MergeResult merge_sniffer_traces(const std::vector<Trace>& traces,
-                                 const MergeOptions& options) {
+MergeResult merge_sniffer_traces(const std::vector<Trace>& traces) {
   MergeResult result;
   std::vector<VectorReader> readers;
   readers.reserve(traces.size());
@@ -216,15 +219,8 @@ MergeResult merge_sniffer_traces(const std::vector<Trace>& traces,
   inputs.reserve(readers.size());
   for (VectorReader& r : readers) inputs.push_back(&r);
 
-  if (options.clock_correction) {
-    result.offsets = estimate_clock_offsets(inputs);
-    for (TraceReader* in : inputs) in->reset();
-  } else {
-    result.offsets.offset_us.assign(traces.size(), 0);
-    result.offsets.anchors.assign(traces.size(), 0);
-  }
-
-  MergingReader merger(std::move(inputs), result.offsets.offset_us, options);
+  result.offsets = estimate_clock_offsets(inputs);
+  MergingReader merger(std::move(inputs), result.offsets.offset_us);
   result.trace = read_all(merger);
   result.stats = merger.stats();
   return result;

@@ -12,7 +12,8 @@
 //      corrupted by sequence-number wrap or capture glitches.  Only a prefix
 //      of each capture is read: input 0 up to its first repeated beacon key,
 //      every other input up to its first record more than kMaxClockOffsetUs
-//      (1 s, merge.cpp) past input 0's last anchor.
+//      (1 s, merge.cpp) past input 0's last anchor.  The estimator rewinds
+//      what it read, so the merge then reads the same inputs from the top.
 //   2. k-way merge — a heap over per-input cursors emits records in
 //      corrected-time order (ties broken by input index, so the merge is
 //      deterministic and independent of how captures are listed on disk).
@@ -42,14 +43,14 @@
 
 namespace wlan::trace {
 
+/// MergingReader's one setting, the dedup window.  Clock correction is not
+/// an option: pass all-zero offsets to merge raw clocks.
 struct MergeOptions {
   /// Records with equal dedup keys closer than this (after clock
   /// correction) are one frame heard twice.  Must stay well below the
   /// minimum retry spacing (ACK timeout, ~300 us) and well above the
   /// residual clock error (a few us).
   std::int64_t dup_window_us = 100;
-  /// Estimate and subtract per-sniffer clock offsets before merging.
-  bool clock_correction = true;
 };
 
 /// Per-input clock offsets relative to input 0 (always 0 for input 0).
@@ -77,7 +78,10 @@ struct MergeStats {
 /// input 0, or ahead by at most 1 s, is aligned from every anchor it shares;
 /// one further ahead is aligned from the anchors it shows before that bound,
 /// and keeps its raw clock (0 anchors) when the lead exceeds the anchor
-/// prefix's span plus 1 s.  Consumes the readers; reset() them before reuse.
+/// prefix's span plus 1 s.  Before returning it rewinds what it read (input
+/// 0 alone when that prefix holds no beacon, every input otherwise), so
+/// each input's next record is its first again: the caller hands the same
+/// readers straight to MergingReader.
 [[nodiscard]] ClockOffsets estimate_clock_offsets(
     const std::vector<TraceReader*>& inputs);
 
@@ -135,17 +139,17 @@ class MergingReader final : public TraceReader {
   util::FlatMap<std::uint64_t, std::int64_t, ~std::uint64_t{0}> last_emit_;
 };
 
-/// One-call in-memory convenience: estimates offsets, merges, and returns
-/// the corrected capture.  The merged trace's start_us/end_us are the first
-/// and last surviving records (what a streamed merge of the same captures
-/// observes).  Input traces must be time-sorted.
+/// One-call in-memory convenience: estimates offsets, merges with the
+/// default dedup window, and returns the corrected capture.  The merged
+/// trace's start_us/end_us are the first and last surviving records (what a
+/// streamed merge of the same captures observes).  Input traces must be
+/// time-sorted.
 struct MergeResult {
   Trace trace;
   ClockOffsets offsets;
   MergeStats stats;
 };
 
-[[nodiscard]] MergeResult merge_sniffer_traces(const std::vector<Trace>& traces,
-                                               const MergeOptions& options = {});
+[[nodiscard]] MergeResult merge_sniffer_traces(const std::vector<Trace>& traces);
 
 }  // namespace wlan::trace

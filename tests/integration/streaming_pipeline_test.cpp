@@ -100,7 +100,7 @@ TEST(StreamingPipeline, PcapMergeAnalyzeMatchesInMemoryByteForByte) {
   }
   const auto offsets = trace::estimate_clock_offsets(inputs);
   EXPECT_EQ(offsets.offset_us, merged.offsets.offset_us);
-  for (auto* in : inputs) in->reset();
+  // The estimator rewound the pcap readers it scanned.
   trace::MergingReader merger(inputs, offsets.offset_us);
 
   core::FigureAccumulator stream_acc;

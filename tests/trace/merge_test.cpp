@@ -219,6 +219,59 @@ TEST(ClockOffsetTest, NoReferenceBeaconReadsNoOtherInput) {
   EXPECT_EQ(offsets.anchors, (std::vector<std::size_t>{0, 0, 0}));
 }
 
+/// Drains `reader` and checks that it yields every record of `want`, from
+/// the first on.
+void expect_yields_from_first(TraceReader& reader, const Trace& want) {
+  const Trace got = read_all(reader);
+  ASSERT_EQ(got.records.size(), want.records.size());
+  for (std::size_t i = 0; i < want.records.size(); ++i) {
+    EXPECT_EQ(got.records[i].time_us, want.records[i].time_us) << i;
+    EXPECT_EQ(got.records[i].type, want.records[i].type) << i;
+    EXPECT_EQ(got.records[i].seq, want.records[i].seq) << i;
+  }
+}
+
+/// Data frames of station 5 every 100 ms over [0, 60 s): far past the
+/// scan bound, so an input built from them is only partly read.
+Trace minute_of_data() {
+  std::vector<CaptureRecord> records;
+  for (int i = 0; i < 600; ++i) {
+    records.push_back(data(5, static_cast<std::uint16_t>(i), 100'000 * i));
+  }
+  return as_trace(records);
+}
+
+TEST(ClockOffsetTest, RewindsEveryInputItRead) {
+  // Inputs 0 and 1 are read to their last beacon, input 2 up to its first
+  // record past the scan bound.
+  const Trace ta = reference_beacons(0), tb = reference_beacons(700),
+              tc = minute_of_data();
+  VectorReader ra(ta), rb(tb), rc(tc);
+  const auto offsets = estimate_clock_offsets({&ra, &rb, &rc});
+  EXPECT_EQ(offsets.offset_us[1], 700);
+  EXPECT_EQ(offsets.anchors[2], 0u);
+  expect_yields_from_first(ra, ta);
+  expect_yields_from_first(rb, tb);
+  expect_yields_from_first(rc, tc);
+}
+
+TEST(ClockOffsetTest, RewindsAReferenceWithoutBeacons) {
+  const Trace ta = minute_of_data(), tb = reference_beacons(0);
+  VectorReader ra(ta), rb(tb);
+  const auto offsets = estimate_clock_offsets({&ra, &rb});
+  EXPECT_EQ(offsets.anchors[1], 0u);
+  expect_yields_from_first(ra, ta);
+  expect_yields_from_first(rb, tb);
+}
+
+TEST(ClockOffsetTest, LeavesASingleInputAtItsFirstRecord) {
+  const Trace ta = reference_beacons(0);
+  VectorReader ra(ta);
+  const auto offsets = estimate_clock_offsets({&ra});
+  EXPECT_EQ(offsets.offset_us, (std::vector<std::int64_t>{0}));
+  expect_yields_from_first(ra, ta);
+}
+
 /// The same frames heard by two sniffers merge to one copy each.
 TEST(MergeTest, SuppressesCrossSnifferDuplicates) {
   std::vector<CaptureRecord> a, b;
@@ -292,11 +345,11 @@ TEST(MergeTest, CorrectsClocksBeforeDeduplicating) {
   EXPECT_EQ(result.trace.records.size(), 20u);
   EXPECT_EQ(result.stats.duplicates_dropped, 20u);
 
-  // Without correction every record doubles.
-  MergeOptions raw;
-  raw.clock_correction = false;
-  const auto uncorrected = merge_sniffer_traces({as_trace(a), as_trace(b)}, raw);
-  EXPECT_EQ(uncorrected.trace.records.size(), 40u);
+  // Merged on raw clocks (all-zero offsets), every record doubles.
+  const Trace ta = as_trace(a), tb = as_trace(b);
+  VectorReader ra(ta), rb(tb);
+  MergingReader raw({&ra, &rb}, {0, 0});
+  EXPECT_EQ(read_all(raw).records.size(), 40u);
 }
 
 TEST(MergeTest, OutputIsTimeSortedWithEmittedBounds) {
