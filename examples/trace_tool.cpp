@@ -2,12 +2,12 @@
 //
 //   $ ./trace_tool <trace-file> [--channel N] [--csv out.csv] [--pcap out.pcap]
 //
-// Reads a .trace (binary), .csv, or .pcap capture, runs the full paper
-// analysis, and prints the summary.  Demonstrates that the core library is
+// Reads a .trace (binary), .csv, or .pcap capture (trace::read_capture; any
+// other extension is an error), runs the full paper analysis, and prints
+// the summary.  Demonstrates that the core library is
 // usable on externally produced captures.  Utilization (Eq. 8) is a
 // per-channel quantity: pass --channel to restrict a multi-channel merge.
 #include <cstdio>
-#include <cstring>
 #include <set>
 #include <string>
 #include <utility>
@@ -18,16 +18,8 @@
 #include "core/session_report.hpp"
 #include "exp/args.hpp"
 #include "trace/pcap.hpp"
+#include "trace/reader.hpp"
 #include "trace/trace_io.hpp"
-
-namespace {
-
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace wlan;
@@ -66,14 +58,7 @@ int main(int argc, char** argv) {
   // exports all end in one error line and exit 1.
   try {
     const std::string path = argv[1];
-    trace::Trace capture;
-    if (ends_with(path, ".csv")) {
-      capture = trace::read_csv(path);
-    } else if (ends_with(path, ".pcap")) {
-      capture = trace::read_pcap(path);
-    } else {
-      capture = trace::read_binary(path);
-    }
+    trace::Trace capture = trace::read_capture(path);
 
     for (const int wanted : wanted_channels) {
       std::erase_if(capture.records, [wanted](const auto& r) {

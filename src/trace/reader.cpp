@@ -176,18 +176,17 @@ void PcapReader::reset() {
   open_and_check_header();
 }
 
-std::unique_ptr<TraceReader> open_capture(const std::string& path) {
-  const auto ends_with = [&](const char* suffix) {
-    const std::size_t n = std::strlen(suffix);
-    return path.size() >= n && path.compare(path.size() - n, n, suffix) == 0;
-  };
-  if (ends_with(".pcap")) return std::make_unique<PcapReader>(path);
-  if (ends_with(".csv")) return std::make_unique<OwningReader>(read_csv(path));
-  if (ends_with(".trace")) {
-    return std::make_unique<OwningReader>(read_binary(path));
-  }
-  throw std::runtime_error("open_capture: unknown capture format " + path +
+Trace read_capture(const std::string& path) {
+  if (path.ends_with(".pcap")) return read_pcap(path);
+  if (path.ends_with(".csv")) return read_csv(path);
+  if (path.ends_with(".trace")) return read_binary(path);
+  throw std::runtime_error("read_capture: unknown capture format " + path +
                            " (want .pcap, .csv or .trace)");
+}
+
+std::unique_ptr<TraceReader> open_capture(const std::string& path) {
+  if (path.ends_with(".pcap")) return std::make_unique<PcapReader>(path);
+  return std::make_unique<OwningReader>(read_capture(path));
 }
 
 Trace read_all(TraceReader& reader) {

@@ -117,10 +117,15 @@ class PcapReader final : public TraceReader {
   bool eof_ = false;
 };
 
-/// Opens a capture file as a streaming reader, dispatching on extension:
-/// .pcap streams incrementally; .csv and .trace (binary) load via their
-/// existing parsers behind an OwningReader.  Throws std::runtime_error on
-/// unknown extensions or malformed files.
+/// Loads a whole capture file, choosing its format by extension: .pcap
+/// (read_pcap), .csv (read_csv) or .trace (read_binary).  This is the one
+/// table from extension to format.  Throws std::runtime_error on malformed
+/// files, and on any other extension ("unknown capture format", the path).
+Trace read_capture(const std::string& path);
+
+/// Opens a capture file as a streaming reader: a .pcap streams
+/// incrementally; any other capture loads through read_capture behind an
+/// OwningReader.  Throws as read_capture does.
 std::unique_ptr<TraceReader> open_capture(const std::string& path);
 
 /// Drains a reader into an in-memory Trace; start_us/end_us are the first

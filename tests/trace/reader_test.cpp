@@ -11,6 +11,7 @@
 
 #include "trace/pcap.hpp"
 #include "trace/pcap_format.hpp"
+#include "trace/trace_io.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
 
@@ -249,6 +250,55 @@ TEST_F(ReaderTest, OpenCaptureDispatchesOnExtension) {
   auto reader = open_capture(path_);
   EXPECT_EQ(read_all(*reader).records.size(), sample_trace().records.size());
   EXPECT_THROW(open_capture("capture.unknown"), std::runtime_error);
+}
+
+/// A .trace file keeps its session bounds through read_capture, even where
+/// they are wider than its records.  A .csv or .pcap file carries no
+/// bounds, so its bounds are its first and last records.
+TEST_F(ReaderTest, ReadCaptureBoundsFollowTheFormat) {
+  Trace t = sample_trace();
+  for (CaptureRecord& r : t.records) r.time_us += 1'000'000;
+  t.start_us = 0;
+  t.end_us = t.records.back().time_us + 3'000'000;
+  const std::string base = ::testing::TempDir() + "reader_test_capture";
+  write_binary(t, base + ".trace");
+  write_csv(t, base + ".csv");
+  write_pcap(t, base + ".pcap");
+
+  const Trace binary = read_capture(base + ".trace");
+  EXPECT_EQ(binary.records.size(), t.records.size());
+  EXPECT_EQ(binary.start_us, t.start_us);
+  EXPECT_EQ(binary.end_us, t.end_us);
+  for (const char* ext : {".csv", ".pcap"}) {
+    SCOPED_TRACE(ext);
+    const Trace loaded = read_capture(base + ext);
+    ASSERT_EQ(loaded.records.size(), t.records.size());
+    EXPECT_EQ(loaded.start_us, t.records.front().time_us);
+    EXPECT_EQ(loaded.end_us, t.records.back().time_us);
+  }
+  for (const char* ext : {".trace", ".csv", ".pcap"}) {
+    std::remove((base + ext).c_str());
+  }
+}
+
+TEST_F(ReaderTest, ReadCaptureRejectsUnknownExtensionNamingThePath) {
+  // The file is a valid pcap; only its name is wrong.
+  const std::string path = ::testing::TempDir() + "reader_test_capture.bin";
+  write_pcap(sample_trace(), path);
+  const auto error_of = [](auto load) -> std::string {
+    try {
+      load();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string want = "unknown capture format " + path;
+  const std::string read_error = error_of([&] { (void)read_capture(path); });
+  EXPECT_NE(read_error.find(want), std::string::npos) << read_error;
+  const std::string open_error = error_of([&] { (void)open_capture(path); });
+  EXPECT_NE(open_error.find(want), std::string::npos) << open_error;
+  std::remove(path.c_str());
 }
 
 /// VectorReader + OwningReader honor the TraceReader contract too.
