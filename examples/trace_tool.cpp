@@ -4,9 +4,9 @@
 //
 // Reads a .trace (binary), .csv, or .pcap capture (trace::read_capture; any
 // other extension is an error), runs the full paper analysis, and prints
-// the summary.  Demonstrates that the core library is
-// usable on externally produced captures.  Utilization (Eq. 8) is a
-// per-channel quantity: pass --channel to restrict a multi-channel merge.
+// the summary.  Demonstrates that the core library is usable on externally
+// produced captures.  Utilization (Eq. 8) is a per-channel quantity: pass
+// --channel to restrict a multi-channel merge.
 #include <cstdio>
 #include <set>
 #include <string>

@@ -66,7 +66,7 @@ ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs) {
     ref_last_us = std::max(ref_last_us, r.time_us);
     if (ref.size() >= kMaxAnchors) break;
   }
-  // Nothing to align against: leave every other input unread.
+  // Nothing to align against: rewind input 0, leave the others unread.
   if (ref.empty()) {
     inputs[0]->reset();
     return out;

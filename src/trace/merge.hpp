@@ -43,8 +43,7 @@
 
 namespace wlan::trace {
 
-/// MergingReader's one setting, the dedup window.  Clock correction is not
-/// an option: pass all-zero offsets to merge raw clocks.
+/// MergingReader's one setting: the dedup window.
 struct MergeOptions {
   /// Records with equal dedup keys closer than this (after clock
   /// correction) are one frame heard twice.  Must stay well below the
@@ -150,6 +149,7 @@ struct MergeResult {
   MergeStats stats;
 };
 
-[[nodiscard]] MergeResult merge_sniffer_traces(const std::vector<Trace>& traces);
+[[nodiscard]] MergeResult merge_sniffer_traces(
+    const std::vector<Trace>& traces);
 
 }  // namespace wlan::trace
