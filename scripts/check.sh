@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 verify, exactly as written in ROADMAP.md:
 #   cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j
-# plus a smoke run of one figure bench through the parallel experiment
-# runner (2 threads, tiny duration) so the bench/exp plumbing is exercised
-# on every check, not just the unit tests.
+# plus a smoke run of the standard figure sweep through the parallel
+# experiment runner (2 threads, tiny duration) so the bench/exp plumbing is
+# exercised on every check, not just the unit tests.
 # Run from the repo root (or anywhere; we cd to the repo first).
 #
 # Test-label split (assigned in CMakeLists.txt, documented in
@@ -36,15 +36,18 @@ cmake --build build -j
 # on machines without LLVM; the dedicated CI job runs it unconditionally.
 python3 scripts/clang_tidy_check.py --build-dir build --if-available
 
-echo "smoke: bench_fig06_throughput_goodput --threads 2 --seeds 1 --duration 4"
+echo "smoke: bench_fig06_15_standard_sweep --threads 2 --seeds 1 --duration 4"
 rm -f build/smoke/trace.json  # a stale trace must not stand in for this run's
-./build/bench_fig06_throughput_goodput --threads 2 --seeds 1 --duration 4 \
+./build/bench_fig06_15_standard_sweep --threads 2 --seeds 1 --duration 4 \
     --quiet --out-dir build/smoke --trace-out build/smoke/trace.json \
     > /dev/null
-test -s build/smoke/fig06.csv
-test -s build/smoke/fig06_manifest.csv
-test -s build/smoke/fig06_metrics.csv
-echo "smoke: OK (build/smoke/fig06_manifest.csv)"
+FIGURES="fig06 fig08 fig09 fig10 fig11 fig12 fig13 fig14 fig15"
+for fig in $FIGURES; do
+    test -s "build/smoke/$fig.csv"
+done
+test -s build/smoke/fig06_15_manifest.csv
+test -s build/smoke/fig06_15_metrics.csv
+echo "smoke: OK (build/smoke/fig06_15_manifest.csv)"
 
 # Channel-shard determinism spot-check: the same sweep with --shards 2 must
 # produce byte-identical figure and metrics CSVs (the manifest is excluded
@@ -52,10 +55,12 @@ echo "smoke: OK (build/smoke/fig06_manifest.csv)"
 # matrix lives in exp.runner_determinism_test and sim.sharding_oracle_test;
 # this catches a broken shard barrier on every check without a second build.
 echo "smoke: 2-shard determinism spot-check vs build/smoke"
-./build/bench_fig06_throughput_goodput --threads 2 --shards 2 --seeds 1 \
+./build/bench_fig06_15_standard_sweep --threads 2 --shards 2 --seeds 1 \
     --duration 4 --quiet --out-dir build/smoke_shards > /dev/null
-cmp build/smoke/fig06.csv build/smoke_shards/fig06.csv
-cmp build/smoke/fig06_metrics.csv build/smoke_shards/fig06_metrics.csv
+for fig in $FIGURES; do
+    cmp "build/smoke/$fig.csv" "build/smoke_shards/$fig.csv"
+done
+cmp build/smoke/fig06_15_metrics.csv build/smoke_shards/fig06_15_metrics.csv
 echo "smoke: OK (2-shard outputs byte-identical)"
 
 # Observability smoke: the per-run metrics snapshot and the --trace-out
@@ -65,7 +70,7 @@ echo "smoke: OK (2-shard outputs byte-identical)"
 echo "smoke: metrics snapshot + trace JSON shape"
 python3 - <<'EOF'
 import json
-m = json.load(open("build/smoke/fig06_metrics.json"))
+m = json.load(open("build/smoke/fig06_15_metrics.json"))
 assert m["runs"], "metrics JSON has no per-run snapshots"
 assert "sim.events_executed" in m["aggregate"], "missing counter catalog"
 t = json.load(open("build/smoke/trace.json"))

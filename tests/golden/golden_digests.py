@@ -28,15 +28,9 @@ DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 # carries a wall time.
 EXPERIMENTS = ["ietf-day-churn", "ietf-plenary-churn", "hidden-terminal"]
 
-# Sweep drivers run at these flags.  The standard sweep's six drivers each
-# run the same bench::standard_spec grid, so their manifests and metrics
-# files agree and one of them is pinned; their stdouts are not pinned.
+# Sweep drivers run at these flags.
 SWEEP_FLAGS = ["--threads", "2", "--seeds", "1", "--duration", "4", "--quiet",
                "--out-dir", "."]
-STANDARD_SWEEP = ["bench_fig06_throughput_goodput",
-                  "bench_fig08_busytime_share", "bench_fig09_bytes_per_rate",
-                  "bench_fig10_13_frame_tx", "bench_fig14_reception",
-                  "bench_fig15_acceptance_delay"]
 ABLATIONS = ["power_control", "rtscts", "timing_profile"]
 
 # (artifact, argv): argv[0] names a binary in the build directory, and the
@@ -72,10 +66,9 @@ COMMANDS = [
     ("bench_fig02_03_floorplan.stdout", ["bench_fig02_03_floorplan"]),
     ("bench_tab2_delay_components.stdout", ["bench_tab2_delay_components"]),
     ("bench_ablation_fragmentation.stdout", ["bench_ablation_fragmentation"]),
-] + [(None, [driver] + SWEEP_FLAGS) for driver in STANDARD_SWEEP] + [
-    (f"{driver}.stdout", [driver] + SWEEP_FLAGS)
-    for driver in ["bench_fig07_rtscts"] + [f"bench_ablation_{name}"
-                                            for name in ABLATIONS]]
+] + [(f"{driver}.stdout", [driver] + SWEEP_FLAGS)
+       for driver in ["bench_fig06_15_standard_sweep", "bench_fig07_rtscts"]
+       + [f"bench_ablation_{name}" for name in ABLATIONS]]
 
 
 def drop_last_column(data: bytes) -> bytes:
@@ -104,8 +97,9 @@ FILES = [
      lambda b: b) for name in EXPERIMENTS] + [
     (f"fig{n:02d}.csv", f"fig{n:02d}.csv", lambda b: b)
     for n in [6] + list(range(8, 16))] + [
-    ("standard_sweep_manifest.csv", "fig06_manifest.csv", drop_last_column),
-    ("standard_sweep_metrics.csv", "fig06_metrics.csv", lambda b: b),
+    ("standard_sweep_manifest.csv", "fig06_15_manifest.csv",
+     drop_last_column),
+    ("standard_sweep_metrics.csv", "fig06_15_metrics.csv", lambda b: b),
     ("fig07.csv", "fig07.csv", lambda b: b),
     ("fig07_manifest.csv", "fig07_manifest.csv", drop_last_column),
 ] + [(f"ablation_{name}_manifest.csv", f"ablation_{name}_manifest.csv",
