@@ -26,10 +26,4 @@ std::string category_name(SizeClass c, phy::Rate r) {
   return name;
 }
 
-std::string category_name(std::size_t index) {
-  const auto c = static_cast<SizeClass>(index / phy::kNumRates);
-  const auto r = static_cast<phy::Rate>(index % phy::kNumRates);
-  return category_name(c, r);
-}
-
 }  // namespace wlan::core

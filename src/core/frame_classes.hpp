@@ -35,6 +35,5 @@ inline constexpr std::size_t kNumCategories = kNumSizeClasses * phy::kNumRates;
 
 /// "S-1", "M-5.5", "XL-11", ... as used in Figures 10-13 and 15.
 [[nodiscard]] std::string category_name(SizeClass c, phy::Rate r);
-[[nodiscard]] std::string category_name(std::size_t index);
 
 }  // namespace wlan::core

@@ -285,9 +285,4 @@ void write_figure_csv(const FigureSeries& fig, const std::string& path) {
   }
 }
 
-void write_seconds_csv(const AnalysisResult& a, const std::string& path) {
-  SecondsCsvSink sink(path);
-  for (const SecondStats& s : a.seconds) sink.on_second(s);
-}
-
 }  // namespace wlan::core

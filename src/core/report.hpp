@@ -169,9 +169,6 @@ class SecondsCsvSink final : public AnalysisSink {
   util::CsvWriter csv_;
 };
 
-/// Batch counterpart of SecondsCsvSink: identical bytes for equal seconds.
-void write_seconds_csv(const AnalysisResult& a, const std::string& path);
-
 /// Fans one analysis stream out to several sinks (figures + CSV in one
 /// pass).  Sinks receive events in the order given.
 class TeeSink final : public AnalysisSink {

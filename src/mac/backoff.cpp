@@ -14,9 +14,4 @@ void Backoff::grow() {
 
 void Backoff::reset() { cw_ = timing_->cw_min; }
 
-bool Backoff::tick() {
-  if (remaining_ > 0) --remaining_;
-  return remaining_ == 0;
-}
-
 }  // namespace wlan::mac

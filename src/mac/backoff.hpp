@@ -1,7 +1,8 @@
 // Binary exponential backoff entity (one per transmitting station).
 //
-// Counts down in slot units; the simulator freezes the countdown while the
-// medium is busy and resumes it when idle again, per DCF.
+// Draws a count in slot units; the channel counts the slots down for every
+// contender at once, freezing the countdown while the medium is busy and
+// resuming it when idle again, per DCF.
 #pragma once
 
 #include <cstdint>
@@ -26,13 +27,8 @@ class Backoff {
   /// Resets the window to cw_min (after success or retry abandonment).
   void reset();
 
-  /// Consumes one idle slot; returns true when the counter reaches zero and
-  /// the station may transmit.
-  bool tick();
-
   [[nodiscard]] std::uint32_t slots_remaining() const { return remaining_; }
   [[nodiscard]] std::uint32_t contention_window() const { return cw_; }
-  [[nodiscard]] bool expired() const { return remaining_ == 0; }
 
  private:
   const Timing* timing_;

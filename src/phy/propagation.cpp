@@ -45,8 +45,4 @@ double Propagation::snr_db(const Position& from, const Position& to) const {
   return rx_power_dbm(from, to) - kNoiseFloorDbm;
 }
 
-bool Propagation::receivable(const Position& from, const Position& to) const {
-  return rx_power_dbm(from, to) >= kMinRxDbm;
-}
-
 }  // namespace wlan::phy

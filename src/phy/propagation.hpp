@@ -52,9 +52,6 @@ class Propagation {
   /// SNR in dB against the configured noise floor.
   [[nodiscard]] double snr_db(const Position& from, const Position& to) const;
 
-  /// True when the signal is above the radio sensitivity at all.
-  [[nodiscard]] bool receivable(const Position& from, const Position& to) const;
-
   [[nodiscard]] const PropagationConfig& config() const { return config_; }
 
  private:

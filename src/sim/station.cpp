@@ -15,21 +15,12 @@ Station::Station(Channel& channel, mac::Addr address, const StationConfig& confi
 }
 
 rate::RateController& Station::controller_for(mac::Addr peer_addr) {
-  assert(peer_addr != mac::kBroadcast);  // broadcasts bypass rate adaptation
+  // Broadcasts bypass rate adaptation, and kBroadcast is the controller
+  // index's reserved empty key.
+  assert(peer_addr != mac::kBroadcast);
   // The per-link stream seed feeds randomized policies (MinstrelLite's
   // probe gaps); it is a pure function of (station seed, peer address), so
   // controllers re-created after forget_peer resume an identical schedule.
-  if (peer_addr == mac::kBroadcast) {
-    // kBroadcast is the controller index's reserved empty key; indexing it
-    // would leak a fresh controller per call in a Release build.  Give such
-    // (unreachable today) callers a dedicated controller — aliasing a real
-    // peer's would corrupt that peer's adaptation history.
-    if (!broadcast_controller_) {
-      broadcast_controller_ = rate::PolicyRegistry::instance().make(
-          config_.rate, util::mix_seed(config_.seed, peer_addr));
-    }
-    return *broadcast_controller_;
-  }
   if (rate::RateController** it = controller_index_.find(peer_addr)) {
     return **it;
   }
@@ -315,7 +306,6 @@ void Station::on_receive(const mac::Frame& f, double snr_db) {
   // the payload hook.  The ACK is sent from the address the frame targeted
   // (a virtual-AP BSSID when we are an AP).
   if (for_me && f.dst != mac::kBroadcast) {
-    if (f.type == mac::FrameType::kData) ++stats_.rx_data;
     const mac::Frame ack = mac::make_ack(f.dst, f.src, channel_.number());
     channel_.simulator().in(channel_.timing().sifs,
                             [this, ack] { channel_.transmit(this, ack); });
@@ -330,7 +320,6 @@ void Station::on_payload(const mac::Frame& f, double) {
 void Station::on_cts_timeout() {
   response_timer_set_ = false;
   if (!active_ || state_ != State::kWaitCts) return;
-  ++stats_.cts_timeouts;
   attempt_failed();
 }
 

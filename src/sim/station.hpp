@@ -72,9 +72,7 @@ struct StationStats {
   std::uint64_t retry_drops = 0;    ///< abandoned after retry limit
   std::uint64_t tx_attempts = 0;    ///< DATA transmissions incl. retries
   std::uint64_t rts_sent = 0;
-  std::uint64_t cts_timeouts = 0;
   std::uint64_t ack_timeouts = 0;
-  std::uint64_t rx_data = 0;        ///< data frames received (pre-dedup)
 };
 
 class Station : public MacEntity {
@@ -173,9 +171,6 @@ class Station : public MacEntity {
   util::FlatMap<mac::Addr, rate::RateController*, mac::kBroadcast>
       controller_index_;
   std::vector<std::unique_ptr<rate::RateController>> controllers_;
-  /// Fallback for controller_for(kBroadcast) — the index's reserved key
-  /// (defensive; broadcasts bypass rate adaptation today).
-  std::unique_ptr<rate::RateController> broadcast_controller_;
 
   std::deque<Packet> queue_;
   State state_ = State::kIdle;

@@ -96,20 +96,4 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * r * std::cos(6.283185307179586 * u2);
 }
 
-void Rng::jump() {
-  static constexpr std::array<std::uint64_t, 4> kJump = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> acc{};
-  for (std::uint64_t word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (1ULL << b)) {
-        for (std::size_t i = 0; i < 4; ++i) acc[i] ^= s_[i];
-      }
-      next();
-    }
-  }
-  s_ = acc;
-}
-
 }  // namespace wlan::util

@@ -12,7 +12,7 @@
 namespace wlan::util {
 
 /// xoshiro256++ 1.0 pseudo-random generator.  Deterministic across platforms,
-/// 2^256-1 period, splittable via jump().
+/// 2^256-1 period.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -43,9 +43,6 @@ class Rng {
 
   /// Standard normal via Box-Muller (deterministic, no cached spare).
   double normal(double mean, double stddev);
-
-  /// Equivalent of 2^128 calls to next(); for parallel substreams.
-  void jump();
 
   /// UniformRandomBitGenerator interface so std::shuffle can be used.
   static constexpr result_type min() { return 0; }

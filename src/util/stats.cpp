@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace wlan::util {
@@ -15,34 +14,7 @@ void Accumulator::add(double x) {
   }
   ++n_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double Accumulator::variance() const {
-  return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double Accumulator::stddev() const { return std::sqrt(variance()); }
-
-void Accumulator::merge(const Accumulator& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n = static_cast<double>(n_ + other.n_);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / n;
-  mean_ = (mean_ * static_cast<double>(n_) +
-           other.mean_ * static_cast<double>(other.n_)) /
-          n;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
@@ -74,20 +46,6 @@ std::optional<double> Histogram::mode() const {
   if (total_ == 0) return std::nullopt;
   const auto it = std::max_element(counts_.begin(), counts_.end());
   return bin_center(static_cast<std::size_t>(it - counts_.begin()));
-}
-
-double QuantileSketch::quantile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
 }  // namespace wlan::util

@@ -2,20 +2,19 @@
 // and the benches.
 //
 // These back the paper's aggregation style: per-second samples are binned
-// by measured utilization, then summarized as mean/median/percentiles per
-// bin (§6).  Everything is single-pass and allocation-light so the benches
-// can afford millions of samples.
+// by measured utilization, then summarized as a mean per bin (§6).
+// Everything is single-pass and allocation-light so the benches can afford
+// millions of samples.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 namespace wlan::util {
 
-/// Welford streaming accumulator: mean / variance / min / max without
+/// Streaming accumulator: Welford running mean, min, max and sum without
 /// storing samples.
 class Accumulator {
  public:
@@ -23,19 +22,13 @@ class Accumulator {
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;  ///< population variance
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }
 
-  /// Merge another accumulator (parallel reduction).
-  void merge(const Accumulator& other);
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
@@ -66,22 +59,6 @@ class Histogram {
   double width_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
-};
-
-/// Exact quantiles over stored samples.  Keep for modest sample counts
-/// (analysis works on per-second aggregates, so thousands, not millions).
-class QuantileSketch {
- public:
-  void add(double x) { samples_.push_back(x); }
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-
-  /// q in [0,1]; linear interpolation between order statistics.
-  [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double median() const { return quantile(0.5); }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
 };
 
 }  // namespace wlan::util

@@ -44,15 +44,6 @@ TEST(CategoryTest, PaperNamingConvention) {
   EXPECT_EQ(category_name(SizeClass::kM, phy::Rate::kR5_5), "M-5.5");
 }
 
-TEST(CategoryTest, IndexNameRoundTrip) {
-  for (std::size_t i = 0; i < kNumCategories; ++i) {
-    const auto cls = static_cast<SizeClass>(i / phy::kNumRates);
-    const auto rate = static_cast<phy::Rate>(i % phy::kNumRates);
-    EXPECT_EQ(category_name(i), category_name(cls, rate));
-    EXPECT_EQ(category_index(cls, rate), i);
-  }
-}
-
 class CategoryParamTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 

@@ -88,7 +88,10 @@ TEST(StreamingPipeline, PcapMergeAnalyzeMatchesInMemoryByteForByte) {
   core::FigureAccumulator batch_acc;
   batch_acc.add(batch);
   const std::string a = dir + "a_", b = dir + "b_";
-  core::write_seconds_csv(batch, a + "fig05_seconds.csv");
+  {
+    core::SecondsCsvSink seconds(a + "fig05_seconds.csv");
+    for (const core::SecondStats& s : batch.seconds) seconds.on_second(s);
+  }
   write_figures(batch_acc, a);
 
   // --- path B: streaming, constant memory -------------------------------

@@ -56,27 +56,6 @@ TEST_F(BackoffTest, ResetRestoresCwMin) {
   EXPECT_EQ(bo.contention_window(), timing_.cw_min);
 }
 
-TEST_F(BackoffTest, TickCountsDownToExpiry) {
-  Backoff bo(timing_, rng_);
-  bo.draw();
-  const std::uint32_t initial = bo.slots_remaining();
-  std::uint32_t ticks = 0;
-  while (!bo.expired()) {
-    bo.tick();
-    ++ticks;
-    ASSERT_LT(ticks, 1000u);  // no infinite loop
-  }
-  EXPECT_EQ(ticks, initial == 0 ? 0u : initial);
-}
-
-TEST_F(BackoffTest, TickAtZeroStaysZero) {
-  Backoff bo(timing_, rng_);
-  // No draw: remaining is 0.
-  EXPECT_TRUE(bo.expired());
-  EXPECT_TRUE(bo.tick());
-  EXPECT_EQ(bo.slots_remaining(), 0u);
-}
-
 TEST_F(BackoffTest, StandardProfileGrowsTo1023) {
   const Timing std_timing = timing_for(TimingProfile::kStandard);
   Backoff bo(std_timing, rng_);

@@ -62,9 +62,9 @@ TEST(PropagationTest, SnrAgainstNoiseFloor) {
 TEST(PropagationTest, ReceivabilityThreshold) {
   Propagation prop(no_shadow());
   const Position tx{0, 0, 0};
-  EXPECT_TRUE(prop.receivable(tx, {5, 0, 0}));
+  EXPECT_GE(prop.rx_power_dbm(tx, {5, 0, 0}), kMinRxDbm);
   // Very far away: below the sensitivity (with exponent 3, ~1 km is gone).
-  EXPECT_FALSE(prop.receivable(tx, {2000, 0, 0}));
+  EXPECT_LT(prop.rx_power_dbm(tx, {2000, 0, 0}), kMinRxDbm);
 }
 
 TEST(PropagationTest, ShadowingIsFrozenPerLink) {

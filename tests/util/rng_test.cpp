@@ -132,15 +132,6 @@ TEST(RngTest, NormalMoments) {
   EXPECT_NEAR(var, 9.0, 0.5);
 }
 
-TEST(RngTest, JumpDecorrelatesStreams) {
-  Rng a(5);
-  Rng b(5);
-  b.jump();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += a.next() == b.next();
-  EXPECT_LT(same, 4);
-}
-
 TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
   static_assert(Rng::min() == 0);
   static_assert(Rng::max() == ~0ULL);
