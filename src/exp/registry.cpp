@@ -131,6 +131,17 @@ ScenarioFn find_scenario(const std::string& name) {
   return nullptr;
 }
 
+struct TimingEntry {
+  const char* key;
+  mac::TimingProfile profile;
+};
+
+/// The timing-profile axis keys, in timing_keys() order.
+constexpr TimingEntry kTimings[] = {
+    {"paper", mac::TimingProfile::kPaper},
+    {"standard", mac::TimingProfile::kStandard},
+};
+
 }  // namespace
 
 const ScenarioRegistry& ScenarioRegistry::instance() {
@@ -159,16 +170,20 @@ RunOutput ScenarioRegistry::run(const std::string& name,
 }
 
 mac::TimingProfile parse_timing(std::string_view key) {
-  if (key == "paper") return mac::TimingProfile::kPaper;
-  if (key == "standard") return mac::TimingProfile::kStandard;
+  std::string known;
+  for (const TimingEntry& t : kTimings) {
+    if (key == t.key) return t.profile;
+    known += ' ';
+    known += t.key;
+  }
   throw std::invalid_argument("unknown timing profile \"" + std::string(key) +
-                              "\" (known: paper standard)");
+                              "\" (known:" + known + ")");
 }
 
-std::string_view timing_key(mac::TimingProfile profile) {
-  return profile == mac::TimingProfile::kPaper ? "paper" : "standard";
+std::vector<std::string> timing_keys() {
+  std::vector<std::string> out;
+  for (const TimingEntry& t : kTimings) out.emplace_back(t.key);
+  return out;
 }
-
-std::vector<std::string> timing_keys() { return {"paper", "standard"}; }
 
 }  // namespace wlan::exp

@@ -65,7 +65,6 @@ class ScenarioRegistry {
 // only the timing-profile enum still needs a map here.
 
 [[nodiscard]] mac::TimingProfile parse_timing(std::string_view key);  ///< throws
-[[nodiscard]] std::string_view timing_key(mac::TimingProfile profile);
 [[nodiscard]] std::vector<std::string> timing_keys();
 
 }  // namespace wlan::exp

@@ -144,16 +144,13 @@ void write_csv(const Trace& trace, const std::string& path) {
 
 namespace {
 
+/// The frame type write_csv names `name`: mac::frame_type_name inverted
+/// over every type, so the reader cannot drift from the writer.
 std::optional<mac::FrameType> parse_type(const std::string& name) {
-  using mac::FrameType;
-  if (name == "DATA") return FrameType::kData;
-  if (name == "ACK") return FrameType::kAck;
-  if (name == "RTS") return FrameType::kRts;
-  if (name == "CTS") return FrameType::kCts;
-  if (name == "BEACON") return FrameType::kBeacon;
-  if (name == "ASSOC-REQ") return FrameType::kAssocReq;
-  if (name == "ASSOC-RESP") return FrameType::kAssocResp;
-  if (name == "DISASSOC") return FrameType::kDisassoc;
+  for (int t = 0; t <= static_cast<int>(mac::FrameType::kDisassoc); ++t) {
+    const auto type = static_cast<mac::FrameType>(t);
+    if (mac::frame_type_name(type) == name) return type;
+  }
   return std::nullopt;
 }
 

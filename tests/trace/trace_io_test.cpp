@@ -212,6 +212,10 @@ TEST_F(TraceIoTest, CsvRejectsValuesOutsideTheFieldsRange) {
   write_rows({"1000,6,11,20.5,DATA,1,2,3,-1,0,100,0,7"});
   EXPECT_NE(error_of([&] { read_csv(path_); }).find("line 2: bad seq"),
             std::string::npos);
+  // frame_type_name's fallback for an out-of-range type names no type.
+  write_rows({"1000,6,11,20.5,?,1,2,3,4,0,100,0,7"});
+  EXPECT_NE(error_of([&] { read_csv(path_); }).find("line 2: bad type"),
+            std::string::npos);
 }
 
 TEST_F(TraceIoTest, CsvRetryMustBeZeroOrOne) {
