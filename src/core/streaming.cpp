@@ -1,7 +1,9 @@
 #include "core/streaming.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace wlan::core {
 
@@ -23,6 +25,22 @@ constexpr std::int64_t kPendingExpiryUs = 2'000'000;
 /// Key for the pending-acceptance map: sender address + sequence number.
 constexpr std::uint32_t pending_key(mac::Addr src, std::uint16_t seq) {
   return (static_cast<std::uint32_t>(src) << 16) | seq;
+}
+
+/// Longest capture the analyzer accepts: 7 days.  Every second of the span
+/// becomes one SecondStats (256 B), so a sink-less caller holds at most
+/// about 155 MB; a conference week fits, and the paper's sessions last
+/// hours.  A longer span is a timestamp jump or a runaway session bound.
+constexpr std::int64_t kMaxCaptureSpanUs = 7LL * 86'400 * 1'000'000;
+
+std::invalid_argument span_error(const char* what, std::int64_t time_us,
+                                 std::int64_t start_us) {
+  return std::invalid_argument(
+      std::string("StreamingAnalyzer: ") + what + " at " +
+      std::to_string(time_us) + " us is more than " +
+      std::to_string(kMaxCaptureSpanUs / 1'000'000) +
+      " s (7 days) after the capture start at " + std::to_string(start_us) +
+      " us");
 }
 
 }  // namespace
@@ -103,6 +121,20 @@ void StreamingAnalyzer::push(const trace::CaptureRecord& r) {
                                                              : r.time_us;
     result_.start_us = start_us_;
     latest_time_ = start_us_;
+    // Saturates instead of overflowing for a start near the int64 limit.
+    span_end_us_ =
+        start_us_ > std::numeric_limits<std::int64_t>::max() - kMaxCaptureSpanUs
+            ? std::numeric_limits<std::int64_t>::max()
+            : start_us_ + kMaxCaptureSpanUs;
+    if (have_bounds_ && bound_end_us_ > span_end_us_) {
+      throw span_error("session end bound", bound_end_us_, start_us_);
+    }
+  }
+  // Also catches a start bound too far before the first record, because
+  // that bound is the capture start.  Checked before the record is held,
+  // so no second of the span is made.
+  if (r.time_us > span_end_us_) {
+    throw span_error("record", r.time_us, start_us_);
   }
   if (held_) {
     const trace::CaptureRecord prev = *held_;

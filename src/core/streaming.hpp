@@ -59,13 +59,18 @@ class StreamingAnalyzer : private AnalysisSink {
 
   /// Declares the capture's session bounds (a Trace's start_us/end_us).
   /// Optional — without bounds the first/last record define the span, which
-  /// is exactly what a pcap capture conveys.  Call before the first push.
+  /// is exactly what a pcap capture conveys.  Call before the first push,
+  /// which checks them.
   void set_bounds(std::int64_t start_us, std::int64_t end_us);
 
   /// Feeds one record.  Records must be time-sorted within the capture
   /// tolerance: a record may start up to trace::kSortSlackUs (10 us) before
   /// the latest one pushed, and worse disorder throws
   /// std::invalid_argument, the same contract as TraceAnalyzer::analyze.
+  /// The capture may span at most 7 days from its start (the start bound or
+  /// the first record): a record, an end bound or a start bound farther
+  /// apart also throws std::invalid_argument, naming both times, before any
+  /// second of that span is made.
   void push(const trace::CaptureRecord& r);
 
   /// Flushes held state and returns the result.  The analyzer is spent;
@@ -99,6 +104,7 @@ class StreamingAnalyzer : private AnalysisSink {
 
   bool started_ = false;
   std::int64_t start_us_ = 0;
+  std::int64_t span_end_us_ = 0;  ///< the latest time the span admits
   std::int64_t latest_time_ = 0;
   std::int64_t last_record_us_ = 0;
   std::int64_t last_prune_us_ = 0;

@@ -76,8 +76,10 @@ struct Trace {
   std::int64_t start_us = 0;
   std::int64_t end_us = 0;
 
+  /// Subtracts in double: a file's bounds are unchecked, and their int64
+  /// difference can overflow.  Exact for any bounds within 285 years of 0.
   [[nodiscard]] double duration_seconds() const {
-    return static_cast<double>(end_us - start_us) / 1e6;
+    return (static_cast<double>(end_us) - static_cast<double>(start_us)) / 1e6;
   }
 };
 

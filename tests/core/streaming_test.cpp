@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -357,6 +359,70 @@ TEST(StreamingAnalyzerTest, CallerSinkSeesWhatTheDefaultSinkCollects) {
         utilization,
         collected.seconds[static_cast<std::size_t>(want.second)].utilization())
         << i;
+  }
+}
+
+/// Counts the seconds an analysis emits and keeps the last one's index.
+struct SecondCounter final : AnalysisSink {
+  std::size_t seconds = 0;
+  std::int64_t last_second = -1;
+  void on_second(const SecondStats& s) override {
+    ++seconds;
+    last_second = s.second;
+  }
+  void on_acceptance(const AcceptanceSample&, double) override {}
+};
+
+/// A capture may span exactly 7 days, and every second of it streams out.
+/// A record 1 us later is a typed error raised before any second is made.
+TEST(StreamingAnalyzerTest, CaptureSpansAtMostSevenDays) {
+  constexpr std::int64_t kWeekUs = 604'800'000'000;
+  trace::CaptureRecord first, last;
+  first.time_us = 1'000;
+  last.time_us = first.time_us + kWeekUs;
+
+  SecondCounter accepted;
+  StreamingAnalyzer week({}, &accepted);
+  week.push(first);
+  week.push(last);
+  (void)week.finish();
+  EXPECT_EQ(accepted.seconds, 604'801u);
+  EXPECT_EQ(accepted.last_second, 604'800);
+
+  SecondCounter rejected;
+  StreamingAnalyzer longer({}, &rejected);
+  longer.push(first);
+  ++last.time_us;
+  try {
+    longer.push(last);
+    ADD_FAILURE() << "a record 7 days and 1 us after the start was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("record at 604800001001 us"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("more than 604800 s"), std::string::npos) << what;
+    EXPECT_NE(what.find("capture start at 1000 us"), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(rejected.seconds, 0u);
+}
+
+/// Session bounds at the int64 limits are rejected at the first push,
+/// without overflow and before any second is made.
+TEST(StreamingAnalyzerTest, ExtremeBoundsThrowAtTheFirstPush) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  trace::CaptureRecord r;
+  r.time_us = 1'000;
+  for (const auto& [start, end] :
+       {std::pair{kMin, std::int64_t{2'000}}, std::pair{std::int64_t{0}, kMax},
+        std::pair{kMin, kMax}}) {
+    SecondCounter counter;
+    StreamingAnalyzer streaming({}, &counter);
+    streaming.set_bounds(start, end);
+    EXPECT_THROW(streaming.push(r), std::invalid_argument)
+        << start << ", " << end;
+    EXPECT_EQ(counter.seconds, 0u);
   }
 }
 

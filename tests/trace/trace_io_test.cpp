@@ -9,6 +9,9 @@
 #include <limits>
 #include <string>
 
+#include "core/analyzer.hpp"
+#include "trace/reader.hpp"
+
 namespace wlan::trace {
 namespace {
 
@@ -178,6 +181,21 @@ TEST_F(TraceIoTest, MissingFileThrows) {
   EXPECT_THROW(read_csv("/nonexistent/file.csv"), std::runtime_error);
   EXPECT_THROW(write_binary(Trace{}, "/nonexistent-dir/x.bin"),
                std::runtime_error);
+}
+
+/// The reader passes a .trace header's session bounds on as written; an
+/// end bound at INT64_MAX is the analyzer's typed error, not one second
+/// after another to the end of the int64 range.
+TEST_F(TraceIoTest, RunawayEndBoundIsATypedAnalysisError) {
+  Trace t = sample_trace();
+  t.end_us = std::numeric_limits<std::int64_t>::max();
+  const std::string path = ::testing::TempDir() + "trace_io_test_runaway.trace";
+  write_binary(t, path);
+  const Trace loaded = read_capture(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.end_us, t.end_us);
+  EXPECT_THROW((void)core::TraceAnalyzer{}.analyze(loaded),
+               std::invalid_argument);
 }
 
 TEST_F(TraceIoTest, CsvRoundTrip) {
