@@ -131,13 +131,8 @@ ScenarioFn find_scenario(const std::string& name) {
   return nullptr;
 }
 
-struct TimingEntry {
-  const char* key;
-  mac::TimingProfile profile;
-};
-
 /// The timing-profile axis keys, in timing_keys() order.
-constexpr TimingEntry kTimings[] = {
+constexpr std::pair<const char*, mac::TimingProfile> kTimings[] = {
     {"paper", mac::TimingProfile::kPaper},
     {"standard", mac::TimingProfile::kStandard},
 };
@@ -171,10 +166,10 @@ RunOutput ScenarioRegistry::run(const std::string& name,
 
 mac::TimingProfile parse_timing(std::string_view key) {
   std::string known;
-  for (const TimingEntry& t : kTimings) {
-    if (key == t.key) return t.profile;
+  for (const auto& [name, profile] : kTimings) {
+    if (key == name) return profile;
     known += ' ';
-    known += t.key;
+    known += name;
   }
   throw std::invalid_argument("unknown timing profile \"" + std::string(key) +
                               "\" (known:" + known + ")");
@@ -182,7 +177,7 @@ mac::TimingProfile parse_timing(std::string_view key) {
 
 std::vector<std::string> timing_keys() {
   std::vector<std::string> out;
-  for (const TimingEntry& t : kTimings) out.emplace_back(t.key);
+  for (const auto& [name, profile] : kTimings) out.emplace_back(name);
   return out;
 }
 
