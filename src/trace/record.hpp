@@ -70,6 +70,16 @@ struct TxRecord {
 /// invert by a few us).
 inline constexpr std::int64_t kSortSlackUs = 10;
 
+/// The largest record time, either side of 0, a capture file may carry:
+/// 2^53 us, about 285 years.  Such times are exact as doubles, and the
+/// merge and the analyzer add and subtract them without overflowing int64.
+/// A pcap's 32-bit seconds stay far below it.
+inline constexpr std::int64_t kMaxRecordTimeUs = std::int64_t{1} << 53;
+
+[[nodiscard]] constexpr bool valid_record_time(std::int64_t time_us) {
+  return time_us >= -kMaxRecordTimeUs && time_us <= kMaxRecordTimeUs;
+}
+
 /// A full capture: records sorted by time plus capture metadata.
 struct Trace {
   std::vector<CaptureRecord> records;
@@ -77,7 +87,7 @@ struct Trace {
   std::int64_t end_us = 0;
 
   /// Subtracts in double: a file's bounds are unchecked, and their int64
-  /// difference can overflow.  Exact for any bounds within 285 years of 0.
+  /// difference can overflow.  Exact for bounds within kMaxRecordTimeUs.
   [[nodiscard]] double duration_seconds() const {
     return (static_cast<double>(end_us) - static_cast<double>(start_us)) / 1e6;
   }

@@ -114,13 +114,15 @@ Trace read_binary(const std::string& path) {
   for (std::uint64_t i = 0; i < count; ++i) {
     const CaptureRecord r = decode(buf.data() + 32 + i * kRecordBytes);
     // The analyzers index per-rate arrays and divide by the rate's bit
-    // rate, so an out-of-range enum byte must stop here.
-    const char* bad = phy::rate_index(r.rate) >= phy::kNumRates ? "rate"
-                      : r.type > mac::FrameType::kDisassoc      ? "frame type"
-                                                                : nullptr;
+    // rate, so an out-of-range enum byte must stop here, as must a time
+    // past kMaxRecordTimeUs.
+    const char* bad = phy::rate_index(r.rate) >= phy::kNumRates ? "rate byte"
+                      : r.type > mac::FrameType::kDisassoc ? "frame type byte"
+                      : !valid_record_time(r.time_us)      ? "time_us"
+                                                           : nullptr;
     if (bad) {
       throw std::runtime_error("read_binary: " + path + " record " +
-                               std::to_string(i) + ": bad " + bad + " byte");
+                               std::to_string(i) + ": bad " + bad);
     }
     trace.records.push_back(r);
   }
@@ -195,6 +197,7 @@ Trace read_csv(const std::string& path) {
     }
     CaptureRecord r;
     r.time_us = parse_field<std::int64_t>(cells[0], "time_us", where);
+    if (!valid_record_time(r.time_us)) bad_field(where, "time_us", cells[0]);
     r.channel = parse_field<std::uint8_t>(cells[1], "channel", where);
     const auto rate = phy::parse_rate(cells[2]);
     if (!rate) bad_field(where, "rate", cells[2]);

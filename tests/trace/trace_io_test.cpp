@@ -160,6 +160,27 @@ TEST_F(TraceIoTest, BinaryRejectsRecordCountPastTheFile) {
       << err;
 }
 
+/// Record times past 2^53 us either side of 0 stop at the reader, so the
+/// merge and the analyzer never do arithmetic near the int64 limits.
+TEST_F(TraceIoTest, BinaryRejectsRecordTimesPastTheLimit) {
+  Trace t = sample_trace();
+  write_binary(t, path_);
+  EXPECT_EQ(read_binary(path_).records.size(), t.records.size());
+  for (const std::int64_t time_us :
+       {kMaxRecordTimeUs + 1, -kMaxRecordTimeUs - 1,
+        std::numeric_limits<std::int64_t>::max(),
+        std::numeric_limits<std::int64_t>::min()}) {
+    t.records[2].time_us = time_us;
+    write_binary(t, path_);
+    const std::string err = error_of([&] { read_binary(path_); });
+    EXPECT_NE(err.find("record 2: bad time_us"), std::string::npos)
+        << time_us << ": " << err;
+  }
+  t.records[2].time_us = kMaxRecordTimeUs;
+  write_binary(t, path_);
+  EXPECT_EQ(read_binary(path_).records[2].time_us, kMaxRecordTimeUs);
+}
+
 TEST_F(TraceIoTest, BinaryRejectsOutOfRangeRateByte) {
   write_binary(sample_trace(), path_);
   patch_byte(kRateByte, 7);
@@ -229,6 +250,9 @@ TEST_F(TraceIoTest, CsvRejectsValuesOutsideTheFieldsRange) {
             std::string::npos);
   write_rows({"1000,6,11,20.5,DATA,1,2,3,-1,0,100,0,7"});
   EXPECT_NE(error_of([&] { read_csv(path_); }).find("line 2: bad seq"),
+            std::string::npos);
+  write_rows({"9007199254740993,6,11,20.5,DATA,1,2,3,4,0,100,0,7"});
+  EXPECT_NE(error_of([&] { read_csv(path_); }).find("line 2: bad time_us"),
             std::string::npos);
   // frame_type_name's fallback for an out-of-range type names no type.
   write_rows({"1000,6,11,20.5,?,1,2,3,4,0,100,0,7"});
