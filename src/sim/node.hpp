@@ -33,15 +33,15 @@ class MacEntity {
   /// The paper's §7 suggests clients "dynamically change the transmit
   /// power such that data frames are consistently transmitted at high data
   /// rates"; stations implementing that raise this value.
-  [[nodiscard]] virtual double tx_power_offset_db() const { return 0.0; }
+  [[nodiscard]] virtual double tx_power_offset_db() const = 0;
 
   /// Carrier-sense domain bits.  A node contends in the domain keyed by its
   /// exact mask and defers to any transmission whose sender's mask
   /// intersects it; transmissions from disjoint-mask senders are invisible
   /// to its carrier sense (hidden terminals) though they still interfere at
-  /// the receiver via SINR.  The default — every node on bit 0 — is the
-  /// paper's single collision domain.
-  [[nodiscard]] virtual std::uint32_t sense_mask() const { return 1; }
+  /// the receiver via SINR.  Every node on bit 0 (StationConfig's default)
+  /// is the paper's single collision domain.
+  [[nodiscard]] virtual std::uint32_t sense_mask() const = 0;
 
  private:
   friend class Channel;

@@ -33,6 +33,8 @@ class StubNode : public MacEntity {
   void on_receive(const mac::Frame&, double) override {}
   [[nodiscard]] phy::Position position() const override { return pos_; }
   [[nodiscard]] mac::Addr addr() const override { return addr_; }
+  [[nodiscard]] double tx_power_offset_db() const override { return 0.0; }
+  [[nodiscard]] std::uint32_t sense_mask() const override { return 1; }
 
   [[nodiscard]] mac::Frame frame() const {
     return mac::make_data(addr_, mac::Addr{900}, mac::Addr{900}, 1, 400,

@@ -30,6 +30,8 @@ class StubNode : public MacEntity {
   void on_receive(const mac::Frame&, double) override { ++received_; }
   [[nodiscard]] phy::Position position() const override { return pos_; }
   [[nodiscard]] mac::Addr addr() const override { return addr_; }
+  [[nodiscard]] double tx_power_offset_db() const override { return 0.0; }
+  [[nodiscard]] std::uint32_t sense_mask() const override { return 1; }
 
   [[nodiscard]] mac::Frame data_to(mac::Addr dst,
                                    std::uint32_t payload = 400) const {
