@@ -33,9 +33,9 @@ constexpr std::uint32_t pending_key(mac::Addr src, std::uint16_t seq) {
 /// hours.  A longer span is a timestamp jump or a runaway session bound.
 constexpr std::int64_t kMaxCaptureSpanUs = 7LL * 86'400 * 1'000'000;
 
-std::invalid_argument span_error(const char* what, std::int64_t time_us,
-                                 std::int64_t start_us) {
-  return std::invalid_argument(
+[[noreturn]] void span_error(const char* what, std::int64_t time_us,
+                             std::int64_t start_us) {
+  throw std::invalid_argument(
       std::string("StreamingAnalyzer: ") + what + " at " +
       std::to_string(time_us) + " us is more than " +
       std::to_string(kMaxCaptureSpanUs / 1'000'000) +
@@ -127,15 +127,13 @@ void StreamingAnalyzer::push(const trace::CaptureRecord& r) {
             ? std::numeric_limits<std::int64_t>::max()
             : start_us_ + kMaxCaptureSpanUs;
     if (have_bounds_ && bound_end_us_ > span_end_us_) {
-      throw span_error("session end bound", bound_end_us_, start_us_);
+      span_error("session end bound", bound_end_us_, start_us_);
     }
   }
   // Also catches a start bound too far before the first record, because
   // that bound is the capture start.  Checked before the record is held,
   // so no second of the span is made.
-  if (r.time_us > span_end_us_) {
-    throw span_error("record", r.time_us, start_us_);
-  }
+  if (r.time_us > span_end_us_) span_error("record", r.time_us, start_us_);
   if (held_) {
     const trace::CaptureRecord prev = *held_;
     held_ = r;
