@@ -28,7 +28,8 @@ DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 # carries a wall time.
 EXPERIMENTS = ["ietf-day-churn", "ietf-plenary-churn", "hidden-terminal"]
 
-# Sweep drivers run at these flags.
+# The sweep drivers run at these flags; of the ablations, these three also
+# write a manifest (bench_ablation_fragmentation takes no flags).
 SWEEP_FLAGS = ["--threads", "2", "--seeds", "1", "--duration", "4", "--quiet",
                "--out-dir", "."]
 ABLATIONS = ["power_control", "rtscts", "timing_profile"]
