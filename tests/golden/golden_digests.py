@@ -55,6 +55,9 @@ COMMANDS = [
     ("example_rate_adaptation_study.stdout",
      ["example_rate_adaptation_study"]),
     ("example_trace_tool.stdout", ["example_trace_tool", "ietf_day.trace"]),
+    ("example_trace_tool_ch1.stdout",
+     ["example_trace_tool", "ietf_day.trace", "--channel", "1", "--csv",
+      "ietf_day_ch1.csv", "--pcap", "ietf_day_ch1.pcap"]),
     (None,
      ["example_wlan_analyze", "--sim-capture", "cap", "--duration", "5",
       "--quiet"]),
@@ -83,6 +86,8 @@ FILES = [
     ("fig05_day.csv", "fig05_day.csv", lambda b: b),
     ("fig05_plenary.csv", "fig05_plenary.csv", lambda b: b),
     ("ietf_day.trace", "ietf_day.trace", lambda b: b),
+    ("trace_tool_ietf_day_ch1.csv", "ietf_day_ch1.csv", lambda b: b),
+    ("trace_tool_ietf_day_ch1.pcap", "ietf_day_ch1.pcap", lambda b: b),
     ("ablation_estimator_manifest.csv", "ablation_estimator_manifest.csv",
      drop_last_column),
     ("ablation_rate_adaptation_manifest.csv",
