@@ -22,6 +22,8 @@ import tempfile
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "digests.txt")
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 # Registry scenarios whose manifests and metrics files are pinned: the two
 # churn sessions and the hidden-terminal cell.  run_experiment's stdout
@@ -116,6 +118,18 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def check_sources() -> None:
+    """Exits naming a command whose driver source is gone: CMake never
+    deletes a removed driver's executable, so a stale binary in the build
+    directory would keep its pins passing."""
+    for _, argv in COMMANDS:
+        kind, _, name = argv[0].partition("_")
+        source = {"bench": "bench", "example": "examples"}[kind]
+        if not os.path.isfile(os.path.join(REPO, source, name + ".cpp")):
+            sys.exit(f"golden.digests: {argv[0]} has no source "
+                     f"{source}/{name}.cpp; drop its command and pins")
+
+
 def produce(bin_dir: str) -> dict:
     out = {}
     with tempfile.TemporaryDirectory(prefix="golden_") as work:
@@ -163,6 +177,7 @@ def main() -> int:
                     help="rewrite digests.txt from this build's outputs")
     args = ap.parse_args()
 
+    check_sources()
     actual = produce(os.path.abspath(args.bin_dir))
     if args.update:
         save(actual)
