@@ -1,9 +1,13 @@
 // Figure 5: (a/b) per-channel utilization time series for the day and
 // plenary sessions, (c) the frequency histogram of utilization values.
+// Also writes the day session's merged capture as ietf_day.trace, the
+// input example_trace_tool analyzes without re-simulating.
 #include <cstdio>
 
 #include "common.hpp"
 #include "core/utilization.hpp"
+#include "trace/merge.hpp"
+#include "trace/trace_io.hpp"
 #include "util/ascii_chart.hpp"
 #include "util/csv.hpp"
 
@@ -42,6 +46,12 @@ int main() {
                                   xs, {{"util%", series}}, 70, 10)
                      .c_str(),
                  stdout);
+    }
+    if (!plenary) {
+      trace::write_binary(
+          trace::merge_sniffer_traces(scenario.network().sniffer_traces())
+              .trace,
+          "ietf_day.trace");
     }
 
     // 5c: decimate the histogram into 10%-wide buckets for display.

@@ -74,13 +74,6 @@ std::optional<double> parse_duration(const char* token) {
   return parsed;
 }
 
-/// An example's bad argument: prints its usage line and exits 2.
-[[noreturn]] void exit_with_usage(std::string_view usage) {
-  std::fprintf(stderr, "%.*s\n", static_cast<int>(usage.size()),
-               usage.data());
-  std::exit(2);
-}
-
 [[noreturn]] void usage(std::string_view what, int code) {
   std::FILE* out = code == 0 ? stdout : stderr;
   std::fprintf(out, "%.*s\n\n", static_cast<int>(what.size()), what.data());
@@ -214,22 +207,9 @@ int int_arg(const char* token, const char* name, int lo, int hi,
     std::fprintf(stderr, "%s wants a whole number from %d to %d, not '%s'\n",
                  name, lo, hi, token);
   }
-  exit_with_usage(usage);
-}
-
-double positive_arg(const char* token, const char* name,
-                    std::string_view usage) {
-  if (const auto parsed = parse_positive(token)) return *parsed;
-  std::fprintf(stderr, "%s wants a positive number, not '%s'\n", name, token);
-  exit_with_usage(usage);
-}
-
-double duration_arg(const char* token, const char* name,
-                    std::string_view usage) {
-  if (const auto parsed = parse_duration(token)) return *parsed;
-  std::fprintf(stderr, "%s wants positive seconds below %s, not '%s'\n", name,
-               std::to_string(kMaxDurationS).c_str(), token);
-  exit_with_usage(usage);
+  std::fprintf(stderr, "%.*s\n", static_cast<int>(usage.size()),
+               usage.data());
+  std::exit(2);
 }
 
 void apply_args(const BenchArgs& args, ExperimentSpec& spec) {

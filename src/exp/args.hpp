@@ -46,18 +46,12 @@ struct BenchArgs {
                                          std::string_view what,
                                          bool allow_positionals = false);
 
-/// The examples' own arguments (`quickstart 30`, `ietf_day 10 0.1`,
-/// `trace_tool cap.pcap --channel 6`), parsed like the numeric flags above:
-/// the value must be the whole token and lie in [lo, hi] (int_arg), be
-/// positive and finite (positive_arg), or be seconds in (0, kMaxDurationS)
-/// like --duration (duration_arg).  On a bad value each prints what
-/// argument `name` wants, then `usage`, to stderr and exits 2.
+/// The examples' own integer arguments (`quickstart 30`, `trace_tool
+/// cap.pcap --channel 6`), parsed like the numeric flags above: the value
+/// must be the whole token and lie in [lo, hi].  On a bad value it prints
+/// what argument `name` wants, then `usage`, to stderr and exits 2.
 [[nodiscard]] int int_arg(const char* token, const char* name, int lo, int hi,
                           std::string_view usage);
-[[nodiscard]] double positive_arg(const char* token, const char* name,
-                                  std::string_view usage);
-[[nodiscard]] double duration_arg(const char* token, const char* name,
-                                  std::string_view usage);
 
 /// Folds the overriding flags (--seeds, --duration) into a spec.
 void apply_args(const BenchArgs& args, ExperimentSpec& spec);

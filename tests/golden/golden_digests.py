@@ -39,8 +39,8 @@ ABLATIONS = ["power_control", "rtscts", "timing_profile"]
 # (artifact, argv): argv[0] names a binary in the build directory, and the
 # command's stdout is the artifact (None: the stdout is not pinned).  Commands
 # run in order in one directory: example_trace_tool reads the capture
-# example_ietf_day writes, and the second example_wlan_analyze run analyzes
-# the pcaps the first one writes.
+# bench_fig05_utilization writes, and the second example_wlan_analyze run
+# analyzes the pcaps the first one writes.
 COMMANDS = [
     ("bench_fig04_ap_activity.stdout", ["bench_fig04_ap_activity"]),
     ("bench_fig05_utilization.stdout", ["bench_fig05_utilization"]),
@@ -51,8 +51,6 @@ COMMANDS = [
     ("bench_ablation_rate_adaptation.stdout",
      ["bench_ablation_rate_adaptation", "--threads", "2", "--seeds", "1",
       "--duration", "20", "--quiet", "--out-dir", "."]),
-    ("example_ietf_day.stdout", ["example_ietf_day"]),
-    ("example_ietf_plenary.stdout", ["example_ietf_plenary"]),
     ("example_quickstart.stdout", ["example_quickstart"]),
     ("example_rate_adaptation_study.stdout",
      ["example_rate_adaptation_study"]),
