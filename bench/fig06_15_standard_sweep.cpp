@@ -39,25 +39,17 @@ int main(int argc, char** argv) {
               "(%zu runs)\n\n", exp::expand(spec).size());
   const auto acc = bench::run_sweep(spec, args);
 
-  bench::emit_figure(acc.fig06_throughput_goodput(), "fig06.csv", args);
-  std::printf("Detected saturation knee: %.0f%% utilization (paper: 84%%)\n",
-              acc.knee_utilization());
-  std::printf("Theoretical max (Jun et al., full-MTU @ 11 Mbps): %.2f Mbps — "
-              "the paper notes its 4.9 Mbps at 84%% sits closest to it.\n",
-              core::best_case_tmt_mbps(core::DelayComponents::paper()));
-  std::printf("Seconds aggregated: %zu\n\n", acc.seconds_absorbed());
-
-  bench::emit_figure(acc.fig08_busytime_share(), "fig08.csv", args);
-  bench::emit_figure(acc.fig09_bytes_per_rate(), "fig09.csv", args);
-  bench::emit_figure(acc.fig10_11_frames_of_class(core::SizeClass::kS),
-                     "fig10.csv", args);
-  bench::emit_figure(acc.fig10_11_frames_of_class(core::SizeClass::kXL),
-                     "fig11.csv", args);
-  bench::emit_figure(acc.fig12_13_frames_at_rate(phy::Rate::kR1), "fig12.csv",
-                     args);
-  bench::emit_figure(acc.fig12_13_frames_at_rate(phy::Rate::kR11), "fig13.csv",
-                     args);
-  bench::emit_figure(acc.fig14_first_attempt_acked(), "fig14.csv", args);
-  bench::emit_figure(acc.fig15_acceptance_delay(), "fig15.csv", args);
+  for (const auto& [file, fig] : core::paper_figures(acc)) {
+    // bench_fig07_rtscts draws Fig. 7 from a sweep with more RTS/CTS users.
+    if (file == "fig07.csv") continue;
+    bench::emit_figure(fig, file, args);
+    if (file != "fig06.csv") continue;
+    std::printf("Detected saturation knee: %.0f%% utilization (paper: 84%%)\n",
+                acc.knee_utilization());
+    std::printf("Theoretical max (Jun et al., full-MTU @ 11 Mbps): %.2f Mbps — "
+                "the paper notes its 4.9 Mbps at 84%% sits closest to it.\n",
+                core::best_case_tmt_mbps(core::DelayComponents::paper()));
+    std::printf("Seconds aggregated: %zu\n\n", acc.seconds_absorbed());
+  }
   return 0;
 }

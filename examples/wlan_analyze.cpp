@@ -113,29 +113,6 @@ class ChannelFilterReader final : public trace::TraceReader {
   int channel_;
 };
 
-void write_figure_set(const core::FigureAccumulator& acc,
-                      const std::string& out_dir) {
-  namespace fs = std::filesystem;
-  const auto path = [&](const char* name) {
-    return (fs::path(out_dir) / name).string();
-  };
-  core::write_figure_csv(acc.fig06_throughput_goodput(), path("fig06.csv"));
-  core::write_figure_csv(acc.fig07_rts_cts(), path("fig07.csv"));
-  core::write_figure_csv(acc.fig08_busytime_share(), path("fig08.csv"));
-  core::write_figure_csv(acc.fig09_bytes_per_rate(), path("fig09.csv"));
-  static constexpr std::pair<core::SizeClass, const char*> kClasses[] = {
-      {core::SizeClass::kS, "fig10_13_S.csv"},
-      {core::SizeClass::kM, "fig10_13_M.csv"},
-      {core::SizeClass::kL, "fig10_13_L.csv"},
-      {core::SizeClass::kXL, "fig10_13_XL.csv"},
-  };
-  for (const auto& [cls, name] : kClasses) {
-    core::write_figure_csv(acc.fig10_11_frames_of_class(cls), path(name));
-  }
-  core::write_figure_csv(acc.fig14_first_attempt_acked(), path("fig14.csv"));
-  core::write_figure_csv(acc.fig15_acceptance_delay(), path("fig15.csv"));
-}
-
 struct AnalyzeOutcome {
   core::AnalysisResult result;
   trace::ClockOffsets offsets;
@@ -200,7 +177,9 @@ AnalyzeOutcome analyze_streaming(const std::vector<std::string>& files,
   if (merger) out.merge_stats = merger->stats();
   out.seconds = acc.seconds_absorbed();
   out.knee = acc.knee_utilization();
-  write_figure_set(acc, out_dir);
+  for (const auto& [file, fig] : core::paper_figures(acc)) {
+    core::write_figure_csv(fig, (fs::path(out_dir) / file).string());
+  }
   return out;
 }
 

@@ -242,6 +242,21 @@ double FigureAccumulator::knee_utilization() const {
   return best;
 }
 
+std::vector<PaperFigure> paper_figures(const FigureAccumulator& acc) {
+  return {
+      {"fig06.csv", acc.fig06_throughput_goodput()},
+      {"fig07.csv", acc.fig07_rts_cts()},
+      {"fig08.csv", acc.fig08_busytime_share()},
+      {"fig09.csv", acc.fig09_bytes_per_rate()},
+      {"fig10.csv", acc.fig10_11_frames_of_class(SizeClass::kS)},
+      {"fig11.csv", acc.fig10_11_frames_of_class(SizeClass::kXL)},
+      {"fig12.csv", acc.fig12_13_frames_at_rate(phy::Rate::kR1)},
+      {"fig13.csv", acc.fig12_13_frames_at_rate(phy::Rate::kR11)},
+      {"fig14.csv", acc.fig14_first_attempt_acked()},
+      {"fig15.csv", acc.fig15_acceptance_delay()},
+  };
+}
+
 std::string render_figure(const FigureSeries& fig) {
   std::ostringstream out;
   out << util::line_chart(fig.title, fig.x, fig.series);

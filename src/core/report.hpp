@@ -125,6 +125,18 @@ class FigureAccumulator {
   std::unordered_map<mac::Addr, SenderStats> senders_;
 };
 
+/// One paper figure and the CSV file that holds it.
+struct PaperFigure {
+  std::string file;  ///< "fig06.csv" ... "fig15.csv"
+  FigureSeries figure;
+};
+
+/// Figures 6-15 in order, one file each: Figs. 10/11 are the S and XL size
+/// classes across the four rates, Figs. 12/13 are 1 and 11 Mbps across the
+/// four size classes.  The one list the figure bench and wlan_analyze write.
+[[nodiscard]] std::vector<PaperFigure> paper_figures(
+    const FigureAccumulator& acc);
+
 /// AnalysisSink that feeds a FigureAccumulator as the capture streams by —
 /// the constant-memory figure path.  After StreamingAnalyzer::finish(),
 /// fold the returned result's senders in with accumulator.add_senders (the

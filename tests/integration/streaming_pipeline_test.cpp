@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <utility>
 
 #include "core/report.hpp"
 #include "core/streaming.hpp"
@@ -30,30 +29,11 @@ std::string bytes_of(const std::string& p) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-/// Every CSV `wlan_analyze` writes: fig05_seconds from the analysis, the
-/// rest from the figure accumulator (write_figures).
-constexpr const char* kFigureFiles[] = {
-    "fig05_seconds.csv", "fig06.csv",       "fig07.csv",       "fig08.csv",
-    "fig09.csv",         "fig10_13_S.csv",  "fig10_13_M.csv",  "fig10_13_L.csv",
-    "fig10_13_XL.csv",   "fig14.csv",       "fig15.csv"};
-
 void write_figures(const core::FigureAccumulator& acc,
                    const std::string& prefix) {
-  core::write_figure_csv(acc.fig06_throughput_goodput(), prefix + "fig06.csv");
-  core::write_figure_csv(acc.fig07_rts_cts(), prefix + "fig07.csv");
-  core::write_figure_csv(acc.fig08_busytime_share(), prefix + "fig08.csv");
-  core::write_figure_csv(acc.fig09_bytes_per_rate(), prefix + "fig09.csv");
-  static constexpr std::pair<core::SizeClass, const char*> kClasses[] = {
-      {core::SizeClass::kS, "fig10_13_S.csv"},
-      {core::SizeClass::kM, "fig10_13_M.csv"},
-      {core::SizeClass::kL, "fig10_13_L.csv"},
-      {core::SizeClass::kXL, "fig10_13_XL.csv"},
-  };
-  for (const auto& [cls, name] : kClasses) {
-    core::write_figure_csv(acc.fig10_11_frames_of_class(cls), prefix + name);
+  for (const auto& [file, fig] : core::paper_figures(acc)) {
+    core::write_figure_csv(fig, prefix + file);
   }
-  core::write_figure_csv(acc.fig14_first_attempt_acked(), prefix + "fig14.csv");
-  core::write_figure_csv(acc.fig15_acceptance_delay(), prefix + "fig15.csv");
 }
 
 TEST(StreamingPipeline, PcapMergeAnalyzeMatchesInMemoryByteForByte) {
@@ -123,7 +103,13 @@ TEST(StreamingPipeline, PcapMergeAnalyzeMatchesInMemoryByteForByte) {
   write_figures(stream_acc, b);
 
   // --- the acceptance criterion ----------------------------------------
-  for (const char* name : kFigureFiles) {
+  // Every CSV `wlan_analyze` writes: fig05_seconds from the analysis, the
+  // paper's figure list from the accumulator.
+  std::vector<std::string> files_written{"fig05_seconds.csv"};
+  for (const auto& figure : core::paper_figures(batch_acc)) {
+    files_written.push_back(figure.file);
+  }
+  for (const std::string& name : files_written) {
     const std::string batch_bytes = bytes_of(a + name);
     EXPECT_GT(batch_bytes.size(), 0u) << name;
     EXPECT_EQ(batch_bytes, bytes_of(b + name)) << name << " differs";
@@ -136,7 +122,7 @@ TEST(StreamingPipeline, PcapMergeAnalyzeMatchesInMemoryByteForByte) {
             merged.stats.duplicates_dropped);
 
   for (const auto& f : files) std::remove(f.c_str());
-  for (const char* name : kFigureFiles) {
+  for (const std::string& name : files_written) {
     std::remove((a + name).c_str());
     std::remove((b + name).c_str());
   }
