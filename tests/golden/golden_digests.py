@@ -95,9 +95,8 @@ FILES = [
     ("wlan_analyze_sniffer0.pcap", "cap/sniffer0.pcap", lambda b: b),
     ("wlan_analyze_sniffer1.pcap", "cap/sniffer1.pcap", lambda b: b),
     ("wlan_analyze_fig05_seconds.csv", "figs/fig05_seconds.csv", lambda b: b),
-    ("wlan_analyze_fig06.csv", "figs/fig06.csv", lambda b: b),
-    ("wlan_analyze_fig15.csv", "figs/fig15.csv", lambda b: b),
-] + [(f"run_experiment_{name}_manifest.csv", f"example_{name}_manifest.csv",
+] + [(f"wlan_analyze_fig{n:02d}.csv", f"figs/fig{n:02d}.csv", lambda b: b)
+     for n in range(6, 16)] + [(f"run_experiment_{name}_manifest.csv", f"example_{name}_manifest.csv",
       drop_last_column) for name in EXPERIMENTS] + [
     (f"run_experiment_{name}_metrics.csv", f"example_{name}_metrics.csv",
      lambda b: b) for name in EXPERIMENTS] + [
