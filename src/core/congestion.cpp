@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "core/utilization.hpp"
-
 namespace wlan::core {
 
 std::string_view congestion_level_name(CongestionLevel level) {
@@ -21,21 +19,15 @@ CongestionLevel classify(double utilization_pct, const CongestionThresholds& t) 
   return CongestionLevel::kHigh;
 }
 
-double detect_saturation_knee(const AnalysisResult& a, int smoothing_window) {
-  UtilizationBinner throughput;
-  for (const SecondStats& s : a.seconds) {
-    throughput.add(s.utilization(), s.throughput_mbps());
-  }
-
-  // Smooth the binned curve and find its peak over [30, 100].
-  const int half = smoothing_window / 2;
+double detect_saturation_knee(const UtilizationBinner& throughput) {
+  constexpr int kHalfWindow = 2;  // the moving average spans p-2 .. p+2
   double best_util = CongestionThresholds{}.high_pct;
   double best_value = -1.0;
   int populated = 0;
   for (int p = 30; p <= 100; ++p) {
     double sum = 0.0;
     int n = 0;
-    for (int q = p - half; q <= p + half; ++q) {
+    for (int q = p - kHalfWindow; q <= p + kHalfWindow; ++q) {
       const double m = throughput.mean(q);
       if (std::isfinite(m)) {
         sum += m;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/analyzer.hpp"
+#include "core/utilization.hpp"
 
 namespace wlan::core {
 
@@ -27,12 +28,12 @@ struct CongestionThresholds {
 [[nodiscard]] CongestionLevel classify(double utilization_pct,
                                        const CongestionThresholds& t = {});
 
-/// Finds the utilization percentage at which binned throughput peaks — the
-/// paper's §5.2 method for picking the "highly congested" boundary.  The
-/// curve is smoothed with a centered moving average first.  Returns the
-/// default threshold when there is not enough data.
-[[nodiscard]] double detect_saturation_knee(const AnalysisResult& a,
-                                            int smoothing_window = 5);
+/// Finds the utilization percentage at which utilization-binned throughput
+/// peaks — the paper's §5.2 method for picking the "highly congested"
+/// boundary.  The curve is smoothed with a centered 5-point moving average
+/// and searched over [30, 100]%.  Returns the default threshold (84%) when
+/// fewer than 10 smoothed points hold data.
+[[nodiscard]] double detect_saturation_knee(const UtilizationBinner& throughput);
 
 /// Seconds spent in each congestion level (useful summary for reports).
 struct CongestionBreakdown {

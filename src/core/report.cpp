@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/congestion.hpp"
 #include "util/csv.hpp"
 
 namespace wlan::core {
@@ -223,23 +224,7 @@ RtsFairness FigureAccumulator::rts_fairness() const {
 }
 
 double FigureAccumulator::knee_utilization() const {
-  double best = 84.0, best_v = -1.0;
-  for (int p = kLo; p <= kHi; ++p) {
-    double sum = 0.0;
-    int n = 0;
-    for (int q = p - 2; q <= p + 2; ++q) {
-      const double m = throughput_.mean(q);
-      if (std::isfinite(m)) {
-        sum += m;
-        ++n;
-      }
-    }
-    if (n && sum / n > best_v) {
-      best_v = sum / n;
-      best = p;
-    }
-  }
-  return best;
+  return detect_saturation_knee(throughput_);
 }
 
 std::vector<PaperFigure> paper_figures(const FigureAccumulator& acc) {

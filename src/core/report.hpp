@@ -93,7 +93,8 @@ class FigureAccumulator {
 
   [[nodiscard]] RtsFairness rts_fairness() const;
 
-  /// Mean utilization-binned throughput peak (for knee reporting).
+  /// The §5.2 saturation knee of the binned throughput
+  /// (core::detect_saturation_knee).
   [[nodiscard]] double knee_utilization() const;
 
   /// Per-frame delay-component distributions (paper §6): queueing wait and

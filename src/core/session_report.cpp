@@ -19,10 +19,12 @@ SessionSummary summarize(const AnalysisResult& analysis) {
   s.cts = analysis.total_cts;
 
   util::Accumulator util_acc, thr, good;
+  UtilizationBinner binned_throughput;
   std::uint64_t retries = 0;
   for (const SecondStats& sec : analysis.seconds) {
     util_acc.add(sec.utilization());
     thr.add(sec.throughput_mbps());
+    binned_throughput.add(sec.utilization(), sec.throughput_mbps());
     good.add(sec.goodput_mbps());
     for (phy::Rate r : phy::kAllRates) {
       const std::size_t i = phy::rate_index(r);
@@ -45,7 +47,7 @@ SessionSummary summarize(const AnalysisResult& analysis) {
 
   const auto hist = utilization_histogram(analysis);
   if (const auto mode = hist.mode()) s.utilization_mode_pct = *mode;
-  s.knee_utilization_pct = detect_saturation_knee(analysis);
+  s.knee_utilization_pct = detect_saturation_knee(binned_throughput);
 
   s.congestion = breakdown(analysis);
   const CongestionBreakdown& c = s.congestion;

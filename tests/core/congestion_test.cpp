@@ -39,6 +39,15 @@ AnalysisResult result_with(const std::vector<std::pair<double, double>>&
   return result;
 }
 
+UtilizationBinner throughput_of(
+    const std::vector<std::pair<double, double>>& util_throughput_pairs) {
+  UtilizationBinner throughput;
+  for (const auto& [util, mbps] : util_throughput_pairs) {
+    throughput.add(util, mbps);
+  }
+  return throughput;
+}
+
 TEST(KneeDetectionTest, FindsSyntheticPeak) {
   // Throughput rises to a peak at 80% and falls beyond it.
   std::vector<std::pair<double, double>> samples;
@@ -46,19 +55,19 @@ TEST(KneeDetectionTest, FindsSyntheticPeak) {
     const double thr = u <= 80 ? u / 20.0 : 4.0 - (u - 80) / 10.0;
     for (int k = 0; k < 3; ++k) samples.push_back({double(u), thr});
   }
-  const double knee = detect_saturation_knee(result_with(samples));
+  const double knee = detect_saturation_knee(throughput_of(samples));
   EXPECT_NEAR(knee, 80.0, 3.0);
 }
 
 TEST(KneeDetectionTest, MonotoneCurvePeaksAtTop) {
   std::vector<std::pair<double, double>> samples;
   for (int u = 30; u <= 99; ++u) samples.push_back({double(u), u / 25.0});
-  const double knee = detect_saturation_knee(result_with(samples));
+  const double knee = detect_saturation_knee(throughput_of(samples));
   EXPECT_GE(knee, 95.0);
 }
 
 TEST(KneeDetectionTest, SparseDataFallsBackToDefault) {
-  const double knee = detect_saturation_knee(result_with({{50.0, 2.0}}));
+  const double knee = detect_saturation_knee(throughput_of({{50.0, 2.0}}));
   EXPECT_DOUBLE_EQ(knee, CongestionThresholds{}.high_pct);
 }
 

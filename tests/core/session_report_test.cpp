@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/report.hpp"
 #include "workload/scenario.hpp"
 
 namespace wlan::core {
@@ -81,6 +82,26 @@ TEST_F(SessionReportTest, RenderingContainsHeadlines) {
   EXPECT_NE(text.find("throughput"), std::string::npos);
   EXPECT_NE(text.find("Fig. 8"), std::string::npos);
   EXPECT_NE(text.find("unrecorded"), std::string::npos);
+}
+
+TEST(SessionReportKnee, AgreesWithTheFigureAccumulatorOnTwoSeconds) {
+  // trace_tool prints summarize's knee and wlan_analyze the accumulator's;
+  // on one capture too short for the §5.2 search they must print the same.
+  workload::CellConfig cell;
+  cell.seed = 62;
+  cell.num_users = 10;
+  cell.per_user_pps = 30.0;
+  cell.profile.window = 2;
+  cell.duration_s = 2.0;
+  cell.warmup_s = 1.0;
+  cell.num_sniffers = 2;
+  const auto run = workload::run_cell(cell);
+  const AnalysisResult analysis =
+      TraceAnalyzer{}.analyze(run.sniffer_traces[0]);
+  ASSERT_LE(analysis.seconds.size(), 2u);
+  FigureAccumulator acc;
+  acc.add(analysis);
+  EXPECT_EQ(acc.knee_utilization(), summarize(analysis).knee_utilization_pct);
 }
 
 TEST(SessionReportEmpty, EmptyAnalysisSafe) {
