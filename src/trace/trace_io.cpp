@@ -1,6 +1,7 @@
 #include "trace/trace_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -115,10 +116,11 @@ Trace read_binary(const std::string& path) {
     const CaptureRecord r = decode(buf.data() + 32 + i * kRecordBytes);
     // The analyzers index per-rate arrays and divide by the rate's bit
     // rate, so an out-of-range enum byte must stop here, as must a time
-    // past kMaxRecordTimeUs.
+    // past kMaxRecordTimeUs and an SNR no sniffer reports.
     const char* bad = phy::rate_index(r.rate) >= phy::kNumRates ? "rate byte"
                       : r.type > mac::FrameType::kDisassoc ? "frame type byte"
                       : !valid_record_time(r.time_us)      ? "time_us"
+                      : !std::isfinite(r.snr_db)           ? "snr_db"
                                                            : nullptr;
     if (bad) {
       throw std::runtime_error("read_binary: " + path + " record " +
@@ -203,6 +205,7 @@ Trace read_csv(const std::string& path) {
     if (!rate) bad_field(where, "rate", cells[2]);
     r.rate = *rate;
     r.snr_db = parse_field<float>(cells[3], "snr_db", where);
+    if (!std::isfinite(r.snr_db)) bad_field(where, "snr_db", cells[3]);
     const auto type = parse_type(cells[4]);
     if (!type) bad_field(where, "type", cells[4]);
     r.type = *type;

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
 
 namespace wlan::trace {
 namespace {
@@ -154,14 +156,54 @@ TEST_F(PcapTest, EmptyTraceRoundTrips) {
   EXPECT_TRUE(read_pcap(path_).records.empty());
 }
 
-TEST_F(PcapTest, NegativeTimestampRejected) {
-  // pcap sec/usec are unsigned; a negative stamp (possible with a negative
-  // sniffer clock offset) must be a clear error, not a silent ~4.29e9 s wrap.
+/// The message of the std::runtime_error write_pcap throws, or "".
+std::string write_error(const Trace& t, const std::string& path) {
+  try {
+    write_pcap(t, path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(PcapTest, TimestampsOutsideUnsigned32BitSecondsRejected) {
+  // pcap's seconds are unsigned 32-bit; a negative stamp (possible with a
+  // negative sniffer clock offset) or one at 2^32 s must be a clear error,
+  // not a silent wrap.
+  constexpr std::int64_t kLastUs = (std::int64_t{1} << 32) * 1'000'000 - 1;
   Trace t;
-  CaptureRecord r = data_record();
-  r.time_us = -1400;
-  t.records.push_back(r);
-  EXPECT_THROW(write_pcap(t, path_), std::runtime_error);
+  t.records.push_back(data_record());
+  t.records.push_back(data_record());
+  t.records[1].time_us = kLastUs;
+  write_pcap(t, path_);
+  EXPECT_EQ(read_pcap(path_).records[1].time_us, kLastUs);
+  for (const std::int64_t time_us : {std::int64_t{-1400}, kLastUs + 1}) {
+    t.records[1].time_us = time_us;
+    const std::string err = write_error(t, path_);
+    EXPECT_NE(err.find(path_ + " record 1: time_us " + std::to_string(time_us)),
+              std::string::npos)
+        << err;
+  }
+}
+
+TEST_F(PcapTest, SnrOutsideTheSignalByteRejected) {
+  // The radiotap signal byte holds snr_db - 96 dBm as an int8.
+  Trace t;
+  t.records.push_back(data_record());
+  t.records.push_back(data_record());
+  for (const float snr : {-32.0f, 223.0f}) {
+    t.records[1].snr_db = snr;
+    write_pcap(t, path_);
+    EXPECT_EQ(read_pcap(path_).records[1].snr_db, snr);
+  }
+  for (const float snr : {-60.0f, -33.0f, 224.0f,
+                          std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    t.records[1].snr_db = snr;
+    const std::string err = write_error(t, path_);
+    EXPECT_NE(err.find(path_ + " record 1: snr_db"), std::string::npos)
+        << snr << ": " << err;
+  }
 }
 
 }  // namespace

@@ -181,6 +181,19 @@ TEST_F(TraceIoTest, BinaryRejectsRecordTimesPastTheLimit) {
   EXPECT_EQ(read_binary(path_).records[2].time_us, kMaxRecordTimeUs);
 }
 
+TEST_F(TraceIoTest, BinaryRejectsNonFiniteSnr) {
+  Trace t = sample_trace();
+  for (const float snr : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    t.records[1].snr_db = snr;
+    write_binary(t, path_);
+    const std::string err = error_of([&] { read_binary(path_); });
+    EXPECT_NE(err.find("record 1: bad snr_db"), std::string::npos)
+        << snr << ": " << err;
+  }
+}
+
 TEST_F(TraceIoTest, BinaryRejectsOutOfRangeRateByte) {
   write_binary(sample_trace(), path_);
   patch_byte(kRateByte, 7);
@@ -254,6 +267,13 @@ TEST_F(TraceIoTest, CsvRejectsValuesOutsideTheFieldsRange) {
   write_rows({"9007199254740993,6,11,20.5,DATA,1,2,3,4,0,100,0,7"});
   EXPECT_NE(error_of([&] { read_csv(path_); }).find("line 2: bad time_us"),
             std::string::npos);
+  for (const char* row : {"1000,6,11,nan,DATA,1,2,3,4,0,100,0,7",
+                          "1000,6,11,inf,DATA,1,2,3,4,0,100,0,7"}) {
+    write_rows({row});
+    EXPECT_NE(error_of([&] { read_csv(path_); }).find("line 2: bad snr_db"),
+              std::string::npos)
+        << row;
+  }
   // frame_type_name's fallback for an out-of-range type names no type.
   write_rows({"1000,6,11,20.5,?,1,2,3,4,0,100,0,7"});
   EXPECT_NE(error_of([&] { read_csv(path_); }).find("line 2: bad type"),
