@@ -1,22 +1,31 @@
 #include "core/delay_components.hpp"
 
+#include "mac/timing.hpp"
+#include "phy/airtime.hpp"
+
 namespace wlan::core {
 
-namespace {
-std::int64_t body_us(std::uint64_t bytes, phy::Rate rate) {
-  const std::uint64_t kbps = phy::rate_kbps(rate);
-  return static_cast<std::int64_t>((bytes * 8 * 1000 + kbps - 1) / kbps);
+DelayComponents DelayComponents::paper() {
+  const mac::Timing t = mac::timing_for(mac::TimingProfile::kPaper);
+  return {.difs = t.difs,
+          .sifs = t.sifs,
+          .rts = t.rts_duration,
+          .cts = t.cts_duration,
+          .ack = t.ack_duration,
+          .beacon = t.beacon_duration,
+          .bo = Microseconds{0},
+          .plcp = phy::kPlcpDuration};
 }
-}  // namespace
 
 Microseconds DelayComponents::data_duration_payload(std::uint32_t payload_bytes,
                                                     phy::Rate rate) const {
-  return plcp + Microseconds{body_us(payload_bytes + 34ULL, rate)};
+  return plcp + phy::body_airtime(
+                    std::uint64_t{payload_bytes} + phy::kMacOverheadBytes, rate);
 }
 
 Microseconds DelayComponents::data_duration_total(std::uint32_t total_bytes,
                                                   phy::Rate rate) const {
-  return plcp + Microseconds{body_us(total_bytes, rate)};
+  return plcp + phy::body_airtime(total_bytes, rate);
 }
 
 Microseconds DelayComponents::cbt(const trace::CaptureRecord& r) const {

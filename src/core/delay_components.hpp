@@ -15,17 +15,19 @@
 namespace wlan::core {
 
 struct DelayComponents {
-  Microseconds difs{50};
-  Microseconds sifs{10};
-  Microseconds rts{352};     ///< D_RTS, PLCP included
-  Microseconds cts{304};     ///< D_CTS
-  Microseconds ack{304};     ///< D_ACK
-  Microseconds beacon{304};  ///< D_BEACON
-  Microseconds bo{0};        ///< D_BO — zero in a saturated network
-  Microseconds plcp{192};    ///< D_PLCP
+  Microseconds difs;
+  Microseconds sifs;
+  Microseconds rts;     ///< D_RTS, PLCP included
+  Microseconds cts;     ///< D_CTS
+  Microseconds ack;     ///< D_ACK
+  Microseconds beacon;  ///< D_BEACON
+  Microseconds bo;      ///< D_BO — zero in a saturated network
+  Microseconds plcp;    ///< D_PLCP
 
-  /// Table 2 values verbatim.
-  [[nodiscard]] static DelayComponents paper() { return {}; }
+  /// Table 2: the spacings and control-frame durations of the paper's MAC
+  /// timing profile (mac::timing_for), the long-preamble D_PLCP
+  /// (phy::kPlcpDuration) and D_BO = 0.
+  [[nodiscard]] static DelayComponents paper();
 
   /// D_DATA(size)(rate) = D_PLCP + 8 * (34 + payload) / rate  [us].
   /// `payload_bytes` excludes the 34-byte MAC overhead.

@@ -15,11 +15,12 @@
 
 namespace wlan::mac {
 
+/// The defaults are the paper's Table 2 values; core::DelayComponents reads
+/// its spacings and control-frame durations from here.
 struct Timing {
   Microseconds slot{10};
   Microseconds sifs{10};
   Microseconds difs{50};
-  Microseconds plcp{192};
   /// Control-frame total on-air durations as fixed by the paper's Table 2.
   Microseconds rts_duration{352};
   Microseconds cts_duration{304};

@@ -2,22 +2,12 @@
 
 namespace wlan::phy {
 
-namespace {
-// ceil(8 * bytes * 1000 / kbps) microseconds of body time.
-std::int64_t body_us(std::uint64_t bytes, Rate rate) {
-  const std::uint64_t bits = bytes * 8;
-  const std::uint64_t kbps = rate_kbps(rate);
-  return static_cast<std::int64_t>((bits * 1000 + kbps - 1) / kbps);
-}
-}  // namespace
-
 Microseconds data_airtime(std::uint32_t payload_bytes, Rate rate) {
-  return kPlcpDuration +
-         Microseconds{body_us(payload_bytes + kMacOverheadBytes, rate)};
+  return kPlcpDuration + body_airtime(payload_bytes + kMacOverheadBytes, rate);
 }
 
 Microseconds raw_airtime(std::uint32_t frame_bytes, Rate rate) {
-  return kPlcpDuration + Microseconds{body_us(frame_bytes, rate)};
+  return kPlcpDuration + body_airtime(frame_bytes, rate);
 }
 
 }  // namespace wlan::phy

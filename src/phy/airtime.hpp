@@ -21,6 +21,15 @@ inline constexpr Microseconds kPlcpDuration{192};
 /// MAC header + FCS bytes folded into the airtime formula (paper: 34).
 inline constexpr std::uint32_t kMacOverheadBytes = 34;
 
+/// Body time of `bytes` of MAC frame sent at `rate`: 8*bytes/rate, rounded
+/// up to a whole microsecond.  Inline: the analyzer charges it once per
+/// captured frame (core::DelayComponents' D_DATA).
+[[nodiscard]] inline Microseconds body_airtime(std::uint64_t bytes, Rate rate) {
+  const std::uint64_t kbps = rate_kbps(rate);
+  return Microseconds{
+      static_cast<std::int64_t>((bytes * 8 * 1000 + kbps - 1) / kbps)};
+}
+
 /// Airtime of a data frame whose MAC *payload* is `payload_bytes`, sent at
 /// `rate`: PLCP + 8*(34+payload)/rate, rounded up to a whole microsecond.
 Microseconds data_airtime(std::uint32_t payload_bytes, Rate rate);

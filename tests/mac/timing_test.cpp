@@ -10,7 +10,6 @@ TEST(TimingTest, PaperProfileMatchesTable2) {
   EXPECT_EQ(t.slot.count(), 10);   // "each slot time is equal to 10 us"
   EXPECT_EQ(t.sifs.count(), 10);
   EXPECT_EQ(t.difs.count(), 50);
-  EXPECT_EQ(t.plcp.count(), 192);
   EXPECT_EQ(t.rts_duration.count(), 352);
   EXPECT_EQ(t.cts_duration.count(), 304);
   EXPECT_EQ(t.ack_duration.count(), 304);
