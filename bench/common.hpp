@@ -3,7 +3,7 @@
 // on the parallel experiment runner — plus small printing helpers.
 //
 // The sweep is a composite of two operating regimes of the single-channel
-// cell fixture (see DESIGN.md):
+// cell fixture (workload::CellConfig in src/workload/scenario.hpp):
 //   A. population regime — a room of lightly loaded closed-loop users;
 //      fills the 20-55% utilization bins (the paper's "moderate" band),
 //   B. saturation regime — a handful of saturated users with a rising share

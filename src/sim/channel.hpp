@@ -1,7 +1,7 @@
 // One 802.11b channel: the radio medium plus centralized DCF slot
 // arbitration.
 //
-// Model notes (see DESIGN.md §5):
+// Model notes:
 //  * The paper studies "a high density of nodes within a single collision
 //    domain"; we arbitrate DCF slots centrally per channel, which is exactly
 //    equivalent to per-station carrier sense when every station senses every
