@@ -48,10 +48,9 @@ int main() {
                  stdout);
     }
     if (!plenary) {
-      trace::write_binary(
-          trace::merge_sniffer_traces(scenario.network().sniffer_traces())
-              .trace,
-          "ietf_day.trace");
+      const auto merged =
+          trace::merge_sniffer_traces(scenario.network().sniffer_traces());
+      trace::write_binary(merged.trace, "ietf_day.trace");
     }
 
     // 5c: decimate the histogram into 10%-wide buckets for display.

@@ -96,8 +96,9 @@ FILES = [
     ("wlan_analyze_sniffer1.pcap", "cap/sniffer1.pcap", lambda b: b),
     ("wlan_analyze_fig05_seconds.csv", "figs/fig05_seconds.csv", lambda b: b),
 ] + [(f"wlan_analyze_fig{n:02d}.csv", f"figs/fig{n:02d}.csv", lambda b: b)
-     for n in range(6, 16)] + [(f"run_experiment_{name}_manifest.csv", f"example_{name}_manifest.csv",
-      drop_last_column) for name in EXPERIMENTS] + [
+     for n in range(6, 16)] + [
+    (f"run_experiment_{name}_manifest.csv", f"example_{name}_manifest.csv",
+     drop_last_column) for name in EXPERIMENTS] + [
     (f"run_experiment_{name}_metrics.csv", f"example_{name}_metrics.csv",
      lambda b: b) for name in EXPERIMENTS] + [
     (f"fig{n:02d}.csv", f"fig{n:02d}.csv", lambda b: b)
