@@ -59,7 +59,7 @@ COMMANDS = [
      ["example_trace_tool", "ietf_day.trace", "--channel", "1", "--csv",
       "ietf_day_ch1.csv", "--pcap", "ietf_day_ch1.pcap"]),
     (None,
-     ["example_wlan_analyze", "--sim-capture", "cap", "--duration", "5",
+     ["example_wlan_analyze", "--sim-capture", "cap", "--duration", "20",
       "--quiet"]),
     ("example_wlan_analyze.stdout",
      ["example_wlan_analyze", "cap/sniffer0.pcap", "cap/sniffer1.pcap",
