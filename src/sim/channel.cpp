@@ -725,6 +725,7 @@ void Channel::harvest_metrics(obs::Metrics& m) const {
 
 void Channel::record_ground_truth(const Completed& done,
                                   trace::TxOutcome outcome) {
+  if (!keep_ground_truth_) return;
   // Single construction point for both broadcast and unicast records, so the
   // ground truth's field mapping cannot drift between the two paths.
   const mac::Frame& f = *done.frame;

@@ -94,6 +94,7 @@ class Channel {
 
   /// Ground-truth log: one TxRecord per transmission, appended at end of
   /// air, so it is in end-of-air order (time_us is the start of air).
+  /// Empty unless set_keep_ground_truth(true) was called.
   [[nodiscard]] const std::vector<trace::TxRecord>& ground_truth() const {
     return ground_truth_;
   }
@@ -102,6 +103,9 @@ class Channel {
   /// retained scalar reference path.  Both are pinned byte-identical by the
   /// differential oracle suite; the scalar path exists to *be* that oracle.
   void set_scalar_reception(bool scalar) { scalar_reception_ = scalar; }
+  /// Turns the ground-truth log on (EngineOptions::keep_ground_truth).
+  /// Call before the first transmission; off, nothing is logged.
+  void set_keep_ground_truth(bool keep) { keep_ground_truth_ = keep; }
 
   /// Enters the node into contention with `slots` of backoff to burn.
   /// The node must not already be contending.
@@ -406,6 +410,7 @@ class Channel {
   util::LogHistogram queue_delay_us_;
   util::LogHistogram service_delay_us_;
   bool scalar_reception_ = false;
+  bool keep_ground_truth_ = false;
 };
 
 }  // namespace wlan::sim

@@ -73,6 +73,7 @@ Network::Network(const NetworkConfig& config)
         static_cast<std::uint64_t>(i) << 48));
     channels_.back()->set_scalar_reception(
         config.reference == EngineOptions::Reference::kScalarReception);
+    channels_.back()->set_keep_ground_truth(config.keep_ground_truth);
   }
   if (!single_queue_) {
     sim_.set_schedule_observer(&Network::observe_control_schedule, this);

@@ -34,7 +34,7 @@ namespace wlan::sim {
 
 /// Engine settings, declared once and inherited by every config that builds
 /// a Network (NetworkConfig, workload::ScenarioConfig, workload::CellConfig),
-/// so a caller copies them with one slice assignment.  Neither field ever
+/// so a caller copies them with one slice assignment.  No field ever
 /// changes an output byte.
 struct EngineOptions {
   /// The two reference engines the differential oracle suites run the
@@ -52,6 +52,10 @@ struct EngineOptions {
   /// wait yields its core while it polls, then parks.
   int shards = 1;
   Reference reference = Reference::kNone;
+  /// Keeps every channel's ground-truth log (one trace::TxRecord per
+  /// transmission), for tests that check the simulator against it.  Off,
+  /// the logs stay empty: the analysis reads only the sniffer captures.
+  bool keep_ground_truth = false;
 };
 
 struct NetworkConfig : EngineOptions {
@@ -139,7 +143,8 @@ class Network {
   /// Every channel's ground-truth log merged into one new vector, ordered
   /// by (end of air, channel index, position in the channel's log): the
   /// same order for any shard count, either reference engine, and any way
-  /// of splitting the run into run_for calls.
+  /// of splitting the run into run_for calls.  Empty unless
+  /// EngineOptions::keep_ground_truth was set.
   [[nodiscard]] std::vector<trace::TxRecord> ground_truth() const;
 
   [[nodiscard]] const std::vector<std::unique_ptr<AccessPoint>>& aps() const {

@@ -86,8 +86,10 @@ CellResult run_and_harvest_cell(sim::Network& net, const CellConfig& config,
   }
   result.trace.start_us = warmup_us;
   result.trace.end_us = end_us;
-  keep_after_warmup(net.channel(config.channel).ground_truth(),
-                    result.ground_truth);
+  if (config.keep_ground_truth) {
+    keep_after_warmup(net.channel(config.channel).ground_truth(),
+                      result.ground_truth);
+  }
   result.medium_transmissions = net.channel(config.channel).transmissions();
   result.medium_collisions = net.channel(config.channel).collisions();
   result.sniffer = sniffer0.stats();

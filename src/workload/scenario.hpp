@@ -4,9 +4,9 @@
 // Layer contract (workload): a scenario composes a floorplan, a user
 // population with traffic models, and a sim::NetworkConfig, runs the
 // simulation, and hands out the *sniffer captures* (plus ground truth for
-// tests).  This is the only layer that drives sim; everything downstream
-// consumes the captures.  New scenarios plug in here — see
-// docs/ARCHITECTURE.md ("Extension points").
+// tests that set keep_ground_truth).  This is the only layer that drives
+// sim; everything downstream consumes the captures.  New scenarios plug in
+// here — see docs/ARCHITECTURE.md ("Extension points").
 #pragma once
 
 #include <memory>
@@ -136,7 +136,8 @@ struct CellConfig : sim::EngineOptions {
 
 struct CellResult {
   trace::Trace trace;                        ///< sniffer view, warmup removed
-  std::vector<trace::TxRecord> ground_truth; ///< omniscient log
+  /// Omniscient log, warmup removed; empty unless keep_ground_truth.
+  std::vector<trace::TxRecord> ground_truth;
   std::uint64_t medium_transmissions = 0;
   std::uint64_t medium_collisions = 0;
   sim::SnifferStats sniffer;                 ///< sniffer 0's loss breakdown

@@ -20,6 +20,7 @@ workload::CellConfig moderate_cell() {
   cell.duration_s = 12.0;
   cell.warmup_s = 2.0;
   cell.profile.window = 1;
+  cell.keep_ground_truth = true;
   return cell;
 }
 
@@ -72,6 +73,7 @@ TEST_F(EndToEnd, AckCountTracksDataCount) {
 }
 
 TEST_F(EndToEnd, SniffedCountsAgreeWithGroundTruthScale) {
+  ASSERT_FALSE(result_->ground_truth.empty());
   // The sniffer cannot capture more than was transmitted.
   EXPECT_LE(result_->trace.records.size(), result_->ground_truth.size());
   // ...and at moderate load captures the large majority.

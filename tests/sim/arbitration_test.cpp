@@ -15,6 +15,7 @@ NetworkConfig quiet(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.channels = {6};
   cfg.propagation.shadowing_sigma_db = 0.0;
+  cfg.keep_ground_truth = true;
   return cfg;
 }
 
@@ -77,6 +78,7 @@ TEST(ArbitrationTest, TransmissionsNeverStartInsideForeignFrames) {
   net.run_for(sec(3));
 
   const auto& gt = net.ground_truth();
+  ASSERT_FALSE(gt.empty());
   for (std::size_t i = 0; i < gt.size(); ++i) {
     const auto end_i =
         gt[i].time_us + phy::raw_airtime(gt[i].size_bytes, gt[i].rate).count();

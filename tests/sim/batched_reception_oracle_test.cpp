@@ -42,6 +42,7 @@ TEST(BatchedReceptionOracle, RandomizedCellsMatchScalarPath) {
     cfg.num_sniffers = 1 + static_cast<int>(pick.uniform(3));
     cfg.duration_s = 10.0;
     cfg.warmup_s = 1.0;
+    cfg.keep_ground_truth = true;
     SCOPED_TRACE("round " + std::to_string(round) + " seed " +
                  std::to_string(cfg.seed) + " users " +
                  std::to_string(cfg.num_users));

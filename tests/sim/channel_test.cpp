@@ -15,6 +15,7 @@ NetworkConfig quiet_config(std::uint64_t seed = 5) {
   cfg.seed = seed;
   cfg.channels = {6};
   cfg.propagation.shadowing_sigma_db = 0.0;  // deterministic links
+  cfg.keep_ground_truth = true;
   return cfg;
 }
 
@@ -159,6 +160,7 @@ TEST(ChannelContention, GroundTruthMarksCollisions) {
   }
   net.run_for(sec(4));
   const auto& gt = net.ground_truth();
+  ASSERT_FALSE(gt.empty());
   const auto collided =
       std::count_if(gt.begin(), gt.end(), [](const trace::TxRecord& r) {
         return r.outcome == trace::TxOutcome::kCollision;
@@ -181,6 +183,7 @@ TEST(ChannelContention, RetryFlagSetOnRetransmissions) {
   }
   net.run_for(sec(4));
   const auto& gt = net.ground_truth();
+  ASSERT_FALSE(gt.empty());
   const bool any_retry =
       std::any_of(gt.begin(), gt.end(), [](const trace::TxRecord& r) {
         return r.type == mac::FrameType::kData && r.retry;

@@ -17,6 +17,7 @@ NetworkConfig quiet(std::uint64_t seed = 121) {
   cfg.seed = seed;
   cfg.channels = {6};
   cfg.propagation.shadowing_sigma_db = 0.0;
+  cfg.keep_ground_truth = true;
   return cfg;
 }
 
@@ -80,8 +81,10 @@ TEST(FragmentationTest, EveryFragmentIndividuallyAcked) {
   Fixture f(500);
   f.send(1400);
   f.net.run_for(msec(100));
+  const auto gt = f.net.ground_truth();
+  ASSERT_FALSE(gt.empty());
   std::size_t acks = 0;
-  for (const auto& r : f.net.ground_truth()) {
+  for (const auto& r : gt) {
     if (r.type == mac::FrameType::kAck) ++acks;
   }
   EXPECT_EQ(acks, 3u);

@@ -32,6 +32,7 @@ RunStats run_with_masks(std::uint32_t east_mask, std::uint32_t west_mask,
   cfg.seed = 5;
   cfg.channels = {6};
   cfg.propagation.shadowing_sigma_db = 0.0;  // deterministic links
+  cfg.keep_ground_truth = true;
   Network net(cfg);
   // The AP senses both wings, so its ACKs freeze everyone.
   AccessPoint& ap = net.add_ap({5, 5, 0}, 6, 4, east_mask | west_mask);
@@ -57,6 +58,7 @@ RunStats run_with_masks(std::uint32_t east_mask, std::uint32_t west_mask,
   stats.transmissions = net.channel(6).transmissions();
   stats.collisions = net.channel(6).collisions();
   const std::vector<trace::TxRecord> gt = net.ground_truth();
+  EXPECT_FALSE(gt.empty());
   stats.acks = static_cast<std::uint64_t>(std::count_if(
       gt.begin(), gt.end(),
       [](const trace::TxRecord& r) { return r.type == mac::FrameType::kAck; }));

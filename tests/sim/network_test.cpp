@@ -136,7 +136,9 @@ TEST(NetworkTest, MergedTraceDedupsAcrossSniffers) {
 }
 
 TEST(NetworkTest, GroundTruthSpansAllChannels) {
-  Network net(tri_channel(37));
+  NetworkConfig cfg = tri_channel(37);
+  cfg.keep_ground_truth = true;
+  Network net(cfg);
   net.add_ap({1, 1, 0}, 1).start_beacons();
   net.add_ap({2, 2, 0}, 6).start_beacons();
   net.add_ap({3, 3, 0}, 11).start_beacons();

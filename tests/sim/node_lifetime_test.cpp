@@ -50,7 +50,9 @@ class NodeLifetime : public ::testing::Test {
   NodeLifetime()
       : prop_(deterministic_config(), 42),
         timing_(mac::timing_for(mac::TimingProfile::kPaper)),
-        channel_(sim_, prop_, timing_, 6, 1) {}
+        channel_(sim_, prop_, timing_, 6, 1) {
+    channel_.set_keep_ground_truth(true);
+  }
 
   static phy::PropagationConfig deterministic_config() {
     phy::PropagationConfig cfg;

@@ -39,7 +39,9 @@ TEST(PowerControlTest, FringeStationDeadWithoutBoost) {
 }
 
 TEST(PowerControlTest, BoostRestoresElevenMbps) {
-  Network net(fringe_net());
+  NetworkConfig cfg = fringe_net();
+  cfg.keep_ground_truth = true;
+  Network net(cfg);
   auto& ap = net.add_ap({10, 10, 0}, 6);
   StationConfig sc;
   sc.position = {50, 50, 0};
@@ -50,7 +52,9 @@ TEST(PowerControlTest, BoostRestoresElevenMbps) {
   net.run_for(sec(5));
   EXPECT_EQ(sta.stats().delivered, 30u);
   // ARF stays at 11 Mbps: every ground-truth data frame is fast.
-  for (const auto& r : net.ground_truth()) {
+  const auto gt = net.ground_truth();
+  ASSERT_FALSE(gt.empty());
+  for (const auto& r : gt) {
     if (r.type == mac::FrameType::kData) {
       EXPECT_EQ(r.rate, phy::Rate::kR11);
     }

@@ -67,6 +67,7 @@ TEST(ShardingOracle, RandomizedCellsMatchSingleQueue) {
     cfg.num_sniffers = 1 + static_cast<int>(pick.uniform(3));
     cfg.duration_s = 8.0;
     cfg.warmup_s = 1.0;
+    cfg.keep_ground_truth = true;
     SCOPED_TRACE("round " + std::to_string(round) + " seed " +
                  std::to_string(cfg.seed) + " users " +
                  std::to_string(cfg.num_users));
@@ -171,6 +172,7 @@ TEST(ShardingOracle, MultiChannelGroundTruthMatchesAcrossEnginesAndRunSplits) {
   cfg.scale = 0.1;
   cfg.churn_turnover_per_min = 4.0;
   cfg.churn_roam_mean_s = 3.0;
+  cfg.keep_ground_truth = true;
   const auto ground_truth = [&cfg](sim::EngineOptions::Reference reference,
                                    int shards,
                                    const std::vector<std::int64_t>& pieces_us) {

@@ -14,6 +14,7 @@ NetworkConfig quiet_config(std::uint64_t seed = 21) {
   cfg.seed = seed;
   cfg.channels = {1};
   cfg.propagation.shadowing_sigma_db = 0.0;
+  cfg.keep_ground_truth = true;
   return cfg;
 }
 

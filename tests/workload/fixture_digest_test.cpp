@@ -13,6 +13,10 @@
 // digests every per-sniffer capture the network hands out, the merged
 // capture the analysis reads, the ground truth and the delay histograms.
 //
+// Every pinned fixture opts in to ground truth (keep_ground_truth).  The
+// GroundTruthOptIn cases show that the log is empty at default options and
+// that keeping it moves no capture, counter or digest.
+//
 // A digest that moves on purpose is refreshed in its own commit, with the
 // reason in the message; the failure output prints the new value.
 #include <gtest/gtest.h>
@@ -24,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "trace/trace_io.hpp"
 #include "workload/scenario.hpp"
 
@@ -135,8 +140,15 @@ CellConfig small_cell(std::uint64_t seed) {
   return cfg;
 }
 
+/// `cfg` with the ground-truth log kept, which the pinned digests fold in.
+template <class Config>
+Config with_ground_truth(Config cfg) {
+  cfg.keep_ground_truth = true;
+  return cfg;
+}
+
 TEST(FixtureDigestTest, SingleSnifferCell) {
-  const CellResult r = run_cell(small_cell(101));
+  const CellResult r = run_cell(with_ground_truth(small_cell(101)));
   ASSERT_FALSE(r.trace.records.empty());
   ASSERT_FALSE(r.ground_truth.empty());
   EXPECT_TRUE(r.sniffer_traces.empty());
@@ -144,55 +156,77 @@ TEST(FixtureDigestTest, SingleSnifferCell) {
 }
 
 TEST(FixtureDigestTest, ThreeSnifferCell) {
-  CellConfig cfg = small_cell(202);
+  CellConfig cfg = with_ground_truth(small_cell(202));
   cfg.num_sniffers = 3;
   const CellResult r = run_cell(cfg);
   ASSERT_FALSE(r.trace.records.empty());
+  ASSERT_FALSE(r.ground_truth.empty());
   ASSERT_EQ(r.sniffer_traces.size(), 3u);
   EXPECT_GT(r.merge_stats.duplicates_dropped, 0u);
   EXPECT_EQ(digest(r), "15754a8753d101d4");
 }
 
 TEST(FixtureDigestTest, HiddenTerminal) {
-  CellConfig cfg = small_cell(303);
+  CellConfig cfg = with_ground_truth(small_cell(303));
   cfg.num_users = 8;
   cfg.per_user_pps = 20.0;
   cfg.rtscts_fraction = 0.0;
   const CellResult r = run_hidden_terminal(cfg);
   ASSERT_FALSE(r.trace.records.empty());
+  ASSERT_FALSE(r.ground_truth.empty());
   EXPECT_GT(r.medium_collisions, 0u);
   EXPECT_EQ(digest(r), "30b244b3bde075a2");
 }
 
-/// Runs a session scenario to its end and digests what the network hands
-/// out: each sniffer's capture, the merged capture, the ground truth and
-/// the delay histograms.
-std::string session_digest(const ScenarioConfig& cfg, SessionKind kind) {
+/// What a finished session hands out: each sniffer's capture, the merged
+/// capture the analysis reads, the ground truth, the delay histograms and
+/// every counter the run deposited.
+struct SessionOutput {
+  std::vector<trace::Trace> traces;
+  trace::Trace merged;
+  std::vector<trace::TxRecord> ground_truth;
+  util::LogHistogram queue_delay;
+  util::LogHistogram service_delay;
+  obs::Metrics metrics;
+};
+
+SessionOutput run_session(const ScenarioConfig& cfg, SessionKind kind) {
+  SessionOutput out;
+  obs::MetricsScope scope(out.metrics);
   Scenario scenario = kind == SessionKind::kDay ? Scenario::day(cfg)
                                                 : Scenario::plenary(cfg);
   scenario.run();
+  scenario.harvest_metrics(out.metrics);
   const sim::Network& net = scenario.network();
-  const std::vector<trace::Trace> traces = net.sniffer_traces();
-  const trace::Trace merged = trace::merge_sniffer_traces(traces).trace;
-  EXPECT_EQ(traces.size(), 3u);
-  EXPECT_FALSE(merged.records.empty());
-  EXPECT_FALSE(net.ground_truth().empty());
+  out.traces = net.sniffer_traces();
+  out.merged = trace::merge_sniffer_traces(out.traces).trace;
+  out.ground_truth = net.ground_truth();
+  net.harvest_delays(out.queue_delay, out.service_delay);
+  EXPECT_EQ(out.traces.size(), 3u);
+  EXPECT_FALSE(out.merged.records.empty());
   if (scenario.has_churn()) {
     // Some attendees have left, so station teardown is pinned too.
     EXPECT_LT(scenario.churn().live(), scenario.churn().arrivals());
   }
+  return out;
+}
 
+std::string digest(const SessionOutput& s) {
   Fnv1a fnv;
-  fnv.u64(traces.size());
-  for (const trace::Trace& t : traces) add_trace(fnv, t);
-  add_trace(fnv, merged);
-  add_ground_truth(fnv, net.ground_truth());
-  util::LogHistogram queue_delay;
-  util::LogHistogram service_delay;
-  net.harvest_delays(queue_delay, service_delay);
-  add_histogram(fnv, queue_delay);
-  add_histogram(fnv, service_delay);
+  fnv.u64(s.traces.size());
+  for (const trace::Trace& t : s.traces) add_trace(fnv, t);
+  add_trace(fnv, s.merged);
+  add_ground_truth(fnv, s.ground_truth);
+  add_histogram(fnv, s.queue_delay);
+  add_histogram(fnv, s.service_delay);
   return fnv.hex();
+}
+
+/// Runs a session with its ground truth kept and digests it.
+std::string session_digest(const ScenarioConfig& cfg, SessionKind kind) {
+  const SessionOutput s = run_session(with_ground_truth(cfg), kind);
+  EXPECT_FALSE(s.ground_truth.empty());
+  return digest(s);
 }
 
 ScenarioConfig small_session(std::uint64_t seed) {
@@ -200,6 +234,12 @@ ScenarioConfig small_session(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.duration_s = 15.0;
   cfg.scale = 0.1;
+  return cfg;
+}
+
+ScenarioConfig small_churn_session(std::uint64_t seed) {
+  ScenarioConfig cfg = small_session(seed);
+  cfg.churn_turnover_per_min = 2.0;
   return cfg;
 }
 
@@ -214,9 +254,73 @@ TEST(FixtureDigestTest, PlenarySession) {
 }
 
 TEST(FixtureDigestTest, DayChurnSession) {
-  ScenarioConfig cfg = small_session(606);
-  cfg.churn_turnover_per_min = 2.0;
-  EXPECT_EQ(session_digest(cfg, SessionKind::kDay), "937e7ea2f4ae8752");
+  EXPECT_EQ(session_digest(small_churn_session(606), SessionKind::kDay),
+            "937e7ea2f4ae8752");
+}
+
+void expect_same_counters(const obs::Metrics& a, const obs::Metrics& b) {
+  for (std::size_t c = 0; c < obs::kNumCounters; ++c) {
+    const auto id = static_cast<obs::Id>(c);
+    EXPECT_EQ(a.value(id), b.value(id)) << "counter " << obs::name(id);
+  }
+}
+
+// At default options no channel logs a TxRecord: not in a cell, not in a
+// plenary, not in a churning day.
+TEST(GroundTruthOptIn, DefaultOptionsKeepNone) {
+  CellConfig cell = small_cell(202);
+  cell.num_sniffers = 3;
+  const CellResult r = run_cell(cell);
+  ASSERT_FALSE(r.trace.records.empty());
+  EXPECT_TRUE(r.ground_truth.empty());
+
+  const SessionOutput plenary =
+      run_session(small_session(505), SessionKind::kPlenary);
+  ASSERT_FALSE(plenary.merged.records.empty());
+  EXPECT_TRUE(plenary.ground_truth.empty());
+
+  const SessionOutput day =
+      run_session(small_churn_session(606), SessionKind::kDay);
+  ASSERT_FALSE(day.merged.records.empty());
+  EXPECT_TRUE(day.ground_truth.empty());
+}
+
+// Keeping the log changes nothing else: with ground truth left out, the
+// kept and the default run give the same capture CSV bytes, counters and
+// fixture digest.
+TEST(GroundTruthOptIn, KeepingItMovesNoOtherOutput) {
+  CellConfig cell = small_cell(202);
+  cell.num_sniffers = 3;
+  obs::Metrics cell_plain_metrics;
+  obs::Metrics cell_kept_metrics;
+  CellResult cell_plain;
+  CellResult cell_kept;
+  {
+    obs::MetricsScope scope(cell_plain_metrics);
+    cell_plain = run_cell(cell);
+  }
+  {
+    obs::MetricsScope scope(cell_kept_metrics);
+    cell_kept = run_cell(with_ground_truth(cell));
+  }
+  ASSERT_FALSE(cell_kept.ground_truth.empty());
+  cell_kept.ground_truth.clear();
+  EXPECT_EQ(csv_bytes(cell_plain.trace), csv_bytes(cell_kept.trace));
+  expect_same_counters(cell_plain_metrics, cell_kept_metrics);
+  EXPECT_EQ(digest(cell_plain), digest(cell_kept));
+
+  for (const auto& [cfg, kind] :
+       {std::pair{small_session(505), SessionKind::kPlenary},
+        std::pair{small_churn_session(606), SessionKind::kDay}}) {
+    SCOPED_TRACE(kind == SessionKind::kDay ? "churning day" : "plenary");
+    const SessionOutput plain = run_session(cfg, kind);
+    SessionOutput kept = run_session(with_ground_truth(cfg), kind);
+    ASSERT_FALSE(kept.ground_truth.empty());
+    kept.ground_truth.clear();
+    EXPECT_EQ(csv_bytes(plain.merged), csv_bytes(kept.merged));
+    expect_same_counters(plain.metrics, kept.metrics);
+    EXPECT_EQ(digest(plain), digest(kept));
+  }
 }
 
 }  // namespace

@@ -54,6 +54,7 @@ TEST(ScenarioTest, RunProducesTraffic) {
 
 TEST(RunCellTest, ProducesTraceAndGroundTruth) {
   CellConfig cell;
+  cell.keep_ground_truth = true;
   cell.seed = 3;
   cell.num_users = 8;
   cell.duration_s = 6.0;
@@ -67,11 +68,14 @@ TEST(RunCellTest, ProducesTraceAndGroundTruth) {
 
 TEST(RunCellTest, WarmupStripped) {
   CellConfig cell;
+  cell.keep_ground_truth = true;
   cell.seed = 3;
   cell.num_users = 8;
   cell.duration_s = 6.0;
   cell.warmup_s = 2.0;
   const auto result = run_cell(cell);
+  ASSERT_FALSE(result.trace.records.empty());
+  ASSERT_FALSE(result.ground_truth.empty());
   for (const auto& r : result.trace.records) {
     EXPECT_GE(r.time_us, 2'000'000);
   }
@@ -118,6 +122,7 @@ TEST(RunCellTest, MoreUsersMoreTraffic) {
 
 TEST(RunCellTest, FarFractionProducesLowRateTraffic) {
   CellConfig cell;
+  cell.keep_ground_truth = true;
   cell.seed = 7;
   cell.num_users = 12;
   cell.per_user_pps = 40.0;

@@ -14,6 +14,7 @@ sim::NetworkConfig small_net(std::uint64_t seed = 51) {
   cfg.seed = seed;
   cfg.channels = {6};
   cfg.propagation.shadowing_sigma_db = 0.0;
+  cfg.keep_ground_truth = true;
   return cfg;
 }
 
@@ -87,7 +88,9 @@ TEST(UserSessionTest, NoTrafficAfterDeparture) {
   net.run_for(sec(1));
   const mac::Addr sta = user.station()->addr();
   const auto boundary = net.simulator().now() - sec(1) + msec(200);
-  for (const auto& r : net.ground_truth()) {
+  const auto gt = net.ground_truth();
+  ASSERT_FALSE(gt.empty());
+  for (const auto& r : gt) {
     if (r.src == sta && Microseconds{r.time_us} > boundary) {
       FAIL() << "station transmitted after departure at " << r.time_us;
     }
