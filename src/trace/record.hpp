@@ -7,6 +7,7 @@
 //
 // A TxRecord is simulator ground truth (one per transmission *attempt*) that
 // no real sniffer could produce; tests use it to validate the estimators.
+// The simulator logs them only for a run that asks (tests opt in).
 //
 // Layer contract (trace): this layer is the boundary between producers
 // (sim sniffers, pcap/CSV readers) and consumers (core analyzers).  Both
@@ -25,23 +26,28 @@
 
 namespace wlan::trace {
 
+/// Fields run from widest to narrowest, so the struct packs into 40 bytes
+/// with no padding between fields.  The codecs read and write field by
+/// field, so the order is not a file format.
 struct CaptureRecord {
   std::int64_t time_us = 0;    ///< sniffer clock at frame start
-  std::uint8_t channel = 1;
-  phy::Rate rate = phy::Rate::kR1;
+  /// Simulator frame id (0 for real captures).  Lets tests join captures
+  /// against ground truth; the analysis layer never reads it.
+  std::uint64_t frame_id = 0;
   float snr_db = 0.0f;         ///< RFMon-reported SNR at the sniffer
-  mac::FrameType type = mac::FrameType::kData;
+  std::uint32_t size_bytes = 0;  ///< total MAC bytes on air
   mac::Addr src = mac::kNoAddr;
   mac::Addr dst = mac::kNoAddr;
   mac::Addr bssid = mac::kNoAddr;
   std::uint16_t seq = 0;
+  std::uint8_t channel = 1;
+  phy::Rate rate = phy::Rate::kR1;
+  mac::FrameType type = mac::FrameType::kData;
   bool retry = false;
-  std::uint32_t size_bytes = 0;  ///< total MAC bytes on air
   std::uint8_t sniffer_id = 0;
-  /// Simulator frame id (0 for real captures).  Lets tests join captures
-  /// against ground truth; the analysis layer never reads it.
-  std::uint64_t frame_id = 0;
 };
+static_assert(sizeof(CaptureRecord) == 40,
+              "every capture, merged trace and record copy holds these");
 
 /// Outcome of one transmission attempt, from the simulator's omniscient view.
 enum class TxOutcome : std::uint8_t {
