@@ -59,9 +59,8 @@ int main(int argc, char** argv) {
   std::printf("  congestion state    : %s (paper thresholds: <30%% / 30-84%% / >84%%)\n",
               std::string(core::congestion_level_name(level)).c_str());
 
-  const auto unrecorded = core::estimate_unrecorded(result.trace);
   std::printf("  unrecorded frames   : %.1f %% (estimated via DCF atomicity)\n",
-              unrecorded.totals.unrecorded_pct());
+              analysis.unrecorded.unrecorded_pct());
 
   std::printf("\nFrame mix: %llu data, %llu ACK, %llu RTS, %llu CTS\n",
               static_cast<unsigned long long>(analysis.total_data),
