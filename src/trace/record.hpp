@@ -47,7 +47,8 @@ struct CaptureRecord {
   std::uint8_t sniffer_id = 0;
 };
 static_assert(sizeof(CaptureRecord) == 40,
-              "every capture, merged trace and record copy holds these");
+              "CaptureRecord packs into 40 bytes only with its widest "
+              "fields first");
 
 /// Outcome of one transmission attempt, from the simulator's omniscient view.
 enum class TxOutcome : std::uint8_t {

@@ -192,22 +192,24 @@ struct SessionOutput {
 
 SessionOutput run_session(const ScenarioConfig& cfg, SessionKind kind) {
   SessionOutput out;
-  obs::MetricsScope scope(out.metrics);
-  Scenario scenario = kind == SessionKind::kDay ? Scenario::day(cfg)
-                                                : Scenario::plenary(cfg);
-  scenario.run();
-  scenario.harvest_metrics(out.metrics);
-  const sim::Network& net = scenario.network();
-  out.traces = net.sniffer_traces();
-  out.merged = trace::merge_sniffer_traces(out.traces).trace;
-  out.ground_truth = net.ground_truth();
-  net.harvest_delays(out.queue_delay, out.service_delay);
+  {
+    obs::MetricsScope scope(out.metrics);
+    Scenario scenario = kind == SessionKind::kDay ? Scenario::day(cfg)
+                                                  : Scenario::plenary(cfg);
+    scenario.run();
+    scenario.harvest_metrics(out.metrics);
+    const sim::Network& net = scenario.network();
+    out.traces = net.sniffer_traces();
+    out.merged = trace::merge_sniffer_traces(out.traces).trace;
+    out.ground_truth = net.ground_truth();
+    net.harvest_delays(out.queue_delay, out.service_delay);
+    if (scenario.has_churn()) {
+      // Some attendees have left, so station teardown is pinned too.
+      EXPECT_LT(scenario.churn().live(), scenario.churn().arrivals());
+    }
+  }
   EXPECT_EQ(out.traces.size(), 3u);
   EXPECT_FALSE(out.merged.records.empty());
-  if (scenario.has_churn()) {
-    // Some attendees have left, so station teardown is pinned too.
-    EXPECT_LT(scenario.churn().live(), scenario.churn().arrivals());
-  }
   return out;
 }
 
