@@ -52,8 +52,6 @@ COMMANDS = [
      ["bench_ablation_rate_adaptation", "--threads", "2", "--seeds", "1",
       "--duration", "20", "--quiet", "--out-dir", "."]),
     ("example_quickstart.stdout", ["example_quickstart"]),
-    ("example_rate_adaptation_study.stdout",
-     ["example_rate_adaptation_study"]),
     ("example_trace_tool.stdout", ["example_trace_tool", "ietf_day.trace"]),
     ("example_trace_tool_ch1.stdout",
      ["example_trace_tool", "ietf_day.trace", "--channel", "1", "--csv",
