@@ -20,8 +20,8 @@
 //    run and harvests it after.  The thread-local current() pointer is the
 //    only global state, so concurrent runs on the runner's pool never
 //    share a register.
-//  * Cheap increments.  Hot structures (FrameSuccessCache, ExactUnaryMemo,
-//    the event kernel sim::Simulator, Channel) keep plain member counters —
+//  * Cheap increments.  Hot structures (the phy::ExactMemo caches, the
+//    event kernel sim::Simulator, Channel) keep plain member counters —
 //    one untaken-branch-free integer add in the hot path, no TLS lookup —
 //    and the sim layer harvests them into current() once per run
 //    (Network::harvest_metrics, which calls Simulator::harvest_metrics).

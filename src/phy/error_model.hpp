@@ -11,11 +11,11 @@
 // < BER(11), which is what drives rate adaptation in the paper.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <cstring>
-#include <vector>
 
-#include "obs/metrics.hpp"
+#include "phy/exact_memo.hpp"
 #include "phy/rate.hpp"
 
 namespace wlan::phy {
@@ -39,105 +39,63 @@ double required_snr_db(Rate rate, std::uint32_t bytes, double target);
 /// memo cache below; this guard spares them four libm pow() calls each.
 double saturation_snr_db(Rate rate);
 
-/// Direct-mapped memo for frame_success_probability.
+/// frame_success_probability's arguments as an ExactMemo key: the SINR by
+/// bit pattern, the frame length and the rate.
+struct FrameSuccessKey {
+  std::uint64_t snr_bits = kEmptyKeyBits;
+  std::uint32_t bytes = 0;
+  Rate rate = Rate::kR1;
+
+  bool operator==(const FrameSuccessKey&) const = default;
+  [[nodiscard]] std::uint64_t slot_hash() const {
+    const std::uint64_t mix = (snr_bits * 0x9E3779B97F4A7C15ULL) ^
+                              (static_cast<std::uint64_t>(bytes) << 8) ^
+                              static_cast<std::uint64_t>(rate);
+    return mix * 0xC2B2AE3D27D4EB4FULL;
+  }
+  [[nodiscard]] double eval() const {
+    return frame_success_probability(rate, bytes,
+                                     std::bit_cast<double>(snr_bits));
+  }
+};
+
+/// Exact memo of frame_success_probability, one per channel and sniffer.
 ///
 /// The channel evaluates millions of receptions per run, but on static links
 /// the (rate, size, SINR) triple repeats endlessly: every ACK/CTS/beacon has
 /// a fixed size and every non-overlapped frame on a link sees the same SINR
-/// run-round.  frame_success_probability burns four libm pow() calls; this
-/// cache keys on the *exact* triple (SINR compared by bit pattern) so a hit
-/// returns the identical double the direct computation would — simulations
-/// stay byte-for-byte deterministic.
-///
-/// Sizing: the working set is one (size, SINR) point per live link x frame
-/// size, so a big cell wants ~2^18 slots while a unit-test fixture touches a
-/// few hundred — and a sweep constructs hundreds of caches, so a large
-/// upfront table would zero megabytes per run for nothing.  The cache
-/// therefore starts at 2^log2_entries and grows 4x (up to the cap) whenever
-/// the misses since the last resize exceed four times the table — a purely
-/// size-driven, deterministic policy.  Growth discards the table (hits must
-/// re-miss once) but never changes a returned value: every entry is an exact
-/// memo, so capacity only moves the hit rate, keeping output byte-identical
-/// across sizes.  Not thread-safe: own one per channel or sniffer, never
-/// share across runner threads.
-class FrameSuccessCache {
+/// run-round, so the memo spares most of the four libm pow() calls.
+/// Saturated SINRs (common for close-in receivers) would instead flood the
+/// table with single-use keys, so they are answered first, without touching
+/// it; the thresholds are copied in at construction, because this runs tens
+/// of millions of times per session, too hot for a static-local guard.
+class FrameSuccessCache : private ExactMemo<FrameSuccessKey> {
  public:
-  explicit FrameSuccessCache(unsigned log2_entries = 12,
-                             unsigned log2_entries_cap = 12)
-      : log2_(log2_entries), log2_cap_(log2_entries_cap),
-        entries_(std::size_t{1} << log2_entries) {
+  FrameSuccessCache(unsigned log2_entries, unsigned log2_entries_cap)
+      : ExactMemo(log2_entries, log2_entries_cap) {
     for (Rate r : kAllRates) {
       saturation_db_[rate_index(r)] = saturation_snr_db(r);
     }
   }
 
   double operator()(Rate rate, std::uint32_t bytes, double snr_db) {
-    // Saturated SINRs (common for close-in receivers) would otherwise flood
-    // the table with single-use keys; answer them without touching it.
-    // (Thresholds are copied into the cache at construction: this runs tens
-    // of millions of times per session, too hot for a static-local guard.)
     if (snr_db >= saturation_db_[rate_index(rate)]) {
       ++saturated_;
       return 1.0;
     }
-    std::uint64_t snr_bits;
-    std::memcpy(&snr_bits, &snr_db, sizeof snr_bits);
-    const std::uint64_t key =
-        (snr_bits * 0x9E3779B97F4A7C15ULL) ^
-        (static_cast<std::uint64_t>(bytes) << 8) ^
-        static_cast<std::uint64_t>(rate);
-    Entry* e = &entries_[(key * 0xC2B2AE3D27D4EB4FULL) >> (64 - log2_)];
-    if (e->snr_bits == snr_bits && e->bytes == bytes && e->rate == rate &&
-        e->valid) {
-      ++hits_;
-      return e->p;
-    }
-    ++evals_;
-    if (log2_ < log2_cap_ &&
-        ++misses_since_resize_ >= (entries_.size() << 2)) {
-      ++resizes_;
-      log2_ = log2_ + 2 > log2_cap_ ? log2_cap_ : log2_ + 2;
-      entries_.assign(std::size_t{1} << log2_, Entry{});
-      misses_since_resize_ = 0;
-      e = &entries_[(key * 0xC2B2AE3D27D4EB4FULL) >> (64 - log2_)];
-    }
-    e->snr_bits = snr_bits;
-    e->bytes = bytes;
-    e->rate = rate;
-    e->valid = true;
-    e->p = frame_success_probability(rate, bytes, snr_db);
-    return e->p;
+    return ExactMemo::operator()(
+        FrameSuccessKey{std::bit_cast<std::uint64_t>(snr_db), bytes, rate});
   }
 
-  /// Current table size; tests pin the growth policy with this.
-  [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
-
-  // Work counters: exact-key hits, full frame_success_probability
-  // evaluations (the four-libm-pow path), answers served by the saturation
-  // shortcut, and table resizes.  Deterministic per (seed, config);
-  // harvested into obs::Metrics once per run.
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t evals() const { return evals_; }
+  using ExactMemo::capacity;
+  using ExactMemo::evals;
+  using ExactMemo::hits;
+  using ExactMemo::resizes;
+  /// Answers served by the saturation shortcut, which never reach the memo.
   [[nodiscard]] std::uint64_t saturated() const { return saturated_; }
-  [[nodiscard]] std::uint64_t resizes() const { return resizes_; }
 
  private:
-  struct Entry {
-    std::uint64_t snr_bits = 0;
-    double p = 0.0;
-    std::uint32_t bytes = 0;
-    Rate rate = Rate::kR1;
-    bool valid = false;
-  };
-
-  unsigned log2_;
-  unsigned log2_cap_;
-  std::uint64_t misses_since_resize_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t evals_ = 0;
   std::uint64_t saturated_ = 0;
-  std::uint64_t resizes_ = 0;
-  std::vector<Entry> entries_;
   std::array<double, kNumRates> saturation_db_{};
 };
 

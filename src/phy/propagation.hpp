@@ -7,10 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace wlan::phy {
@@ -64,72 +61,5 @@ class Propagation {
 /// dBm <-> milliwatt conversions for interference summation.
 inline double dbm_to_mw(double dbm) { return std::pow(10.0, dbm / 10.0); }
 inline double mw_to_dbm(double mw) { return 10.0 * std::log10(mw); }
-
-/// Direct-mapped exact memo for a unary libm-backed conversion.
-///
-/// Interference summation converts the same dBm values over and over: link
-/// budgets are fixed between moves, so `rx_power + offset` draws from a set
-/// about the size of (live link pairs x transmit-power offsets), and the
-/// denominators those sums produce recur whenever the same frames collide
-/// again.  Keys on the argument's exact bit pattern and stores Fn's exact
-/// result, so a hit returns the identical double a direct call would —
-/// capacity only moves the hit rate, never a value (the same contract as
-/// FrameSuccessCache, including the deterministic start-small/grow-4x
-/// policy: per-run fixtures construct many channels, so a large upfront
-/// table would zero hundreds of KB for nothing).  Not thread-safe: own one
-/// per channel, never share across runner threads.
-template <double (*Fn)(double)>
-class ExactUnaryMemo {
- public:
-  explicit ExactUnaryMemo(unsigned log2_entries = 10,
-                          unsigned log2_entries_cap = 15)
-      : log2_(log2_entries), log2_cap_(log2_entries_cap),
-        entries_(std::size_t{1} << log2_entries, Entry{kEmptyBits, 0.0}) {}
-
-  double operator()(double x) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &x, sizeof bits);
-    Entry* e = &entries_[(bits * 0x9E3779B97F4A7C15ULL) >> (64 - log2_)];
-    if (e->bits == bits) {
-      ++hits_;
-      return e->value;
-    }
-    ++evals_;
-    if (log2_ < log2_cap_ &&
-        ++misses_since_resize_ >= (entries_.size() << 2)) {
-      log2_ = log2_ + 2 > log2_cap_ ? log2_cap_ : log2_ + 2;
-      entries_.assign(std::size_t{1} << log2_, Entry{kEmptyBits, 0.0});
-      misses_since_resize_ = 0;
-      e = &entries_[(bits * 0x9E3779B97F4A7C15ULL) >> (64 - log2_)];
-    }
-    e->bits = bits;
-    e->value = Fn(x);
-    return e->value;
-  }
-
-  /// Current table size; tests pin the growth policy with this.
-  [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
-
-  // Work counters: exact-key hits vs full Fn (libm) evaluations.  Harvested
-  // into obs::Metrics once per run.
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t evals() const { return evals_; }
-
- private:
-  struct Entry {
-    std::uint64_t bits;
-    double value;
-  };
-  // A signalling-NaN payload no real dBm/mW argument can carry, so an empty
-  // slot can never alias a live key and no separate valid flag is needed.
-  static constexpr std::uint64_t kEmptyBits = 0x7FF4DEADBEEFDEADULL;
-
-  unsigned log2_;
-  unsigned log2_cap_;
-  std::uint64_t misses_since_resize_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t evals_ = 0;
-  std::vector<Entry> entries_;
-};
 
 }  // namespace wlan::phy

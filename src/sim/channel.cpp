@@ -14,10 +14,10 @@ Channel::Channel(Simulator& sim, const phy::Propagation& prop,
                  std::uint64_t seed, std::uint64_t frame_id_base)
     : sim_(sim), prop_(prop), timing_(timing), number_(number),
       rng_(seed ^ (0xC0FFEEULL + number)), links_(prop),
-      // Start the success memo small (a unit-test cell touches a few hundred
-      // triples) but let a big session grow it to 2^18; size never changes
-      // returned values (see FrameSuccessCache).
-      frame_success_(12, 14),
+      // Start the memos small (a unit-test cell touches a few hundred keys)
+      // but let a big session grow them; size never changes returned values
+      // (see phy::ExactMemo).
+      frame_success_(12, 14), dbm_to_mw_memo_(10, 15), mw_to_dbm_memo_(10, 15),
       noise_mw_(phy::dbm_to_mw(phy::kNoiseFloorDbm)),
       noise_db_roundtrip_(phy::mw_to_dbm(noise_mw_)),
       last_frame_id_(frame_id_base) {

@@ -53,6 +53,7 @@
 #include "mac/timing.hpp"
 #include "obs/metrics.hpp"
 #include "phy/error_model.hpp"
+#include "phy/exact_memo.hpp"
 #include "phy/link_cache.hpp"
 #include "phy/propagation.hpp"
 #include "sim/node.hpp"
@@ -309,11 +310,11 @@ class Channel {
   std::vector<std::uint8_t> link_departed_;
   phy::FrameSuccessCache frame_success_;
   /// Exact memos for the interference unit conversions (hits return the
-  /// identical doubles the libm calls would; see phy::ExactUnaryMemo).
+  /// identical doubles the libm calls would; see phy::ExactMemo).
   /// mutable: sinr_db_at is logically const; memo fills are invisible to
   /// callers (hits and misses return the same bits).
-  mutable phy::ExactUnaryMemo<&phy::dbm_to_mw> dbm_to_mw_memo_;
-  mutable phy::ExactUnaryMemo<&phy::mw_to_dbm> mw_to_dbm_memo_;
+  mutable phy::ExactMemo<phy::UnaryKey<&phy::dbm_to_mw>> dbm_to_mw_memo_;
+  mutable phy::ExactMemo<phy::UnaryKey<&phy::mw_to_dbm>> mw_to_dbm_memo_;
   /// Noise floor in mW and its dB round-trip, hoisted out of sinr_db_at
   /// (bit-identical to recomputing per call; see sinr_db_at).
   double noise_mw_ = 0.0;
