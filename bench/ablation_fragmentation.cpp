@@ -49,21 +49,13 @@ std::uint64_t fringe_delivered(std::uint32_t threshold) {
   return sta.stats().delivered;
 }
 
-/// A clean, contended cell: fragmentation is pure overhead here.
+/// A clean, contended cell: ten backlogged uplinks next to one AP, on
+/// NetworkConfig's default paper timing profile (Table 2's contention
+/// values).  run_cell has no frag knob (fragmentation is a station-level
+/// setting), so the cell is built directly.
 double contended_goodput(std::uint32_t threshold) {
-  workload::CellConfig cell;
-  cell.seed = 9901;
-  cell.num_users = 10;
-  cell.per_user_pps = 60.0;
-  cell.far_fraction = 0.0;
-  cell.duration_s = 15.0;
-  cell.timing = mac::TimingProfile::kStandard;
-  cell.profile.window = 3;
-  cell.profile.uplink_fraction = 0.5;
-  // run_cell has no frag knob (fragmentation is a station-level setting),
-  // so model the clean cell directly for the threshold comparison.
   sim::NetworkConfig cfg;
-  cfg.seed = cell.seed;
+  cfg.seed = 9901;
   cfg.channels = {6};
   cfg.propagation.shadowing_sigma_db = 0.0;
   sim::Network net(cfg);

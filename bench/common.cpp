@@ -53,6 +53,17 @@ exp::ExperimentSpec standard_spec(const std::string& name,
   return spec;
 }
 
+workload::Scenario ietf_session(bool plenary, double duration_s) {
+  workload::ScenarioConfig cfg;
+  cfg.seed = plenary ? 63 : 62;
+  cfg.duration_s = duration_s;
+  cfg.scale = kIetfSessionScale;
+  cfg.profile.mean_pps *= plenary ? 6.0 : 3.0;
+  cfg.profile.window = plenary ? 3 : 1;
+  return plenary ? workload::Scenario::plenary(cfg)
+                 : workload::Scenario::day(cfg);
+}
+
 core::FigureAccumulator run_sweep(const exp::ExperimentSpec& spec,
                                   const exp::BenchArgs& args) {
   return exp::run_experiment(spec, exp::runner_options(args)).figures;

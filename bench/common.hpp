@@ -23,6 +23,7 @@
 #include "exp/args.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
+#include "workload/scenario.hpp"
 
 namespace wlan::bench {
 
@@ -44,6 +45,15 @@ struct SweepOptions {
 [[nodiscard]] exp::ExperimentSpec standard_spec(const std::string& name,
                                                 const exp::BenchArgs& args,
                                                 const SweepOptions& opt = {});
+
+/// Scale of the Table 1 sessions the fig04, fig05 and tab1 benches run.
+inline constexpr double kIetfSessionScale = 0.2;
+
+/// One of the two Table 1 sessions as those benches run it, for
+/// `duration_s` simulated seconds: the day (seed 62, mean_pps x3,
+/// window 1) or the plenary (seed 63, mean_pps x6, window 3), both at
+/// kIetfSessionScale.
+[[nodiscard]] workload::Scenario ietf_session(bool plenary, double duration_s);
 
 /// Runs the spec on the parallel runner and returns the merged figures.
 /// Per-run progress lines go to stderr when args.progress.

@@ -13,17 +13,12 @@
 int main() {
   using namespace wlan;
 
-  for (int plenary = 0; plenary <= 1; ++plenary) {
-    workload::ScenarioConfig cfg;
-    cfg.seed = 62 + plenary;
-    cfg.duration_s = 90.0;
-    cfg.scale = 0.2;
-    cfg.profile.mean_pps *= plenary ? 6.0 : 3.0;
-    cfg.profile.window = plenary ? 3 : 1;
-    auto scenario = plenary ? workload::Scenario::plenary(cfg)
-                            : workload::Scenario::day(cfg);
+  constexpr double kDurationS = 90.0;
+  for (const bool plenary : {false, true}) {
+    auto scenario = bench::ietf_session(plenary, kDurationS);
     std::printf("=== %s session (scale %.2f, %.0f s) ===\n",
-                scenario.name().c_str(), cfg.scale, cfg.duration_s);
+                scenario.name().c_str(), bench::kIetfSessionScale,
+                kDurationS);
     scenario.run();
     const auto merged =
         trace::merge_sniffer_traces(scenario.network().sniffer_traces()).trace;

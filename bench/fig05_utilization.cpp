@@ -15,15 +15,8 @@ int main() {
   using namespace wlan;
   const core::TraceAnalyzer analyzer;
 
-  for (int plenary = 0; plenary <= 1; ++plenary) {
-    workload::ScenarioConfig cfg;
-    cfg.seed = 62 + plenary;
-    cfg.duration_s = 120.0;
-    cfg.scale = 0.2;
-    cfg.profile.mean_pps *= plenary ? 6.0 : 3.0;
-    cfg.profile.window = plenary ? 3 : 1;
-    auto scenario = plenary ? workload::Scenario::plenary(cfg)
-                            : workload::Scenario::day(cfg);
+  for (const bool plenary : {false, true}) {
+    auto scenario = bench::ietf_session(plenary, 120.0);
     std::printf("=== %s session ===\n", scenario.name().c_str());
     scenario.run();
 

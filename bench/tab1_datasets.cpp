@@ -28,15 +28,8 @@ int main() {
   const core::TraceAnalyzer analyzer;
   std::vector<std::vector<std::string>> counts;
   counts.push_back({"Session", "Frames", "Data", "ACK", "RTS", "CTS"});
-  for (int plenary = 0; plenary <= 1; ++plenary) {
-    workload::ScenarioConfig cfg;
-    cfg.seed = 62 + plenary;
-    cfg.duration_s = 60.0;
-    cfg.scale = 0.2;
-    cfg.profile.mean_pps *= plenary ? 6.0 : 3.0;
-    cfg.profile.window = plenary ? 3 : 1;
-    auto scenario = plenary ? workload::Scenario::plenary(cfg)
-                            : workload::Scenario::day(cfg);
+  for (const bool plenary : {false, true}) {
+    auto scenario = bench::ietf_session(plenary, 60.0);
     scenario.run();
     const auto analysis = analyzer.analyze(
         trace::merge_sniffer_traces(scenario.network().sniffer_traces()).trace);
