@@ -137,7 +137,7 @@ AccessPoint& Network::add_ap(const phy::Position& where,
 Station& Network::add_station(std::uint8_t channel_no,
                               const StationConfig& config) {
   StationConfig cfg = config;
-  if (cfg.seed == 1) cfg.seed = rng_.next();
+  if (!cfg.seed) cfg.seed = rng_.next();
   const mac::Addr addr =
       cfg.addr != mac::kNoAddr ? cfg.addr : allocate_addr();
   stations_.push_back(
@@ -182,7 +182,7 @@ void Network::remove_station(Station* station) {
 
 Sniffer& Network::add_sniffer(const SnifferConfig& config) {
   SnifferConfig cfg = config;
-  if (cfg.seed == 7) cfg.seed = rng_.next();
+  if (!cfg.seed) cfg.seed = rng_.next();
   sniffers_.push_back(std::make_unique<Sniffer>(
       cfg, static_cast<std::uint8_t>(sniffers_.size())));
   channel(cfg.channel).add_sniffer(sniffers_.back().get());

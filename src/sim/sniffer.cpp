@@ -9,7 +9,7 @@
 namespace wlan::sim {
 
 Sniffer::Sniffer(const SnifferConfig& config, std::uint8_t id)
-    : config_(config), id_(id), rng_(config.seed ^ (0x534EULL * (id + 1))) {}
+    : config_(config), id_(id), rng_(config.seed.value_or(7) ^ (0x534EULL * (id + 1))) {}
 
 void Sniffer::observe(const mac::Frame& frame, Microseconds start,
                       double sinr_db, bool in_range) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "mac/frame.hpp"
 #include "phy/error_model.hpp"
@@ -25,7 +26,10 @@ namespace wlan::sim {
 struct SnifferConfig {
   phy::Position position;
   std::uint8_t channel = 1;
-  std::uint64_t seed = 7;
+  /// Seed of the sniffer's loss and jitter stream.  Unset,
+  /// Network::add_sniffer draws one from the network's stream, and a
+  /// sniffer built outside a network uses 7.
+  std::optional<std::uint64_t> seed;
   /// Frames/second the capture hardware sustains without loss.
   double capacity_fps = 1500.0;
   /// Ceiling on the overload drop probability.

@@ -8,9 +8,15 @@
 
 namespace wlan::sim {
 
+namespace {
+// The seed of a station built outside a Network with none set.
+constexpr std::uint64_t kStandaloneSeed = 1;
+}  // namespace
+
 Station::Station(Channel& channel, mac::Addr address, const StationConfig& config)
     : channel_(channel), addr_(address), config_(config),
-      rng_(config.seed ^ (0x5741ULL * address)), backoff_(channel.timing(), rng_) {
+      rng_(config.seed.value_or(kStandaloneSeed) ^ (0x5741ULL * address)),
+      backoff_(channel.timing(), rng_) {
   channel_.add_node(this);
 }
 
@@ -25,7 +31,8 @@ rate::RateController& Station::controller_for(mac::Addr peer_addr) {
     return **it;
   }
   controllers_.push_back(rate::PolicyRegistry::instance().make(
-      config_.rate, util::mix_seed(config_.seed, peer_addr)));
+      config_.rate,
+      util::mix_seed(config_.seed.value_or(kStandaloneSeed), peer_addr)));
   controller_index_.insert_or_assign(peer_addr, controllers_.back().get());
   obs::count(obs::Id::kRateControllersCreated);
   return *controllers_.back();

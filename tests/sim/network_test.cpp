@@ -180,6 +180,63 @@ TEST(NetworkTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// A seed a caller sets is the node's own, whatever its value: only an unset
+// seed draws from the network.  Seeds 1 and 7 (the station and sniffer
+// defaults) once meant "draw", so these nodes ran whatever the network drew
+// next, which moved when another node drew before them.
+TEST(NetworkTest, ExplicitSeedsHoldWhateverTheNetworkDrewBefore) {
+  struct Run {
+    std::vector<std::int64_t> station_tx;  ///< starts of the station's frames
+    std::vector<std::int64_t> capture;     ///< capture times
+    std::vector<float> capture_snr;        ///< and SNRs (sniffer jitter)
+  };
+  const auto run_once = [](bool draw_first) {
+    NetworkConfig cfg = tri_channel(41);
+    cfg.keep_ground_truth = true;
+    Network net(cfg);
+    auto& ap = net.add_ap({5, 5, 0}, 6);
+    // A sniffer on an idle channel: without a seed it takes one draw.
+    SnifferConfig idle;
+    idle.channel = 11;
+    if (!draw_first) idle.seed = 99;
+    net.add_sniffer(idle);
+
+    SnifferConfig sniff;
+    sniff.position = {6, 6, 0};
+    sniff.channel = 6;
+    sniff.seed = 7;
+    auto& sniffer = net.add_sniffer(sniff);
+    StationConfig sc;
+    sc.position = {8, 8, 0};
+    sc.seed = 1;
+    auto& sta = net.add_station(6, sc);
+    for (int i = 0; i < 20; ++i) {
+      Packet p;
+      p.dst = ap.vap_addrs()[0];
+      p.payload = 600;
+      p.bssid = p.dst;
+      sta.enqueue(p);
+    }
+    net.run_for(sec(1));
+    Run run;
+    for (const auto& r : net.ground_truth()) {
+      if (r.src == sta.addr()) run.station_tx.push_back(r.time_us);
+    }
+    for (const auto& r : sniffer.trace().records) {
+      run.capture.push_back(r.time_us);
+      run.capture_snr.push_back(r.snr_db);
+    }
+    return run;
+  };
+  const Run drawn = run_once(true);
+  const Run undrawn = run_once(false);
+  ASSERT_GE(drawn.station_tx.size(), 20u);
+  ASSERT_FALSE(drawn.capture.empty());
+  EXPECT_EQ(drawn.station_tx, undrawn.station_tx);
+  EXPECT_EQ(drawn.capture, undrawn.capture);
+  EXPECT_EQ(drawn.capture_snr, undrawn.capture_snr);
+}
+
 // A shard event's throw reaches run_for's caller whichever thread ran it,
 // and only after every worker has finished the phase: each case then reads
 // every lane's clock, which would race with a still-running worker (TSan).
