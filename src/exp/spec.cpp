@@ -49,16 +49,19 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
   }
   // The churn axis is only meaningful on the dynamic-population scenarios
   // (the "-churn" registry keys).  Anywhere it cannot vary behavior, a
-  // multi-valued axis would silently multiply the grid with duplicate runs
-  // — fail loudly instead (KNOWN_ISSUES PR 5 triage).
+  // nonzero rate would only reach the manifest and a multi-valued axis
+  // would silently multiply the grid with duplicate runs — fail loudly
+  // instead (KNOWN_ISSUES PR 5 triage).
   const std::string& scen = spec.scenario;
   const bool churn_scenario =
       scen.size() >= 6 && scen.compare(scen.size() - 6, 6, "-churn") == 0;
-  if (!churn_scenario && spec.churn_rates.size() > 1) {
+  if (!churn_scenario &&
+      (spec.churn_rates.size() > 1 || spec.churn_rates.front() != 0.0)) {
     throw std::invalid_argument(
         "ExperimentSpec: scenario \"" + scen +
         "\" has a static population and ignores the churn_rates axis; a "
-        "multi-valued churn_rates axis would only duplicate every run "
+        "nonzero churn rate would only be recorded in the manifest, and a "
+        "multi-valued axis would only duplicate every run "
         "(drop the axis or use a *-churn scenario)");
   }
   std::size_t zeros = 0;

@@ -73,8 +73,9 @@ struct ExperimentSpec {
   /// record the *raw* axis value, so a negative value (-0 too) is rejected,
   /// and a churn scenario substitutes its default (1 turnover/min) for 0 —
   /// so at most one 0 may be on the axis; static scenarios ignore the axis
-  /// entirely, so a multi-valued axis there is rejected (it would only
-  /// duplicate every run).
+  /// entirely, so there it must stay {0} (a nonzero value would only be
+  /// recorded in the manifest, a multi-valued axis would duplicate every
+  /// run).
   std::vector<double> churn_rates = {0.0};
 
   /// Everything not on an axis (traffic profile, geometry, sniffer
@@ -118,9 +119,8 @@ struct RunSpec {
 /// std::invalid_argument on an empty axis, seeds_per_point < 1, a duration
 /// outside (0, kMaxDurationS), a base.shards other than 1, an unknown
 /// rate-policy / timing name, a churn rate that is non-finite, negative
-/// (sign bit set, so -0 too) or above kMaxChurnPerMin, or a churn_rates axis
-/// that would silently duplicate runs (multi-valued on a static scenario,
-/// or more than one 0).
+/// (sign bit set, so -0 too) or above kMaxChurnPerMin, a churn_rates axis
+/// other than {0} on a static scenario, or more than one 0 on the axis.
 [[nodiscard]] std::vector<RunSpec> expand(const ExperimentSpec& spec);
 
 }  // namespace wlan::exp

@@ -146,6 +146,15 @@ TEST(SpecTest, BadSpecsThrow) {
     EXPECT_THROW(expand(spec), std::invalid_argument) << bad;
   }
 
+  // A static-population scenario ignores churn, so a single nonzero rate
+  // would only be written into every manifest row.
+  for (const char* scenario : {"cell", "ietf-day", "hidden-terminal"}) {
+    spec = small_spec();
+    spec.scenario = scenario;
+    spec.churn_rates = {5.0};
+    EXPECT_THROW(expand(spec), std::invalid_argument) << scenario;
+  }
+
   // The microsecond count of 1e300 s overflows the simulated clock.
   for (double bad : {1e300, 0.0, -1.0, std::nan("")}) {
     spec = small_spec();
