@@ -1,6 +1,6 @@
-// Fixture: phy must not include sim — this edge must fire layer-dag.
+// Fixture: phy must not include sim or obs — both edges must fire layer-dag.
 #pragma once
 
 #include "sim/channel.hpp"   // fires: phy -> sim is not in the DAG
-#include "obs/metrics.hpp"   // ok: phy -> obs
-#include "util/rng.hpp"      // ok: phy -> util (transitive closure)
+#include "obs/metrics.hpp"   // fires: phy -> obs is not in the DAG
+#include "util/rng.hpp"      // ok: phy -> util

@@ -100,11 +100,12 @@ class LayerDagRule(unittest.TestCase):
         self.assertEqual(len(lines), 1, lines)
         self.assertIn('"obs/metrics.hpp"', lines[0])
 
-    def test_phy_must_not_see_sim(self):
+    def test_phy_must_not_see_sim_or_obs(self):
         code, lines = self.run_dag("src/phy/bad_sees_sim.hpp")
         self.assertEqual(code, 1)
-        self.assertEqual(len(lines), 1, lines)
+        self.assertEqual(len(lines), 2, lines)
         self.assertIn('"sim/channel.hpp"', lines[0])
+        self.assertIn('"obs/metrics.hpp"', lines[1])
 
     def test_core_must_not_see_sim(self):
         code, lines = self.run_dag("src/core/bad_sees_sim.cpp")
@@ -122,7 +123,10 @@ class LayerDagRule(unittest.TestCase):
         self.assertNotIn("obs", allowed["util"])
         self.assertNotIn("sim", allowed["core"])
         self.assertNotIn("exp", allowed["sim"])
-        self.assertIn("util", allowed["rate"])   # via phy -> obs -> util
+        self.assertIn("util", allowed["rate"])   # via phy -> util
+        for layer in ("phy", "mac", "trace", "core"):
+            self.assertNotIn("obs", allowed[layer])
+        self.assertIn("obs", allowed["rate"])
         self.assertIn("obs", allowed["workload"])  # via sim
         for layer, deps in wlan_lint.DIRECT_DEPS.items():
             self.assertLessEqual(deps | {layer}, allowed[layer])

@@ -61,9 +61,9 @@ import sys
 DIRECT_DEPS = {
     "util": set(),
     "obs": {"util"},
-    "phy": {"obs", "util"},
+    "phy": {"util"},
     "mac": {"phy", "util"},
-    "rate": {"phy"},
+    "rate": {"phy", "obs"},
     "trace": {"mac", "phy", "util"},
     "core": {"trace", "mac", "phy", "util"},
     "sim": {"trace", "mac", "rate", "phy", "obs", "util"},
