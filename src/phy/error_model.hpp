@@ -60,16 +60,12 @@ struct FrameSuccessKey {
 };
 
 /// Exact memo of frame_success_probability, one per channel and sniffer.
-///
-/// The channel evaluates millions of receptions per run, but on static links
-/// the (rate, size, SINR) triple repeats endlessly: every ACK/CTS/beacon has
-/// a fixed size and every non-overlapped frame on a link sees the same SINR
-/// run-round, so the memo spares most of the four libm pow() calls.
-/// Saturated SINRs (common for close-in receivers) would instead flood the
-/// table with single-use keys, so they are answered first, without touching
-/// it; the thresholds are copied in at construction, because this runs tens
-/// of millions of times per session, too hot for a static-local guard.
-class FrameSuccessCache : private ExactMemo<FrameSuccessKey> {
+/// On static links the (rate, size, SINR) triple repeats endlessly (fixed
+/// ACK/CTS/beacon sizes, one SINR per non-overlapped link), so hits spare
+/// most of the four libm pow() calls.  Saturated SINRs, which would flood
+/// the table with single-use keys, are answered first; their thresholds are
+/// copied in at construction, as this runs too hot for a static-local guard.
+class FrameSuccessCache : public ExactMemo<FrameSuccessKey> {
  public:
   FrameSuccessCache(unsigned log2_entries, unsigned log2_entries_cap)
       : ExactMemo(log2_entries, log2_entries_cap) {
@@ -87,10 +83,6 @@ class FrameSuccessCache : private ExactMemo<FrameSuccessKey> {
         FrameSuccessKey{std::bit_cast<std::uint64_t>(snr_db), bytes, rate});
   }
 
-  using ExactMemo::capacity;
-  using ExactMemo::evals;
-  using ExactMemo::hits;
-  using ExactMemo::resizes;
   /// Answers served by the saturation shortcut, which never reach the memo.
   [[nodiscard]] std::uint64_t saturated() const { return saturated_; }
 

@@ -1,6 +1,5 @@
 // Direct-mapped exact memo: the one cache design behind the libm-backed
-// values the channel and the sniffers recompute millions of times per run
-// (frame success probabilities and the dBm <-> mW conversions).
+// values the channel and the sniffers recompute millions of times per run.
 #pragma once
 
 #include <bit>
@@ -9,30 +8,24 @@
 
 namespace wlan::phy {
 
-/// The bit pattern of an empty slot's key: a signalling-NaN payload that no
-/// memoized argument carries (arithmetic only ever yields quiet NaNs), so an
-/// empty slot can never alias a live key and no separate valid flag is
-/// needed.
+/// An empty slot's key bits: a signalling-NaN payload no memoized argument
+/// carries (arithmetic yields only quiet NaNs), so an empty slot never
+/// aliases a live key and no valid flag is needed.
 inline constexpr std::uint64_t kEmptyKeyBits = 0x7FF4DEADBEEFDEADULL;
 
 /// Direct-mapped memo of a pure function, keyed on its exact arguments.
 ///
-/// `Key` is the whole argument list: a trivially copyable struct that
-/// default-constructs to the empty key (kEmptyKeyBits in its double's
-/// place), compares with ==, names its slot with `slot_hash()` (the table
-/// index is the hash's top log2(capacity) bits) and computes the memoized
-/// value with `eval()`.  Doubles are keyed by bit pattern, so a hit returns
-/// the identical double a direct call would: simulations stay byte-for-byte
-/// deterministic, and capacity only moves the hit rate, never a value.
+/// `Key` holds the arguments (doubles by bit pattern), default-constructs
+/// to the empty key, compares with ==, and supplies `slot_hash()` (the slot
+/// is its top log2(capacity) bits) and `eval()`.  A hit thus returns the
+/// identical double a direct call would: capacity moves only the hit rate,
+/// never an output byte.
 ///
-/// Sizing: a big session's working set wants ~2^18 slots while a unit-test
-/// fixture touches a few hundred keys, and a sweep constructs hundreds of
-/// memos, so a large upfront table would zero megabytes per run for
-/// nothing.  The table therefore starts at 2^log2_entries and grows 4x (up
-/// to 2^log2_entries_cap) whenever the misses since the last resize reach
-/// four times its size — a purely size-driven, deterministic policy.
-/// Growth discards the table, so hits must re-miss once.  Not thread-safe:
-/// own one per channel or sniffer, never share across runner threads.
+/// A sweep builds hundreds of memos and a unit-test fixture touches a few
+/// hundred keys, so the table starts at 2^log2_entries and grows 4x (up to
+/// 2^log2_entries_cap, discarding its entries) once the misses since the
+/// last resize reach four times its size: a deterministic, size-driven
+/// policy.  Not thread-safe: own one per channel or sniffer.
 template <class Key>
 class ExactMemo {
  public:
@@ -64,8 +57,7 @@ class ExactMemo {
   [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
 
   // Work counters: exact-key hits, full evaluations (the libm path) and
-  // table resizes.  Deterministic per (seed, config); harvested into
-  // obs::Metrics once per run.
+  // table resizes.  Harvested into obs::Metrics once per run.
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t evals() const { return evals_; }
   [[nodiscard]] std::uint64_t resizes() const { return resizes_; }
@@ -89,7 +81,7 @@ class ExactMemo {
   std::vector<Entry> entries_;
 };
 
-/// The argument of a unary conversion `Fn` as an ExactMemo key.  Implicit
+/// The argument of a unary conversion `Fn` as an ExactMemo key; implicit
 /// from double, so an `ExactMemo<UnaryKey<Fn>>` is called like Fn itself.
 template <double (*Fn)(double)>
 struct UnaryKey {

@@ -112,8 +112,7 @@ class Network {
   AccessPoint& add_ap(const phy::Position& where, std::uint8_t channel_no,
                       int num_vaps = 4, std::uint32_t sense_mask = 1);
 
-  /// Creates a client station on `channel_no`; an unset config.seed is
-  /// drawn from the network's stream.
+  /// Creates a client station on `channel_no`.
   Station& add_station(std::uint8_t channel_no, const StationConfig& config);
 
   /// Destroys a departed station: unregisters it from its channel (its link
@@ -126,8 +125,6 @@ class Network {
   /// departure path waits 100 ms.
   void remove_station(Station* station);
 
-  /// Creates a sniffer; an unset config.seed is drawn from the network's
-  /// stream.
   Sniffer& add_sniffer(const SnifferConfig& config);
 
   /// Association decision (paper §4.1: strongest AP, least-loaded VAP).

@@ -26,8 +26,7 @@ namespace wlan::sim {
 struct SnifferConfig {
   phy::Position position;
   std::uint8_t channel = 1;
-  /// Seed of the sniffer's loss and jitter stream.  Unset,
-  /// Network::add_sniffer draws one from the network's stream, and a
+  /// Unset, Network::add_sniffer draws one from the network's stream; a
   /// sniffer built outside a network uses 7.
   std::optional<std::uint64_t> seed;
   /// Frames/second the capture hardware sustains without loss.

@@ -57,9 +57,8 @@ struct StationConfig {
   /// domain models one collision domain; hidden-terminal topologies give
   /// mutually-deaf groups disjoint bits and the shared receiver the union.
   std::uint32_t sense_mask = 1;
-  /// Seed of the station's streams.  Unset, Network::add_station draws one
-  /// from the network's stream, and a station built outside a network
-  /// uses 1.
+  /// Unset, Network::add_station draws one from the network's stream; a
+  /// station built outside a network uses 1.
   std::optional<std::uint64_t> seed;
   /// kNoAddr lets the network allocate; a relocating user passes its old
   /// station's address so the client keeps one MAC identity across roams
