@@ -309,10 +309,10 @@ class Channel {
   std::vector<std::uint32_t> link_refs_;
   std::vector<std::uint8_t> link_departed_;
   phy::FrameSuccessCache frame_success_;
-  /// Exact memos for the interference unit conversions (hits return the
-  /// identical doubles the libm calls would; see phy::ExactMemo).
-  /// mutable: sinr_db_at is logically const; memo fills are invisible to
-  /// callers (hits and misses return the same bits).
+  /// Exact memos for the interference unit conversions: link budgets are
+  /// fixed between moves, so the same dBm values and the sums they make
+  /// recur.  mutable: sinr_db_at is logically const, and a hit returns the
+  /// bits the libm call would (see phy::ExactMemo).
   mutable phy::ExactMemo<phy::UnaryKey<&phy::dbm_to_mw>> dbm_to_mw_memo_;
   mutable phy::ExactMemo<phy::UnaryKey<&phy::mw_to_dbm>> mw_to_dbm_memo_;
   /// Noise floor in mW and its dB round-trip, hoisted out of sinr_db_at
