@@ -51,7 +51,7 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
   // (the "-churn" registry keys).  Anywhere it cannot vary behavior, a
   // nonzero rate would only reach the manifest and a multi-valued axis
   // would silently multiply the grid with duplicate runs — fail loudly
-  // instead (KNOWN_ISSUES PR 5 triage).
+  // instead (docs/KNOWN_ISSUES.md, churn workload triage).
   const std::string& scen = spec.scenario;
   const bool churn_scenario =
       scen.size() >= 6 && scen.compare(scen.size() - 6, 6, "-churn") == 0;
