@@ -41,7 +41,8 @@ struct SweepOptions {
 [[nodiscard]] exp::ExperimentSpec standard_spec(const std::string& name,
                                                 const SweepOptions& opt = {});
 
-/// Same, with the shared CLI flags (--seeds, --duration) already applied.
+/// Same, with the shared CLI flags folded in by exp::apply_args, which
+/// exits 2 on a grid it rejects.
 [[nodiscard]] exp::ExperimentSpec standard_spec(const std::string& name,
                                                 const exp::BenchArgs& args,
                                                 const SweepOptions& opt = {});

@@ -77,7 +77,7 @@ void BM_SimulatedSecond(benchmark::State& state) {
     workload::CellConfig cell;
     cell.seed = 11;
     cell.num_users = 10;
-    cell.per_user_pps = 60.0;
+    cell.profile.mean_pps = 60.0;
     cell.duration_s = 1.5;
     cell.warmup_s = 0.5;
     cell.timing = mac::TimingProfile::kStandard;
@@ -92,7 +92,7 @@ void BM_AnalyzeTrace(benchmark::State& state) {
   workload::CellConfig cell;
   cell.seed = 12;
   cell.num_users = 12;
-  cell.per_user_pps = 60.0;
+  cell.profile.mean_pps = 60.0;
   cell.duration_s = 10.0;
   cell.timing = mac::TimingProfile::kStandard;
   cell.profile.window = 3;
@@ -112,7 +112,7 @@ void BM_StreamingAnalyzeDrain(benchmark::State& state) {
   workload::CellConfig cell;
   cell.seed = 12;
   cell.num_users = 12;
-  cell.per_user_pps = 60.0;
+  cell.profile.mean_pps = 60.0;
   cell.duration_s = 10.0;
   cell.timing = mac::TimingProfile::kStandard;
   cell.profile.window = 3;
@@ -137,7 +137,7 @@ void BM_MergeSnifferTraces(benchmark::State& state) {
   workload::CellConfig cell;
   cell.seed = 13;
   cell.num_users = 10;
-  cell.per_user_pps = 40.0;
+  cell.profile.mean_pps = 40.0;
   cell.duration_s = 6.0;
   cell.num_sniffers = 2;
   const auto result = workload::run_cell(cell);
@@ -156,7 +156,7 @@ void BM_PcapReaderStream(benchmark::State& state) {
   workload::CellConfig cell;
   cell.seed = 14;
   cell.num_users = 10;
-  cell.per_user_pps = 40.0;
+  cell.profile.mean_pps = 40.0;
   cell.duration_s = 6.0;
   const auto result = workload::run_cell(cell);
   const std::string path = "bench_pcap_reader.pcap";

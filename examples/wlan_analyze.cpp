@@ -218,7 +218,7 @@ std::vector<std::string> write_sim_capture(const std::string& dir,
   workload::CellConfig cell;
   cell.seed = 62;
   cell.num_users = 10;
-  cell.per_user_pps = 30.0;
+  cell.profile.mean_pps = 30.0;
   cell.profile.window = 2;
   cell.duration_s = duration_s > 0 ? duration_s : 8.0;
   cell.warmup_s = 1.0;

@@ -13,15 +13,15 @@ std::string_view congestion_level_name(CongestionLevel level) {
   return "?";
 }
 
-CongestionLevel classify(double utilization_pct, const CongestionThresholds& t) {
-  if (utilization_pct < t.low_pct) return CongestionLevel::kUncongested;
-  if (utilization_pct <= t.high_pct) return CongestionLevel::kModerate;
+CongestionLevel classify(double utilization_pct) {
+  if (utilization_pct < kModerateFromPct) return CongestionLevel::kUncongested;
+  if (utilization_pct <= kHighAbovePct) return CongestionLevel::kModerate;
   return CongestionLevel::kHigh;
 }
 
 double detect_saturation_knee(const UtilizationBinner& throughput) {
   constexpr int kHalfWindow = 2;  // the moving average spans p-2 .. p+2
-  double best_util = CongestionThresholds{}.high_pct;
+  double best_util = kHighAbovePct;
   double best_value = -1.0;
   int populated = 0;
   for (int p = 30; p <= 100; ++p) {
@@ -42,15 +42,14 @@ double detect_saturation_knee(const UtilizationBinner& throughput) {
       best_util = p;
     }
   }
-  if (populated < 10) return CongestionThresholds{}.high_pct;
+  if (populated < 10) return kHighAbovePct;
   return best_util;
 }
 
-CongestionBreakdown breakdown(const AnalysisResult& a,
-                              const CongestionThresholds& t) {
+CongestionBreakdown breakdown(const AnalysisResult& a) {
   CongestionBreakdown b;
   for (const SecondStats& s : a.seconds) {
-    switch (classify(s.utilization(), t)) {
+    switch (classify(s.utilization())) {
       case CongestionLevel::kUncongested: ++b.uncongested; break;
       case CongestionLevel::kModerate: ++b.moderate; break;
       case CongestionLevel::kHigh: ++b.high; break;

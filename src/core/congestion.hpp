@@ -20,19 +20,16 @@ enum class CongestionLevel : std::uint8_t {
 
 [[nodiscard]] std::string_view congestion_level_name(CongestionLevel level);
 
-struct CongestionThresholds {
-  double low_pct = 30.0;   ///< below: uncongested
-  double high_pct = 84.0;  ///< above: highly congested (the IETF knee)
-};
+inline constexpr double kModerateFromPct = 30.0;  ///< below: uncongested
+inline constexpr double kHighAbovePct = 84.0;     ///< above: highly congested
 
-[[nodiscard]] CongestionLevel classify(double utilization_pct,
-                                       const CongestionThresholds& t = {});
+[[nodiscard]] CongestionLevel classify(double utilization_pct);
 
 /// Finds the utilization percentage at which utilization-binned throughput
 /// peaks — the paper's §5.2 method for picking the "highly congested"
 /// boundary.  The curve is smoothed with a centered 5-point moving average
-/// and searched over [30, 100]%.  Returns the default threshold (84%) when
-/// fewer than 10 smoothed points hold data.
+/// and searched over [30, 100]%.  Returns kHighAbovePct when fewer than 10
+/// smoothed points hold data.
 [[nodiscard]] double detect_saturation_knee(const UtilizationBinner& throughput);
 
 /// Seconds spent in each congestion level (useful summary for reports).
@@ -42,7 +39,6 @@ struct CongestionBreakdown {
   std::uint64_t high = 0;
 };
 
-[[nodiscard]] CongestionBreakdown breakdown(const AnalysisResult& a,
-                                            const CongestionThresholds& t = {});
+[[nodiscard]] CongestionBreakdown breakdown(const AnalysisResult& a);
 
 }  // namespace wlan::core

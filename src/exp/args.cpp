@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <utility>
@@ -218,6 +220,15 @@ void apply_args(const BenchArgs& args, ExperimentSpec& spec) {
   if (args.duration_s > 0.0) spec.duration_s = args.duration_s;
   if (!args.churn_rates.empty()) spec.churn_rates = args.churn_rates;
   if (!args.rate_policies.empty()) spec.rate_policies = args.rate_policies;
+  // A grid expand() rejects, an --only past it and an --out-dir that cannot
+  // be a directory are usage errors like a bad flag, caught before any run.
+  try {
+    (void)select_runs(spec, args.only_run);
+    std::filesystem::create_directories(args.out_dir);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
 RunnerOptions runner_options(const BenchArgs& args) {

@@ -53,7 +53,11 @@ struct BenchArgs {
 [[nodiscard]] int int_arg(const char* token, const char* name, int lo, int hi,
                           std::string_view usage);
 
-/// Folds the overriding flags (--seeds, --duration) into a spec.
+/// Folds the overriding flags (--seeds, --duration, --churn, ...) into a
+/// spec; call it after the driver's last edit to the spec.  A grid
+/// select_runs() rejects (a bad axis, --only past the grid) or an --out-dir
+/// that cannot be created prints `error: <message>` and exits 2, like a
+/// malformed flag, before any run starts.
 void apply_args(const BenchArgs& args, ExperimentSpec& spec);
 
 /// RunnerOptions matching the parsed flags.

@@ -28,37 +28,36 @@ RunOutput reduce_cell_result(const workload::CellResult& result) {
 }
 
 /// Single-cell fixture: the workhorse of the figure sweeps.
-RunOutput run_cell_scenario(const RunSpec& run) {
+RunOutput run_cell_scenario(const RunSpec& run, bool /*churn*/) {
   return reduce_cell_result(workload::run_cell(run.cell));
 }
 
 /// Hidden-terminal fixture (see workload::run_hidden_terminal): two user
 /// wings on disjoint carrier-sense masks sharing one AP.
-RunOutput run_hidden_terminal_scenario(const RunSpec& run) {
+RunOutput run_hidden_terminal_scenario(const RunSpec& run, bool /*churn*/) {
   return reduce_cell_result(workload::run_hidden_terminal(run.cell));
 }
 
 /// IETF sessions.  The load axis maps onto the session knobs: `users` is
 /// population scale ×100 (10 users ≙ scale 0.1), `pps` the per-user mean
-/// packet rate, `window` the closed-loop window.  With `churn` true the
-/// session runs the dynamic-population variant (Poisson arrivals, lognormal
-/// dwell, AP roaming, stations torn down on departure): the spec's
-/// churn-rate axis sets the population turnover per minute, and 0 (the
-/// only non-positive value expand() admits) falls back to one full
-/// turnover per minute.
+/// packet rate (expand() writes it into the cell's profile), `window` the
+/// closed-loop window.  A churning row runs the dynamic-population variant
+/// (Poisson arrivals, lognormal dwell, AP roaming, stations torn down on
+/// departure): the spec's churn-rate axis sets the population turnover per
+/// minute, and 0 (the only non-positive value expand() admits) falls back
+/// to one full turnover per minute.
 ///
 /// The sniffers' own captures stream through the paper's merge (clock
 /// alignment, windowed dedup) straight into the analyzer: no capture is
 /// copied and no merged capture is built.
-RunOutput run_session_scenario(const RunSpec& run, workload::SessionKind kind,
-                               bool churn = false) {
+template <workload::SessionKind kKind>
+RunOutput run_session_scenario(const RunSpec& run, bool churn) {
   workload::ScenarioConfig cfg;
   static_cast<sim::EngineOptions&>(cfg) = run.cell;
   cfg.seed = run.seed;
   cfg.duration_s = run.cell.duration_s;
   cfg.scale = run.load.users / 100.0;
   cfg.profile = run.cell.profile;
-  cfg.profile.mean_pps = run.load.pps;
   cfg.rtscts_fraction = run.rtscts_fraction;
   cfg.rate = run.cell.rate;
   cfg.timing = run.cell.timing;
@@ -66,7 +65,7 @@ RunOutput run_session_scenario(const RunSpec& run, workload::SessionKind kind,
     cfg.churn_turnover_per_min = run.churn_rate > 0.0 ? run.churn_rate : 1.0;
   }
 
-  workload::Scenario scenario = kind == workload::SessionKind::kDay
+  workload::Scenario scenario = kKind == workload::SessionKind::kDay
                                     ? workload::Scenario::day(cfg)
                                     : workload::Scenario::plenary(cfg);
   {
@@ -97,38 +96,38 @@ RunOutput run_session_scenario(const RunSpec& run, workload::SessionKind kind,
   return out;
 }
 
+constexpr auto kDay = workload::SessionKind::kDay;
+constexpr auto kPlenary = workload::SessionKind::kPlenary;
+
 struct Entry {
   const char* name;
-  ScenarioFn fn;
+  /// Dynamic population: the only rows the churn_rates axis reaches.  run()
+  /// hands the flag to `fn`, and expand() rejects the axis everywhere else.
+  bool churn;
+  RunOutput (*fn)(const RunSpec&, bool churn);
 };
 
 /// The built-in scenarios, sorted by name (names() returns them in order).
 constexpr Entry kScenarios[] = {
-    {"cell", run_cell_scenario},
-    {"hidden-terminal", run_hidden_terminal_scenario},
-    {"ietf-day",
-     [](const RunSpec& run) {
-       return run_session_scenario(run, workload::SessionKind::kDay);
-     }},
-    {"ietf-day-churn",
-     [](const RunSpec& run) {
-       return run_session_scenario(run, workload::SessionKind::kDay, true);
-     }},
-    {"ietf-plenary",
-     [](const RunSpec& run) {
-       return run_session_scenario(run, workload::SessionKind::kPlenary);
-     }},
-    {"ietf-plenary-churn",
-     [](const RunSpec& run) {
-       return run_session_scenario(run, workload::SessionKind::kPlenary, true);
-     }},
+    {"cell", false, run_cell_scenario},
+    {"hidden-terminal", false, run_hidden_terminal_scenario},
+    {"ietf-day", false, run_session_scenario<kDay>},
+    {"ietf-day-churn", true, run_session_scenario<kDay>},
+    {"ietf-plenary", false, run_session_scenario<kPlenary>},
+    {"ietf-plenary-churn", true, run_session_scenario<kPlenary>},
 };
 
-ScenarioFn find_scenario(const std::string& name) {
+const Entry& find_scenario(const std::string& name) {
   for (const Entry& e : kScenarios) {
-    if (name == e.name) return e.fn;
+    if (name == e.name) return e;
   }
-  return nullptr;
+  std::string known;
+  for (const Entry& e : kScenarios) {
+    known += ' ';
+    known += e.name;
+  }
+  throw std::invalid_argument("ScenarioRegistry: unknown scenario \"" + name +
+                              "\" (known:" + known + ")");
 }
 
 /// The timing-profile axis keys, in timing_keys() order.
@@ -144,24 +143,20 @@ const ScenarioRegistry& ScenarioRegistry::instance() {
   return registry;
 }
 
-bool ScenarioRegistry::contains(const std::string& name) const {
-  return find_scenario(name) != nullptr;
-}
-
 std::vector<std::string> ScenarioRegistry::names() const {
   std::vector<std::string> out;
   for (const Entry& e : kScenarios) out.emplace_back(e.name);
   return out;
 }
 
+bool ScenarioRegistry::churns(const std::string& name) const {
+  return find_scenario(name).churn;
+}
+
 RunOutput ScenarioRegistry::run(const std::string& name,
                                 const RunSpec& run) const {
-  const ScenarioFn fn = find_scenario(name);
-  if (!fn) {
-    throw std::invalid_argument("ScenarioRegistry: unknown scenario \"" +
-                                name + "\"");
-  }
-  return fn(run);
+  const Entry& e = find_scenario(name);
+  return e.fn(run, e.churn);
 }
 
 mac::TimingProfile parse_timing(std::string_view key) {

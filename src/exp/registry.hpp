@@ -5,9 +5,10 @@
 // The scenario registry is how benches and tools select what a RunSpec
 // executes at runtime ("cell", "ietf-day", "ietf-plenary") and how new
 // workloads plug into the experiment machinery without touching the runner:
-// a scenario is one row in the table in registry.cpp, and every spec,
-// manifest and CLI flag picks it up.  The table is constant, so any thread
-// may read the registry.
+// a scenario is one row in the table in registry.cpp — its name, whether
+// its population churns, and its function — and every spec, manifest and
+// CLI flag picks it up.  The table is constant, so any thread may read the
+// registry.
 #pragma once
 
 #include <cstdint>
@@ -41,18 +42,19 @@ struct RunOutput {
   util::LogHistogram service_delay;
 };
 
-using ScenarioFn = RunOutput (*)(const RunSpec&);
-
 class ScenarioRegistry {
  public:
   /// The process-wide registry of the built-in scenarios.
   static const ScenarioRegistry& instance();
 
-  [[nodiscard]] bool contains(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> names() const;  ///< sorted
 
-  /// Runs one resolved grid run; throws std::invalid_argument on an
-  /// unknown scenario name.
+  /// Whether the named scenario has a dynamic population, the only kind
+  /// the churn_rates axis reaches.  This and run() throw
+  /// std::invalid_argument listing the known names on an unknown one.
+  [[nodiscard]] bool churns(const std::string& name) const;
+
+  /// Runs one resolved grid run.
   [[nodiscard]] RunOutput run(const std::string& name, const RunSpec& run) const;
 
  private:

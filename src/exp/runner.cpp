@@ -44,29 +44,30 @@ std::string span_name(const RunSpec& run) {
 
 }  // namespace
 
-ExperimentResult run_experiment(const ExperimentSpec& spec,
-                                const RunnerOptions& opt) {
-  const auto t0 = Clock::now();
-
+std::vector<RunSpec> select_runs(const ExperimentSpec& spec,
+                                 std::optional<std::size_t> only_run) {
   std::vector<RunSpec> runs = expand(spec);
-  const std::size_t full_points = grid_points(spec);
-  if (opt.only_run) {
-    if (*opt.only_run >= runs.size()) {
+  if (only_run) {
+    if (*only_run >= runs.size()) {
       throw std::out_of_range("run_experiment: --only " +
-                              std::to_string(*opt.only_run) + " but grid has " +
+                              std::to_string(*only_run) + " but grid has " +
                               std::to_string(runs.size()) + " runs");
     }
-    runs = {runs[*opt.only_run]};  // keeps its full-grid indices
+    runs = {runs[*only_run]};  // keeps its full-grid indices
   }
-  const std::size_t n = runs.size();
+  return runs;
+}
 
-  // Fail an unknown scenario name here, catchable, rather than inside a
-  // worker.
+ExperimentResult run_experiment(const ExperimentSpec& spec,
+                                const RunnerOptions& opt) {
+  namespace fs = std::filesystem;
+  const auto t0 = Clock::now();
+
+  const std::vector<RunSpec> runs = select_runs(spec, opt.only_run);
+  const std::size_t n = runs.size();
+  const std::size_t full_points = grid_points(spec);
+  if (!opt.out_dir.empty()) fs::create_directories(opt.out_dir);
   const ScenarioRegistry& registry = ScenarioRegistry::instance();
-  if (!registry.contains(spec.scenario)) {
-    throw std::invalid_argument("run_experiment: unknown scenario \"" +
-                                spec.scenario + "\"");
-  }
 
   ExperimentResult result;
   if (opt.per_point_figures) result.per_point.resize(full_points);
@@ -162,8 +163,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   result.wall_s = ms_since(t0) / 1e3;
 
   if (!opt.out_dir.empty()) {
-    namespace fs = std::filesystem;
-    fs::create_directories(opt.out_dir);
     // An --only replay gets its own files so it never clobbers the full
     // sweep's manifest in the same out-dir.
     std::string stem = (fs::path(opt.out_dir) / spec.name).string();

@@ -29,7 +29,7 @@ struct RunnerOptions {
   /// One line per completed run on stderr (stdout stays clean for figures).
   bool progress = false;
   /// When set, <spec.name>_manifest.csv/.json are written here (the
-  /// directory is created if missing).
+  /// directory is created, if missing, before the first run).
   std::string out_dir;
   /// Keep one FigureAccumulator per grid point (seed axis collapsed) —
   /// for per-point analyses such as the §6.1 RTS/CTS fairness split.
@@ -60,9 +60,15 @@ struct ExperimentResult {
   double wall_s = 0.0;  ///< whole-experiment wall clock
 };
 
-/// Expands and runs the spec.  Throws what expand()/the registry throw
-/// (unknown scenario or axis name, bad grid) and std::out_of_range when
-/// only_run is past the grid.
+/// The runs an experiment executes: the whole expansion of `spec`, or with
+/// `only_run` that one run, keeping its full-grid indices.  Throws what
+/// expand() throws, and std::out_of_range when only_run is past the grid.
+/// run_experiment and exp::apply_args both start here.
+[[nodiscard]] std::vector<RunSpec> select_runs(
+    const ExperimentSpec& spec, std::optional<std::size_t> only_run);
+
+/// Runs select_runs(spec, opt.only_run).  What that, or creating
+/// opt.out_dir, throws propagates before any run starts.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentSpec& spec,
                                               const RunnerOptions& opt = {});
 

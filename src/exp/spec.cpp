@@ -47,15 +47,13 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
         "ExperimentSpec: base.shards must stay 1; set ExperimentSpec::shards, "
         "which expansion copies into every run");
   }
-  // The churn axis is only meaningful on the dynamic-population scenarios
-  // (the "-churn" registry keys).  Anywhere it cannot vary behavior, a
-  // nonzero rate would only reach the manifest and a multi-valued axis
-  // would silently multiply the grid with duplicate runs — fail loudly
-  // instead (docs/KNOWN_ISSUES.md, churn workload triage).
+  // The scenario's registry row says whether it churns; an unknown name
+  // throws there, listing the known ones.  Only a churning row reads the
+  // churn axis: anywhere else a nonzero rate would only reach the manifest
+  // and a multi-valued axis would silently multiply the grid with duplicate
+  // runs, so fail loudly instead.
   const std::string& scen = spec.scenario;
-  const bool churn_scenario =
-      scen.size() >= 6 && scen.compare(scen.size() - 6, 6, "-churn") == 0;
-  if (!churn_scenario &&
+  if (!ScenarioRegistry::instance().churns(scen) &&
       (spec.churn_rates.size() > 1 || spec.churn_rates.front() != 0.0)) {
     throw std::invalid_argument(
         "ExperimentSpec: scenario \"" + scen +
@@ -98,15 +96,7 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
   // Validate axis names up front: one bad key fails the whole expansion
   // before any run starts, with the registry's own known-keys message.
   for (const std::string& policy : spec.rate_policies) {
-    if (!rate::PolicyRegistry::instance().contains(policy)) {
-      std::string known;
-      for (const std::string& k : rate::PolicyRegistry::instance().keys()) {
-        if (!known.empty()) known += ' ';
-        known += k;
-      }
-      throw std::invalid_argument("ExperimentSpec: unknown rate policy \"" +
-                                  policy + "\" (known: " + known + ")");
-    }
+    (void)rate::PolicyRegistry::instance().display_name(policy);
   }
 
   std::vector<RunSpec> runs;
@@ -152,7 +142,7 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
                 run.cell.timing = parse_timing(timing);
                 run.cell.auto_power_margin_db = margin;
                 run.cell.num_users = load.users;
-                run.cell.per_user_pps = load.pps;
+                run.cell.profile.mean_pps = load.pps;
                 run.cell.far_fraction = load.far_fraction;
                 run.cell.profile.window = load.window;
 

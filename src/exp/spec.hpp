@@ -67,15 +67,15 @@ struct ExperimentSpec {
   std::vector<std::string> timings = {"paper"};
   std::vector<double> rtscts_fractions = {0.05};
   std::vector<double> power_margins = {-1.0};  ///< <0 disables client TPC
-  /// Population turnover per minute for the churn scenarios.  A treatment
-  /// axis like rtscts/policy: churn arms at the same load share seeds, so
-  /// churn-rate sweeps are paired.  Caveats, enforced by expand(): manifests
-  /// record the *raw* axis value, so a negative value (-0 too) is rejected,
-  /// and a churn scenario substitutes its default (1 turnover/min) for 0 —
-  /// so at most one 0 may be on the axis; static scenarios ignore the axis
-  /// entirely, so there it must stay {0} (a nonzero value would only be
-  /// recorded in the manifest, a multi-valued axis would duplicate every
-  /// run).
+  /// Population turnover per minute for the churn scenarios (the rows the
+  /// scenario table flags).  A treatment axis like rtscts/policy: churn
+  /// arms at the same load share seeds, so churn-rate sweeps are paired.
+  /// Caveats, enforced by expand(): manifests record the *raw* axis value,
+  /// so a negative value (-0 too) is rejected, and a churn scenario
+  /// substitutes its default (1 turnover/min) for 0 — so at most one 0 may
+  /// be on the axis; other scenarios ignore the axis entirely, so there it
+  /// must stay {0} (a nonzero value would only be recorded in the manifest,
+  /// a multi-valued axis would duplicate every run).
   std::vector<double> churn_rates = {0.0};
 
   /// Everything not on an axis (traffic profile, geometry, sniffer
@@ -118,9 +118,10 @@ struct RunSpec {
 /// point indices are stable properties of the spec.  Throws
 /// std::invalid_argument on an empty axis, seeds_per_point < 1, a duration
 /// outside (0, kMaxDurationS), a base.shards other than 1, an unknown
-/// rate-policy / timing name, a churn rate that is non-finite, negative
-/// (sign bit set, so -0 too) or above kMaxChurnPerMin, a churn_rates axis
-/// other than {0} on a static scenario, or more than one 0 on the axis.
+/// scenario / rate-policy / timing name, a churn rate that is non-finite,
+/// negative (sign bit set, so -0 too) or above kMaxChurnPerMin, a
+/// churn_rates axis other than {0} on a scenario that does not churn, or
+/// more than one 0 on the axis.
 [[nodiscard]] std::vector<RunSpec> expand(const ExperimentSpec& spec);
 
 }  // namespace wlan::exp

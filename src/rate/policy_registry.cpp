@@ -54,6 +54,18 @@ const Entry* find(std::string_view key) {
   return nullptr;
 }
 
+/// The one unknown-key error: names the key and lists the known ones.
+const Entry& entry(std::string_view key) {
+  if (const Entry* e = find(key)) return *e;
+  std::string known;
+  for (const Entry& e : kPolicies) {
+    if (!known.empty()) known += ", ";
+    known += e.key;
+  }
+  throw std::invalid_argument("PolicyRegistry: unknown policy \"" +
+                              std::string(key) + "\" (known: " + known + ")");
+}
+
 }  // namespace
 
 const PolicyRegistry& PolicyRegistry::instance() {
@@ -72,27 +84,12 @@ std::vector<std::string> PolicyRegistry::keys() const {
 }
 
 std::string_view PolicyRegistry::display_name(std::string_view key) const {
-  const Entry* e = find(key);
-  if (e == nullptr) {
-    throw std::invalid_argument("PolicyRegistry: unknown policy \"" +
-                                std::string(key) + "\"");
-  }
-  return e->display;
+  return entry(key).display;
 }
 
 std::unique_ptr<RateController> PolicyRegistry::make(
     const ControllerConfig& config, std::uint64_t stream_seed) const {
-  const Entry* e = find(config.policy);
-  if (e == nullptr) {
-    std::string known;
-    for (const Entry& entry : kPolicies) {
-      if (!known.empty()) known += ", ";
-      known += entry.key;
-    }
-    throw std::invalid_argument("PolicyRegistry: unknown policy \"" +
-                                config.policy + "\" (known: " + known + ")");
-  }
-  return e->factory(stream_seed);
+  return entry(config.policy).factory(stream_seed);
 }
 
 }  // namespace wlan::rate

@@ -38,12 +38,12 @@ class PolicyRegistry {
   /// present.
   [[nodiscard]] std::vector<std::string> keys() const;
 
-  /// Human-readable name for tables and figure legends ("arf" -> "ARF");
-  /// throws std::invalid_argument for unknown keys.
+  /// Human-readable name for tables and figure legends ("arf" -> "ARF").
+  /// This and make() throw std::invalid_argument for an unknown key,
+  /// listing the known ones.
   [[nodiscard]] std::string_view display_name(std::string_view key) const;
 
-  /// Constructs a controller for config.policy; throws
-  /// std::invalid_argument for unknown keys, listing the known ones.
+  /// Constructs a controller for config.policy.
   [[nodiscard]] std::unique_ptr<RateController> make(
       const ControllerConfig& config, std::uint64_t stream_seed) const;
 

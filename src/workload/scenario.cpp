@@ -17,6 +17,9 @@ constexpr double kPi = 3.14159265358979323846;
 /// rates (the ballroom was ~64 m wide).
 constexpr double kRoomM = 70.0;
 
+/// The cell fixtures' one channel.
+constexpr std::uint8_t kCellChannel = 6;
+
 /// The cell fixtures' propagation: a crowded hall whose bodies absorb.
 constexpr double kCellPathLossExponent = 4.0;
 constexpr double kCellShadowingSigmaDb = 6.0;
@@ -45,7 +48,7 @@ sim::NetworkConfig cell_network_config(const CellConfig& config) {
   static_cast<sim::EngineOptions&>(net) = config;
   net.seed = config.seed;
   net.timing_profile = config.timing;
-  net.channels = {config.channel};
+  net.channels = {kCellChannel};
   net.propagation.path_loss_exponent = kCellPathLossExponent;
   net.propagation.shadowing_sigma_db = kCellShadowingSigmaDb;
   return net;
@@ -87,11 +90,11 @@ CellResult run_and_harvest_cell(sim::Network& net, const CellConfig& config,
   result.trace.start_us = warmup_us;
   result.trace.end_us = end_us;
   if (config.keep_ground_truth) {
-    keep_after_warmup(net.channel(config.channel).ground_truth(),
+    keep_after_warmup(net.channel(kCellChannel).ground_truth(),
                       result.ground_truth);
   }
-  result.medium_transmissions = net.channel(config.channel).transmissions();
-  result.medium_collisions = net.channel(config.channel).collisions();
+  result.medium_transmissions = net.channel(kCellChannel).transmissions();
+  result.medium_collisions = net.channel(kCellChannel).collisions();
   result.sniffer = sniffer0.stats();
   result.duration_s = config.duration_s - config.warmup_s;
   net.harvest_delays(result.queue_delay, result.service_delay);
@@ -234,7 +237,7 @@ CellResult run_cell(const CellConfig& config) {
   std::vector<sim::AccessPoint*> aps;
   for (int i = 0; i < config.num_aps; ++i) {
     const double frac = (i + 1.0) / (config.num_aps + 1.0);
-    auto& ap = net.add_ap({kRoomM * frac, kRoomM * frac, 0}, config.channel);
+    auto& ap = net.add_ap({kRoomM * frac, kRoomM * frac, 0}, kCellChannel);
     ap.start_beacons();
     aps.push_back(&ap);
   }
@@ -250,7 +253,7 @@ CellResult run_cell(const CellConfig& config) {
     const double step = 0.15 * kRoomM * ((j + 1) / 2);
     const double sign = j % 2 == 1 ? -1.0 : 1.0;
     sniff.position = {mid + sign * step, mid + sign * step, 0};
-    sniff.channel = config.channel;
+    sniff.channel = kCellChannel;
     sniff.capacity_fps = config.sniffer_capacity_fps;
     if (num_sniffers > 1) {
       sniff.seed = util::mix_seed(config.seed ^ 0x5A1FFULL,
@@ -259,9 +262,6 @@ CellResult run_cell(const CellConfig& config) {
     }
     net.add_sniffer(sniff);
   }
-
-  TrafficProfile profile = config.profile;
-  profile.mean_pps = config.per_user_pps;
 
   std::vector<std::unique_ptr<UserSession>> sessions;
   for (int i = 0; i < config.num_users; ++i) {
@@ -286,7 +286,7 @@ CellResult run_cell(const CellConfig& config) {
     // Stagger joins across the first second to avoid an association storm.
     spec.join = Microseconds{static_cast<std::int64_t>(
         rng.uniform_real(0.0, 1.0) * 1e6)};
-    spec.profile = profile;
+    spec.profile = config.profile;
     spec.use_rtscts = rng.chance(config.rtscts_fraction);
     spec.rate = config.rate;
     spec.auto_power_margin_db = config.auto_power_margin_db;
@@ -302,17 +302,14 @@ CellResult run_hidden_terminal(const CellConfig& config) {
 
   // One AP in the middle; its carrier sense spans both wings.
   const double mid = kRoomM / 2;
-  auto& ap = net.add_ap({mid, mid, 0}, config.channel, 4, 0b11u);
+  auto& ap = net.add_ap({mid, mid, 0}, kCellChannel, 4, 0b11u);
   ap.start_beacons();
 
   sim::SnifferConfig sniff;
   sniff.position = {mid, mid, 0};
-  sniff.channel = config.channel;
+  sniff.channel = kCellChannel;
   sniff.capacity_fps = config.sniffer_capacity_fps;
   net.add_sniffer(sniff);
-
-  TrafficProfile profile = config.profile;
-  profile.mean_pps = config.per_user_pps;
 
   // Two wings along the diagonal, each well inside the AP's range but
   // shadowed from the other (masks 0b01 / 0b10 make that structural rather
@@ -328,7 +325,7 @@ CellResult run_hidden_terminal(const CellConfig& config) {
     spec.sense_mask = east ? 0b01u : 0b10u;
     spec.join = Microseconds{static_cast<std::int64_t>(
         rng.uniform_real(0.0, 1.0) * 1e6)};
-    spec.profile = profile;
+    spec.profile = config.profile;
     spec.use_rtscts = rng.chance(config.rtscts_fraction);
     spec.rate = config.rate;
     spec.auto_power_margin_db = config.auto_power_margin_db;

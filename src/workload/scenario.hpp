@@ -100,15 +100,13 @@ class Scenario {
 
 /// Single-collision-domain fixture for utilization sweeps (Figures 6-15):
 /// one channel, a couple of APs, `num_users` always-on users.  Sweeping
-/// `num_users` (or per_user_pps) moves the cell across the whole 30-99%
+/// `num_users` (or profile.mean_pps) moves the cell across the whole 30-99%
 /// utilization range.  Inherits the engine settings like ScenarioConfig.
 struct CellConfig : sim::EngineOptions {
   std::uint64_t seed = 1;
-  std::uint8_t channel = 6;
   int num_aps = 2;
   int num_users = 30;
-  double per_user_pps = 5.0;
-  TrafficProfile profile;
+  TrafficProfile profile{.mean_pps = 5.0};  ///< every user's traffic
   double rtscts_fraction = 0.05;
   rate::ControllerConfig rate;
   mac::TimingProfile timing = mac::TimingProfile::kPaper;

@@ -14,12 +14,6 @@ TEST(ClassifyTest, PaperThresholds) {
   EXPECT_EQ(classify(99.0), CongestionLevel::kHigh);
 }
 
-TEST(ClassifyTest, CustomThresholds) {
-  const CongestionThresholds t{20.0, 70.0};
-  EXPECT_EQ(classify(25.0, t), CongestionLevel::kModerate);
-  EXPECT_EQ(classify(75.0, t), CongestionLevel::kHigh);
-}
-
 TEST(ClassifyTest, LevelNames) {
   EXPECT_EQ(congestion_level_name(CongestionLevel::kUncongested), "uncongested");
   EXPECT_EQ(congestion_level_name(CongestionLevel::kModerate),
@@ -68,7 +62,7 @@ TEST(KneeDetectionTest, MonotoneCurvePeaksAtTop) {
 
 TEST(KneeDetectionTest, SparseDataFallsBackToDefault) {
   const double knee = detect_saturation_knee(throughput_of({{50.0, 2.0}}));
-  EXPECT_DOUBLE_EQ(knee, CongestionThresholds{}.high_pct);
+  EXPECT_DOUBLE_EQ(knee, kHighAbovePct);
 }
 
 TEST(BreakdownTest, CountsSecondsPerLevel) {

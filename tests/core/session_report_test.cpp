@@ -14,7 +14,7 @@ class SessionReportTest : public ::testing::Test {
     workload::CellConfig cell;
     cell.seed = 880;
     cell.num_users = 16;
-    cell.per_user_pps = 10.0;
+    cell.profile.mean_pps = 10.0;
     cell.duration_s = 10.0;
     result_ = new workload::CellResult(workload::run_cell(cell));
     analysis_ = new AnalysisResult(TraceAnalyzer{}.analyze(result_->trace));
@@ -90,7 +90,7 @@ TEST(SessionReportKnee, AgreesWithTheFigureAccumulatorOnTwoSeconds) {
   workload::CellConfig cell;
   cell.seed = 62;
   cell.num_users = 10;
-  cell.per_user_pps = 30.0;
+  cell.profile.mean_pps = 30.0;
   cell.profile.window = 2;
   cell.duration_s = 2.0;
   cell.warmup_s = 1.0;

@@ -24,7 +24,7 @@ workload::CellResult congested_cell(std::uint64_t seed = 62,
   cell.seed = seed;
   cell.num_sniffers = num_sniffers;
   cell.num_users = 12;
-  cell.per_user_pps = 40.0;
+  cell.profile.mean_pps = 40.0;
   cell.duration_s = 8.0;
   cell.warmup_s = 1.0;
   cell.rtscts_fraction = 0.2;  // exercise RTS/CTS counters too

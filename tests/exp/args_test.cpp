@@ -1,11 +1,13 @@
 // The shared bench flags: numeric values must be whole, positive tokens.
 // A typo such as "--threads 2x" or "--duration 2m" exits 2 with the flag's
-// name, instead of running a sweep with a silently truncated value.
+// name, instead of running a sweep with a silently truncated value, and so
+// does a grid or --out-dir that apply_args finds unusable.
 #include "exp/args.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace wlan::exp {
@@ -89,6 +91,34 @@ TEST_F(BenchArgsDeathTest, RejectsEmptyAndOutOfRangeValues) {
   // A duration whose microsecond count overflows the simulated clock.
   EXPECT_EXIT(static_cast<void>(parse({"--duration", "1e300"})),
               ExitedWithCode(2), "--duration wants");
+}
+
+/// Folds `flags` into a one-point static-cell spec, as a driver does last.
+void apply(std::vector<std::string> flags, const std::string& scenario) {
+  ExperimentSpec spec;
+  spec.scenario = scenario;
+  apply_args(parse(std::move(flags)), spec);
+}
+
+TEST_F(BenchArgsDeathTest, RejectsAGridBeforeAnyRun) {
+  using ::testing::ExitedWithCode;
+  // Well-formed flags that make a grid expand() rejects, or an --only past
+  // the grid: a usage error, not an uncaught exception.
+  EXPECT_EXIT(apply({"--churn", "5"}, "cell"), ExitedWithCode(2),
+              "error: .*static population");
+  EXPECT_EXIT(apply({"--rate-policies", "warp"}, "cell"), ExitedWithCode(2),
+              "error: .*unknown policy \"warp\"");
+  EXPECT_EXIT(apply({}, "celll"), ExitedWithCode(2),
+              "error: .*unknown scenario \"celll\"");
+  EXPECT_EXIT(apply({"--only", "1"}, "cell"), ExitedWithCode(2),
+              "error: .*--only 1 but grid has 1 runs");
+}
+
+TEST_F(BenchArgsDeathTest, RejectsAnUnusableOutDirBeforeAnyRun) {
+  // This source file is a regular file, so no directory can be made there;
+  // the runner used to find that out only after the whole sweep.
+  EXPECT_EXIT(apply({"--out-dir", __FILE__}, "cell"),
+              ::testing::ExitedWithCode(2), "error: .*args_test.cpp");
 }
 
 }  // namespace

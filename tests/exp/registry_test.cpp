@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "exp/spec.hpp"
+#include "obs/metrics.hpp"
 #include "rate/policy_registry.hpp"
 
 namespace wlan::exp {
@@ -21,24 +22,41 @@ TEST(RegistryTest, BuiltInScenariosAreRegistered) {
   EXPECT_EQ(names[3], "ietf-day-churn");
   EXPECT_EQ(names[4], "ietf-plenary");
   EXPECT_EQ(names[5], "ietf-plenary-churn");
-  EXPECT_TRUE(ScenarioRegistry::instance().contains("cell"));
-  EXPECT_FALSE(ScenarioRegistry::instance().contains("ballroom"));
+  EXPECT_FALSE(ScenarioRegistry::instance().churns("cell"));
+  EXPECT_TRUE(ScenarioRegistry::instance().churns("ietf-day-churn"));
+  EXPECT_THROW((void)ScenarioRegistry::instance().churns("ballroom"),
+               std::invalid_argument);
 }
 
 TEST(RegistryTest, EveryRegisteredNameRunsATinyConfig) {
+  // The churn axis is one more input: a row flagged as churning runs it and
+  // reports arrivals, and every other row rejects it at expand(), so each
+  // flag is pinned to what its row runs.
   for (const std::string& name : ScenarioRegistry::instance().names()) {
+    const bool churns = ScenarioRegistry::instance().churns(name);
     ExperimentSpec spec;
     spec.scenario = name;
     spec.base_seed = 7;
     spec.duration_s = 5.0;
     spec.loads = {{6, 10.0, 0.0, 1}};  // sessions read users as scale x100
     spec.base.warmup_s = 1.0;
+    spec.churn_rates = {2.0};
+    if (!churns) {
+      EXPECT_THROW((void)expand(spec), std::invalid_argument) << name;
+      spec.churn_rates = {0.0};
+    }
     const auto runs = expand(spec);
     ASSERT_EQ(runs.size(), 1u);
 
-    const RunOutput out = ScenarioRegistry::instance().run(name, runs[0]);
+    obs::Metrics metrics;
+    RunOutput out;
+    {
+      obs::MetricsScope scope(metrics);
+      out = ScenarioRegistry::instance().run(name, runs[0]);
+    }
     EXPECT_GT(out.analysis.seconds.size(), 0u) << name;
     EXPECT_GT(out.analysis.total_frames, 0u) << name;
+    EXPECT_EQ(metrics.value(obs::Id::kChurnArrivals) > 0, churns) << name;
   }
 }
 

@@ -103,7 +103,7 @@ TEST(SpecTest, AxisValuesResolveIntoTheCell) {
     EXPECT_EQ(run.cell.timing, parse_timing(run.timing));
     EXPECT_DOUBLE_EQ(run.cell.rtscts_fraction, run.rtscts_fraction);
     EXPECT_EQ(run.cell.num_users, run.load.users);
-    EXPECT_DOUBLE_EQ(run.cell.per_user_pps, run.load.pps);
+    EXPECT_DOUBLE_EQ(run.cell.profile.mean_pps, run.load.pps);
     EXPECT_DOUBLE_EQ(run.cell.far_fraction, run.load.far_fraction);
     EXPECT_EQ(run.cell.profile.window, run.load.window);
   }
@@ -124,6 +124,16 @@ TEST(SpecTest, BadSpecsThrow) {
 
   spec = small_spec();
   spec.timings = {"lunar"};
+  EXPECT_THROW(expand(spec), std::invalid_argument);
+
+  // The scenario table knows every name: a typo fails here, before any
+  // run, and so does a name that merely ends the way churn rows do.
+  spec = small_spec();
+  spec.scenario = "celll";
+  EXPECT_THROW(expand(spec), std::invalid_argument);
+  spec = small_spec();
+  spec.scenario = "foo-churn";
+  spec.churn_rates = {2.0};
   EXPECT_THROW(expand(spec), std::invalid_argument);
 
   spec = small_spec();

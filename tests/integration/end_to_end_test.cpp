@@ -16,7 +16,7 @@ workload::CellConfig moderate_cell() {
   workload::CellConfig cell;
   cell.seed = 404;
   cell.num_users = 20;
-  cell.per_user_pps = 8.0;
+  cell.profile.mean_pps = 8.0;
   cell.duration_s = 12.0;
   cell.warmup_s = 2.0;
   cell.profile.window = 1;

@@ -23,7 +23,7 @@ workload::CellConfig sweep_cell(std::uint64_t seed, int users, double far,
   cell.seed = seed;
   cell.num_users = users;
   cell.far_fraction = far;
-  cell.per_user_pps = pps;
+  cell.profile.mean_pps = pps;
   cell.duration_s = 12.0;
   cell.timing = mac::TimingProfile::kPaper;
   cell.profile.window = window;
@@ -206,7 +206,7 @@ TEST(PaperClaimsAblation, ArfLosesToSnrUnderCongestion) {
     workload::CellConfig cell;
     cell.seed = 6200;
     cell.num_users = 14;
-    cell.per_user_pps = 60.0;
+    cell.profile.mean_pps = 60.0;
     cell.far_fraction = 0.3;
     cell.duration_s = 12.0;
     cell.timing = mac::TimingProfile::kStandard;
@@ -232,7 +232,7 @@ TEST(PaperClaimsRtsCts, MinorityRtsUsersGetWorseDelivery) {
     workload::CellConfig cell;
     cell.seed = seed;
     cell.num_users = 16;
-    cell.per_user_pps = 60.0;
+    cell.profile.mean_pps = 60.0;
     cell.far_fraction = 0.25;
     cell.rtscts_fraction = 0.15;
     cell.duration_s = 12.0;

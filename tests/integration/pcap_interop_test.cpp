@@ -15,7 +15,7 @@ TEST(PcapInterop, AnalysisSurvivesPcapRoundTrip) {
   workload::CellConfig cell;
   cell.seed = 777;
   cell.num_users = 12;
-  cell.per_user_pps = 10.0;
+  cell.profile.mean_pps = 10.0;
   cell.duration_s = 8.0;
   const auto result = workload::run_cell(cell);
   ASSERT_GT(result.trace.records.size(), 100u);

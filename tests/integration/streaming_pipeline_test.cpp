@@ -40,7 +40,7 @@ TEST(StreamingPipeline, PcapMergeAnalyzeMatchesInMemoryByteForByte) {
   workload::CellConfig cell;
   cell.seed = 62;
   cell.num_users = 10;
-  cell.per_user_pps = 30.0;
+  cell.profile.mean_pps = 30.0;
   cell.duration_s = 7.0;
   cell.warmup_s = 1.0;
   cell.profile.window = 2;
@@ -134,7 +134,7 @@ TEST(StreamingPipeline, CellMergeIsReproducibleFromRawTraces) {
   workload::CellConfig cell;
   cell.seed = 77;
   cell.num_users = 8;
-  cell.per_user_pps = 25.0;
+  cell.profile.mean_pps = 25.0;
   cell.duration_s = 5.0;
   cell.warmup_s = 1.0;
   cell.num_sniffers = 2;

@@ -36,7 +36,7 @@ TEST(BatchedReceptionOracle, RandomizedCellsMatchScalarPath) {
     cfg.seed = pick.next();
     cfg.num_users = 6 + static_cast<int>(pick.uniform(21));
     cfg.num_aps = 1 + static_cast<int>(pick.uniform(3));
-    cfg.per_user_pps = 2.0 + 6.0 * pick.uniform01();
+    cfg.profile.mean_pps = 2.0 + 6.0 * pick.uniform01();
     cfg.far_fraction = 0.1 + 0.3 * pick.uniform01();
     cfg.rtscts_fraction = pick.chance(0.5) ? 0.1 : 0.0;
     cfg.num_sniffers = 1 + static_cast<int>(pick.uniform(3));

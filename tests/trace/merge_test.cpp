@@ -403,7 +403,7 @@ TEST(MergeTest, TwoSnifferCellEndToEnd) {
   workload::CellConfig cell;
   cell.seed = 21;
   cell.num_users = 8;
-  cell.per_user_pps = 20.0;
+  cell.profile.mean_pps = 20.0;
   cell.duration_s = 6.0;
   cell.warmup_s = 1.0;
   cell.num_sniffers = 2;

@@ -133,7 +133,7 @@ CellConfig small_cell(std::uint64_t seed) {
   CellConfig cfg;
   cfg.seed = seed;
   cfg.num_users = 12;
-  cfg.per_user_pps = 6.0;
+  cfg.profile.mean_pps = 6.0;
   cfg.rtscts_fraction = 0.1;
   cfg.duration_s = 6.0;
   cfg.warmup_s = 1.0;
@@ -169,7 +169,7 @@ TEST(FixtureDigestTest, ThreeSnifferCell) {
 TEST(FixtureDigestTest, HiddenTerminal) {
   CellConfig cfg = with_ground_truth(small_cell(303));
   cfg.num_users = 8;
-  cfg.per_user_pps = 20.0;
+  cfg.profile.mean_pps = 20.0;
   cfg.rtscts_fraction = 0.0;
   const CellResult r = run_hidden_terminal(cfg);
   ASSERT_FALSE(r.trace.records.empty());

@@ -125,7 +125,7 @@ TEST(RunCellTest, FarFractionProducesLowRateTraffic) {
   cell.keep_ground_truth = true;
   cell.seed = 7;
   cell.num_users = 12;
-  cell.per_user_pps = 40.0;
+  cell.profile.mean_pps = 40.0;
   cell.far_fraction = 0.5;
   cell.duration_s = 8.0;
   cell.profile.window = 2;
