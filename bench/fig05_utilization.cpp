@@ -23,10 +23,9 @@ int main() {
     util::Histogram hist(0.0, 101.0, 101);
     util::CsvWriter csv("fig05_" + scenario.name() + ".csv",
                         {"second", "channel", "utilization_pct"});
-    for (std::size_t i = 0; i < scenario.network().sniffers().size(); ++i) {
-      const auto& sniffer = *scenario.network().sniffers()[i];
-      const int ch = scenario.network().channel_numbers()[i % 3];
-      const auto analysis = analyzer.analyze(sniffer.trace());
+    for (const auto& sniffer : scenario.network().sniffers()) {
+      const int ch = sniffer->channel();
+      const auto analysis = analyzer.analyze(sniffer->trace());
       const auto series = core::utilization_series(analysis);
       std::vector<double> xs(series.size());
       for (std::size_t t = 0; t < xs.size(); ++t) {

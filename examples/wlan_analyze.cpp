@@ -10,13 +10,16 @@
 // core::StreamingAnalyzer, so peak memory is O(1) in capture size.
 //
 // Flags: the shared exp dialect (--out-dir, --quiet, --duration for the
-// sim-backed modes) plus the tool's own, listed in usage() below.
+// sim-backed modes, --trace-out) plus the tool's own, listed in usage()
+// below.  The shared grid flags (--threads, --shards, --seeds, --only,
+// --churn, --rate-policies) exit 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/report.hpp"
@@ -245,6 +248,24 @@ int main(int argc, char** argv) {
   ToolOptions opt = extract_tool_flags(argc, argv);
   const exp::BenchArgs args = exp::parse_bench_args(
       argc, argv, "wlan_analyze: paper figure set over capture files", true);
+  // The shared parser also takes the grid flags, but this tool runs no
+  // grid: refuse them rather than ignore them.
+  const std::pair<bool, const char*> grid_flags[] = {
+      {args.threads > 0, "--threads"},
+      {args.shards > 0, "--shards"},
+      {args.seeds > 0, "--seeds"},
+      {args.only_run.has_value(), "--only"},
+      {!args.churn_rates.empty(), "--churn"},
+      {!args.rate_policies.empty(), "--rate-policies"}};
+  for (const auto& [given, flag] : grid_flags) {
+    if (given) {
+      std::fprintf(stderr,
+                   "error: %s does not apply to wlan_analyze, which runs no "
+                   "experiment grid\n",
+                   flag);
+      return 2;
+    }
+  }
 
   try {
     if (opt.sim_capture_dir) {

@@ -47,16 +47,12 @@ constexpr Entry kPolicies[] = {
      }},
 };
 
-const Entry* find(std::string_view key) {
-  for (const Entry& e : kPolicies) {
-    if (e.key == key) return &e;
-  }
-  return nullptr;
-}
-
-/// The one unknown-key error: names the key and lists the known ones.
+/// The row for `key`, or the one unknown-key error: names the key and
+/// lists the known ones.
 const Entry& entry(std::string_view key) {
-  if (const Entry* e = find(key)) return *e;
+  for (const Entry& e : kPolicies) {
+    if (e.key == key) return e;
+  }
   std::string known;
   for (const Entry& e : kPolicies) {
     if (!known.empty()) known += ", ";
@@ -71,10 +67,6 @@ const Entry& entry(std::string_view key) {
 const PolicyRegistry& PolicyRegistry::instance() {
   static const PolicyRegistry registry;
   return registry;
-}
-
-bool PolicyRegistry::contains(std::string_view key) const {
-  return find(key) != nullptr;
 }
 
 std::vector<std::string> PolicyRegistry::keys() const {

@@ -32,8 +32,6 @@ class PolicyRegistry {
   /// The process-wide registry of the built-in policies.
   static const PolicyRegistry& instance();
 
-  [[nodiscard]] bool contains(std::string_view key) const;
-
   /// Keys in table order — the stable order CLI help and sweep axes
   /// present.
   [[nodiscard]] std::vector<std::string> keys() const;

@@ -26,21 +26,6 @@ Channel::Channel(Simulator& sim, const phy::Propagation& prop,
   domains_.push_back(ContentionDomain{});
 }
 
-void Channel::FlightTable::push_slot() {
-  from_link.emplace_back(phy::LinkBudgetCache::kNoLink);
-  power_offset_db.emplace_back(0.0);
-  start.emplace_back(0);
-  end.emplace_back(0);
-  log_index.emplace_back(0);
-  snapshot.emplace_back(nullptr);
-  snapshot_len.emplace_back(0);
-  on_air_pos.emplace_back(0);
-  sense_mask.emplace_back(1);
-  frame.emplace_back();
-  from.emplace_back(nullptr);
-  on_air_done.emplace_back();
-}
-
 void Channel::track_link(LinkId id) {
   if (link_refs_.size() <= id) {
     link_refs_.resize(id + 1, 0);
@@ -98,9 +83,10 @@ void Channel::remove_node(MacEntity* node) {
   // evaluated from the link-budget cache (from_link stays valid), so the
   // frame itself still finishes, interferes and reaches sniffers.
   for (const std::uint32_t slot : on_air_) {
-    if (flight_.from[slot] == node) {
-      flight_.from[slot] = nullptr;
-      flight_.on_air_done[slot] = nullptr;
+    Flight& f = flight_[slot];
+    if (f.from == node) {
+      f.from = nullptr;
+      f.on_air_done = nullptr;
     }
   }
   // Reclaim the link id.  An in-flight frame referencing the link (as its
@@ -140,7 +126,7 @@ std::size_t Channel::domain_for(std::uint32_t mask) {
   d.mask = mask;
   d.idle_anchor = sim_.now();
   for (const std::uint32_t slot : on_air_) {
-    if ((flight_.sense_mask[slot] & mask) != 0) ++d.busy_refs;
+    if ((flight_[slot].sense_mask & mask) != 0) ++d.busy_refs;
   }
   domains_.push_back(std::move(d));
   return domains_.size() - 1;
@@ -195,26 +181,23 @@ void Channel::transmit(MacEntity* from, const mac::Frame& frame,
   // (the dead node's on_air_done is intentionally not invoked).
   assert(from->link_id_ != phy::LinkBudgetCache::kNoLink);
   if (from->link_id_ == phy::LinkBudgetCache::kNoLink) return;
-  const std::uint32_t sender_mask = from->sense_mask();
   std::uint32_t slot;
   if (free_frames_.empty()) {
     slot = static_cast<std::uint32_t>(flight_.size());
-    flight_.push_slot();
+    flight_.emplace_back();
   } else {
     slot = free_frames_.back();
     free_frames_.pop_back();
   }
-  flight_.frame[slot] = frame;
-  flight_.frame[slot].id = ++last_frame_id_;
-  const LinkId own_link = from->link_id_;
-  const double own_offset = from->tx_power_offset_db();
-  flight_.from[slot] = from;
-  flight_.from_link[slot] = own_link;
-  flight_.power_offset_db[slot] = own_offset;
-  flight_.start[slot] = sim_.now();
-  flight_.end[slot] = sim_.now() + frame.airtime();
-  flight_.sense_mask[slot] = sender_mask;
-  flight_.on_air_done[slot] = std::move(on_air_done);
+  Flight& f = flight_[slot];
+  f = Flight{.frame = frame,
+             .from = from,
+             .on_air_done = std::move(on_air_done),
+             .from_link = from->link_id_,
+             .power_offset_db = from->tx_power_offset_db(),
+             .start = sim_.now(),
+             .sense_mask = from->sense_mask()};
+  f.frame.id = ++last_frame_id_;
   // Overlap bookkeeping with everything already on air, in two halves:
   // frames already in flight are snapshotted (arena span, on_air_ order —
   // the same order the old per-frame overlap vectors accumulated), and our
@@ -222,43 +205,39 @@ void Channel::transmit(MacEntity* from, const mac::Frame& frame,
   // up via their log span at end-of-air.  Every link id a frame will read
   // at its end — its own, each snapshot entry, each log-span entry — takes
   // an in-flight reference now, pinning the id against recycling.
-  ++link_refs_[own_link];
-  const auto n_active = static_cast<std::uint32_t>(on_air_.size());
-  Interferer* snap = nullptr;
-  if (n_active != 0) {
-    snap = arena_.alloc_array<Interferer>(n_active);
+  ++link_refs_[f.from_link];
+  f.snapshot_len = static_cast<std::uint32_t>(on_air_.size());
+  if (f.snapshot_len != 0) {
+    Interferer* snap = arena_.alloc_array<Interferer>(f.snapshot_len);
     ++snapshot_allocs_;
-    for (std::uint32_t i = 0; i < n_active; ++i) {
-      const std::uint32_t other = on_air_[i];
-      const LinkId other_link = flight_.from_link[other];
-      snap[i] = Interferer{other_link, flight_.power_offset_db[other]};
-      ++link_refs_[other_link];  // we read their record at our end-of-air
-      ++link_refs_[own_link];    // they read ours via their log span
+    for (std::uint32_t i = 0; i < f.snapshot_len; ++i) {
+      const Flight& other = flight_[on_air_[i]];
+      snap[i] = Interferer{other.from_link, other.power_offset_db};
+      ++link_refs_[other.from_link];  // we read their record at our end-of-air
+      ++link_refs_[f.from_link];      // they read ours via their log span
     }
+    f.snapshot = snap;
   }
-  flight_.snapshot[slot] = snap;
-  flight_.snapshot_len[slot] = n_active;
-  flight_.log_index[slot] = static_cast<std::uint32_t>(tx_log_.size());
-  tx_log_.push_back(Interferer{own_link, own_offset});
-  flight_.on_air_pos[slot] = static_cast<std::uint32_t>(on_air_.size());
+  tx_log_.push_back(Interferer{f.from_link, f.power_offset_db});
+  f.log_begin = static_cast<std::uint32_t>(tx_log_.size());
   on_air_.push_back(slot);
   ++tx_count_;
 
   // Every domain that can hear the sender goes busy; a domain transitioning
   // idle->busy with a pending access timer freezes its backoff countdown.
   for (ContentionDomain& d : domains_) {
-    if ((d.mask & sender_mask) == 0) continue;
-    if (d.busy_refs++ == 0 && d.access_timer_set) {
+    if ((d.mask & f.sense_mask) == 0) continue;
+    if (d.busy_refs++ == 0 && sim_.live(d.access_timer)) {
       sim_.cancel(d.access_timer);
-      d.access_timer_set = false;
       consume_elapsed_slots(d, sim_.now());
     }
   }
 
-  // Capture the slot (O(1) end-of-air lookup) plus the queued copy's frame
-  // id as a cross-check against slot recycling bugs.
-  const std::uint64_t id = flight_.frame[slot].id;
-  sim_.at(flight_.end[slot], [this, slot, id] { on_transmission_end(slot, id); });
+  // Capture the slot plus the frame id as a cross-check against slot
+  // recycling bugs.
+  const std::uint64_t id = f.frame.id;
+  sim_.at(f.start + frame.airtime(),
+          [this, slot, id] { on_transmission_end(slot, id); });
 }
 
 void Channel::consume_elapsed_slots(ContentionDomain& d,
@@ -278,42 +257,27 @@ void Channel::consume_elapsed_slots(ContentionDomain& d,
 }
 
 void Channel::on_transmission_end(std::uint32_t slot, std::uint64_t frame_id) {
-  // Copy the finished frame's fields out of the pool before recycling the
-  // slot (a reentrant transmit may claim it mid-callback).  Unlike the old
-  // AoS pool there is no overlap buffer to rescue: the snapshot span lives
-  // on the arena and the log span in tx_log_, both stable until the idle
-  // reset below.
-  assert(flight_.frame[slot].id == frame_id);
+  // Move the finished frame out of its slot, then recycle the slot before
+  // any callback runs: a reentrant transmit may claim it.  The snapshot
+  // span lives on the arena and the log span in tx_log_, both stable until
+  // the idle reset below.
+  Flight done = std::move(flight_[slot]);
+  assert(done.frame.id == frame_id);
   (void)frame_id;
   ++end_of_air_;
+  // Every record appended while we were on air overlapped us; a record a
+  // reentrant transmit appends during our callbacks is after this instant
+  // and does not (the scalar path agrees: we are out of on_air_ by then).
+  done.log_end = static_cast<std::uint32_t>(tx_log_.size());
   // Domains created during this frame's callbacks (index >= n_domains)
   // never counted it — neither at transmit nor in their creation scan,
   // which runs after the swap-erase below — so only pre-existing domains
   // take part in this frame's busy bookkeeping.
   const std::size_t n_domains = domains_.size();
-  const std::uint32_t frame_mask = flight_.sense_mask[slot];
-  const mac::Frame frame = flight_.frame[slot];
-  Completed done;
-  done.frame = &frame;
-  done.from_link = flight_.from_link[slot];
-  done.power_offset_db = flight_.power_offset_db[slot];
-  done.start = flight_.start[slot];
-  done.snapshot = flight_.snapshot[slot];
-  done.snapshot_len = flight_.snapshot_len[slot];
-  done.log_begin = flight_.log_index[slot] + 1;
-  // Every record appended while we were on air overlapped us; a record a
-  // reentrant transmit appends during our callbacks is after this instant
-  // and does not (the scalar path agrees: we are out of on_air_ by then).
-  done.log_end = static_cast<std::uint32_t>(tx_log_.size());
-  Simulator::Callback done_cb = std::move(flight_.on_air_done[slot]);
-  flight_.on_air_done[slot] = nullptr;
 
-  // Unlink from the live list (swap-erase, O(1)) and recycle the slot before
-  // any callback runs.
-  const std::uint32_t pos = flight_.on_air_pos[slot];
-  const std::uint32_t last = on_air_.back();
-  on_air_[pos] = last;
-  flight_.on_air_pos[last] = pos;
+  // Unlink from the live list by swap-erase (the list holds a handful of
+  // slots) and recycle the slot.
+  *std::find(on_air_.begin(), on_air_.end(), slot) = on_air_.back();
   on_air_.pop_back();
   free_frames_.push_back(slot);
 
@@ -325,7 +289,7 @@ void Channel::on_transmission_end(std::uint32_t slot, std::uint64_t frame_id) {
   // idle-transition loop at the bottom.
   for (std::size_t di = 0; di < n_domains; ++di) {
     ContentionDomain& d = domains_[di];
-    if ((d.mask & frame_mask) == 0) continue;
+    if ((d.mask & done.sense_mask) == 0) continue;
     assert(d.busy_refs > 0);
     --d.busy_refs;
   }
@@ -333,7 +297,7 @@ void Channel::on_transmission_end(std::uint32_t slot, std::uint64_t frame_id) {
   // Sender bookkeeping first (start timeouts), then receptions, then medium
   // state — so a SIFS response scheduled during reception still sees the
   // correct idle anchor.
-  if (done_cb) done_cb();
+  if (done.on_air_done) done.on_air_done();
   if (scalar_reception_) {
     ++receptions_scalar_;
     evaluate_receptions_scalar(done);
@@ -366,7 +330,7 @@ void Channel::on_transmission_end(std::uint32_t slot, std::uint64_t frame_id) {
   // skips the domain, exactly as the old code skipped medium_went_idle.
   for (std::size_t di = 0; di < n_domains; ++di) {
     ContentionDomain& d = domains_[di];
-    if ((d.mask & frame_mask) == 0) continue;
+    if ((d.mask & done.sense_mask) == 0) continue;
     if (d.busy_refs == 0) {
       d.idle_anchor = sim_.now();
       schedule_access_timer(di);
@@ -374,7 +338,7 @@ void Channel::on_transmission_end(std::uint32_t slot, std::uint64_t frame_id) {
   }
 }
 
-double Channel::sinr_db_at(const Completed& done, LinkId rx) const {
+double Channel::sinr_db_at(const Flight& done, LinkId rx) const {
   const double signal_dbm =
       links_.rx_power_dbm(done.from_link, rx) + done.power_offset_db;
   if (!done.has_overlaps()) {
@@ -401,8 +365,8 @@ double Channel::sinr_db_at(const Completed& done, LinkId rx) const {
   return signal_dbm - mw_to_dbm_memo_(denom_mw);
 }
 
-void Channel::evaluate_receptions_scalar(const Completed& done) {
-  const mac::Frame& f = *done.frame;
+void Channel::evaluate_receptions_scalar(const Flight& done) {
+  const mac::Frame& f = done.frame;
 
   // Range check with the sender's power offset folded in.
   auto receivable = [&](LinkId rx) {
@@ -457,8 +421,8 @@ void Channel::evaluate_receptions_scalar(const Completed& done) {
   }
 }
 
-void Channel::evaluate_receptions_batched(const Completed& done) {
-  const mac::Frame& f = *done.frame;
+void Channel::evaluate_receptions_batched(const Flight& done) {
+  const mac::Frame& f = done.frame;
   if (f.dst == mac::kBroadcast && !done.has_overlaps()) {
     // The by-far-hottest broadcast shape (beacons on a quiet medium) goes
     // through the sender's memoized plan instead of re-gathering.
@@ -603,8 +567,8 @@ void Channel::evaluate_receptions_batched(const Completed& done) {
   if (snapshot_allocs_ == snaps_before) arena_.rewind(scratch_mark);
 }
 
-void Channel::run_broadcast_plan(const Completed& done) {
-  const mac::Frame& f = *done.frame;
+void Channel::run_broadcast_plan(const Flight& done) {
+  const mac::Frame& f = done.frame;
   const std::uint32_t bytes = f.size_bytes();
   // Key the sender's power as a bit pattern: double == would conflate +0.0
   // with -0.0, whose additions can round differently.
@@ -620,8 +584,7 @@ void Channel::run_broadcast_plan(const Completed& done) {
   const bool reusable = plan.links_version == links_.version() &&
                         plan.nodes_epoch == nodes_epoch_ &&
                         plan.rate == f.rate && plan.bytes == bytes &&
-                        plan.power_offset_bits == offset_bits &&
-                        plan.sniffer_count == sniffers_.size();
+                        plan.power_offset_bits == offset_bits;
   reusable ? ++plan_hits_ : ++plan_rebuilds_;
   if (!reusable) {
     plan.links_version = links_.version();
@@ -629,7 +592,6 @@ void Channel::run_broadcast_plan(const Completed& done) {
     plan.rate = f.rate;
     plan.bytes = bytes;
     plan.power_offset_bits = offset_bits;
-    plan.sniffer_count = static_cast<std::uint32_t>(sniffers_.size());
     plan.node.clear();
     plan.sinr.clear();
     plan.p.clear();
@@ -723,12 +685,12 @@ void Channel::harvest_metrics(obs::Metrics& m) const {
   m.add(Id::kRateOutcomes, rate_outcomes_);
 }
 
-void Channel::record_ground_truth(const Completed& done,
+void Channel::record_ground_truth(const Flight& done,
                                   trace::TxOutcome outcome) {
   if (!keep_ground_truth_) return;
   // Single construction point for both broadcast and unicast records, so the
   // ground truth's field mapping cannot drift between the two paths.
-  const mac::Frame& f = *done.frame;
+  const mac::Frame& f = done.frame;
   trace::TxRecord rec;
   rec.time_us = done.start.count();
   rec.frame_id = f.id;
@@ -747,10 +709,7 @@ void Channel::record_ground_truth(const Completed& done,
 void Channel::schedule_access_timer(std::size_t di) {
   ContentionDomain& d = domains_[di];
   if (d.busy_refs != 0 || d.contenders.empty()) {
-    if (d.access_timer_set) {
-      sim_.cancel(d.access_timer);
-      d.access_timer_set = false;
-    }
+    sim_.cancel(d.access_timer);
     return;
   }
   const auto min_it = std::min_element(
@@ -761,19 +720,15 @@ void Channel::schedule_access_timer(std::size_t di) {
   const Microseconds when = fire_at < sim_.now() ? sim_.now() : fire_at;
   // A contender joining or withdrawing usually leaves the earliest grant
   // unchanged; keep the armed timer instead of a cancel + reschedule pair.
-  if (d.access_timer_set) {
-    if (when == d.access_timer_at) return;
-    sim_.cancel(d.access_timer);
-  }
+  if (sim_.live(d.access_timer) && when == d.access_timer_at) return;
+  sim_.cancel(d.access_timer);
   d.access_timer = sim_.at(when, [this, di] { fire_access(di); });
   d.access_timer_at = when;
-  d.access_timer_set = true;
 }
 
 void Channel::fire_access(std::size_t di) {
   {
     ContentionDomain& d = domains_[di];
-    d.access_timer_set = false;
     if (d.busy_refs != 0 || d.contenders.empty()) return;
 
     std::uint32_t min_slots = d.contenders.front().slots;

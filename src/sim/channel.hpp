@@ -25,11 +25,9 @@
 //    access timer, giving the standard's atomic exchanges.
 //
 // Hot-path layout (docs/ARCHITECTURE.md has the full story):
-//  * In-flight frames live in a structure-of-arrays pool (FlightTable): the
-//    fields the end-of-air path reads — sender link, power, air window,
-//    overlap span — are parallel vectors indexed by slot, while the cold
-//    payload (frame copy, sender pointer, completion callback) rides in
-//    separate arrays of the same slot space.
+//  * Each frame on the air is one Flight record in a recycled slot pool
+//    (a handful of slots even in the densest session).  End of air moves
+//    the record out of its slot before any callback runs.
 //  * Overlap lists are not materialized per frame.  Each transmission
 //    appends one record to a shared tx log; a frame's interferers are (a) a
 //    snapshot of the on-air set taken at its transmit, stored on the channel
@@ -204,49 +202,28 @@ class Channel {
     double power_offset_db;
   };
 
-  /// In-flight frame state, structure-of-arrays over recycled slots.  The
-  /// first group is everything the SINR/end-of-air path touches; the second
-  /// is cold bookkeeping.  All vectors stay the same length (one entry per
-  /// pool slot); free slots are listed in free_frames_.
-  struct FlightTable {
-    std::vector<LinkId> from_link;
-    std::vector<double> power_offset_db;
-    std::vector<Microseconds> start;
-    std::vector<Microseconds> end;
-    /// This frame's own record in tx_log_; entries after it (up to the log
-    /// size at end-of-air) are the transmissions that overlapped it.
-    std::vector<std::uint32_t> log_index;
-    /// Arena-resident snapshot of the frames already on air at transmit.
-    std::vector<const Interferer*> snapshot;
-    std::vector<std::uint32_t> snapshot_len;
-    std::vector<std::uint32_t> on_air_pos;
-
-    /// Sender's sense mask at transmit, for per-domain busy accounting.
-    std::vector<std::uint32_t> sense_mask;
-
-    std::vector<mac::Frame> frame;
+  /// One frame on the air.  The snapshot span lives on the arena and the
+  /// log span in tx_log_, so a record moved out of its slot at end of air
+  /// stays valid through callbacks even if a reentrant transmit claims the
+  /// slot.
+  struct Flight {
+    mac::Frame frame;
     /// Sender, or nullptr when the node was removed mid-air (the frame
     /// finishes via from_link; see remove_node).
-    std::vector<MacEntity*> from;
-    std::vector<Simulator::Callback> on_air_done;
-
-    [[nodiscard]] std::size_t size() const { return from_link.size(); }
-    void push_slot();
-  };
-
-  /// A finished transmission, copied out of its (recycled) pool slot.  The
-  /// snapshot span lives on the arena and the log span in tx_log_, so the
-  /// view stays valid through callbacks even if a reentrant transmit claims
-  /// the slot.
-  struct Completed {
-    const mac::Frame* frame = nullptr;
+    MacEntity* from = nullptr;
+    Simulator::Callback on_air_done;
     LinkId from_link = phy::LinkBudgetCache::kNoLink;
     double power_offset_db = 0.0;
     Microseconds start{0};
+    /// Sender's sense mask at transmit, for per-domain busy accounting.
+    std::uint32_t sense_mask = 1;
+    /// Arena-resident snapshot of the frames already on air at transmit.
     const Interferer* snapshot = nullptr;
     std::uint32_t snapshot_len = 0;
-    std::uint32_t log_begin = 0;  ///< first overlapping tx-log record
-    std::uint32_t log_end = 0;    ///< one past the last
+    /// The tx-log records that overlapped this frame: those after its own,
+    /// up to the log size at end of air (log_end is set then).
+    std::uint32_t log_begin = 0;
+    std::uint32_t log_end = 0;
     [[nodiscard]] bool has_overlaps() const {
       return snapshot_len != 0 || log_begin != log_end;
     }
@@ -269,7 +246,6 @@ class Channel {
     Microseconds idle_anchor{0};
     EventId access_timer{};
     Microseconds access_timer_at{0};
-    bool access_timer_set = false;
     std::uint32_t busy_refs = 0;
   };
 
@@ -282,21 +258,21 @@ class Channel {
   void track_link(LinkId id);
   void release_link(LinkId id);
   /// Reference per-receiver reception path (the differential oracle).
-  void evaluate_receptions_scalar(const Completed& done);
+  void evaluate_receptions_scalar(const Flight& done);
   /// Batched SoA reception path: one pass over the sender's rx-power row
   /// for every candidate receiver at once.
-  void evaluate_receptions_batched(const Completed& done);
+  void evaluate_receptions_batched(const Flight& done);
   /// Interference-free broadcast reception via the sender's memoized plan
   /// (validate-or-rebuild, then replay).  See BroadcastPlan.
-  void run_broadcast_plan(const Completed& done);
-  void record_ground_truth(const Completed& done, trace::TxOutcome outcome);
+  void run_broadcast_plan(const Flight& done);
+  void record_ground_truth(const Flight& done, trace::TxOutcome outcome);
   /// Index of the domain with exactly `mask`, creating it on first use (a
   /// mid-run creation anchors at now and scans the air for busy senders).
   std::size_t domain_for(std::uint32_t mask);
   void consume_elapsed_slots(ContentionDomain& d, Microseconds busy_start);
   void schedule_access_timer(std::size_t di);
   void fire_access(std::size_t di);
-  [[nodiscard]] double sinr_db_at(const Completed& done, LinkId rx) const;
+  [[nodiscard]] double sinr_db_at(const Flight& done, LinkId rx) const;
 
   Simulator& sim_;
   const phy::Propagation& prop_;
@@ -342,7 +318,6 @@ class Channel {
     std::uint64_t power_offset_bits = 0;
     phy::Rate rate = phy::Rate::kR1;
     std::uint32_t bytes = 0;
-    std::uint32_t sniffer_count = 0;
     std::vector<MacEntity*> node;  ///< receivable nodes, nodes_ order
     std::vector<double> sinr;      ///< per candidate (no-overlap SINR)
     std::vector<double> p;         ///< frame_success_(rate, bytes, sinr)
@@ -363,14 +338,16 @@ class Channel {
   /// receiver pointers instead of touching freed nodes.
   std::uint64_t nodes_epoch_ = 0;
   std::vector<SnifferRef> sniffers_;
-  /// In-flight frames: a recycled slot pool (SoA) plus the list of live
-  /// slots.  End-of-air events address their frame by slot in O(1).
-  FlightTable flight_;
+  /// In-flight frames: a recycled slot pool, its free slots and the live
+  /// slots.  End-of-air events address their frame by slot.  on_air_'s
+  /// order (appends plus swap-erases) is the snapshot order, and so the
+  /// SINR summation order.
+  std::vector<Flight> flight_;
   std::vector<std::uint32_t> free_frames_;
   std::vector<std::uint32_t> on_air_;
   /// One record per transmission, in transmit order; cleared when the
   /// medium goes idle.  A frame's interferers-after-transmit are the
-  /// contiguous span (log_index, size-at-end-of-air).
+  /// contiguous span [log_begin, log_end) of its Flight.
   std::vector<Interferer> tx_log_;
   /// Overlap snapshots and reception scratch; reset when the medium goes
   /// idle (snapshots) / rewound per evaluation (scratch).

@@ -59,6 +59,8 @@ class Sniffer {
                bool in_range);
 
   [[nodiscard]] phy::Position position() const { return config_.position; }
+  /// The channel the sniffer is pinned to (SnifferConfig::channel).
+  [[nodiscard]] std::uint8_t channel() const { return config_.channel; }
   [[nodiscard]] std::uint8_t id() const { return id_; }
   [[nodiscard]] const SnifferStats& stats() const { return stats_; }
 

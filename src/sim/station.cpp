@@ -111,14 +111,8 @@ void Station::shutdown() {
   // on the air when the first shutdown ran re-arms the response timer from
   // its on_air_done, and Network::remove_station re-invokes shutdown to
   // clear exactly that before the object is freed.
-  if (response_timer_set_) {
-    channel_.simulator().cancel(response_timer_);
-    response_timer_set_ = false;
-  }
-  if (sifs_timer_set_) {
-    channel_.simulator().cancel(sifs_timer_);
-    sifs_timer_set_ = false;
-  }
+  channel_.simulator().cancel(response_timer_);
+  channel_.simulator().cancel(sifs_timer_);
   if (!active_) return;
   active_ = false;
   if (state_ == State::kContending) channel_.cancel_access(this);
@@ -179,7 +173,7 @@ void Station::transmit_head() {
     // single-attempt plans, so they re-decide before every retry exactly
     // as the pre-chain MAC did.
     rate::RateController& rc = controller_for(head.dst);
-    if (!plan_valid_ || plan_attempt_ >= plan_.total_attempts()) {
+    if (plan_attempt_ >= plan_.total_attempts()) {
       const Microseconds now = channel_.simulator().now();
       rc.on_tick(now);
       rate::TxContext ctx;
@@ -189,7 +183,6 @@ void Station::transmit_head() {
       ctx.retry_limit = channel_.timing().short_retry_limit;
       plan_ = rc.plan(ctx);
       plan_attempt_ = 0;
-      plan_valid_ = true;
       channel_.note_rate_plan();
     }
     current_rate_ = plan_.rate_for_attempt(plan_attempt_);
@@ -209,7 +202,6 @@ void Station::transmit_head() {
       if (!active_) return;  // shut down while the RTS was on the air
       response_timer_ = channel_.simulator().in(
           channel_.timing().cts_timeout(), [this] { on_cts_timeout(); });
-      response_timer_set_ = true;
     });
     return;
   }
@@ -241,7 +233,6 @@ void Station::send_data_frame() {
     if (!active_) return;  // shut down while the frame was on the air
     response_timer_ = channel_.simulator().in(channel_.timing().ack_timeout(),
                                               [this] { on_ack_timeout(); });
-    response_timer_set_ = true;
   });
 }
 
@@ -252,24 +243,16 @@ void Station::on_receive(const mac::Frame& f, double snr_db) {
   switch (f.type) {
     case mac::FrameType::kCts:
       if (for_me && state_ == State::kWaitCts) {
-        if (response_timer_set_) {
-          channel_.simulator().cancel(response_timer_);
-          response_timer_set_ = false;
-        }
+        channel_.simulator().cancel(response_timer_);
         sifs_timer_ = channel_.simulator().in(channel_.timing().sifs, [this] {
-          sifs_timer_set_ = false;
           if (active_ && !queue_.empty()) send_data_frame();
         });
-        sifs_timer_set_ = true;
       }
       return;
 
     case mac::FrameType::kAck:
       if (for_me && state_ == State::kWaitAck) {
-        if (response_timer_set_) {
-          channel_.simulator().cancel(response_timer_);
-          response_timer_set_ = false;
-        }
+        channel_.simulator().cancel(response_timer_);
         if (!queue_.empty()) report_tx_outcome(true);
         backoff_.reset();
         // Fragment burst: more payload pending means the next fragment
@@ -282,10 +265,8 @@ void Station::on_receive(const mac::Frame& f, double snr_db) {
             attempt_ = 0;
             sifs_timer_ = channel_.simulator().in(
                 channel_.timing().sifs, [this] {
-                  sifs_timer_set_ = false;
                   if (active_ && !queue_.empty()) send_data_frame();
                 });
-            sifs_timer_set_ = true;
             return;
           }
         }
@@ -325,13 +306,11 @@ void Station::on_payload(const mac::Frame& f, double) {
 }
 
 void Station::on_cts_timeout() {
-  response_timer_set_ = false;
   if (!active_ || state_ != State::kWaitCts) return;
   attempt_failed();
 }
 
 void Station::on_ack_timeout() {
-  response_timer_set_ = false;
   if (!active_ || state_ != State::kWaitAck) return;
   ++stats_.ack_timeouts;
   attempt_failed();
@@ -355,7 +334,7 @@ void Station::attempt_failed() {
   if (!queue_.empty()) {
     report_tx_outcome(false);
     // The failed attempt consumed one slot of the planned retry chain.
-    if (plan_valid_) ++plan_attempt_;
+    ++plan_attempt_;
   }
   ++attempt_;
   const auto limit = channel_.timing().short_retry_limit;
@@ -389,7 +368,7 @@ void Station::finish_head(bool delivered) {
   queue_.pop_front();
   attempt_ = 0;
   frag_sent_ = 0;
-  plan_valid_ = false;
+  plan_ = {};
   plan_attempt_ = 0;
   if (delivered) ++stats_.delivered;
   if (!queue_.empty()) {

@@ -184,18 +184,18 @@ class Station : public MacEntity {
   phy::Rate current_rate_ = phy::Rate::kR11;
   /// Retry chain planned for the current head frame; attempts index into
   /// it.  Single-attempt plans (the legacy policies) exhaust on every
-  /// failure, so the controller re-decides before each retry.
+  /// failure, so the controller re-decides before each retry.  Empty until
+  /// a data head is planned, and reset when the head finishes.
   rate::TxPlan plan_;
   std::uint32_t plan_attempt_ = 0;
-  bool plan_valid_ = false;
   /// First-contention timestamp of the current head, for the queueing vs
   /// head-of-line delay split (paper §6 delay components).
   Microseconds head_service_start_{0};
   bool head_in_service_ = false;
+  /// Cancelled without a pending check: Simulator::cancel on an event that
+  /// already ran or was cancelled does nothing.
   EventId response_timer_{};
-  bool response_timer_set_ = false;
   EventId sifs_timer_{};
-  bool sifs_timer_set_ = false;
 
   std::function<void(const mac::Frame&)> payload_handler_;
   StationStats stats_;

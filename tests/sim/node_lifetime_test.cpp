@@ -45,6 +45,18 @@ class StubNode : public MacEntity {
   int received_ = 0;
 };
 
+/// Answers the first frame it decodes with a frame back to its sender, put
+/// on the air from inside on_receive.  That callback runs after the
+/// finished frame has left its pool slot, so the echo reuses the slot.
+class EchoNode : public StubNode {
+ public:
+  using StubNode::StubNode;
+  void on_receive(const mac::Frame& frame, double snr_db) override {
+    StubNode::on_receive(frame, snr_db);
+    if (received_ == 1) channel_.transmit(this, data_to(frame.src));
+  }
+};
+
 class NodeLifetime : public ::testing::Test {
  protected:
   NodeLifetime()
@@ -244,6 +256,44 @@ TEST_F(NodeLifetime, RemovedSenderFrameStillReachesSniffer) {
 
   EXPECT_EQ(sniffer.stats().offered, 1u);
   EXPECT_EQ(sniffer.stats().captured, 1u);
+}
+
+TEST_F(NodeLifetime, ReentrantTransmitLeavesTheFinishedFrameIntact) {
+  for (const bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar ? "scalar reception" : "batched reception");
+    Simulator sim;
+    Channel channel(sim, prop_, timing_, 6, 1);
+    channel.set_keep_ground_truth(true);
+    channel.set_scalar_reception(scalar);
+    StubNode sender(channel, 1, {0, 0, 0});
+    EchoNode echo(channel, 2, {1, 0, 0});
+    SnifferConfig sc;
+    sc.position = {0.5, 0.5, 0};
+    sc.channel = channel.number();
+    sc.snr_jitter_db = 0.0;
+    Sniffer sniffer(sc, 0);
+    channel.add_sniffer(&sniffer);
+
+    sim.at(Microseconds{10},
+           [&] { channel.transmit(&sender, sender.data_to(echo.addr())); });
+    sim.run_until(Microseconds{100'000});
+
+    // The echo went on the air while the first frame was still being
+    // delivered; the first frame must reach the sniffer and the ground
+    // truth as it was sent, and the echo after it.
+    const auto& records = sniffer.trace().records;
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].src, mac::Addr{1});
+    EXPECT_EQ(records[0].frame_id, 1u);
+    EXPECT_EQ(records[1].src, mac::Addr{2});
+    EXPECT_EQ(records[1].frame_id, 2u);
+    const auto& truth = channel.ground_truth();
+    ASSERT_EQ(truth.size(), 2u);
+    EXPECT_EQ(truth[0].frame_id, 1u);
+    EXPECT_EQ(truth[0].outcome, trace::TxOutcome::kDelivered);
+    EXPECT_EQ(truth[1].frame_id, 2u);
+    EXPECT_EQ(sender.received_, 1);
+  }
 }
 
 }  // namespace
