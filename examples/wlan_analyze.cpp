@@ -6,8 +6,9 @@
 // clock offsets are estimated from shared beacons, the captures are k-way
 // merged with cross-sniffer duplicate suppression (trace/merge.hpp), and
 // the merged stream feeds the analyzers.  Everything streams: pcap files are
-// read in chunks and records are pushed one at a time through
-// core::StreamingAnalyzer, so peak memory is O(1) in capture size.
+// read once, in chunks, and records are pushed one at a time through
+// core::StreamingAnalyzer, so peak memory is O(1) in capture size beyond the
+// clock estimator's prefix.  An input may be a named pipe (mkfifo).
 //
 // Flags: the shared exp dialect (--out-dir, --quiet, --duration for the
 // sim-backed modes, --trace-out) plus the tool's own, listed in usage()
@@ -126,7 +127,9 @@ struct AnalyzeOutcome {
 
 /// The streaming pipeline: chunked readers -> clock estimation -> merging
 /// reader -> push-based analysis straight into figure bins and the
-/// per-second CSV.  Never holds more than one record per input.
+/// per-second CSV.  Each input is read once: the estimator's rewind replays
+/// the prefix it read, so beyond that prefix the pipeline holds one record
+/// per input.
 AnalyzeOutcome analyze_streaming(const std::vector<std::string>& files,
                                  const ToolOptions& opt,
                                  const std::string& out_dir) {
@@ -139,11 +142,18 @@ AnalyzeOutcome analyze_streaming(const std::vector<std::string>& files,
   }
 
   AnalyzeOutcome out;
+  std::vector<trace::ReplayOnceReader> once;
   std::optional<trace::MergingReader> merger;
   trace::TraceReader* source = inputs[0];
   if (inputs.size() > 1) {
     if (opt.clock_correction) {
+      once.reserve(inputs.size());
+      for (trace::TraceReader*& in : inputs) in = &once.emplace_back(*in);
       out.offsets = trace::estimate_clock_offsets(inputs);
+      // An input the estimator left unread has nothing to replay.
+      for (trace::ReplayOnceReader& r : once) {
+        if (!r.rewound()) r.reset();
+      }
     } else {
       out.offsets.offset_us.assign(inputs.size(), 0);
       out.offsets.anchors.assign(inputs.size(), 0);

@@ -3,20 +3,21 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/streaming.hpp"
+#include "exp/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
-#include "trace/merge.hpp"
 #include "workload/floorplan.hpp"
 
 namespace wlan::exp {
 
 namespace {
 
-/// Shared CellResult -> RunOutput reduction.
+/// Shared CellResult -> RunOutput reduction: the capture is analyzed
+/// whole, then binned into the run's figures.
 RunOutput reduce_cell_result(const workload::CellResult& result) {
   RunOutput out;
   out.analysis = core::TraceAnalyzer{}.analyze(result.trace);
+  out.figures.add(out.analysis);
   out.unrecorded = out.analysis.unrecorded;
   out.medium_transmissions = result.medium_transmissions;
   out.medium_collisions = result.medium_collisions;
@@ -47,9 +48,12 @@ RunOutput run_hidden_terminal_scenario(const RunSpec& run, bool /*churn*/) {
 /// minute, and 0 (the only non-positive value expand() admits) falls back
 /// to one full turnover per minute.
 ///
-/// The sniffers' own captures stream through the paper's merge (clock
-/// alignment, windowed dedup) straight into the analyzer: no capture is
-/// copied and no merged capture is built.
+/// The sniffers' captures go through the paper's merge (clock alignment,
+/// windowed dedup) straight into the analyzer, on a thread that reads each
+/// sniffer's records as they become final while the session runs: no
+/// capture is kept and no merged capture is built.  With
+/// RunSpec::keep_captures the sniffers keep their captures and the same
+/// pipeline reads them after the run.
 template <workload::SessionKind kKind>
 RunOutput run_session_scenario(const RunSpec& run, bool churn) {
   workload::ScenarioConfig cfg;
@@ -68,31 +72,20 @@ RunOutput run_session_scenario(const RunSpec& run, bool churn) {
   workload::Scenario scenario = kKind == workload::SessionKind::kDay
                                     ? workload::Scenario::day(cfg)
                                     : workload::Scenario::plenary(cfg);
-  {
+  const auto simulate = [&scenario] {
     obs::Span span("session: run " + scenario.name());
     scenario.run();
-  }
+  };
   RunOutput out;
+  sim::Network& net = scenario.network();
+  const auto analyze = run.keep_captures ? analyze_after : analyze_alongside;
+  SessionAnalysis analysis =
+      analyze(net, scenario.name(), simulate, out.figures);
   if (obs::Metrics* m = obs::current()) scenario.harvest_metrics(*m);
-  const sim::Network& net = scenario.network();
   net.harvest_delays(out.queue_delay, out.service_delay);
-
-  obs::Span merge_span("session: merge " + scenario.name(), "merge");
-  std::vector<trace::VectorReader> readers;
-  readers.reserve(net.sniffers().size());
-  for (const auto& sniffer : net.sniffers()) {
-    readers.emplace_back(sniffer->trace());
-  }
-  std::vector<trace::TraceReader*> inputs;
-  for (trace::VectorReader& reader : readers) inputs.push_back(&reader);
-  const trace::ClockOffsets offsets = trace::estimate_clock_offsets(inputs);
-  trace::MergingReader merger(std::move(inputs), offsets.offset_us);
-  core::StreamingAnalyzer analyzer;
-  trace::CaptureRecord r;
-  while (merger.next(r)) analyzer.push(r);
-  out.analysis = analyzer.finish();
+  out.analysis = std::move(analysis.result);
   out.unrecorded = out.analysis.unrecorded;
-  obs::count(obs::Id::kTraceRecords, merger.stats().emitted);
+  obs::count(obs::Id::kTraceRecords, analysis.merged_records);
   return out;
 }
 

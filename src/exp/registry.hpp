@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/analyzer.hpp"
+#include "core/report.hpp"
 #include "core/unrecorded.hpp"
 #include "exp/spec.hpp"
 #include "mac/timing.hpp"
@@ -25,11 +26,15 @@
 namespace wlan::exp {
 
 /// What one run hands back for aggregation and the manifest.  The analysis
-/// is capture-derived (the paper's methodology); the remaining fields are
-/// simulator/sniffer ground truth a scenario may report (zeros when it
-/// cannot, e.g. multi-sniffer sessions).
+/// and figures are capture-derived (the paper's methodology); the remaining
+/// fields are simulator/sniffer ground truth a scenario may report (zeros
+/// when it cannot, e.g. multi-sniffer sessions).
 struct RunOutput {
+  /// What the manifest row reads.  A session's holds no acceptance
+  /// sample: it streams those straight into `figures`.
   core::AnalysisResult analysis;
+  /// The run's seconds, acceptance samples and senders, binned.
+  core::FigureAccumulator figures;
   core::UnrecordedTotals unrecorded;     ///< §4.4 estimate on the capture
   std::uint64_t medium_transmissions = 0;
   std::uint64_t medium_collisions = 0;

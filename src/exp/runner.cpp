@@ -102,9 +102,9 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
         // the sweep's wall time went, per worker.
         obs::MetricsScope metrics_scope(slot.metrics);
         obs::Span span(span_name(run));
-        const RunOutput out = registry.run(run.scenario, run);
+        RunOutput out = registry.run(run.scenario, run);
         wall_ms = ms_since(run_t0);
-        slot.figures.add(out.analysis);
+        slot.figures = std::move(out.figures);
         slot.figures.add_delays(out.queue_delay, out.service_delay);
         slot.record = make_record(run, out, wall_ms);
         slot.metrics.add(obs::Id::kRuns, 1);

@@ -108,6 +108,12 @@ struct RunSpec {
   /// Resolved cell parameters.  The "cell" scenario runs exactly this;
   /// session scenarios map the shared fields onto a ScenarioConfig.
   workload::CellConfig cell;
+
+  /// Session scenarios only: the sniffers keep their whole captures, which
+  /// are analyzed after the run instead of on a thread alongside it.
+  /// expand() never sets it; it is the oracle the streamed analysis is
+  /// tested against.  Cells always keep their capture.
+  bool keep_captures = false;
 };
 
 /// Number of grid points (the expansion's run count / seeds_per_point).

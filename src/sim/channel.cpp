@@ -305,6 +305,12 @@ void Channel::on_transmission_end(std::uint32_t slot, std::uint64_t frame_id) {
     ++receptions_batched_;
     evaluate_receptions_batched(done);
   }
+  // Every frame a sniffer has yet to observe is on the air now or starts
+  // later, so a streaming sniffer's records that start before
+  // air_horizon() are final.
+  for (const SnifferRef& s : sniffers_) {
+    if (s.sniffer->streams()) s.sniffer->hand_over(air_horizon());
+  }
   // The frame is fully processed: drop its link references.  A link whose
   // owner departed mid-air is recycled here, on the last holder's release.
   release_link(done.from_link);
@@ -336,6 +342,14 @@ void Channel::on_transmission_end(std::uint32_t slot, std::uint64_t frame_id) {
       schedule_access_timer(di);
     }
   }
+}
+
+Microseconds Channel::air_horizon() const {
+  Microseconds horizon = sim_.now();
+  for (const std::uint32_t slot : on_air_) {
+    horizon = std::min(horizon, flight_[slot].start);
+  }
+  return horizon;
 }
 
 double Channel::sinr_db_at(const Flight& done, LinkId rx) const {

@@ -273,6 +273,9 @@ class Channel {
   void schedule_access_timer(std::size_t di);
   void fire_access(std::size_t di);
   [[nodiscard]] double sinr_db_at(const Flight& done, LinkId rx) const;
+  /// The earliest start of a frame on the air, or now when the air is
+  /// clear: no frame still to end on this channel starts before it.
+  [[nodiscard]] Microseconds air_horizon() const;
 
   Simulator& sim_;
   const phy::Propagation& prop_;

@@ -162,7 +162,7 @@ mac::Addr Network::allocate_addr() {
 void Network::remove_station(Station* station) {
   obs::count(obs::Id::kStationsRemoved);
   const mac::Addr addr = station->addr();
-  station->shutdown();  // idempotent; also re-cancels any re-armed timer
+  station->shutdown();  // idempotent: a departed user's station is already down
   station->channel().remove_node(station);
   const auto it =
       std::find_if(stations_.begin(), stations_.end(),

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "phy/error_model.hpp"
+#include "trace/reader.hpp"
 
 namespace wlan::sim {
 
@@ -65,6 +66,24 @@ void Sniffer::observe(const mac::Frame& frame, Microseconds start,
   capture_.start_us = records.front().time_us;
   capture_.end_us = records.back().time_us;
   ++stats_.captured;
+}
+
+void Sniffer::hand_over(Microseconds horizon) {
+  std::vector<trace::CaptureRecord>& records = capture_.records;
+  const std::int64_t final_before = horizon.count() + config_.clock_offset_us;
+  std::size_t n = 0;
+  while (n < records.size() && records[n].time_us < final_before) {
+    stream_->push(records[n++]);
+  }
+  records.erase(records.begin(),
+                records.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+void Sniffer::close_stream() {
+  for (const trace::CaptureRecord& r : capture_.records) stream_->push(r);
+  capture_.records.clear();
+  stream_->close();
+  stream_ = nullptr;
 }
 
 }  // namespace wlan::sim

@@ -9,7 +9,9 @@
 //
 // The capture is kept sorted by start time as it is recorded, which is the
 // form trace::merge_sniffer_traces and the core analyzers read from real
-// sniffers too.
+// sniffers too.  A sniffer without a stream keeps its whole capture.  A
+// streaming sniffer (stream_to) hands each record over once it is final,
+// in capture order, and trace() holds only the unfinished tail.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,10 @@
 #include "phy/propagation.hpp"
 #include "trace/record.hpp"
 #include "util/rng.hpp"
+
+namespace wlan::trace {
+class CaptureStream;
+}
 
 namespace wlan::sim {
 
@@ -66,8 +72,22 @@ class Sniffer {
 
   /// The capture so far: records sorted by start time (stable, so frames
   /// that start together keep their end-of-air order), bounds set to the
-  /// first and last record.
+  /// first and last record.  A streaming sniffer's holds only the records
+  /// not yet handed over.
   [[nodiscard]] const trace::Trace& trace() const { return capture_; }
+
+  /// Streams the capture into `stream` instead of keeping it.  Call before
+  /// the first observe(); the stream must outlive the sniffer's use of it.
+  void stream_to(trace::CaptureStream& stream) { stream_ = &stream; }
+  [[nodiscard]] bool streams() const { return stream_ != nullptr; }
+  /// Hands over, in capture order, every record that starts before
+  /// `horizon` (true time; the clock offset is added here).  The caller
+  /// promises that no frame still to be observed starts before `horizon`,
+  /// so no later record can be inserted ahead of those handed over.
+  void hand_over(Microseconds horizon);
+  /// Hands over the rest of the capture and closes the stream (end of the
+  /// run).  The sniffer then keeps its captures again.
+  void close_stream();
 
   /// The sniffer's own frame-success memo, for cache-telemetry harvest.
   [[nodiscard]] const phy::FrameSuccessCache& frame_success_cache() const {
@@ -78,11 +98,13 @@ class Sniffer {
   SnifferConfig config_;
   std::uint8_t id_;
   util::Rng rng_;
-  /// Same start-small/grow-to-2^18 policy as the channel's own cache: a
-  /// sniffer in a conference-scale session sees the channel's entire
-  /// (size, SINR) working set, which thrashes a fixed 4096-entry table.
+  /// The channel's own start-small policy, 2^12 entries growing to at most
+  /// 2^14: a sniffer in a conference-scale session sees the channel's
+  /// entire (size, SINR) working set, which thrashes a fixed 4096-entry
+  /// table.
   phy::FrameSuccessCache frame_success_{12, 14};
   trace::Trace capture_;
+  trace::CaptureStream* stream_ = nullptr;
   SnifferStats stats_;
   std::int64_t current_second_ = -1;
   std::uint64_t frames_this_second_ = 0;

@@ -107,14 +107,13 @@ void Station::enqueue(Packet packet) {
 }
 
 void Station::shutdown() {
-  // Timer cancellation stays outside the idempotence guard: a frame already
-  // on the air when the first shutdown ran re-arms the response timer from
-  // its on_air_done, and Network::remove_station re-invokes shutdown to
-  // clear exactly that before the object is freed.
-  channel_.simulator().cancel(response_timer_);
-  channel_.simulator().cancel(sifs_timer_);
   if (!active_) return;
   active_ = false;
+  // Nothing arms a timer once active_ is false: the on_air_done closures,
+  // on_receive and the SIFS callbacks all return first.  So one cancel of
+  // each is final, and a second shutdown has nothing to do.
+  channel_.simulator().cancel(response_timer_);
+  channel_.simulator().cancel(sifs_timer_);
   if (state_ == State::kContending) channel_.cancel_access(this);
   // Flush the queue, failing any completion-clocked flows.
   std::deque<Packet> drained;

@@ -176,6 +176,73 @@ void PcapReader::reset() {
   open_and_check_header();
 }
 
+void CaptureStream::push(const CaptureRecord& r) {
+  if (filling_.capacity() == 0) filling_.reserve(kBatchRecords);
+  filling_.push_back(r);
+  if (filling_.size() == kBatchRecords) publish();
+}
+
+void CaptureStream::publish() {
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!abandoned_) ready_.push_back(std::move(filling_));
+  }
+  filling_.clear();
+  ready_cv_.notify_one();
+}
+
+void CaptureStream::close() {
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (closed_) return;
+    closed_ = true;
+    if (!abandoned_ && !filling_.empty()) ready_.push_back(std::move(filling_));
+  }
+  filling_ = {};
+  ready_cv_.notify_one();
+}
+
+bool CaptureStream::next(CaptureRecord& out) {
+  if (read_pos_ == reading_.size()) {
+    std::unique_lock<std::mutex> lock(mu_);
+    ready_cv_.wait(lock, [this] { return !ready_.empty() || closed_; });
+    if (ready_.empty()) return false;
+    reading_ = std::move(ready_.front());
+    ready_.pop_front();
+    read_pos_ = 0;
+  }
+  out = reading_[read_pos_++];
+  return true;
+}
+
+void CaptureStream::reset() {
+  throw std::logic_error("CaptureStream: a stream cannot rewind");
+}
+
+void CaptureStream::abandon() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  abandoned_ = true;
+  ready_.clear();
+}
+
+bool ReplayOnceReader::next(CaptureRecord& out) {
+  if (rewound_ && replay_pos_ < recorded_.size()) {
+    out = recorded_[replay_pos_++];
+    if (replay_pos_ == recorded_.size()) recorded_ = {};  // replayed: free it
+    return true;
+  }
+  if (!live_->next(out)) return false;
+  if (!rewound_) recorded_.push_back(out);
+  return true;
+}
+
+void ReplayOnceReader::reset() {
+  if (rewound_) {
+    throw std::logic_error("ReplayOnceReader: reset() twice");
+  }
+  rewound_ = true;
+}
+
 Trace read_capture(const std::string& path) {
   if (path.ends_with(".pcap")) return read_pcap(path);
   if (path.ends_with(".csv")) return read_csv(path);

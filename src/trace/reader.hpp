@@ -4,19 +4,28 @@
 // can process captures far larger than memory (the paper's sniffers wrote
 // multi-GB tethereal logs; oftrace-style toolkits stream such captures
 // record-by-record rather than slurping them).  Producers:
-//   * VectorReader  — iterates an in-memory Trace (no copy),
-//   * PcapReader    — incremental pcap parsing from a bounded read buffer,
-//   * MergingReader — k-way clock-corrected merge (trace/merge.hpp).
+//   * VectorReader     — iterates an in-memory Trace (no copy),
+//   * PcapReader       — incremental pcap parsing from a bounded read buffer,
+//   * CaptureStream    — records handed over by a producer thread as they
+//                        are captured (a simulated sniffer),
+//   * ReplayOnceReader — gives an input that cannot rewind (a pipe, a
+//                        stream) the one rewind the clock-offset estimator
+//                        makes,
+//   * MergingReader    — k-way clock-corrected merge (trace/merge.hpp).
 //
 // Contract: next() returns records in the producer's order; readers over
 // capture files must yield them file-ordered (time-sorted for well-formed
 // captures).  reset() rewinds to the first record so multi-pass algorithms
-// (clock-offset estimation, then merge) can reuse one reader.
+// (clock-offset estimation, then merge) can reuse one reader; a reader
+// that cannot rewind throws std::logic_error instead.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -115,6 +124,73 @@ class PcapReader final : public TraceReader {
   std::size_t begin_ = 0;  ///< first unparsed byte in buf_
   std::size_t end_ = 0;    ///< one past the last valid byte in buf_
   bool eof_ = false;
+};
+
+/// A capture handed from one producer thread to one consumer while it is
+/// recorded.  The producer never waits: push() fills a batch of its own,
+/// and each full batch is queued under a mutex.  next() blocks until a
+/// batch arrives or the producer closes the stream, and returns false once
+/// every record pushed before close() has been read.  Memory is the
+/// batches queued but not yet read, so it grows only while the consumer
+/// lags.  A stream cannot rewind: wrap it in a ReplayOnceReader for
+/// estimate_clock_offsets.
+class CaptureStream final : public TraceReader {
+ public:
+  /// Records per queued batch.
+  static constexpr std::size_t kBatchRecords = 4096;
+
+  /// Producer: appends one record, queueing the batch once it is full.
+  void push(const CaptureRecord& r);
+  /// Producer: queues the partial batch and ends the stream.  Only the
+  /// first call does anything.
+  void close();
+
+  /// Consumer: the next record, waiting for the producer if none is queued.
+  bool next(CaptureRecord& out) override;
+  /// Throws std::logic_error: the records read are gone.
+  void reset() override;
+  /// Consumer: stops reading for good (it failed).  Queued batches are
+  /// freed, and later ones are dropped instead of queued.
+  void abandon();
+
+ private:
+  void publish();
+
+  std::vector<CaptureRecord> filling_;  ///< the producer's batch
+
+  std::mutex mu_;
+  std::condition_variable ready_cv_;
+  std::deque<std::vector<CaptureRecord>> ready_;  ///< guarded by mu_
+  bool closed_ = false;                           ///< guarded by mu_
+  bool abandoned_ = false;                        ///< guarded by mu_
+
+  std::vector<CaptureRecord> reading_;  ///< the consumer's batch
+  std::size_t read_pos_ = 0;
+};
+
+/// Gives a reader that cannot rewind the one rewind estimate_clock_offsets
+/// makes.  Until its first reset() it records every record it yields; the
+/// reset switches it to replaying those records once, after which it frees
+/// the recording and continues live.  So a pipe or a stream is read once,
+/// and only the estimator's prefix is held.  A second reset() throws
+/// std::logic_error.  An input the estimator leaves unread is never reset:
+/// reset() it anyway once the estimator returns (rewound() tells which),
+/// or it records everything the merge reads from it.
+class ReplayOnceReader final : public TraceReader {
+ public:
+  explicit ReplayOnceReader(TraceReader& live) : live_(&live) {}
+
+  bool next(CaptureRecord& out) override;
+  void reset() override;
+
+  /// Whether reset() has been called.
+  [[nodiscard]] bool rewound() const { return rewound_; }
+
+ private:
+  TraceReader* live_;
+  std::vector<CaptureRecord> recorded_;
+  std::size_t replay_pos_ = 0;
+  bool rewound_ = false;
 };
 
 /// Loads a whole capture file, choosing its format by extension: .pcap

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mac/frame.hpp"
+#include "trace/reader.hpp"
+#include "util/rng.hpp"
 
 namespace wlan::sim {
 namespace {
@@ -126,6 +131,78 @@ TEST(SnifferTest, TraceIsStablySortedAsRecorded) {
   }
   EXPECT_EQ(trace.start_us, 1000);
   EXPECT_EQ(trace.end_us, 5000);
+}
+
+/// A streaming sniffer and a keeping one see the same overlapping frames,
+/// observed at their end of air.  After each end of air the streaming one
+/// hands over what starts before the channel's horizon (now, or the
+/// earliest start still on the air).  It hands over exactly the kept
+/// capture, in order, and never holds a record it could have handed over.
+TEST(SnifferTest, StreamingHandsOverExactlyTheKeptCapture) {
+  struct Air {
+    std::int64_t start;
+    std::int64_t end;
+    std::uint16_t seq;
+  };
+  // Short frames under long ones: many end before frames that started
+  // earlier, so records arrive out of start order.
+  util::Rng rng(11);
+  std::vector<Air> air;
+  std::int64_t t = 0;
+  for (std::uint16_t i = 0; i < 3000; ++i) {
+    t += static_cast<std::int64_t>(rng.uniform_int(0, 900));
+    const bool is_long = rng.chance(0.2);
+    const std::int64_t duration =
+        is_long ? 8000 + static_cast<std::int64_t>(rng.uniform_int(0, 4000))
+                : 100 + static_cast<std::int64_t>(rng.uniform_int(0, 400));
+    air.push_back({t, t + duration, i});
+  }
+  std::vector<Air> by_end = air;
+  std::stable_sort(by_end.begin(), by_end.end(),
+                   [](const Air& a, const Air& b) { return a.end < b.end; });
+
+  SnifferConfig cfg;
+  cfg.clock_offset_us = 1500;  // the horizon is compared in sniffer time
+  cfg.capacity_fps = 1e9;
+  Sniffer kept(cfg, 0);
+  Sniffer streaming(cfg, 0);
+  trace::CaptureStream stream;
+  streaming.stream_to(stream);
+  std::size_t handed = 0;
+  std::size_t max_tail = 0;
+  for (const Air& done : by_end) {
+    const mac::Frame f = small_data(done.seq);
+    kept.observe(f, Microseconds{done.start}, 30.0, true);
+    streaming.observe(f, Microseconds{done.start}, 30.0, true);
+    std::int64_t horizon = done.end;
+    for (const Air& other : air) {
+      if (other.start <= done.end && other.end > done.end) {
+        horizon = std::min(horizon, other.start);
+      }
+    }
+    streaming.hand_over(Microseconds{horizon});
+    const auto& tail = streaming.trace().records;
+    for (const trace::CaptureRecord& r : tail) {
+      EXPECT_GE(r.time_us, horizon + cfg.clock_offset_us);
+    }
+    handed = streaming.stats().captured - tail.size();
+    max_tail = std::max(max_tail, tail.size());
+  }
+  EXPECT_GT(handed, 0u);
+  EXPECT_GT(max_tail, 0u);  // some records did wait for a long frame
+  streaming.close_stream();
+  EXPECT_FALSE(streaming.streams());
+  EXPECT_TRUE(streaming.trace().records.empty());
+
+  const trace::Trace streamed = trace::read_all(stream);
+  const std::vector<trace::CaptureRecord>& expected = kept.trace().records;
+  ASSERT_EQ(kept.stats().captured, streaming.stats().captured);
+  ASSERT_EQ(streamed.records.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(streamed.records[i].time_us, expected[i].time_us) << i;
+    EXPECT_EQ(streamed.records[i].seq, expected[i].seq) << i;
+    EXPECT_EQ(streamed.records[i].snr_db, expected[i].snr_db) << i;
+  }
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
+#include <thread>
 
+#include "trace/merge.hpp"
 #include "trace/pcap.hpp"
 #include "trace/pcap_format.hpp"
 #include "trace/trace_io.hpp"
@@ -307,6 +310,159 @@ TEST_F(ReaderTest, InMemoryReaders) {
   EXPECT_EQ(read_all(v).records.size(), t.records.size());
   OwningReader o(sample_trace());
   EXPECT_EQ(read_all(o).records.size(), t.records.size());
+}
+
+/// `n` records with increasing times and seq = index.
+std::vector<CaptureRecord> numbered(std::size_t n) {
+  std::vector<CaptureRecord> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i].time_us = static_cast<std::int64_t>(10 * i);
+    out[i].seq = static_cast<std::uint16_t>(i & 0xfff);
+    out[i].size_bytes = static_cast<std::uint32_t>(i);
+  }
+  return out;
+}
+
+/// A producer thread pushes every record while the consumer reads: the
+/// consumer blocks between batches and sees each record once, in order,
+/// the partial last batch included.
+TEST_F(ReaderTest, CaptureStreamFromAProducerThread) {
+  const std::size_t n = 5 * CaptureStream::kBatchRecords + 123;
+  const std::vector<CaptureRecord> sent = numbered(n);
+  CaptureStream stream;
+  std::thread producer([&] {
+    for (const CaptureRecord& r : sent) stream.push(r);
+    stream.close();
+  });
+  const Trace got = read_all(stream);
+  producer.join();
+  ASSERT_EQ(got.records.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(records_equal(got.records[i], sent[i])) << i;
+  }
+  CaptureRecord r;
+  EXPECT_FALSE(stream.next(r));  // stays at its end
+  EXPECT_THROW(stream.reset(), std::logic_error);
+}
+
+/// A consumer already waiting is woken by close(): on an empty stream it
+/// ends at once, and a partial batch closed mid-way is delivered first.
+TEST_F(ReaderTest, CaptureStreamCloseWakesTheConsumer) {
+  CaptureStream empty;
+  std::size_t empty_read = 1;
+  std::thread waiting([&] { empty_read = read_all(empty).records.size(); });
+  empty.close();
+  waiting.join();
+  EXPECT_EQ(empty_read, 0u);
+
+  const std::vector<CaptureRecord> sent = numbered(7);
+  CaptureStream partial;
+  std::size_t partial_read = 0;
+  std::thread reader([&] { partial_read = read_all(partial).records.size(); });
+  for (const CaptureRecord& r : sent) partial.push(r);
+  partial.close();
+  partial.close();  // a second close does nothing
+  reader.join();
+  EXPECT_EQ(partial_read, sent.size());
+}
+
+/// A consumer that gave up frees what is queued, and later batches are
+/// dropped: nothing more reaches next().
+TEST_F(ReaderTest, CaptureStreamAbandonDropsLaterBatches) {
+  CaptureStream stream;
+  for (const CaptureRecord& r : numbered(CaptureStream::kBatchRecords)) {
+    stream.push(r);
+  }
+  stream.abandon();
+  for (const CaptureRecord& r : numbered(CaptureStream::kBatchRecords + 5)) {
+    stream.push(r);
+  }
+  stream.close();
+  CaptureRecord r;
+  EXPECT_FALSE(stream.next(r));
+}
+
+/// The first reset() replays what was read, then the reader continues
+/// live; a second reset() throws.
+TEST_F(ReaderTest, ReplayOnceReaderReplaysThenContinuesLive) {
+  const Trace t = sample_trace();
+  VectorReader live(t);
+  ReplayOnceReader once(live);
+  CaptureRecord r;
+  for (std::size_t i = 0; i < 5; ++i) ASSERT_TRUE(once.next(r));
+  EXPECT_FALSE(once.rewound());
+  once.reset();
+  EXPECT_TRUE(once.rewound());
+  const Trace replayed = read_all(once);
+  ASSERT_EQ(replayed.records.size(), t.records.size());
+  for (std::size_t i = 0; i < t.records.size(); ++i) {
+    EXPECT_TRUE(records_equal(replayed.records[i], t.records[i])) << i;
+  }
+  EXPECT_THROW(once.reset(), std::logic_error);
+
+  // Reset before any read: nothing to replay, everything live.
+  VectorReader live2(t);
+  ReplayOnceReader unread(live2);
+  unread.reset();
+  EXPECT_EQ(read_all(unread).records.size(), t.records.size());
+}
+
+/// Clock offsets and the merge over inputs read once (streams behind
+/// replay-once readers) equal the same over rewindable VectorReaders,
+/// record for record: three skewed sniffers of one cell, and the same
+/// captures with every beacon removed from input 0, where the estimator
+/// reads input 0 alone.
+TEST_F(ReaderTest, OffsetsAndMergeOverReplayOnceReadersEqualVectorReaders) {
+  workload::CellConfig cell;
+  cell.seed = 9;
+  cell.num_users = 8;
+  cell.duration_s = 6.0;
+  cell.num_sniffers = 3;
+  const workload::CellResult result = workload::run_cell(cell);
+  std::vector<Trace> no_beacons = result.sniffer_traces;
+  std::erase_if(no_beacons[0].records, [](const CaptureRecord& r) {
+    return r.type == mac::FrameType::kBeacon;
+  });
+
+  const std::vector<Trace>* cases[] = {&result.sniffer_traces, &no_beacons};
+  for (const std::vector<Trace>* traces : cases) {
+    std::vector<VectorReader> vectors;
+    std::vector<TraceReader*> vector_inputs;
+    for (const Trace& t : *traces) vectors.emplace_back(t);
+    for (VectorReader& v : vectors) vector_inputs.push_back(&v);
+    const ClockOffsets expected_offsets = estimate_clock_offsets(vector_inputs);
+    MergingReader expected_merge(vector_inputs, expected_offsets.offset_us);
+    const Trace expected = read_all(expected_merge);
+
+    std::vector<CaptureStream> streams(traces->size());
+    std::vector<ReplayOnceReader> once;
+    once.reserve(traces->size());
+    std::vector<TraceReader*> inputs;
+    for (std::size_t i = 0; i < traces->size(); ++i) {
+      for (const CaptureRecord& r : (*traces)[i].records) streams[i].push(r);
+      streams[i].close();
+      inputs.push_back(&once.emplace_back(streams[i]));
+    }
+    const ClockOffsets offsets = estimate_clock_offsets(inputs);
+    for (ReplayOnceReader& r : once) {
+      if (!r.rewound()) r.reset();
+    }
+    MergingReader merge(inputs, offsets.offset_us);
+    const Trace got = read_all(merge);
+
+    EXPECT_EQ(offsets.offset_us, expected_offsets.offset_us);
+    EXPECT_EQ(offsets.anchors, expected_offsets.anchors);
+    if (traces == &result.sniffer_traces) {
+      EXPECT_GT(offsets.anchors[1], 0u);
+    }
+    ASSERT_GT(expected.records.size(), 0u);
+    ASSERT_EQ(got.records.size(), expected.records.size());
+    for (std::size_t i = 0; i < got.records.size(); ++i) {
+      EXPECT_TRUE(records_equal(got.records[i], expected.records[i])) << i;
+    }
+    EXPECT_EQ(merge.stats().duplicates_dropped,
+              expected_merge.stats().duplicates_dropped);
+  }
 }
 
 }  // namespace
