@@ -44,8 +44,13 @@ int main(int argc, char** argv) {
     if (file == "fig07.csv") continue;
     bench::emit_figure(fig, file, args);
     if (file != "fig06.csv") continue;
-    std::printf("Detected saturation knee: %.0f%% utilization (paper: 84%%)\n",
-                acc.knee_utilization());
+    if (const auto knee = acc.knee_utilization()) {
+      std::printf("Detected saturation knee: %.0f%% utilization "
+                  "(paper: 84%%)\n", *knee);
+    } else {
+      std::printf("Detected saturation knee: none (too few utilization bins; "
+                  "paper: 84%%)\n");
+    }
     std::printf("Theoretical max (Jun et al., full-MTU @ 11 Mbps): %.2f Mbps — "
                 "the paper notes its 4.9 Mbps at 84%% sits closest to it.\n",
                 core::best_case_tmt_mbps(core::DelayComponents::paper()));

@@ -11,9 +11,9 @@
 // clock estimator's prefix.  An input may be a named pipe (mkfifo).
 //
 // Flags: the shared exp dialect (--out-dir, --quiet, --duration for the
-// sim-backed modes, --trace-out) plus the tool's own, listed in usage()
-// below.  The shared grid flags (--threads, --shards, --seeds, --only,
-// --churn, --rate-policies) exit 2.
+// sim-backed mode, --trace-out) plus the tool's own, listed in usage()
+// below.  A flag the chosen mode never reads exits 2, as does any shared
+// grid flag (--threads, --shards, --seeds, --only, --churn, --rate-policies).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,10 +37,10 @@ using namespace wlan;
 
 struct ToolOptions {
   std::optional<int> channel;
-  trace::MergeOptions merge;
+  std::optional<trace::MergeOptions> merge;  ///< set by --merge-window
   bool clock_correction = true;  ///< false merges on all-zero offsets
   std::optional<std::string> sim_capture_dir;
-  int sniffers = 2;
+  std::optional<int> sniffers;  ///< --sim-capture's; 2 when not given
 };
 
 std::string usage_text(const std::string& argv0) {
@@ -83,8 +83,8 @@ ToolOptions extract_tool_flags(int& argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--channel")) {
       opt.channel = exp::int_arg(value(), "--channel", 1, 14, usage_str);
     } else if (!std::strcmp(argv[i], "--merge-window")) {
-      opt.merge.dup_window_us =
-          exp::int_arg(value(), "--merge-window", 0, 1'000'000, usage_str);
+      opt.merge = trace::MergeOptions{
+          exp::int_arg(value(), "--merge-window", 0, 1'000'000, usage_str)};
     } else if (!std::strcmp(argv[i], "--no-clock-correction")) {
       opt.clock_correction = false;
     } else if (!std::strcmp(argv[i], "--sniffers")) {
@@ -100,29 +100,12 @@ ToolOptions extract_tool_flags(int& argc, char** argv) {
   return opt;
 }
 
-class ChannelFilterReader final : public trace::TraceReader {
- public:
-  ChannelFilterReader(trace::TraceReader* inner, int channel)
-      : inner_(inner), channel_(channel) {}
-  bool next(trace::CaptureRecord& out) override {
-    while (inner_->next(out)) {
-      if (int{out.channel} == channel_) return true;
-    }
-    return false;
-  }
-  void reset() override { inner_->reset(); }
-
- private:
-  trace::TraceReader* inner_;
-  int channel_;
-};
-
 struct AnalyzeOutcome {
   core::AnalysisResult result;
   trace::ClockOffsets offsets;
   trace::MergeStats merge_stats;
   std::size_t seconds = 0;
-  double knee = 0.0;
+  std::optional<double> knee;
 };
 
 /// The streaming pipeline: chunked readers -> clock estimation -> merging
@@ -150,21 +133,13 @@ AnalyzeOutcome analyze_streaming(const std::vector<std::string>& files,
       once.reserve(inputs.size());
       for (trace::TraceReader*& in : inputs) in = &once.emplace_back(*in);
       out.offsets = trace::estimate_clock_offsets(inputs);
-      // An input the estimator left unread has nothing to replay.
-      for (trace::ReplayOnceReader& r : once) {
-        if (!r.rewound()) r.reset();
-      }
     } else {
       out.offsets.offset_us.assign(inputs.size(), 0);
       out.offsets.anchors.assign(inputs.size(), 0);
     }
-    merger.emplace(inputs, out.offsets.offset_us, opt.merge);
+    merger.emplace(inputs, out.offsets.offset_us,
+                   opt.merge.value_or(trace::MergeOptions{}));
     source = &*merger;
-  }
-  std::optional<ChannelFilterReader> filter;
-  if (opt.channel) {
-    filter.emplace(source, *opt.channel);
-    source = &*filter;
   }
 
   fs::create_directories(out_dir);
@@ -184,7 +159,9 @@ AnalyzeOutcome analyze_streaming(const std::vector<std::string>& files,
   }
 
   trace::CaptureRecord r;
-  while (source->next(r)) analyzer.push(r);
+  while (source->next(r)) {
+    if (!opt.channel || int{r.channel} == *opt.channel) analyzer.push(r);
+  }
   out.result = analyzer.finish();
   acc.add_senders(out.result.senders);
   if (merger) out.merge_stats = merger->stats();
@@ -217,7 +194,11 @@ void print_summary(const AnalyzeOutcome& out, std::size_t num_files,
                   out.offsets.anchors[i]);
     }
   }
-  if (out.knee > 0) std::printf("throughput knee: ~%.0f%% utilization\n", out.knee);
+  if (out.knee) {
+    std::printf("throughput knee: ~%.0f%% utilization\n", *out.knee);
+  } else {
+    std::printf("throughput knee: none found (too few utilization bins)\n");
+  }
   std::printf("figures written to %s (fig05_seconds + fig06..fig15 CSVs)\n",
               out_dir.c_str());
 }
@@ -258,33 +239,43 @@ int main(int argc, char** argv) {
   ToolOptions opt = extract_tool_flags(argc, argv);
   const exp::BenchArgs args = exp::parse_bench_args(
       argc, argv, "wlan_analyze: paper figure set over capture files", true);
-  // The shared parser also takes the grid flags, but this tool runs no
-  // grid: refuse them rather than ignore them.
-  const std::pair<bool, const char*> grid_flags[] = {
+  const bool sim = opt.sim_capture_dir.has_value();
+  if (!sim && args.positionals.empty()) {
+    usage(argv[0]);
+    return 2;
+  }
+  // Refuse, rather than ignore, a flag the chosen mode never reads: the
+  // shared parser's grid flags (the tool runs no grid), and the tool's
+  // flags of the other mode.
+  const bool merges = !sim && args.positionals.size() > 1;
+  const std::pair<bool, const char*> unread[] = {
       {args.threads > 0, "--threads"},
       {args.shards > 0, "--shards"},
       {args.seeds > 0, "--seeds"},
       {args.only_run.has_value(), "--only"},
       {!args.churn_rates.empty(), "--churn"},
-      {!args.rate_policies.empty(), "--rate-policies"}};
-  for (const auto& [given, flag] : grid_flags) {
+      {!args.rate_policies.empty(), "--rate-policies"},
+      {sim && opt.channel.has_value(), "--channel"},
+      {!merges && opt.merge.has_value(), "--merge-window"},
+      {!merges && !opt.clock_correction, "--no-clock-correction"},
+      {!sim && opt.sniffers.has_value(), "--sniffers"},
+      {!sim && args.duration_s > 0, "--duration"}};
+  for (const auto& [given, flag] : unread) {
     if (given) {
-      std::fprintf(stderr,
-                   "error: %s does not apply to wlan_analyze, which runs no "
-                   "experiment grid\n",
-                   flag);
+      std::fprintf(stderr, "error: %s is not read when wlan_analyze %s\n",
+                   flag,
+                   sim      ? "writes a simulated capture"
+                   : merges ? "merges captures"
+                            : "analyzes one capture");
       return 2;
     }
   }
 
   try {
-    if (opt.sim_capture_dir) {
-      write_sim_capture(*opt.sim_capture_dir, args.duration_s, opt.sniffers);
+    if (sim) {
+      write_sim_capture(*opt.sim_capture_dir, args.duration_s,
+                        opt.sniffers.value_or(2));
       return 0;
-    }
-    if (args.positionals.empty()) {
-      usage(argv[0]);
-      return 2;
     }
     const AnalyzeOutcome out =
         analyze_streaming(args.positionals, opt, args.out_dir);

@@ -83,9 +83,11 @@ EOF
 # Rate-policy plugin smoke: a MinstrelLite sweep through the 2-thread
 # runner.  Asserts the registry key survives the spec -> runner -> manifest
 # round trip (rate_policy is manifest column 5) — a broken PolicyRegistry
-# wiring or a policy name drift fails here before any figure regenerates.
+# wiring or a policy name drift fails here before any figure regenerates —
+# and that every run analyzed frames (column 16): 4 s outlasts the cell's
+# 3 s warmup.
 echo "smoke: minstrel sweep on the 2-thread runner"
-./build/example_run_experiment cell --threads 2 --seeds 1 --duration 3 \
+./build/example_run_experiment cell --threads 2 --seeds 1 --duration 4 \
     --rate-policies minstrel --quiet --out-dir build/smoke_minstrel \
     > /dev/null
 test -s build/smoke_minstrel/example_cell_manifest.csv
@@ -94,6 +96,11 @@ policies=$(tail -n +2 build/smoke_minstrel/example_cell_manifest.csv \
 if [ "$policies" != "minstrel" ]; then
     echo "smoke: FAIL — manifest rate_policy column is '$policies'," \
          "expected 'minstrel'" >&2
+    exit 1
+fi
+if tail -n +2 build/smoke_minstrel/example_cell_manifest.csv \
+    | cut -d, -f16 | grep -qx 0; then
+    echo "smoke: FAIL — a minstrel run analyzed 0 frames" >&2
     exit 1
 fi
 echo "smoke: OK (minstrel manifest rows)"

@@ -19,9 +19,10 @@ CongestionLevel classify(double utilization_pct) {
   return CongestionLevel::kHigh;
 }
 
-double detect_saturation_knee(const UtilizationBinner& throughput) {
+std::optional<double> detect_saturation_knee(
+    const UtilizationBinner& throughput) {
   constexpr int kHalfWindow = 2;  // the moving average spans p-2 .. p+2
-  double best_util = kHighAbovePct;
+  double best_util = 0.0;
   double best_value = -1.0;
   int populated = 0;
   for (int p = 30; p <= 100; ++p) {
@@ -42,7 +43,7 @@ double detect_saturation_knee(const UtilizationBinner& throughput) {
       best_util = p;
     }
   }
-  if (populated < 10) return kHighAbovePct;
+  if (populated < 10) return std::nullopt;
   return best_util;
 }
 

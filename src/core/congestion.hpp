@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -28,9 +29,10 @@ inline constexpr double kHighAbovePct = 84.0;     ///< above: highly congested
 /// Finds the utilization percentage at which utilization-binned throughput
 /// peaks — the paper's §5.2 method for picking the "highly congested"
 /// boundary.  The curve is smoothed with a centered 5-point moving average
-/// and searched over [30, 100]%.  Returns kHighAbovePct when fewer than 10
-/// smoothed points hold data.
-[[nodiscard]] double detect_saturation_knee(const UtilizationBinner& throughput);
+/// and searched over [30, 100]%.  Finds no knee (nullopt) when fewer than
+/// 10 smoothed points hold data.
+[[nodiscard]] std::optional<double> detect_saturation_knee(
+    const UtilizationBinner& throughput);
 
 /// Seconds spent in each congestion level (useful summary for reports).
 struct CongestionBreakdown {

@@ -223,7 +223,7 @@ RtsFairness FigureAccumulator::rts_fairness() const {
   return fair;
 }
 
-double FigureAccumulator::knee_utilization() const {
+std::optional<double> FigureAccumulator::knee_utilization() const {
   return detect_saturation_knee(throughput_);
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,9 +94,9 @@ class FigureAccumulator {
 
   [[nodiscard]] RtsFairness rts_fairness() const;
 
-  /// The §5.2 saturation knee of the binned throughput
-  /// (core::detect_saturation_knee).
-  [[nodiscard]] double knee_utilization() const;
+  /// The §5.2 saturation knee of the binned throughput, if the data show
+  /// one (core::detect_saturation_knee).
+  [[nodiscard]] std::optional<double> knee_utilization() const;
 
   /// Per-frame delay-component distributions (paper §6): queueing wait and
   /// head-of-line service time, microseconds.  Empty unless add_delays fed

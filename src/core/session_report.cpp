@@ -68,6 +68,10 @@ SessionSummary summarize(const AnalysisResult& analysis) {
 std::string render_summary(const SessionSummary& s) {
   std::ostringstream out;
   char line[160];
+  char knee[24] = "no knee";
+  if (s.knee_utilization_pct) {
+    std::snprintf(knee, sizeof knee, "knee %.0f%%", *s.knee_utilization_pct);
+  }
 
   out << "=== session report (paper S5-S6 metrics) ===\n";
   std::snprintf(line, sizeof line,
@@ -87,12 +91,11 @@ std::string render_summary(const SessionSummary& s) {
   out << line;
   std::snprintf(line, sizeof line,
                 "congestion   : %s (uncongested %llus / moderate %llus / "
-                "high %llus; knee %.0f%%)\n",
+                "high %llus; %s)\n",
                 std::string(congestion_level_name(s.dominant_level)).c_str(),
                 static_cast<unsigned long long>(s.congestion.uncongested),
                 static_cast<unsigned long long>(s.congestion.moderate),
-                static_cast<unsigned long long>(s.congestion.high),
-                s.knee_utilization_pct);
+                static_cast<unsigned long long>(s.congestion.high), knee);
   out << line;
   std::snprintf(line, sizeof line,
                 "throughput   : mean %.2f Mbps (peak %.2f), goodput %.2f Mbps\n",

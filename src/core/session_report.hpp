@@ -7,6 +7,7 @@
 // example_trace_tool and the table benches print.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "core/analyzer.hpp"
@@ -29,7 +30,7 @@ struct SessionSummary {
   double mean_throughput_mbps = 0.0;
   double mean_goodput_mbps = 0.0;
   double peak_throughput_mbps = 0.0;
-  double knee_utilization_pct = 0.0;  ///< §5.2 saturation knee
+  std::optional<double> knee_utilization_pct;  ///< §5.2 knee, if found
 
   CongestionBreakdown congestion;      ///< seconds per level
   CongestionLevel dominant_level = CongestionLevel::kUncongested;

@@ -186,7 +186,8 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
       // dump runs before the TraceLog's own static destructor.
       g_trace_out = args.trace_out;
       obs::TraceLog::instance().enable();
-      std::atexit(dump_trace_at_exit);
+      // A repeated flag only replaces the path: the dump is written once.
+      [[maybe_unused]] static const int once = std::atexit(dump_trace_at_exit);
     } else if (flag == "--quiet") {
       args.progress = false;
     } else {

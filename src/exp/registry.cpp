@@ -48,10 +48,10 @@ RunOutput run_hidden_terminal_scenario(const RunSpec& run, bool /*churn*/) {
 /// minute, and 0 (the only non-positive value expand() admits) falls back
 /// to one full turnover per minute.
 ///
-/// The sniffers' captures go through the paper's merge (clock alignment,
-/// windowed dedup) straight into the analyzer, on a thread that reads each
-/// sniffer's records as they become final while the session runs: no
-/// capture is kept and no merged capture is built.  With
+/// The sniffers' captures go through the paper's dedup merge, on zero clock
+/// offsets (exp/session.hpp), straight into the analyzer, on a thread that
+/// reads each sniffer's records as they become final while the session
+/// runs: no capture is kept and no merged capture is built.  With
 /// RunSpec::keep_captures the sniffers keep their captures and the same
 /// pipeline reads them after the run.
 template <workload::SessionKind kKind>
@@ -97,17 +97,18 @@ struct Entry {
   /// Dynamic population: the only rows the churn_rates axis reaches.  run()
   /// hands the flag to `fn`, and expand() rejects the axis everywhere else.
   bool churn;
+  bool warmup;  ///< analyzes only what follows CellConfig::warmup_s
   RunOutput (*fn)(const RunSpec&, bool churn);
 };
 
 /// The built-in scenarios, sorted by name (names() returns them in order).
 constexpr Entry kScenarios[] = {
-    {"cell", false, run_cell_scenario},
-    {"hidden-terminal", false, run_hidden_terminal_scenario},
-    {"ietf-day", false, run_session_scenario<kDay>},
-    {"ietf-day-churn", true, run_session_scenario<kDay>},
-    {"ietf-plenary", false, run_session_scenario<kPlenary>},
-    {"ietf-plenary-churn", true, run_session_scenario<kPlenary>},
+    {"cell", false, true, run_cell_scenario},
+    {"hidden-terminal", false, true, run_hidden_terminal_scenario},
+    {"ietf-day", false, false, run_session_scenario<kDay>},
+    {"ietf-day-churn", true, false, run_session_scenario<kDay>},
+    {"ietf-plenary", false, false, run_session_scenario<kPlenary>},
+    {"ietf-plenary-churn", true, false, run_session_scenario<kPlenary>},
 };
 
 const Entry& find_scenario(const std::string& name) {
@@ -144,6 +145,10 @@ std::vector<std::string> ScenarioRegistry::names() const {
 
 bool ScenarioRegistry::churns(const std::string& name) const {
   return find_scenario(name).churn;
+}
+
+bool ScenarioRegistry::trims_warmup(const std::string& name) const {
+  return find_scenario(name).warmup;
 }
 
 RunOutput ScenarioRegistry::run(const std::string& name,

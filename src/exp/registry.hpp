@@ -55,9 +55,11 @@ class ScenarioRegistry {
   [[nodiscard]] std::vector<std::string> names() const;  ///< sorted
 
   /// Whether the named scenario has a dynamic population, the only kind
-  /// the churn_rates axis reaches.  This and run() throw
+  /// the churn_rates axis reaches.  This, trims_warmup() and run() throw
   /// std::invalid_argument listing the known names on an unknown one.
   [[nodiscard]] bool churns(const std::string& name) const;
+  /// Whether it analyzes only what follows CellConfig::warmup_s.
+  [[nodiscard]] bool trims_warmup(const std::string& name) const;
 
   /// Runs one resolved grid run.
   [[nodiscard]] RunOutput run(const std::string& name, const RunSpec& run) const;

@@ -27,9 +27,9 @@ double ms_since(Clock::time_point t0) {
 }
 
 /// One run's completed state, filled by a worker, consumed (in grid order)
-/// by the merging thread.
+/// by the merging thread.  `figures` lives from hand-off to merge only.
 struct Slot {
-  core::FigureAccumulator figures;
+  std::optional<core::FigureAccumulator> figures;
   RunRecord record;
   obs::Metrics metrics;  ///< this run's work counters (MetricsScope target)
   std::exception_ptr error;  ///< a scenario factory threw
@@ -104,8 +104,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
         obs::Span span(span_name(run));
         RunOutput out = registry.run(run.scenario, run);
         wall_ms = ms_since(run_t0);
-        slot.figures = std::move(out.figures);
-        slot.figures.add_delays(out.queue_delay, out.service_delay);
+        slot.figures.emplace(std::move(out.figures))
+            .add_delays(out.queue_delay, out.service_delay);
         slot.record = make_record(run, out, wall_ms);
         slot.metrics.add(obs::Id::kRuns, 1);
       } catch (...) {
@@ -147,15 +147,15 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
       continue;
     }
     if (first_error) continue;  // stop aggregating, but drain every slot
-    result.figures.merge(slot.figures);
+    result.figures.merge(*slot.figures);
     if (opt.per_point_figures) {
-      result.per_point[runs[i].point_index].merge(slot.figures);
+      result.per_point[runs[i].point_index].merge(*slot.figures);
     }
     result.runs.push_back(std::move(slot.record));
     result.metrics.merge(slot.metrics);
     result.run_metrics.push_back({runs[i].run_index, runs[i].point_index,
                                   runs[i].seed, slot.metrics});
-    slot.figures = core::FigureAccumulator{};  // release per-run memory early
+    slot.figures.reset();
   }
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);

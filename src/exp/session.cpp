@@ -27,20 +27,12 @@ SessionAnalysis analyze_captures(
     const std::vector<trace::TraceReader*>& captures, const std::string& name,
     core::FigureAccumulator& figures) {
   obs::Span span("session: merge " + name, "merge");
-  std::vector<trace::ReplayOnceReader> once;
-  once.reserve(captures.size());
-  std::vector<trace::TraceReader*> inputs;
-  inputs.reserve(captures.size());
-  for (trace::TraceReader* capture : captures) {
-    inputs.push_back(&once.emplace_back(*capture));
-  }
-  const trace::ClockOffsets offsets = trace::estimate_clock_offsets(inputs);
-  // The estimator rewinds only what it read; an unread input has nothing
-  // to replay and must not record what the merge reads.
-  for (trace::ReplayOnceReader& r : once) {
-    if (!r.rewound()) r.reset();
-  }
-  trace::MergingReader merger(std::move(inputs), offsets.offset_us);
+  // Zero offsets are exactly what a clock-offset estimate would return: each
+  // session sniffer watches its own channel, so no beacon key reaches two
+  // inputs and the estimate finds 0 anchors; and Scenario::build sets no
+  // sniffer clock offset, so the raw clocks already agree.
+  trace::MergingReader merger(
+      captures, std::vector<std::int64_t>(captures.size(), 0));
 
   core::FigureStreamSink bins(figures);
   KeptSeconds kept;
@@ -65,12 +57,10 @@ SessionAnalysis analyze_after(sim::Network& net, const std::string& name,
   simulate();
   std::vector<trace::VectorReader> readers;
   readers.reserve(net.sniffers().size());
-  for (const std::unique_ptr<sim::Sniffer>& s : net.sniffers()) {
-    readers.emplace_back(s->trace());
-  }
   std::vector<trace::TraceReader*> captures;
-  captures.reserve(readers.size());
-  for (trace::VectorReader& r : readers) captures.push_back(&r);
+  for (const std::unique_ptr<sim::Sniffer>& s : net.sniffers()) {
+    captures.push_back(&readers.emplace_back(s->trace()));
+  }
   return analyze_captures(captures, name, figures);
 }
 

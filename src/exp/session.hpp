@@ -26,13 +26,13 @@ struct SessionAnalysis {
 };
 
 /// Both functions run `simulate` (which runs `net`) on the calling thread
-/// and the paper's pipeline over `net`'s sniffers, one capture each:
-/// clock offsets from shared beacons, the deduplicated merge, the
-/// per-second analysis.  Each capture is read once; the estimator's rewind
-/// replays the prefix it read (trace::ReplayOnceReader).  Seconds and
-/// acceptance samples are binned into `figures` as they finalize, the
-/// senders after the last record.  `name` labels the trace span
-/// ("session: merge <name>").  The two give equal results.
+/// and the paper's pipeline over `net`'s sniffers, one capture each: the
+/// deduplicated merge on zero clock offsets (exact here: a session's
+/// sniffers share the true clock and sit one per channel, so no beacon
+/// anchors two of them), then the per-second analysis.  Each capture is
+/// read once.  Seconds and acceptance samples are binned into `figures` as
+/// they finalize, the senders after the last record.  `name` labels the
+/// trace span ("session: merge <name>").  The two give equal results.
 
 /// Runs the pipeline after `simulate`, on the captures the sniffers kept.
 [[nodiscard]] SessionAnalysis analyze_after(

@@ -5,6 +5,7 @@
 
 #include "exp/registry.hpp"
 #include "rate/policy_registry.hpp"
+#include "util/ascii_chart.hpp"
 #include "util/rng.hpp"
 
 namespace wlan::exp {
@@ -61,6 +62,14 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
         "nonzero churn rate would only be recorded in the manifest, and a "
         "multi-valued axis would only duplicate every run "
         "(drop the axis or use a *-churn scenario)");
+  }
+  // A run no longer than the warmup its row trims would analyze nothing.
+  if (ScenarioRegistry::instance().trims_warmup(scen) &&
+      !(spec.duration_s > spec.base.warmup_s)) {
+    throw std::invalid_argument(
+        "ExperimentSpec: scenario \"" + scen + "\" drops its first " +
+        util::fmt(spec.base.warmup_s) + " s as warmup, so duration_s " +
+        util::fmt(spec.duration_s) + " s leaves nothing to analyze");
   }
   std::size_t zeros = 0;
   for (double churn : spec.churn_rates) {

@@ -54,6 +54,7 @@ struct ExperimentSpec {
   std::string scenario = "cell";    ///< ScenarioRegistry key
   std::uint64_t base_seed = 1;
   int seeds_per_point = 1;
+  /// Per run; expand() wants more than base.warmup_s if the row trims it.
   double duration_s = 18.0;
   /// Worker threads for each run's per-channel shard phases (see
   /// sim::EngineOptions::shards).  Like RunnerOptions::threads — and

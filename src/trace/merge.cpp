@@ -49,27 +49,21 @@ ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs) {
   ClockOffsets out;
   out.offset_us.assign(inputs.size(), 0);
   out.anchors.assign(inputs.size(), 0);
-  if (inputs.size() < 2) return out;
 
   // Reference anchors: the longest prefix of input 0 in which every beacon
   // key occurs once.  The first repeated key marks a 12-bit sequence wrap;
   // collection stops there so that everything kept is a first occurrence —
   // on multi-hour captures (many wraps) the prefix still holds thousands
   // of valid anchors, and clock offsets are constant, so a prefix is all
-  // the estimate needs.
+  // the estimate needs.  A single input has nothing to align and is not read.
   std::unordered_map<std::uint32_t, std::int64_t> ref;
   std::int64_t ref_last_us = std::numeric_limits<std::int64_t>::min();
   CaptureRecord r;
-  while (inputs[0]->next(r)) {
+  while (inputs.size() > 1 && inputs[0]->next(r)) {
     if (r.type != mac::FrameType::kBeacon) continue;
     if (!ref.emplace(anchor_key(r), r.time_us).second) break;
     ref_last_us = std::max(ref_last_us, r.time_us);
     if (ref.size() >= kMaxAnchors) break;
-  }
-  // Nothing to align against: rewind input 0, leave the others unread.
-  if (ref.empty()) {
-    inputs[0]->reset();
-    return out;
   }
 
   // An input whose clock leads input 0's by at most kMaxClockOffsetUs has
@@ -79,7 +73,9 @@ ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs) {
                std::numeric_limits<std::int64_t>::max() - kMaxClockOffsetUs) +
       kMaxClockOffsetUs;
 
-  for (std::size_t i = 1; i < inputs.size(); ++i) {
+  // Nothing to align against without a reference anchor: the others stay
+  // unread.  Every input is rewound below, read or not.
+  for (std::size_t i = 1; i < inputs.size() && !ref.empty(); ++i) {
     std::vector<std::int64_t> deltas;
     std::unordered_set<std::uint32_t> seen;
     while (inputs[i]->next(r)) {

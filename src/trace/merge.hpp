@@ -10,10 +10,8 @@
 //      sniffer and the reference sniffer (input 0) is that sniffer's clock
 //      offset.  We take the median difference, which is robust to anchors
 //      corrupted by sequence-number wrap or capture glitches.  Only a prefix
-//      of each capture is read: input 0 up to its first repeated beacon key,
-//      every other input up to its first record more than kMaxClockOffsetUs
-//      (1 s, merge.cpp) past input 0's last anchor.  The estimator rewinds
-//      what it read, so the merge then reads the same inputs from the top.
+//      of each capture is read, and every input is rewound for the merge
+//      (estimate_clock_offsets below).
 //   2. k-way merge — a heap over per-input cursors emits records in
 //      corrected-time order (ties broken by input index, so the merge is
 //      deterministic and independent of how captures are listed on disk).
@@ -77,10 +75,9 @@ struct MergeStats {
 /// input 0, or ahead by at most 1 s, is aligned from every anchor it shares;
 /// one further ahead is aligned from the anchors it shows before that bound,
 /// and keeps its raw clock (0 anchors) when the lead exceeds the anchor
-/// prefix's span plus 1 s.  Before returning it rewinds what it read (input
-/// 0 alone when that prefix holds no beacon, every input otherwise), so
-/// each input's next record is its first again: the caller hands the same
-/// readers straight to MergingReader.
+/// prefix's span plus 1 s.  Before returning it rewinds every input it is
+/// handed, read or not, so each input's next record is its first again:
+/// the caller hands the same readers straight to MergingReader.
 [[nodiscard]] ClockOffsets estimate_clock_offsets(
     const std::vector<TraceReader*>& inputs);
 

@@ -8,9 +8,8 @@
 //   * PcapReader       — incremental pcap parsing from a bounded read buffer,
 //   * CaptureStream    — records handed over by a producer thread as they
 //                        are captured (a simulated sniffer),
-//   * ReplayOnceReader — gives an input that cannot rewind (a pipe, a
-//                        stream) the one rewind the clock-offset estimator
-//                        makes,
+//   * ReplayOnceReader — gives an input that cannot rewind (a pipe) the one
+//                        rewind the clock-offset estimator makes,
 //   * MergingReader    — k-way clock-corrected merge (trace/merge.hpp).
 //
 // Contract: next() returns records in the producer's order; readers over
@@ -132,8 +131,8 @@ class PcapReader final : public TraceReader {
 /// batch arrives or the producer closes the stream, and returns false once
 /// every record pushed before close() has been read.  Memory is the
 /// batches queued but not yet read, so it grows only while the consumer
-/// lags.  A stream cannot rewind: wrap it in a ReplayOnceReader for
-/// estimate_clock_offsets.
+/// lags.  A stream cannot rewind, so it is merged as it arrives, without
+/// a clock-offset estimate.
 class CaptureStream final : public TraceReader {
  public:
   /// Records per queued batch.
@@ -171,20 +170,15 @@ class CaptureStream final : public TraceReader {
 /// Gives a reader that cannot rewind the one rewind estimate_clock_offsets
 /// makes.  Until its first reset() it records every record it yields; the
 /// reset switches it to replaying those records once, after which it frees
-/// the recording and continues live.  So a pipe or a stream is read once,
-/// and only the estimator's prefix is held.  A second reset() throws
-/// std::logic_error.  An input the estimator leaves unread is never reset:
-/// reset() it anyway once the estimator returns (rewound() tells which),
-/// or it records everything the merge reads from it.
+/// the recording and continues live.  So a pipe is read once, and only the
+/// estimator's prefix is held.  The estimator resets every input it is
+/// handed, read or not; a second reset() throws std::logic_error.
 class ReplayOnceReader final : public TraceReader {
  public:
   explicit ReplayOnceReader(TraceReader& live) : live_(&live) {}
 
   bool next(CaptureRecord& out) override;
   void reset() override;
-
-  /// Whether reset() has been called.
-  [[nodiscard]] bool rewound() const { return rewound_; }
 
  private:
   TraceReader* live_;

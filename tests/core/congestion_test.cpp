@@ -49,20 +49,26 @@ TEST(KneeDetectionTest, FindsSyntheticPeak) {
     const double thr = u <= 80 ? u / 20.0 : 4.0 - (u - 80) / 10.0;
     for (int k = 0; k < 3; ++k) samples.push_back({double(u), thr});
   }
-  const double knee = detect_saturation_knee(throughput_of(samples));
-  EXPECT_NEAR(knee, 80.0, 3.0);
+  const std::optional<double> knee =
+      detect_saturation_knee(throughput_of(samples));
+  ASSERT_TRUE(knee.has_value());
+  EXPECT_NEAR(*knee, 80.0, 3.0);
 }
 
 TEST(KneeDetectionTest, MonotoneCurvePeaksAtTop) {
   std::vector<std::pair<double, double>> samples;
   for (int u = 30; u <= 99; ++u) samples.push_back({double(u), u / 25.0});
-  const double knee = detect_saturation_knee(throughput_of(samples));
-  EXPECT_GE(knee, 95.0);
+  const std::optional<double> knee =
+      detect_saturation_knee(throughput_of(samples));
+  ASSERT_TRUE(knee.has_value());
+  EXPECT_GE(*knee, 95.0);
 }
 
-TEST(KneeDetectionTest, SparseDataFallsBackToDefault) {
-  const double knee = detect_saturation_knee(throughput_of({{50.0, 2.0}}));
-  EXPECT_DOUBLE_EQ(knee, kHighAbovePct);
+TEST(KneeDetectionTest, SparseDataFindsNoKnee) {
+  // Too few points to search: reporting the paper's 84% here would read as
+  // a detection.
+  EXPECT_EQ(detect_saturation_knee(throughput_of({{50.0, 2.0}})),
+            std::nullopt);
 }
 
 TEST(BreakdownTest, CountsSecondsPerLevel) {

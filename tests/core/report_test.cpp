@@ -111,7 +111,8 @@ TEST(FigureAccumulatorTest, KneeFindsPeakBin) {
     const double thr = u <= 80 ? u / 20.0 : 4.0 - (u - 80) / 5.0;
     acc.add(synthetic(u, thr, 3));
   }
-  EXPECT_NEAR(acc.knee_utilization(), 80.0, 5.0);
+  ASSERT_TRUE(acc.knee_utilization().has_value());
+  EXPECT_NEAR(*acc.knee_utilization(), 80.0, 5.0);
 }
 
 TEST(RenderFigureTest, ProducesChartAndTable) {

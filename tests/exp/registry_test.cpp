@@ -6,7 +6,7 @@
 
 #include <iterator>
 #include <stdexcept>
-#include <utility>
+#include <tuple>
 
 #include "exp/spec.hpp"
 #include "obs/metrics.hpp"
@@ -16,22 +16,23 @@ namespace wlan::exp {
 namespace {
 
 TEST(RegistryTest, BuiltInScenariosAreRegistered) {
-  // names() sorts; each flag is pinned by name, since no rule derives it
-  // from the name.
-  const std::pair<const char*, bool> expected[] = {
-      {"cell", false},          {"hidden-terminal", false},
-      {"ietf-day", false},      {"ietf-day-churn", true},
-      {"ietf-plenary", false},  {"ietf-plenary-churn", true}};
-  const auto names = ScenarioRegistry::instance().names();
+  // names() sorts; each flag (churns, trims a warmup) is pinned by name,
+  // since no rule derives it from the name.
+  const std::tuple<const char*, bool, bool> expected[] = {
+      {"cell", false, true},          {"hidden-terminal", false, true},
+      {"ietf-day", false, false},     {"ietf-day-churn", true, false},
+      {"ietf-plenary", false, false}, {"ietf-plenary-churn", true, false}};
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  const auto names = registry.names();
   ASSERT_EQ(names.size(), std::size(expected));
   for (std::size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(names[i], expected[i].first);
-    EXPECT_EQ(ScenarioRegistry::instance().churns(names[i]),
-              expected[i].second)
-        << names[i];
+    const auto& [name, churns, warmup] = expected[i];
+    EXPECT_EQ(names[i], name);
+    EXPECT_EQ(registry.churns(names[i]), churns) << names[i];
+    EXPECT_EQ(registry.trims_warmup(names[i]), warmup) << names[i];
   }
-  EXPECT_THROW((void)ScenarioRegistry::instance().churns("ballroom"),
-               std::invalid_argument);
+  EXPECT_THROW((void)registry.churns("ballroom"), std::invalid_argument);
+  EXPECT_THROW((void)registry.trims_warmup("ballroom"), std::invalid_argument);
 }
 
 TEST(RegistryTest, EveryRegisteredNameRunsATinyConfig) {

@@ -8,6 +8,7 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "exp/registry.hpp"
 #include "util/rng.hpp"
@@ -177,6 +178,37 @@ TEST(SpecTest, BadSpecsThrow) {
   spec = small_spec();
   spec.base.shards = 3;
   EXPECT_THROW(expand(spec), std::invalid_argument);
+}
+
+TEST(SpecTest, AWarmupTrimmingGridMustOutlastItsWarmup) {
+  // cell and hidden-terminal analyze only what follows base.warmup_s, so a
+  // grid no longer than it would report 0 seconds and 0 frames per run.
+  for (const char* scenario : {"cell", "hidden-terminal"}) {
+    ExperimentSpec spec = small_spec();
+    spec.scenario = scenario;
+    spec.duration_s = spec.base.warmup_s;
+    try {
+      (void)expand(spec);
+      ADD_FAILURE() << scenario << " expanded at its warmup's length";
+    } catch (const std::invalid_argument& e) {
+      // The message names both values.
+      EXPECT_NE(std::string(e.what()).find("first 3 s as warmup, so "
+                                           "duration_s 3 s"),
+                std::string::npos)
+          << e.what();
+    }
+    spec.base.warmup_s = 1.5;
+    spec.duration_s = 1.0;
+    EXPECT_THROW((void)expand(spec), std::invalid_argument) << scenario;
+    spec.duration_s = 1.75;
+    EXPECT_NO_THROW((void)expand(spec)) << scenario;
+  }
+  // A session trims no warmup: its every simulated second is analyzed.
+  ExperimentSpec session = small_spec();
+  session.scenario = "ietf-plenary";
+  session.duration_s = 2.0;
+  EXPECT_FALSE(ScenarioRegistry::instance().trims_warmup(session.scenario));
+  EXPECT_NO_THROW((void)expand(session));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <stdexcept>
 #include <tuple>
 #include <unordered_map>
 
@@ -241,35 +242,46 @@ Trace minute_of_data() {
   return as_trace(records);
 }
 
-TEST(ClockOffsetTest, RewindsEveryInputItRead) {
+/// Estimates offsets over replay-once readers of `traces` and checks that
+/// the estimator rewound every input, read or not: a further reset()
+/// throws, so the estimator made the one reset each allows, and each input
+/// yields its capture from the first record.
+ClockOffsets estimate_and_expect_rewound(const std::vector<Trace>& traces) {
+  std::vector<VectorReader> live;
+  std::vector<ReplayOnceReader> once;
+  live.reserve(traces.size());
+  once.reserve(traces.size());
+  std::vector<TraceReader*> inputs;
+  for (const Trace& t : traces) {
+    inputs.push_back(&once.emplace_back(live.emplace_back(t)));
+  }
+  const ClockOffsets offsets = estimate_clock_offsets(inputs);
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    EXPECT_THROW(once[i].reset(), std::logic_error) << "input " << i;
+    expect_yields_from_first(once[i], traces[i]);
+  }
+  return offsets;
+}
+
+TEST(ClockOffsetTest, RewindsEveryInputItAligns) {
   // Inputs 0 and 1 are read to their last beacon, input 2 up to its first
   // record past the scan bound.
-  const Trace ta = reference_beacons(0), tb = reference_beacons(700),
-              tc = minute_of_data();
-  VectorReader ra(ta), rb(tb), rc(tc);
-  const auto offsets = estimate_clock_offsets({&ra, &rb, &rc});
+  const auto offsets = estimate_and_expect_rewound(
+      {reference_beacons(0), reference_beacons(700), minute_of_data()});
   EXPECT_EQ(offsets.offset_us[1], 700);
   EXPECT_EQ(offsets.anchors[2], 0u);
-  expect_yields_from_first(ra, ta);
-  expect_yields_from_first(rb, tb);
-  expect_yields_from_first(rc, tc);
 }
 
-TEST(ClockOffsetTest, RewindsAReferenceWithoutBeacons) {
-  const Trace ta = minute_of_data(), tb = reference_beacons(0);
-  VectorReader ra(ta), rb(tb);
-  const auto offsets = estimate_clock_offsets({&ra, &rb});
-  EXPECT_EQ(offsets.anchors[1], 0u);
-  expect_yields_from_first(ra, ta);
-  expect_yields_from_first(rb, tb);
+TEST(ClockOffsetTest, RewindsUnreadInputsWhenTheReferenceHasNoBeacon) {
+  // Input 0 is read to its end; inputs 1 and 2 are never read.
+  const auto offsets = estimate_and_expect_rewound(
+      {minute_of_data(), reference_beacons(0), reference_beacons(300)});
+  EXPECT_EQ(offsets.anchors, (std::vector<std::size_t>{0, 0, 0}));
 }
 
-TEST(ClockOffsetTest, LeavesASingleInputAtItsFirstRecord) {
-  const Trace ta = reference_beacons(0);
-  VectorReader ra(ta);
-  const auto offsets = estimate_clock_offsets({&ra});
+TEST(ClockOffsetTest, RewindsASingleInput) {
+  const auto offsets = estimate_and_expect_rewound({reference_beacons(0)});
   EXPECT_EQ(offsets.offset_us, (std::vector<std::int64_t>{0}));
-  expect_yields_from_first(ra, ta);
 }
 
 /// The same frames heard by two sniffers merge to one copy each.

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <thread>
@@ -54,7 +55,11 @@ class ReaderTest : public ::testing::Test {
   }
 
   void write_bytes(const std::string& bytes) {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    // A new file, not a truncated one: some filesystems flush a file that
+    // is truncated and rewritten, which made the truncation sweep take
+    // minutes.
+    std::filesystem::remove(path_);
+    std::ofstream out(path_, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
@@ -390,9 +395,7 @@ TEST_F(ReaderTest, ReplayOnceReaderReplaysThenContinuesLive) {
   ReplayOnceReader once(live);
   CaptureRecord r;
   for (std::size_t i = 0; i < 5; ++i) ASSERT_TRUE(once.next(r));
-  EXPECT_FALSE(once.rewound());
   once.reset();
-  EXPECT_TRUE(once.rewound());
   const Trace replayed = read_all(once);
   ASSERT_EQ(replayed.records.size(), t.records.size());
   for (std::size_t i = 0; i < t.records.size(); ++i) {
@@ -444,9 +447,6 @@ TEST_F(ReaderTest, OffsetsAndMergeOverReplayOnceReadersEqualVectorReaders) {
       inputs.push_back(&once.emplace_back(streams[i]));
     }
     const ClockOffsets offsets = estimate_clock_offsets(inputs);
-    for (ReplayOnceReader& r : once) {
-      if (!r.rewound()) r.reset();
-    }
     MergingReader merge(inputs, offsets.offset_us);
     const Trace got = read_all(merge);
 

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <limits>
@@ -135,7 +136,8 @@ TEST_F(TraceIoTest, BinaryRejectsTruncatedFile) {
                       std::istreambuf_iterator<char>());
   in.close();
   {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    std::filesystem::remove(path_);  // a new file: see reader_test's write_bytes
+    std::ofstream out(path_, std::ios::binary);
     out.write(content.data(), static_cast<std::streamsize>(content.size() / 2));
   }
   EXPECT_THROW(read_binary(path_), std::runtime_error);

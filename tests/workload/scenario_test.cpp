@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace wlan::workload {
 namespace {
 
@@ -50,6 +52,40 @@ TEST(ScenarioTest, RunProducesTraffic) {
   const auto merged =
       trace::merge_sniffer_traces(scenario.network().sniffer_traces()).trace;
   EXPECT_GT(merged.records.size(), 100u);
+}
+
+/// A registry session merges its sniffers on zero clock offsets
+/// (exp/session.hpp).  That is exact because each sniffer watches its own
+/// channel: every capture holds beacons, yet no beacon anchors two of them,
+/// so the estimator finds 0 anchors and returns zeros.
+TEST(ScenarioTest, SessionSniffersShareNoBeaconSoTheirOffsetsAreZero) {
+  ScenarioConfig day, plenary, churn;
+  for (ScenarioConfig* cfg : {&day, &plenary, &churn}) {
+    cfg->duration_s = 4.0;
+    cfg->scale = 0.05;
+  }
+  churn.churn_turnover_per_min = 6.0;
+  Scenario sessions[] = {Scenario::day(day), Scenario::plenary(plenary),
+                         Scenario::day(churn)};
+  for (Scenario& s : sessions) {
+    SCOPED_TRACE(s.name() + (s.has_churn() ? " (churn)" : ""));
+    s.run();
+    const auto& sniffers = s.network().sniffers();
+    ASSERT_EQ(sniffers.size(), 3u);
+    for (std::size_t i = 0; i < sniffers.size(); ++i) {
+      for (std::size_t j = i + 1; j < sniffers.size(); ++j) {
+        EXPECT_NE(sniffers[i]->channel(), sniffers[j]->channel());
+      }
+      EXPECT_TRUE(std::ranges::any_of(
+          sniffers[i]->trace().records, [](const trace::CaptureRecord& r) {
+            return r.type == mac::FrameType::kBeacon;
+          }));
+    }
+    const trace::ClockOffsets offsets =
+        trace::merge_sniffer_traces(s.network().sniffer_traces()).offsets;
+    EXPECT_EQ(offsets.offset_us, std::vector<std::int64_t>(3, 0));
+    EXPECT_EQ(offsets.anchors, std::vector<std::size_t>(3, 0));
+  }
 }
 
 TEST(RunCellTest, ProducesTraceAndGroundTruth) {
